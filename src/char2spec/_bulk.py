@@ -176,10 +176,30 @@ def elements_from_coords(fs: FieldSpec, basis: tuple, coords: np.ndarray) -> np.
     return out
 
 
-def exhaustive_coords(q: int, d: int, lo: int, hi: int) -> np.ndarray:
-    """Base-q digits (least significant first) of the index range [lo, hi)."""
-    idx = np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, d), dtype=np.uint8)
+def projective_count(q: int, d: int) -> int:
+    """Number of projective ranks in F_q^d: the zero vector plus one
+    representative per line, 1 + (q^d - 1)/(q - 1)."""
+    return 1 + (q ** d - 1) // (q - 1)
+
+
+def projective_indices(q: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """Enumeration indices of the projective ranks [lo, hi), ascending.
+
+    Rank 0 is index 0; the remaining ranks run, in order, through the index
+    blocks [q^j, 2 q^j) for j = 0 .. d-1.  These are exactly the indices
+    whose highest nonzero base-q digit is 1, i.e. the smallest index on
+    each line {c v : c in F*}."""
+    ranks = np.arange(lo, hi, dtype=np.int64)
+    starts = np.array([0] + [projective_count(q, j) for j in range(d)], dtype=np.int64)
+    bases = np.array([0] + [q ** j for j in range(d)], dtype=np.int64)
+    block = np.searchsorted(starts, ranks, side="right") - 1
+    return bases[block] + (ranks - starts[block])
+
+
+def exhaustive_coords(q: int, d: int, idx: np.ndarray) -> np.ndarray:
+    """Base-q digits (least significant first) of the enumeration indices."""
+    idx = idx.copy()
+    out = np.empty((idx.shape[0], d), dtype=np.uint8)
     for j in range(d):
         out[:, j] = (idx % q).astype(np.uint8)
         idx //= q

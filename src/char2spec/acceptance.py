@@ -39,12 +39,12 @@ class AcceptanceConfig:
 
 def _result(num: int, name: str, ok: bool, detail: dict, t0: float) -> dict:
     return {"criterion": num, "name": name, "outcome": "pass" if ok else "fail",
-            "detail": detail, "timing_ms": round(1000 * (time.time() - t0), 3)}
+            "detail": detail, "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
 
 
 def criterion_1(cfg: AcceptanceConfig) -> dict:
     """Exact dimensions of every catalogue construction."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     checks = []
     for n in range(1, 7):
@@ -65,7 +65,7 @@ def criterion_1(cfg: AcceptanceConfig) -> dict:
 
 def criterion_2(cfg: AcceptanceConfig) -> dict:
     """Exhaustive spectrum verification over GF(4)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     jobs = [
         ("sl2", cons.sl(fs, 2), "1-spec"),
@@ -90,7 +90,7 @@ def criterion_2(cfg: AcceptanceConfig) -> dict:
 
 def criterion_3(cfg: AcceptanceConfig) -> dict:
     """Sampled spectrum verification at n = 5, 6 (>= 10^6 seeded samples)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     jobs = [
         ("sl2vnt3", cons.sl2_joint_nt(fs, 5), "1bar*-spec"),
@@ -112,7 +112,7 @@ def criterion_3(cfg: AcceptanceConfig) -> dict:
 
 def criterion_4(cfg: AcceptanceConfig) -> dict:
     """Even characteristic polynomials on the symplectic spaces."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     jobs = [
         ("b2m1/gf4", GF4, cons.b2m(GF4, 1), cfg.budget, 0),
         ("b2m1/gf8", GF8, cons.b2m(GF8, 1), cfg.budget, 0),
@@ -146,7 +146,7 @@ def _minpoly_is_t_a_tplus1_b(fs: FieldSpec, m: Mat) -> bool:
 def criterion_5(cfg: AcceptanceConfig) -> dict:
     """GF(2) checks: upper-triangular spaces and the minimal-polynomial
     characterization on all of Mat_3."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF2
     rows = []
     ok = True
@@ -174,7 +174,7 @@ def criterion_5(cfg: AcceptanceConfig) -> dict:
 
 def criterion_6(cfg: AcceptanceConfig) -> dict:
     """Lemma harnesses with hypothesis validation, zero conclusion failures."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     rows = []
     ok = True
@@ -202,7 +202,7 @@ def criterion_6(cfg: AcceptanceConfig) -> dict:
 
 def criterion_7(cfg: AcceptanceConfig) -> dict:
     """Total choice-lemma audit over all regular Hessenberg 3x3 matrices."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     v = H.choice_lemma_audit(GF4, n=3, cap=None, seed=cfg.seed)
     return _result(7, "choice lemma total audit", v.holds, v.detail, t0)
 
@@ -215,7 +215,7 @@ def criterion_8(cfg: AcceptanceConfig) -> dict:
     characteristic 2, sl_3 contains every trace-zero rank-one tensor and
     therefore certifies as a hurdle for every dual plane; see README.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     rng = random.Random(cfg.seed)
     rows = []
@@ -258,7 +258,7 @@ def criterion_8(cfg: AcceptanceConfig) -> dict:
 
 def criterion_9(cfg: AcceptanceConfig) -> dict:
     """Symmetric-times-Gram spaces and their trace-dual alternators."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     rng = random.Random(cfg.seed)
     rows = []
@@ -292,7 +292,7 @@ def criterion_9(cfg: AcceptanceConfig) -> dict:
 def criterion_10(cfg: AcceptanceConfig) -> dict:
     """Third confinement instance at n = 5 plus the exhaustive 3x3 last-block
     audit."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = GF4
     v3 = confinement_third_check(fs, third_confinement_template(fs, 5),
                                  budget=cfg.budget, samples=cfg.samples,
@@ -326,7 +326,7 @@ def canonical_bytes(obj) -> bytes:
 
 def criterion_11(cfg: AcceptanceConfig, worker_counts=(1, 4, 8)) -> dict:
     """Byte-identical reports (timings excluded) across worker counts."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     blobs = []
     for w in worker_counts:
         sub = AcceptanceConfig(budget=cfg.budget, samples=cfg.samples,

@@ -47,7 +47,7 @@ def _report(command: str, config: dict, checks: list[dict], t0: float) -> dict:
     return {"schema": SCHEMA, "version": __version__, "command": command,
             "config": config, "checks": checks,
             "summary": {"total": len(checks), "failed": failed},
-            "timing_ms": round(1000 * (time.time() - t0), 3)}
+            "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
 
 
 def _emit(report: dict, out_path: str | None) -> int:
@@ -61,7 +61,7 @@ def _emit(report: dict, out_path: str | None) -> int:
 
 
 def cmd_verify(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     space, expected = build_with_expected(fs, args.construction)
     pred = parse_predicate(args.pred, args.k)
@@ -77,7 +77,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_adapted(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
     report = adapted_scan(fs, space, label=args.construction)
@@ -88,7 +88,7 @@ def cmd_scan_adapted(args) -> int:
 
 
 def cmd_detect_hurdle(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
     try:
@@ -104,7 +104,7 @@ def cmd_detect_hurdle(args) -> int:
 
 
 def cmd_trk(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
     check = {"outcome": "holds", "trk": transitive_rank(fs, space),
@@ -114,7 +114,7 @@ def cmd_trk(args) -> int:
 
 
 def cmd_choice(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     if args.matrix:
         entries = [int(x) for x in args.matrix.split(",")]
@@ -138,7 +138,7 @@ def cmd_choice(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fs = _field(args)
     verdict = run_lemma(fs, args.name, trials=args.trials, seed=args.seed,
                         workers=args.workers)
@@ -149,7 +149,7 @@ def cmd_lemma(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = AcceptanceConfig(budget=args.budget, samples=args.samples,
                            seed=args.seed, workers=args.workers)
     result = run_acceptance(cfg, with_determinism=not args.skip_determinism)
@@ -158,11 +158,21 @@ def cmd_acceptance(args) -> int:
               "config": _config_echo(args), "checks": checks,
               "summary": {"total": result["summary"]["total"],
                           "failed": result["summary"]["failed"]},
-              "timing_ms": round(1000 * (time.time() - t0), 3)}
+              "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
     for c in checks:
         line = f"criterion {c['criterion']:>2} [{c['name']}]: {c['outcome']}"
         print(line, file=sys.stderr)
     return _emit(report, args.out)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -172,7 +182,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="max objects per exhaustive pass (default 2^24)")
     p.add_argument("--samples", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="scan threads; capped at the machine's processor count")
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
 

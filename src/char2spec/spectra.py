@@ -6,17 +6,31 @@ discarding the eigenvalue 0.  All counts come from the characteristic
 polynomial; the minimal polynomial has the same root set, which is
 asserted against :func:`matrix.min_poly` in the tests.
 
-Space-level verification enumerates every element when q^dim fits the
+Space-level verification covers every element when q^dim fits the
 budget and falls back to seeded counter-based sampling otherwise.  The
 verdict records the mode, and a failure always carries the witness
 matrix that is smallest in enumeration (or sample-index) order; the
 witness is re-verified through the scalar path before being reported.
+
+Every property scanned here is invariant under scaling by c in F*:
+chi_{cM}(x) = c^n chi_M(x/c), so the roots map to c*lambda (keeping "in
+F" and "nonzero") and the coefficient of x^i is multiplied by
+c^(n-i) (keeping "even").  Exhaustive scans are therefore projective:
+they check the zero matrix and one element per line {c M}, the one of
+smallest enumeration index, which is 1 + (q^dim - 1)/(q - 1) elements in
+place of q^dim.  The representatives are visited in ascending index
+order, so the first failing one is the minimal failing index of the
+whole space, and the witness, its index and the reported ``checked``
+count (q^dim) are those of a full enumeration.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf import FieldSpec
 from .matrix import Mat, char_poly
@@ -128,6 +142,12 @@ class SpaceVerdict:
         return out
 
 
+def pool_threads(workers: int, chunks: int) -> int:
+    """Threads that run `chunks` index ranges: no more than the requested
+    workers, the ranges or the machine's processors, and at least one."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
 def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                 budget: int, samples: int, seed: int, workers: int):
     """Shared scan plumbing.  Returns (mode, checked, used_seed, min_fail_index).
@@ -136,52 +156,59 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     path; fail_scalar(Mat) -> bool.  The scan is exhaustive when
     q^dim <= budget, else `samples` seeded counter-based draws; the
     minimal failing index is independent of the worker partitioning.
+
+    Both predicates must be invariant under scaling: M fails iff c*M fails
+    for every c in F*.  Exhaustive scans rely on it and are projective:
+    they check index 0 and, on each line {c v}, only its smallest index
+    (see :func:`_bulk.projective_indices`), 1 + (q^dim - 1)/(q - 1)
+    elements in all.  Ranks rise with index, so the first failing rank is
+    the minimal failing index of the whole space; `checked` reports q^dim.
     """
     n, _ = s.shape
     d = s.dim
-    total = fs.q ** d
+    q = fs.q
+    total = q ** d
     exhaustive = total <= budget
-    count = total if exhaustive else samples
+    count = _bulk.projective_count(q, d) if exhaustive else samples
     used_seed = None if exhaustive else seed
     basis = tuple(s.space.basis)
 
     use_bulk = fail_batch is not None and _bulk.supports(fs)
 
     def run_range(lo: int, hi: int) -> int | None:
-        best = None
-        if use_bulk:
-            import numpy as np
-            for clo in range(lo, hi, CHUNK):
-                chi = min(clo + CHUNK, hi)
-                if exhaustive:
-                    coords = _bulk.exhaustive_coords(fs.q, d, clo, chi)
-                else:
-                    coords = _bulk.sample_coords(fs.q, d, seed, clo, chi)
-                if d:
-                    ents = _bulk.elements_from_coords(fs, basis, coords)
-                else:
-                    ents = np.zeros((chi - clo, n * n), dtype=np.uint8)
-                bad = fail_batch(ents.reshape(-1, n, n))
-                hits = np.flatnonzero(bad)
-                if hits.size:
-                    best = clo + int(hits[0])
-                    break
-            return best
-        for i in range(lo, hi):
-            m = _element_for_index(fs, s, i, exhaustive, seed)
-            if fail_scalar(m):
-                return i
+        for clo in range(lo, hi, CHUNK):
+            chi = min(clo + CHUNK, hi)
+            # sample indices are the positions themselves
+            idx = _bulk.projective_indices(q, d, clo, chi) if exhaustive else None
+            if not use_bulk:
+                for i in (idx.tolist() if exhaustive else range(clo, chi)):
+                    if fail_scalar(_element_for_index(fs, s, i, exhaustive, seed)):
+                        return i
+                continue
+            if exhaustive:
+                coords = _bulk.exhaustive_coords(q, d, idx)
+            else:
+                coords = _bulk.sample_coords(q, d, seed, clo, chi)
+            if d:
+                ents = _bulk.elements_from_coords(fs, basis, coords)
+            else:
+                ents = np.zeros((chi - clo, n * n), dtype=np.uint8)
+            hits = np.flatnonzero(fail_batch(ents.reshape(-1, n, n)))
+            if hits.size:
+                first = int(hits[0])
+                return int(idx[first]) if exhaustive else clo + first
         return None
 
     chunks = index_chunks(count, workers)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = pool_threads(workers, len(chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda c: run_range(*c), chunks))
     else:
         results = [run_range(*c) for c in chunks]
     fails = [r for r in results if r is not None]
-    return ("exhaustive" if exhaustive else "sampled", count, used_seed,
-            min(fails) if fails else None)
+    return ("exhaustive" if exhaustive else "sampled", total if exhaustive else samples,
+            used_seed, min(fails) if fails else None)
 
 
 def _element_for_index(fs: FieldSpec, s: MatSubspace, index: int,
@@ -243,7 +270,6 @@ def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
         raise ValueError("characteristic polynomials need square matrices")
 
     def fail_batch(mats):
-        import numpy as np
         polys = _bulk.batch_charpoly(fs, mats)
         odd = polys[:, 1::2]
         return np.any(odd != 0, axis=1)

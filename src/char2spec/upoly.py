@@ -35,10 +35,6 @@ def deg(f: Poly) -> int:
     return len(f) - 1
 
 
-def is_monic(f: Poly) -> bool:
-    return bool(f) and f[-1] == 1
-
-
 def poly_add(f: Poly, g: Poly) -> Poly:
     if len(f) < len(g):
         f, g = g, f
@@ -187,13 +183,6 @@ def count_nonzero_roots_in_field(fs: FieldSpec, f: Poly) -> int:
 
 def count_nonzero_roots_in_closure(fs: FieldSpec, f: Poly) -> int:
     return count_roots_in_closure(fs, f) - (1 if has_root_zero(f) else 0)
-
-
-def poly_from_roots(fs: FieldSpec, roots) -> Poly:
-    out = ONE
-    for r in roots:
-        out = poly_mul(fs, out, (r, 1))
-    return out
 
 
 def poly_str(f: Poly) -> str:

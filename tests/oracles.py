@@ -85,3 +85,21 @@ def matrix_eval_poly(fs: FieldSpec, f, m: Mat) -> Mat:
     for c in reversed(f):
         acc = mat_add(mat_mul(fs, acc, m), mat_scale(fs, c, identity(n)))
     return acc
+
+
+def first_failing_index(space, fails):
+    """Smallest enumeration index whose element fails, by walking all q^dim
+    elements in order (None when every element passes)."""
+    for i in range(space.field.q ** space.dim):
+        if fails(space.element_at(i)):
+            return i
+    return None
+
+
+def is_nilpotent(fs: FieldSpec, m: Mat) -> bool:
+    """M^n = 0, i.e. every eigenvalue in the closure is 0."""
+    from char2spec.matrix import mat_mul
+    p = m
+    for _ in range(m.rows - 1):
+        p = mat_mul(fs, p, m)
+    return not any(p.entries)

@@ -47,6 +47,10 @@ def test_usage_errors(capsys):
     assert code == 2
     code = main(["lemma", "--name", "not-a-lemma"])
     assert code == 2
+    for bad in ("0", "-3", "two"):
+        code = main(["verify", "--construction", "nt3", "--pred", "1-spec", "--workers", bad])
+        assert code == 2
+        assert "--workers: expected a positive integer" in capsys.readouterr().err
 
 
 def test_scan_adapted(capsys):

@@ -1,15 +1,19 @@
+import os
 import random
 
 import pytest
 
-from char2spec.gf import GF2, GF4
+from char2spec.gf import GF2, GF4, GF8
+from char2spec import _bulk
 from char2spec import matrix as mx
+from char2spec import structure as st
 from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec import constructions as cons
-from char2spec.spectra import (SpecPredicate, check_element, check_space,
+from char2spec.spectra import (SpecPredicate, _scan_space, check_element, check_space,
                                check_space_even_charpoly, is_even_poly,
-                               parse_predicate, profile)
+                               parse_predicate, pool_threads, profile)
+from oracles import charpoly_cofactor, first_failing_index, is_nilpotent, roots_by_evaluation
 
 
 def test_profile_examples(gf4):
@@ -175,3 +179,120 @@ def test_f2_closure_predicate_on_all_mat3(gf2):
         m = full3.element_at(idx)
         closure = profile(gf2, m).distinct_nonzero_in_closure <= 1
         assert closure == _minpoly_is_t_a_tplus1_b(gf2, m)
+
+
+# ----------------------------------------------------------------------
+# projective exhaustive scans
+# ----------------------------------------------------------------------
+def _top_digit(i: int, q: int) -> int:
+    while i >= q:
+        i //= q
+    return i
+
+
+@pytest.mark.parametrize("q,d", [(4, 3), (8, 2), (2, 5)])
+def test_projective_indices(q, d):
+    count = _bulk.projective_count(q, d)
+    assert count == 1 + (q ** d - 1) // (q - 1)
+    indices = _bulk.projective_indices(q, d, 0, count).tolist()
+    # ascending, and exactly 0 plus the indices whose top nonzero digit is 1
+    assert indices == [0] + [i for i in range(1, q ** d) if _top_digit(i, q) == 1]
+    for cut in range(count + 1):
+        assert (_bulk.projective_indices(q, d, 0, cut).tolist()
+                + _bulk.projective_indices(q, d, cut, count).tolist()) == indices
+    digits = _bulk.exhaustive_coords(q, d, _bulk.projective_indices(q, d, 0, count))
+    assert [sum(int(c) * q ** j for j, c in enumerate(row)) for row in digits] == indices
+
+
+def _nt_plus(fs, n, i, j):
+    return cons.nt(fs, n).sum_with(sub.MatSubspace.from_matrices(fs, (n, n), [mx.unit(n, n, i, j)]))
+
+
+def _not_one_spec(fs):
+    return lambda m: len(roots_by_evaluation(fs, charpoly_cofactor(fs, m))) > 1
+
+
+def _odd_charpoly(fs):
+    return lambda m: any(charpoly_cofactor(fs, m)[1::2])
+
+
+# A space over GF(8) whose basis elements all have even characteristic
+# polynomials; the first odd one is at index 66 = 2 + 8^2, past 8^(d-1).
+EVEN_GF8_LATE = sub.MatSubspace.from_matrices(GF8, (4, 4), [
+    mx.from_rows([[0, 0, 0, 0], [1, 0, 0, 0], [6, 4, 0, 0], [7, 0, 6, 0]]),
+    mx.from_rows([[0, 0, 0, 0], [0, 0, 1, 0], [7, 0, 0, 0], [0, 0, 7, 0]]),
+    mx.from_rows([[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 6, 0]])])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_projective_scan_keeps_minimal_witness(workers):
+    spec_cases = [
+        # first failures at 80 > 4^3 and 576 > 8^3
+        (GF4, _nt_plus(GF4, 3, 2, 1), "0bar*-spec", lambda m: not is_nilpotent(GF4, m)),
+        (GF8, _nt_plus(GF8, 3, 2, 1), "0bar*-spec", lambda m: not is_nilpotent(GF8, m)),
+        (GF4, cons.full(GF4, 2), "1-spec", _not_one_spec(GF4)),
+    ]
+    for fs, space, pred, fails in spec_cases:
+        expect = first_failing_index(space, fails)
+        v = check_space(fs, space, parse_predicate(pred), workers=workers)
+        assert v.mode == "exhaustive" and v.checked == fs.q ** space.dim
+        assert v.witness_index == expect
+        assert v.witness == space.element_at(expect)
+    for fs, space in [(GF8, EVEN_GF8_LATE), (GF4, cons.full(GF4, 2))]:
+        expect = first_failing_index(space, _odd_charpoly(fs))
+        v = check_space_even_charpoly(fs, space, workers=workers)
+        assert v.checked == fs.q ** space.dim
+        assert (v.witness_index, v.witness) == (expect, space.element_at(expect))
+    assert check_space_even_charpoly(GF8, EVEN_GF8_LATE).witness_index == 66
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_projective_scalar_path_keeps_minimal_witness(workers):
+    # fail_batch=None forces the scalar path over the same rank -> index map
+    space = _nt_plus(GF8, 3, 2, 1)
+    fails = lambda m: not is_nilpotent(GF8, m)
+    got = _scan_space(GF8, space, None, fails, budget=1 << 24, samples=0, seed=0,
+                      workers=workers)
+    assert got == ("exhaustive", 8 ** 4, None, first_failing_index(space, fails))
+
+
+def _splitting_fails(fs, cert):
+    """Conditions (b)-(d) of splitting_check in 2-spec mode, from the
+    G-block read off the RREF pivots and the quotient trace tr(u) + tr(u|G)."""
+    g = cert.kernel
+
+    def fails(u):
+        cols = [mx.mat_vec(fs, u, row) for row in g.basis]
+        block = mx.Mat(g.dim, g.dim, tuple(cols[j][g.pivots[i]]
+                                           for i in range(g.dim) for j in range(g.dim)))
+        in_f = len(roots_by_evaluation(fs, charpoly_cofactor(fs, block)))
+        tr_q = mx.trace(u) ^ mx.trace(block)
+        return in_f > 1 or (tr_q != 0 and in_f > 0) or (not any(block.entries) and tr_q != 0)
+    return fails
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_splitting_check_keeps_minimal_witness(gf2, workers):
+    # Over GF(q), q >= 4, conditions (b)-(d) follow from the 2-spec hypothesis
+    # once the space contains the template, so a failing instance needs GF(2);
+    # there the projective scan is the full scan.
+    h4 = cons.hurdle_template(gf2, 4)
+    cert = st.detect_hurdle(gf2, h4)
+    space = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
+    v = st.splitting_check(gf2, space, cert, mode="2spec", workers=workers)
+    expect = first_failing_index(space, _splitting_fails(gf2, cert))
+    assert v.outcome == "fails" and v.detail["condition"] == "bcd"
+    assert v.detail["index"] == expect == 16
+    assert v.detail["witness"] == space.element_at(expect).to_json()
+
+
+def test_pool_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert pool_threads(1, 10) == 1
+    assert pool_threads(3, 10) == 3
+    assert pool_threads(8, 10) == 4
+    assert pool_threads(10 ** 6, 10 ** 6) == 4
+    assert pool_threads(8, 2) == 2
+    assert pool_threads(8, 0) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pool_threads(8, 10) == 1

@@ -66,6 +66,18 @@ def test_hurdle_tensor_space_dimension(gf4):
         assert wp == cons.hurdle_template(gf4, n)
 
 
+def test_sl3_contains_every_hurdle_tensor_space(gf2, gf4):
+    # In characteristic 2 every phi (x) y with phi(y) = 0 is trace-zero, so sl3
+    # contains W_P for every dual plane P and detect_hurdle(sl3) finds one:
+    # the reason the acceptance check on sl3 is red.
+    for fs in (gf2, gf4):
+        sl3 = cons.sl(fs, 3)
+        planes = list(sub.enumerate_grassmannian(fs, 2, 3))
+        assert len(planes) == fs.q ** 2 + fs.q + 1
+        for plane in planes:
+            assert sl3.contains_space(st.hurdle_tensor_space(fs, plane))
+
+
 def test_detect_hurdle_on_template(gf4):
     for n in (3, 4):
         cert = st.detect_hurdle(gf4, cons.hurdle_template(gf4, n))
