@@ -152,10 +152,13 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                 budget: int, samples: int, seed: int, workers: int):
     """Shared scan plumbing.  Returns (mode, checked, used_seed, min_fail_index).
 
-    fail_batch(mats [N, n, n]) -> bool array, or None to force the scalar
-    path; fail_scalar(Mat) -> bool.  The scan is exhaustive when
-    q^dim <= budget, else `samples` seeded counter-based draws; the
-    minimal failing index is independent of the worker partitioning.
+    fail_batch(planes [n, m, k, W], count) -> bool array over the first
+    `count` lanes of a bit-sliced batch (see :mod:`._bulk`), or None to
+    force the scalar path; fail_scalar(Mat) -> bool.  The scan is
+    exhaustive when q^dim <= budget, else `samples` seeded counter-based
+    draws; the minimal failing index is independent of the worker
+    partitioning.  The positions are cut into at most `workers` ranges and
+    at most ceil(positions / CHUNK), and each range into batches of CHUNK.
 
     Both predicates must be invariant under scaling: M fails iff c*M fails
     for every c in F*.  Exhaustive scans rely on it and are projective:
@@ -164,16 +167,19 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     elements in all.  Ranks rise with index, so the first failing rank is
     the minimal failing index of the whole space; `checked` reports q^dim.
     """
-    n, _ = s.shape
+    n, m = s.shape
     d = s.dim
     q = fs.q
+    k = fs.degree
     total = q ** d
     exhaustive = total <= budget
     count = _bulk.projective_count(q, d) if exhaustive else samples
     used_seed = None if exhaustive else seed
-    basis = tuple(s.space.basis)
 
     use_bulk = fail_batch is not None and _bulk.supports(fs)
+    if use_bulk:
+        # basis coordinates -> matrix entries, on planes
+        to_entries = _bulk.linear_map(fs, s.space.basis, n * m)
 
     def run_range(lo: int, hi: int) -> int | None:
         for clo in range(lo, hi, CHUNK):
@@ -186,20 +192,18 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                         return i
                 continue
             if exhaustive:
-                coords = _bulk.exhaustive_coords(q, d, idx)
+                # base-q digit j of an index is its bits [j k, (j+1) k)
+                coords = _bulk.code_planes(idx[:, None], d * k)
             else:
-                coords = _bulk.sample_coords(q, d, seed, clo, chi)
-            if d:
-                ents = _bulk.elements_from_coords(fs, basis, coords)
-            else:
-                ents = np.zeros((chi - clo, n * n), dtype=np.uint8)
-            hits = np.flatnonzero(fail_batch(ents.reshape(-1, n, n)))
+                coords = _bulk.code_planes(_bulk.sample_coords(q, d, seed, clo, chi), k)
+            ents = _bulk.apply_map(coords, to_entries, n * m * k)
+            hits = np.flatnonzero(fail_batch(ents.reshape(n, m, k, -1), chi - clo))
             if hits.size:
                 first = int(hits[0])
                 return int(idx[first]) if exhaustive else clo + first
         return None
 
-    chunks = index_chunks(count, workers)
+    chunks = index_chunks(count, min(workers, -(-count // CHUNK)))
     threads = pool_threads(workers, len(chunks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -235,8 +239,8 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
     if n != m:
         raise ValueError("spectrum predicates need square matrices")
 
-    def fail_batch(mats):
-        polys = _bulk.batch_charpoly(fs, mats)
+    def fail_batch(planes, count):
+        polys = _bulk.monic_codes(_bulk.charpoly_planes(fs, planes), count)
         counts = _bulk.root_counts(fs, polys, pred.kind, pred.exclude_zero)
         return counts > pred.k
 
@@ -269,10 +273,10 @@ def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
     if n != m:
         raise ValueError("characteristic polynomials need square matrices")
 
-    def fail_batch(mats):
-        polys = _bulk.batch_charpoly(fs, mats)
-        odd = polys[:, 1::2]
-        return np.any(odd != 0, axis=1)
+    def fail_batch(planes, count):
+        if n % 2:   # the leading coefficient 1 sits at an odd degree
+            return np.ones(count, dtype=bool)
+        return _bulk.nonzero_lanes(_bulk.charpoly_planes(fs, planes)[1::2], count)
 
     def fail_scalar(mat: Mat) -> bool:
         return not is_even_poly(char_poly(fs, mat))

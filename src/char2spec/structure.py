@@ -563,27 +563,25 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
 
     lin_g = _linear_map(fs, n, lambda e: g_block(e))
     lin_q = _linear_map(fs, n, lambda e: q_block(e))
+    k = fs.degree
+    bulk = _bulk.supports(fs)
+    if bulk:
+        map_g = _bulk.linear_map(fs, lin_g, gdim * gdim)
+        map_q = _bulk.linear_map(fs, lin_q, 4)
 
-    def classify_counts(counts_f, counts_fnz, tr_q, g_zero):
+    def fail_batch(planes, count):
+        flat = planes.reshape(-1, planes.shape[-1])
+        gb = _bulk.apply_map(flat, map_g, gdim * gdim * k).reshape(gdim, gdim, k, -1)
+        qb = _bulk.apply_map(flat, map_q, 4 * k).reshape(4, k, -1)
+        polys = _bulk.monic_codes(_bulk.charpoly_planes(fs, gb), count)
+        counts_f = _bulk.root_counts(fs, polys, "in_field", False)
         if mode == "2spec":
             bad_b = counts_f > 1
         else:
-            bad_b = counts_fnz > 0
-        bad_c = (tr_q != 0) & (counts_f > 0)
-        bad_d = g_zero & (tr_q != 0)
-        return bad_b | bad_c | bad_d
-
-    def fail_batch(mats):
-        import numpy as np
-        flat = mats.reshape(mats.shape[0], -1)
-        gb = _bulk.apply_linear(fs, flat, lin_g).reshape(-1, gdim, gdim)
-        qb = _bulk.apply_linear(fs, flat, lin_q)
-        polys = _bulk.batch_charpoly(fs, gb)
-        counts_f = _bulk.root_counts(fs, polys, "in_field", False)
-        counts_fnz = _bulk.root_counts(fs, polys, "in_field", True)
-        tr_q = qb[:, 0] ^ qb[:, 3]
-        g_zero = ~np.any(gb.reshape(gb.shape[0], -1) != 0, axis=1)
-        return classify_counts(counts_f, counts_fnz, tr_q, g_zero)
+            bad_b = _bulk.root_counts(fs, polys, "in_field", True) > 0
+        tr_q = _bulk.nonzero_lanes(qb[0] ^ qb[3], count)
+        g_zero = ~_bulk.nonzero_lanes(gb, count)
+        return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
 
     def fail_scalar(u: Mat) -> bool:
         gb = Mat(gdim, gdim, _apply_map_scalar(fs, lin_g, u.entries))
@@ -601,7 +599,7 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return False
 
     scan_mode, checked, used_seed, bad = _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
+        fs, s, fail_batch if bulk else None, fail_scalar, budget, samples, seed, workers)
     if bad is not None:
         w = _element_for_index(fs, s, bad, scan_mode == "exhaustive", seed)
         return LemmaVerdict(name, "fails",

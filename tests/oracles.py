@@ -103,3 +103,50 @@ def is_nilpotent(fs: FieldSpec, m: Mat) -> bool:
     for _ in range(m.rows - 1):
         p = mat_mul(fs, p, m)
     return not any(p.entries)
+
+
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix64(x: int) -> int:
+    z = (x + _GOLDEN) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def sample_coordinates(q: int, d: int, seed: int, i: int) -> list[int]:
+    """The d coordinates of sample i, from the SplitMix64 stream in plain
+    integers: coordinate c is the low k bits of the (c mod per)-th field of
+    stream word c // per, where fields are 8 bits wide (per = 8) for
+    q <= 256 and 16 bits wide (per = 4) above."""
+    field = 8 if q <= 256 else 16
+    per = 64 // field
+    key = _splitmix64(((seed & _M64) * _GOLDEN + 1) & _M64)
+    out = []
+    for c in range(d):
+        offset = (key + (c // per) * 0xD1342543DE82EF95) & _M64
+        word = _splitmix64((i * _GOLDEN + offset) & _M64)
+        out.append((word >> (field * (c % per))) & (q - 1))
+    return out
+
+
+def sample_element(space, seed: int, i: int) -> Mat:
+    """The matrix of sample i: the coordinates against the RREF basis."""
+    fs = space.field
+    n, m = space.shape
+    entries = [0] * (n * m)
+    for c, row in zip(sample_coordinates(fs.q, space.dim, seed, i), space.space.basis):
+        for j, x in enumerate(row):
+            entries[j] ^= fs.mul(c, x)
+    return Mat(n, m, entries)
+
+
+def first_failing_sample(space, seed: int, samples: int, fails):
+    """Smallest sample index whose element fails, by walking the sample
+    stream in order (None when every sample passes)."""
+    for i in range(samples):
+        if fails(sample_element(space, seed, i)):
+            return i
+    return None

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8
+from char2spec.gf import GF2, GF4, GF8, GF16
 from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec import _bulk
@@ -151,14 +151,16 @@ def test_json_roundtrip():
     assert mx.mat_from_json(a.to_json()) == a
 
 
-@pytest.mark.parametrize("fs", [GF2, GF4, GF8])
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF16])
 def test_batch_charpoly_matches_scalar(fs):
+    # batch sizes around the 64-lane word of the bit-sliced kernel
     rng = np.random.default_rng(9)
     for n in range(1, 7):
-        mats = rng.integers(0, fs.q, size=(300, n, n)).astype(np.uint8)
-        batch = _bulk.batch_charpoly(fs, mats)
-        for i in range(0, 300, 17):
-            m = mx.Mat(n, n, [int(x) for x in mats[i].reshape(-1)])
-            expect = mx.char_poly(fs, m)
-            got = tuple(int(c) for c in batch[i])
-            assert got == tuple(expect) + (0,) * (n + 1 - len(expect))
+        for size in (1, 63, 64, 65, 300):
+            mats = rng.integers(0, fs.q, size=(size, n, n)).astype(np.uint8)
+            batch = _bulk.batch_charpoly(fs, mats)
+            assert batch.shape == (size, n + 1) and batch.dtype == np.uint8
+            for i in range(0, size, 1 if size <= 65 else 7):
+                m = mx.Mat(n, n, [int(x) for x in mats[i].reshape(-1)])
+                got = tuple(int(c) for c in batch[i])
+                assert got == mx.char_poly_hessenberg(fs, m) == mx.char_poly_berkowitz(fs, m)

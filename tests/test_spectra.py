@@ -1,19 +1,28 @@
 import os
 import random
 
+import numpy as np
 import pytest
 
 from char2spec.gf import GF2, GF4, GF8
 from char2spec import _bulk
+from char2spec import spectra
 from char2spec import matrix as mx
 from char2spec import structure as st
 from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec import constructions as cons
-from char2spec.spectra import (SpecPredicate, _scan_space, check_element, check_space,
-                               check_space_even_charpoly, is_even_poly,
+from char2spec.spectra import (SpecPredicate, _element_for_index, _scan_space, check_element,
+                               check_space, check_space_even_charpoly, is_even_poly,
                                parse_predicate, pool_threads, profile)
-from oracles import charpoly_cofactor, first_failing_index, is_nilpotent, roots_by_evaluation
+from oracles import (all_monic, charpoly_cofactor, first_failing_index, first_failing_sample,
+                     is_nilpotent, roots_by_evaluation, sample_coordinates, sample_element)
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    # small batches, so that several workers get several ranges to merge
+    monkeypatch.setattr(spectra, "CHUNK", 16)
 
 
 def test_profile_examples(gf4):
@@ -88,7 +97,7 @@ def test_check_space_rejects_rectangular(gf4):
         check_space(gf4, s, parse_predicate("1-spec"))
 
 
-def test_sampled_mode_and_determinism(gf4):
+def test_sampled_mode_and_determinism(gf4, small_chunk):
     space = cons.full(gf4, 2)
     pred = parse_predicate("1-spec")
     v1 = check_space(gf4, space, pred, budget=8, samples=4000, seed=5, workers=1)
@@ -103,7 +112,7 @@ def test_sampled_mode_and_determinism(gf4):
     assert not v2.holds
 
 
-def test_worker_invariance_exhaustive(gf4):
+def test_worker_invariance_exhaustive(gf4, small_chunk):
     space = cons.sl2_joint_nt(gf4, 4)
     pred = parse_predicate("1bar*-spec")
     a = check_space(gf4, space, pred, workers=1)
@@ -200,8 +209,6 @@ def test_projective_indices(q, d):
     for cut in range(count + 1):
         assert (_bulk.projective_indices(q, d, 0, cut).tolist()
                 + _bulk.projective_indices(q, d, cut, count).tolist()) == indices
-    digits = _bulk.exhaustive_coords(q, d, _bulk.projective_indices(q, d, 0, count))
-    assert [sum(int(c) * q ** j for j, c in enumerate(row)) for row in digits] == indices
 
 
 def _nt_plus(fs, n, i, j):
@@ -225,7 +232,7 @@ EVEN_GF8_LATE = sub.MatSubspace.from_matrices(GF8, (4, 4), [
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_projective_scan_keeps_minimal_witness(workers):
+def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
     spec_cases = [
         # first failures at 80 > 4^3 and 576 > 8^3
         (GF4, _nt_plus(GF4, 3, 2, 1), "0bar*-spec", lambda m: not is_nilpotent(GF4, m)),
@@ -247,7 +254,7 @@ def test_projective_scan_keeps_minimal_witness(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_projective_scalar_path_keeps_minimal_witness(workers):
+def test_projective_scalar_path_keeps_minimal_witness(workers, small_chunk):
     # fail_batch=None forces the scalar path over the same rank -> index map
     space = _nt_plus(GF8, 3, 2, 1)
     fails = lambda m: not is_nilpotent(GF8, m)
@@ -272,7 +279,7 @@ def _splitting_fails(fs, cert):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_splitting_check_keeps_minimal_witness(gf2, workers):
+def test_splitting_check_keeps_minimal_witness(gf2, workers, small_chunk):
     # Over GF(q), q >= 4, conditions (b)-(d) follow from the 2-spec hypothesis
     # once the space contains the template, so a failing instance needs GF(2);
     # there the projective scan is the full scan.
@@ -296,3 +303,106 @@ def test_pool_threads(monkeypatch):
     assert pool_threads(8, 0) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert pool_threads(8, 10) == 1
+
+
+# ----------------------------------------------------------------------
+# bit-sliced element generation and sampling
+# ----------------------------------------------------------------------
+def _plane_elements(fs, space, coords, width):
+    """Entries of the elements built on planes from coordinate codes
+    [N, c] (`width` bits each), decoded by plain bit reading."""
+    k, length = fs.degree, space.space.ambient
+    to_entries = _bulk.linear_map(fs, space.space.basis, length)
+    planes = _bulk.apply_map(_bulk.code_planes(coords, width), to_entries, length * k)
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=coords.shape[0],
+                         bitorder="little").reshape(length, k, -1).astype(int)
+    codes = sum(bits[:, b] << b for b in range(k)).T
+    return [tuple(int(x) for x in row) for row in codes]
+
+
+@pytest.mark.parametrize("fs,shape,dim", [(GF4, (3, 3), 3), (GF8, (2, 2), 3)])
+def test_plane_elements_match_element_at(fs, shape, dim):
+    space = sub.MatSubspace(shape, sub.random_subspace(fs, random.Random(5), shape[0] * shape[1], dim))
+    width = dim * fs.degree
+    # every index, in batches cut at and across the 64-lane word
+    for lo, hi in [(0, 1), (0, 64), (1, 66), (60, fs.q ** dim)]:
+        idx = np.arange(lo, hi, dtype=np.int64)[:, None]
+        assert _plane_elements(fs, space, idx, width) == [
+            space.element_at(i).entries for i in range(lo, hi)]
+    # every projective rank
+    ranks = _bulk.projective_indices(fs.q, dim, 0, _bulk.projective_count(fs.q, dim))
+    assert _plane_elements(fs, space, ranks[:, None], width) == [
+        space.element_at(int(i)).entries for i in ranks]
+    # sampled coordinates
+    coords = _bulk.sample_coords(fs.q, dim, 17, 0, 130)
+    assert _plane_elements(fs, space, coords, fs.degree) == [
+        _element_for_index(fs, space, i, False, 17).entries for i in range(130)]
+    assert _element_for_index(fs, space, 129, False, 17) == sample_element(space, 17, 129)
+
+
+def test_sample_stream_unchanged_for_small_fields():
+    assert _bulk.sample_coords(4, 10, 7, 0, 3).tolist() == [
+        [3, 2, 0, 1, 2, 0, 0, 3, 1, 3], [1, 1, 0, 0, 3, 1, 2, 2, 3, 0],
+        [1, 1, 1, 0, 0, 1, 0, 3, 3, 1]]
+    assert _bulk.sample_coords(16, 5, 123456789, 1000, 1002).tolist() == [
+        [2, 9, 9, 10, 10], [11, 0, 7, 8, 1]]
+    assert _bulk.sample_coords(256, 9, 2 ** 40 + 5, 5, 7).tolist() == [
+        [230, 189, 221, 45, 146, 198, 84, 190, 9], [10, 21, 133, 21, 38, 124, 143, 35, 28]]
+    assert _bulk.sample_coords(2, 3, 0, 0, 4).tolist() == [[0, 1, 1], [0, 1, 0], [0, 1, 0], [1, 1, 0]]
+
+
+@pytest.mark.parametrize("k", [9, 16])
+def test_sample_coords_cover_wide_fields(k):
+    q, d, count = 1 << k, 6, 20_000
+    coords = _bulk.sample_coords(q, d, 42, 0, count)
+    assert coords.dtype == np.uint16 and int(coords.max()) > 255 and int(coords.max()) < q
+    bits = (coords[:, :, None].astype(np.int64) >> np.arange(k)) & 1      # [count, d, k]
+    # every bit of every coordinate is balanced: 0.02 is 5.7 standard deviations
+    assert np.all(np.abs(bits.mean(axis=0) - 0.5) < 0.02)
+    # neighbouring coordinates share no bits: in overlapping byte windows,
+    # bit b + 8 of coordinate j would equal bit b of coordinate j + 1
+    agree = (bits[:, :-1, 8:] == bits[:, 1:, :k - 8]).mean(axis=0)
+    assert np.all(np.abs(agree - 0.5) < 0.02)
+    assert coords[:5].tolist() == [sample_coordinates(q, d, 42, i) for i in range(5)]
+
+
+def _field_plane(fs):
+    """Span of C and C^2, C the companion matrix of an irreducible cubic:
+    part of a copy of GF(q^3), so only the zero matrix has an eigenvalue in F."""
+    cubic = next(f for f in all_monic(fs, 3) if not roots_by_evaluation(fs, f))
+    c = mx.companion(cubic)
+    return sub.MatSubspace.from_matrices(fs, (3, 3), [c, mx.mat_mul(fs, c, c)])
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("chunk", [5, 50, 100])
+def test_pad_lanes_never_fail(monkeypatch, workers, chunk):
+    # the zero matrix fails 0-spec, and lanes past a batch's end hold zeros
+    monkeypatch.setattr(spectra, "CHUNK", chunk)
+    pred = parse_predicate("0-spec")
+    fails = lambda m: len(roots_by_evaluation(GF4, charpoly_cofactor(GF4, m))) > 0
+    space = _field_plane(GF4)
+    v = check_space(GF4, space, pred, workers=workers)
+    assert v.mode == "exhaustive" and v.checked == 16 and v.witness_index == 0
+    v = check_space(GF4, cons.nt(GF4, 3), pred, workers=workers)
+    assert v.checked == 64 and v.witness_index == 0
+    for seed in range(4):
+        v = check_space(GF4, space, pred, budget=8, samples=300, seed=seed, workers=workers)
+        assert v.mode == "sampled"
+        assert v.witness_index == first_failing_sample(space, seed, 300, fails)
+        assert v.witness == sample_element(space, seed, v.witness_index)
+
+
+def test_scan_partition_is_bounded_by_chunks(monkeypatch):
+    # a huge worker count must not cut the scan into one-element batches
+    calls = []
+    kernel = _bulk.charpoly_planes
+    monkeypatch.setattr(_bulk, "charpoly_planes",
+                        lambda fs, mats: calls.append(1) or kernel(fs, mats))
+    space, pred = cons.sl2_joint_nt(GF4, 4), parse_predicate("1bar*-spec")
+    runs = []
+    for workers in (1, 10 ** 6):
+        calls.clear()
+        v = check_space(GF4, space, pred, budget=8, samples=20_000, seed=1, workers=workers)
+        runs.append((v.to_json(), len(calls)))
+    assert runs[0] == runs[1] and runs[0][1] == 1
