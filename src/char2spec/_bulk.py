@@ -23,8 +23,19 @@ input planes into output planes (:func:`linear_map`, :func:`apply_map`).
 The characteristic polynomial kernel is the division-free Berkowitz
 recurrence of the scalar path in :mod:`.matrix`, run on planes; tests
 cross-check it against both scalar algorithms on every shape in use.
-Root counts index precomputed tables by the packed low coefficients, so
-only those are unpacked to codes.
+Only its n low coefficients are unpacked, to uint8 codes [N, n+1], for
+root counting.
+
+Root counts work on those code rows, all lanes in step (the tests hold
+them to the scalar :mod:`.upoly` routines).  Roots in F are the zeros of
+a Horner evaluation at all q elements.  Roots in the closure are
+deg rad f, from the characteristic-2 squarefree decomposition: with
+g = gcd(f, f') = s^2 and w = f / g, deg rad f = deg w + deg rad s -
+deg gcd(w, s), where the gcds are Bernstein-Yang divsteps (the same
+number of steps in every lane) and only lanes with g != 1 recurse on s.
+When q^n <= 2^16, :func:`root_counts` reads tables built the same way
+for all q^n monic polynomials, indexed by the packed low coefficients;
+above that it counts the batch directly.
 
 Only fields with k <= 8 are supported here (codes are uint8); callers
 fall back to the scalar path above that.
@@ -37,7 +48,6 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import FieldSpec
-from . import upoly
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
@@ -211,94 +221,162 @@ def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     return monic_codes(charpoly_planes(fs, planes.reshape(n, n, fs.degree, -1)), big)
 
 
+# ----------------------------------------------------------------------
+# root counts on coefficient codes
+# ----------------------------------------------------------------------
+def _mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of broadcast uint8 code arrays, one lookup in the flat
+    q*q table per product."""
+    return np.take(fs.mul_table_np().reshape(-1), (a.astype(np.uint16) << fs.degree) | b)
+
+
+@lru_cache(maxsize=None)
+def inv_table(fs: FieldSpec) -> np.ndarray:
+    """Inverses of all q codes as uint8 (0 maps to 0)."""
+    return np.array([0] + [fs.inv(a) for a in range(1, fs.q)], dtype=np.uint8)
+
+
+@lru_cache(maxsize=None)
+def _sqrt_table(fs: FieldSpec) -> np.ndarray:
+    return np.array([fs.sqrt(a) for a in range(fs.q)], dtype=np.uint8)
+
+
+def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
+         dg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monic gcd of every row pair, with its degrees.
+
+    Rows are reversed: column j holds the coefficient of x^(d - j) for the
+    row's formal degree d (df, dg; f[:, 0] != 0, g may be zero).  This is
+    the polynomial divstep of Bernstein and Yang ("Fast constant-time gcd
+    computation and modular inversion", 2019).  With delta = df - dg, a
+    step drops a zero leading term of g, or cancels the leading term of
+    the row of larger formal degree against the other (swapping first
+    when that row is f) and drops it; either way df + dg falls by exactly
+    one.  All lanes take the same max(df + dg) + 1 steps, after which
+    every g is zero, and deg gcd follows from delta."""
+    delta = df - dg
+    steps = int((df + dg).max()) + 1
+    for _ in range(steps):
+        f0, g0 = f[:, :1], g[:, :1]
+        swap = (delta > 0) & (g0[:, 0] != 0)
+        drop = _mul(fs, f0, g) ^ _mul(fs, g0, f)      # leading column is zero
+        f = f ^ ((f ^ g) & (swap[:, None] * np.uint8(0xFF)))
+        g = np.zeros_like(drop)
+        g[:, :-1] = drop[:, 1:]
+        delta = np.where(swap, 1 - delta, 1 + delta)
+    return _mul(fs, inv_table(fs)[f[:, :1]], f), (delta + df + dg - steps) // 2
+
+
+def _divide(fs: FieldSpec, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Exact quotients of reversed rows f by reversed rows g with g[:, 0] == 1:
+    a power series division, column by column."""
+    rem = f.copy()
+    quot = np.empty_like(f)
+    width = f.shape[1]
+    for j in range(width):
+        quot[:, j] = rem[:, j]
+        rem[:, j:] ^= _mul(fs, rem[:, j:j + 1], g[:, :width - j])
+    return quot
+
+
+def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """deg rad f for monic reversed rows f [N, L] of degrees df.
+
+    In characteristic 2, g = gcd(f, f') = s^2 holds every factor of even
+    multiplicity in full and the others to one power less, so w = f / g is
+    the product of the factors of odd multiplicity and
+    deg rad f = deg w + deg rad s - deg gcd(w, s) (von zur Gathen and
+    Gerhard, Modern Computer Algebra, 14.6).  Lanes with g = 1 are
+    squarefree; the rest recurse on s, of half the degree."""
+    width = f.shape[1]
+    # f' keeps the terms of odd exponent d - j; read at formal degree
+    # d - 1, column j then stands for x^(d - 1 - j)
+    deriv = np.where((df[:, None] - np.arange(width)) & 1, f, 0)
+    g, dg = _gcd(fs, f, deriv, df, df - 1)
+    out = df.astype(np.intp)
+    rep = np.flatnonzero(dg > 0)
+    if rep.size:
+        f, g, df, dg = f[rep], g[rep], df[rep], dg[rep]
+        w = _divide(fs, f, g)
+        s = _sqrt_table(fs)[g[:, ::2]]          # g = s^2 has even exponents only
+        padded = np.zeros_like(w)
+        padded[:, :s.shape[1]] = s
+        _, dws = _gcd(fs, w, padded, df - dg, dg // 2)
+        out[rep] = df - dg + _closure_counts(fs, s, dg // 2) - dws
+    return out
+
+
+def _field_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
+    """Distinct roots in F of every row of codes [N, L]: Horner evaluation
+    at all q elements, counting zeros."""
+    q = fs.q
+    acc = np.repeat(polys[:, -1:], q, axis=1)
+    for i in range(polys.shape[1] - 2, -1, -1):
+        acc = _mul(fs, acc, np.arange(q, dtype=np.uint8)) ^ polys[:, i:i + 1]
+    return np.count_nonzero(acc == 0, axis=1)
+
+
+def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
+    """Distinct roots of a batch of monic polynomials [N, n+1] (ascending
+    uint8 codes), in F ("in_field") or in its closure ("in_closure"),
+    zero included, as uint8.  Rows go in blocks of about 2^16 / q, which
+    bounds the temporaries (the evaluation table is rows x q)."""
+    n = polys.shape[1] - 1
+    step = max(1024, (1 << 16) // fs.q)
+    out = np.empty(polys.shape[0], dtype=np.uint8)
+    for lo in range(0, polys.shape[0], step):
+        block = polys[lo:lo + step]
+        if kind == "in_field":
+            out[lo:lo + step] = _field_counts(fs, block)
+        else:
+            out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
+    return out
+
+
 @lru_cache(maxsize=None)
 def spectrum_tables(fs: FieldSpec, n: int):
     """Distinct-root counts for every monic polynomial of degree n over fs,
     indexed by the packed low coefficients (base q, constant term least
     significant).  Four uint8 arrays: roots in F, nonzero roots in F,
     roots in the closure, nonzero roots in the closure."""
-    q = fs.q
-    total = q ** n
+    total = fs.q ** n
     if total > (1 << 20):
         raise ValueError("spectrum table too large; use scalar profiling")
-    in_f = np.zeros(total, dtype=np.uint8)
-    in_f_nz = np.zeros(total, dtype=np.uint8)
-    clo = np.zeros(total, dtype=np.uint8)
-    clo_nz = np.zeros(total, dtype=np.uint8)
-    for idx in range(total):
-        coeffs = []
-        rest = idx
-        for _ in range(n):
-            coeffs.append(rest % q)
-            rest //= q
-        f = tuple(coeffs) + (1,)
-        a = upoly.count_roots_in_field(fs, f)
-        b = upoly.count_roots_in_closure(fs, f)
-        z = 1 if coeffs[0] == 0 else 0
-        in_f[idx] = a
-        in_f_nz[idx] = a - z
-        clo[idx] = b
-        clo_nz[idx] = b - z
-    return in_f, in_f_nz, clo, clo_nz
+    idx = np.arange(total)
+    polys = np.ones((total, n + 1), dtype=np.uint8)
+    for i in range(n):
+        polys[:, i] = idx >> (fs.degree * i) & (fs.q - 1)
+    in_f = count_roots(fs, polys, "in_field")
+    clo = count_roots(fs, polys, "in_closure")
+    zero = polys[:, 0] == 0
+    return in_f, in_f - zero, clo, clo - zero
 
 
 def pack_monic(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
     """Pack [N, n+1] ascending monic coefficient rows into table indices."""
-    q = fs.q
-    n = polys.shape[1] - 1
-    if n * fs.degree > 62:
-        raise ValueError("packed polynomial index would overflow")
     idx = np.zeros(polys.shape[0], dtype=np.int64)
-    mult = 1
-    for i in range(n):
-        idx += polys[:, i].astype(np.int64) * mult
-        mult *= q
+    for i in range(polys.shape[1] - 1):
+        idx |= polys[:, i].astype(np.int64) << (fs.degree * i)
     return idx
-
-
-def spectra_supported(fs: FieldSpec, n: int) -> bool:
-    return supports(fs) and n * fs.degree <= 62
 
 
 _KIND_SLOT = {("in_field", False): 0, ("in_field", True): 1,
               ("in_closure", False): 2, ("in_closure", True): 3}
 
 
-_sparse_cache: dict = {}
-
-
 def root_counts(fs: FieldSpec, polys: np.ndarray, kind: str, exclude_zero: bool) -> np.ndarray:
     """Distinct-root counts for a batch of monic polynomials of equal degree.
 
-    Small coefficient spaces get a full precomputed table; larger ones
-    profile only the distinct polynomials seen, memoized across calls."""
+    Coefficient spaces of at most 2^16 polynomials read a full precomputed
+    table; larger ones are counted directly by :func:`count_roots`."""
     n = polys.shape[1] - 1
     slot = _KIND_SLOT[(kind, exclude_zero)]
-    idx = pack_monic(fs, polys)
     if fs.q ** n <= (1 << 16):
-        return spectrum_tables(fs, n)[slot][idx]
-    cache = _sparse_cache.setdefault((fs, n, slot), {})
-    uniq, inverse = np.unique(idx, return_inverse=True)
-    counts = np.empty(uniq.shape[0], dtype=np.uint8)
-    for i, packed in enumerate(uniq):
-        key = int(packed)
-        got = cache.get(key)
-        if got is None:
-            rest = key
-            coeffs = []
-            for _ in range(n):
-                coeffs.append(rest % fs.q)
-                rest //= fs.q
-            f = tuple(coeffs) + (1,)
-            if kind == "in_field":
-                got = upoly.count_roots_in_field(fs, f)
-            else:
-                got = upoly.count_roots_in_closure(fs, f)
-            if exclude_zero and coeffs[0] == 0:
-                got -= 1
-            cache[key] = got
-        counts[i] = got
-    return counts[inverse]
+        return spectrum_tables(fs, n)[slot][pack_monic(fs, polys)]
+    counts = count_roots(fs, polys, kind)
+    if exclude_zero:
+        counts -= polys[:, 0] == 0
+    return counts
 
 
 # ----------------------------------------------------------------------

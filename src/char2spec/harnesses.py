@@ -409,8 +409,7 @@ def confinement_third_harness(fs: FieldSpec, n: int = 5, seed: int = 0,
 # ----------------------------------------------------------------------
 # choice lemma audit
 # ----------------------------------------------------------------------
-def _batch_inv_table(fs: FieldSpec) -> np.ndarray:
-    return np.array([0] + [fs.inv(a) for a in range(1, fs.q)], dtype=np.uint8)
+_ALL_LANES = ~np.uint64(0)
 
 
 def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
@@ -426,7 +425,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
     through the scalar `choice_solve` for agreement."""
     q = fs.q
     mul = fs.mul_table_np()
-    inv_t = _batch_inv_table(fs)
+    inv_t = _bulk.inv_table(fs)
     upper_cells = [(i, j) for i in range(n) for j in range(i, n)]
     sub_cells = [(i + 1, i) for i in range(n - 1)]
     total = (q ** len(upper_cells)) * ((q - 1) ** len(sub_cells))
@@ -446,7 +445,14 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         mats[:, i, j] = (rest % (q - 1)).astype(np.uint8) + 1
         rest //= (q - 1)
 
-    chi0 = _bulk.batch_charpoly(fs, mats)
+    # the matrices are packed into planes once; perturbations XOR into copies
+    k = fs.degree
+    planes = _bulk.code_planes(mats.reshape(count, n * n), k).reshape(n, n, k, -1)
+
+    def charpolys(pl: np.ndarray) -> np.ndarray:
+        return _bulk.monic_codes(_bulk.charpoly_planes(fs, pl), count)
+
+    chi0 = charpolys(planes)
     traces = np.zeros(count, dtype=np.uint8)
     for i in range(n):
         traces ^= mats[:, i, i]
@@ -460,9 +466,9 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
     for p, poss in positions.items():
         cols = []
         for (i, j) in poss:
-            pert = mats.copy()
-            pert[:, i, j] ^= 1
-            cols.append(_bulk.batch_charpoly(fs, pert) ^ chi0)
+            pert = planes.copy()
+            pert[i, j, 0] ^= _ALL_LANES     # entry (i, j) plus 1 in every lane
+            cols.append(charpolys(pert) ^ chi0)
         deltas[p] = cols
 
     if n != 3:
@@ -481,11 +487,12 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
                 rhs1 = chi0[:, 1] ^ a1
                 x1 = mul[det_inv, mul[rhs0, d] ^ mul[rhs1, c]]
                 x2 = mul[det_inv, mul[a, rhs1] ^ mul[b, rhs0]]
-                cand = mats.copy()
                 (i1, j1), (i2, j2) = poss
-                cand[:, i1, j1] ^= x1
-                cand[:, i2, j2] ^= x2
-                chi = _bulk.batch_charpoly(fs, cand)
+                moves = _bulk.code_planes(np.stack([x1, x2], axis=1), k).reshape(2, k, -1)
+                cand = planes.copy()
+                cand[i1, j1] ^= moves[0]
+                cand[i2, j2] ^= moves[1]
+                chi = charpolys(cand)
                 ok = ((chi[:, 0] == a0) & (chi[:, 1] == a1)
                       & (chi[:, 2] == traces) & ~singular)
                 bad = np.flatnonzero(~ok)

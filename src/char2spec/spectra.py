@@ -248,8 +248,7 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
         return not check_element(fs, mat, pred)
 
     mode, checked, used_seed, bad = _scan_space(
-        fs, s, fail_batch if _bulk.spectra_supported(fs, n) else None,
-        fail_scalar, budget, samples, seed, workers)
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
     v = SpaceVerdict(pred.name, label, mode, checked, used_seed, "holds")
     if bad is not None:
         w = _element_for_index(fs, s, bad, mode == "exhaustive", seed)

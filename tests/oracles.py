@@ -150,3 +150,18 @@ def first_failing_sample(space, seed: int, samples: int, fails):
         if fails(sample_element(space, seed, i)):
             return i
     return None
+
+
+def root_slots(fs: FieldSpec, f) -> tuple[int, int, int, int]:
+    """(roots in F, nonzero roots in F, roots in the closure, nonzero roots
+    in the closure) of f, by the scalar routines of :mod:`upoly`."""
+    return (up.count_roots_in_field(fs, f), up.count_nonzero_roots_in_field(fs, f),
+            up.count_roots_in_closure(fs, f), up.count_nonzero_roots_in_closure(fs, f))
+
+
+def spectrum_tables_scalar(fs: FieldSpec, n: int):
+    """The four spectrum tables of every monic polynomial of degree n, one
+    polynomial at a time through :func:`root_slots`, in `all_monic` order
+    (which is the packed-index order)."""
+    rows = [root_slots(fs, f) for f in all_monic(fs, n)]
+    return tuple(list(col) for col in zip(*rows))

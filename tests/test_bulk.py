@@ -1,0 +1,115 @@
+"""The batch root counter of :mod:`char2spec._bulk` against the scalar
+routines of :mod:`char2spec.upoly`."""
+
+import random
+
+import numpy as np
+import pytest
+
+from char2spec import _bulk
+from char2spec import upoly as up
+from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec
+from oracles import all_monic, root_slots, spectrum_tables_scalar
+
+GF256 = FieldSpec(8)
+SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_closure", True)]
+
+
+def _codes(polys) -> np.ndarray:
+    return np.array(polys, dtype=np.uint8)
+
+
+def _direct_slots(fs, polys: np.ndarray) -> list[np.ndarray]:
+    """The four slots from `count_roots`, which never reads a table."""
+    zero = polys[:, 0] == 0
+    in_f = _bulk.count_roots(fs, polys, "in_field").astype(int)
+    clo = _bulk.count_roots(fs, polys, "in_closure").astype(int)
+    return [in_f, in_f - zero, clo, clo - zero]
+
+
+def _assert_matches_upoly(fs, polys):
+    codes = _codes(polys)
+    want = np.array([root_slots(fs, f) for f in polys]).T
+    for slot, got in enumerate(_direct_slots(fs, codes)):
+        assert np.array_equal(got, want[slot]), (fs, SLOTS[slot])
+    for slot, (kind, ez) in enumerate(SLOTS):
+        got = _bulk.root_counts(fs, codes, kind, ez)
+        assert got.dtype == np.uint8 and np.array_equal(got, want[slot]), (fs, SLOTS[slot])
+
+
+@pytest.mark.parametrize("fs,n_max", [(GF2, 8), (GF4, 5), (GF8, 4), (GF16, 3)])
+def test_counts_match_upoly_on_every_monic_polynomial(fs, n_max):
+    for n in range(1, n_max + 1):
+        _assert_matches_upoly(fs, list(all_monic(fs, n)))
+
+
+def _random_monic(fs, rng, degree):
+    return tuple(rng.randrange(fs.q) for _ in range(degree)) + (1,)
+
+
+def _product(fs, *factors):
+    out = up.ONE
+    for f in factors:
+        out = up.poly_mul(fs, out, f)
+    return out
+
+
+def _constructed(fs, n, rng, per_pattern=40):
+    """Degree-n polynomials with repeated factors: p^2, p^3, p^2 q^2 (each
+    times a random cofactor), x^n, x^j p^2, (x + a)^n and, for even n,
+    derivative-zero squares s^2 and fourth powers."""
+    def pad(*factors):
+        f = _product(fs, *factors)
+        return _product(fs, f, _random_monic(fs, rng, n - up.deg(f)))
+
+    out = [(0,) * n + (1,)]
+    for _ in range(per_pattern):
+        dp = rng.randrange(1, n // 2 + 1)
+        p = _random_monic(fs, rng, dp)
+        out.append(pad(p, p))
+        p = _random_monic(fs, rng, rng.randrange(1, n // 3 + 1))
+        out.append(pad(p, p, p))
+        if n >= 4:
+            p, q = _random_monic(fs, rng, 1), _random_monic(fs, rng, (n - 2) // 2)
+            out.append(pad(p, p, q, q))
+        j = rng.randrange(1, n - 1)
+        p = _random_monic(fs, rng, (n - j) // 2)
+        out.append(pad((0,) * j + (1,), p, p))
+        a = (rng.randrange(fs.q), 1)
+        out.append(_product(fs, *[a] * n))
+        if n % 2 == 0:
+            s = _random_monic(fs, rng, n // 2)
+            out.append(_product(fs, s, s))
+            if n % 4 == 0:
+                s = _random_monic(fs, rng, n // 4)
+                out.append(_product(fs, s, s, s, s))
+    assert all(up.deg(f) == n for f in out)
+    if n % 2 == 0:
+        assert any(not up.derivative(f) for f in out[1:])
+    return out
+
+
+@pytest.mark.parametrize("fs,n", [(GF16, 5), (GF16, 6), (GF256, 3), (GF256, 4)])
+def test_counts_match_upoly_on_repeated_factors(fs, n):
+    # q^n > 2^16: root_counts counts these directly, without a table
+    assert fs.q ** n > 1 << 16
+    _assert_matches_upoly(fs, _constructed(fs, n, random.Random(100 * fs.degree + n)))
+
+
+@pytest.mark.parametrize("fs,n", [(GF4, 4), (GF8, 3)])
+def test_spectrum_tables_match_scalar_build(fs, n):
+    got = _bulk.spectrum_tables(fs, n)
+    want = spectrum_tables_scalar(fs, n)
+    for table, ref in zip(got, want):
+        assert table.dtype == np.uint8 and table.tolist() == ref
+
+
+def test_pack_monic_orders_like_all_monic():
+    polys = _codes(list(all_monic(GF8, 3)))
+    assert _bulk.pack_monic(GF8, polys).tolist() == list(range(8 ** 3))
+
+
+def test_counts_of_an_empty_batch():
+    empty = np.zeros((0, 6), dtype=np.uint8)
+    for kind, ez in SLOTS:
+        assert _bulk.root_counts(GF16, empty, kind, ez).shape == (0,)

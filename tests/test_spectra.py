@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8
+from char2spec.gf import GF2, GF4, GF8, FieldSpec
 from char2spec import _bulk
 from char2spec import spectra
 from char2spec import matrix as mx
@@ -168,8 +168,8 @@ def test_check_space_on_zero_dimensional_space(gf4):
 
 
 def test_gf16_sampled_check_uses_sparse_counts(gf16):
-    # 16^5 monic quintics exceed the full-table threshold; the sampled scan
-    # must still agree with the scalar path
+    # 16^5 monic quintics exceed the full-table threshold, so the sampled
+    # scan counts roots directly; it must still agree with the scalar path
     space = cons.sl2_joint_nt(gf16, 5)
     v = check_space(gf16, space, parse_predicate("1bar*-spec"),
                     budget=1000, samples=1500, seed=3)
@@ -178,6 +178,58 @@ def test_gf16_sampled_check_uses_sparse_counts(gf16):
     for _ in range(20):
         m = space.element_at(rng.randrange(16 ** space.dim))
         assert profile(gf16, m).distinct_nonzero_in_closure <= 1
+
+
+# (space, predicate) -> (outcome, checked, witness_index) of 20 000 samples
+# at seed 11, and the histograms of the four root counts over the sampled
+# characteristic polynomials, as the per-polynomial upoly counts gave them
+_PINNED_GF16 = {
+    ("full5", "3bar-spec"): ("fails", 20000, 0),
+    ("full5", "3-spec"): ("fails", 20000, 81),
+    ("ut5", "2-spec"): ("fails", 20000, 0),
+    ("full5", "5bar*-spec"): ("holds", 20000, None),
+}
+_PINNED_HISTOGRAMS = {
+    "full5": [[6690, 7588, 3888, 1543, 184, 107], [7132, 7628, 3689, 1298, 187, 66],
+              [0, 0, 9, 135, 1222, 18634], [0, 1, 23, 253, 2226, 17497]],
+    "ut5": [[0, 0, 70, 1625, 8267, 10038], [0, 10, 381, 3423, 9263, 6923],
+            [0, 0, 70, 1625, 8267, 10038], [0, 10, 381, 3423, 9263, 6923]],
+}
+
+
+def test_gf16_sampled_verdicts_are_pinned(gf16):
+    spaces = {"full5": cons.full(gf16, 5), "ut5": cons.ut(gf16, 5)}
+    for (name, pred), want in _PINNED_GF16.items():
+        v = check_space(gf16, spaces[name], parse_predicate(pred), samples=20000, seed=11)
+        assert v.mode == "sampled"
+        assert (v.outcome, v.checked, v.witness_index) == want, (name, pred)
+    n, k = 5, gf16.degree
+    for name, hists in _PINNED_HISTOGRAMS.items():
+        space = spaces[name]
+        coords = _bulk.code_planes(_bulk.sample_coords(gf16.q, space.dim, 11, 0, 20000), k)
+        ents = _bulk.apply_map(coords, _bulk.linear_map(gf16, space.space.basis, n * n), n * n * k)
+        polys = _bulk.monic_codes(_bulk.charpoly_planes(gf16, ents.reshape(n, n, k, -1)), 20000)
+        for (kind, ez), want in zip([("in_field", False), ("in_field", True),
+                                     ("in_closure", False), ("in_closure", True)], hists):
+            counts = _bulk.root_counts(gf16, polys, kind, ez)
+            assert np.bincount(counts, minlength=6).tolist() == want, (name, kind, ez)
+
+
+@pytest.mark.parametrize("space,pred", [("nt8", "0bar*-spec"), ("full8", "2-spec")])
+def test_gf256_n8_scan_takes_the_bulk_path(monkeypatch, space, pred):
+    # n * k = 64: root counts need no packed index, so the scan runs bulk
+    fs = FieldSpec(8)
+    s = getattr(cons, space[:-1])(fs, 8)
+    p = parse_predicate(pred)
+    calls = []
+    count_roots = _bulk.count_roots
+    monkeypatch.setattr(_bulk, "count_roots", lambda *a: calls.append(1) or count_roots(*a))
+    v = check_space(fs, s, p, budget=1000, samples=200, seed=4)
+    assert calls and v.mode == "sampled" and v.checked == 200
+    scalar = _scan_space(fs, s, None, lambda m: not check_element(fs, m, p),
+                         1000, 200, 4, 1)
+    assert scalar == ("sampled", 200, 4, v.witness_index)
+    assert v.holds == (space == "nt8")
 
 
 def test_f2_closure_predicate_on_all_mat3(gf2):
