@@ -117,6 +117,8 @@ def cmd_choice(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
     if args.matrix:
+        if args.target is None:
+            raise ValueError("--matrix needs --target (comma-separated coefficients)")
         entries = [int(x) for x in args.matrix.split(",")]
         n = args.n
         m = Mat(n, n, entries)
@@ -180,7 +182,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max objects per exhaustive pass (default 2^24)")
-    p.add_argument("--samples", type=int, default=10 ** 6)
+    p.add_argument("--samples", type=_positive_int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="scan threads; capped at the machine's processor count")
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("lemma", help="run a lemma harness")
     _add_common(p)
     p.add_argument("--name", required=True, choices=LEMMA_NAMES)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(fn=cmd_lemma)
 
     p = sub.add_parser("acceptance", help="run the acceptance suite")

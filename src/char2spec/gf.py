@@ -204,26 +204,6 @@ class FieldSpec:
         return f"gf{self.q}" if self.q in (2, 4, 8, 16) else f"gf2^{self.degree}"
 
 
-# ----------------------------------------------------------------------
-# free-function API (spec-facing names)
-# ----------------------------------------------------------------------
-def fq_add(a: int, b: int) -> int:
-    """Field addition: bitwise XOR (characteristic 2, so x == -x)."""
-    return a ^ b
-
-
-def fq_mul(a: int, b: int, spec: FieldSpec) -> int:
-    return spec.mul(a, b)
-
-
-def fq_inv(a: int, spec: FieldSpec) -> int:
-    return spec.inv(a)
-
-
-def fq_sqrt(a: int, spec: FieldSpec) -> int:
-    return spec.sqrt(a)
-
-
 @lru_cache(maxsize=None)
 def _cached_spec(degree: int, modulus: int | None) -> FieldSpec:
     return FieldSpec(degree, modulus)

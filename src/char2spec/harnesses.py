@@ -19,14 +19,15 @@ import numpy as np
 from .gf import FieldSpec
 from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_mul,
                      mat_vec, random_invertible, rref_rows, tensor)
-from .subspace import (MatSubspace, QuotientChart, VecSubspace,
-                       enumerate_projective, random_subspace, trace_orthogonal)
+from .subspace import (MatSubspace, QuotientChart, VecSubspace, enumerate_projective,
+                       full_space, random_subspace, trace_orthogonal)
 from .spectra import SpecPredicate, check_space
 from .structure import (LemmaVerdict, certifies_hurdle, choice_solve,
                         confinement_first_check, confinement_second_check,
                         confinement_third_check, covering_check,
                         covering_hypotheses, detect_hurdle,
-                        diagonal_zero_witness, image_dim, lastblock_audit,
+                        diagonal_zero_witness, eval_monomial_map, image_dim,
+                        lastblock_audit,
                         range_space, second_confinement_generators,
                         sl_rank1_span, splitting_check,
                         third_confinement_template, vanishing_check)
@@ -175,14 +176,6 @@ def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _eval_monomial(fs: FieldSpec, mono, x) -> int:
-    term = 1
-    for xi, e in zip(x, mono):
-        for _ in range(e):
-            term = fs.mul(term, xi)
-    return term
-
-
 def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                       n_choices=(2, 3), d_max: int = 3) -> LemmaVerdict:
     """Random admissible families; every homogeneous p forced to vanish off
@@ -202,9 +195,10 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         if not family:
             family = [random_subspace(fs, rng, n, 1)]
         monos = _monomials(n, d)
-        union_free = [x for x in _points(fs, n)
+        union_free = [x for x in full_space(fs, n).enumerate_elements()
                       if not any(v.member(x) for v in family)]
-        rows = [[_eval_monomial(fs, mono, x) for mono in monos] for x in union_free]
+        unit_maps = [{mono: 1} for mono in monos]
+        rows = [[eval_monomial_map(fs, u, x) for u in unit_maps] for x in union_free]
         # every p satisfying hypothesis (iii) lives in this solution space;
         # the lemma says each of them is the zero function
         solutions = VecSubspace(fs, len(monos), rows).annihilator()
@@ -219,17 +213,6 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     return LemmaVerdict("vanishing", "holds",
                         {"instances": trials, "polys_checked": polys_checked,
                          "candidate_dims": candidate_dims, "seed": seed})
-
-
-def _points(fs: FieldSpec, n: int):
-    q = fs.q
-    for idx in range(q ** n):
-        v = []
-        rest = idx
-        for _ in range(n):
-            v.append(rest % q)
-            rest //= q
-        yield tuple(v)
 
 
 # ----------------------------------------------------------------------
@@ -305,15 +288,11 @@ def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     big = cons.joint(fs, cons.sl(fs, 2), cons.sl(fs, 2))
     template = cons.hurdle_template(fs, 4)
     cert = detect_hurdle(fs, template)
-    extra_pool = big.basis_matrices()
     for t in range(trials):
         s = template
         for _ in range(rng.randrange(0, 3)):
-            coeffs = [rng.randrange(fs.q) for _ in extra_pool]
-            v = None
-            for c, b in zip(coeffs, extra_pool):
-                scaled = Mat(4, 4, tuple(fs.mul(c, e) for e in b.entries))
-                v = scaled if v is None else mat_add(v, scaled)
+            coeffs = [rng.randrange(fs.q) for _ in range(big.dim)]
+            v = Mat(4, 4, big.space.combine(coeffs))
             s = s.sum_with(MatSubspace.from_matrices(fs, (4, 4), [v]))
         verdict = splitting_check(fs, s, cert, mode="2spec", budget=budget,
                                   samples=samples, seed=seed + t, workers=workers)
@@ -347,13 +326,9 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                 bound = comb(n, 2) + 3 + (1 if n == 4 else 0)
             pred = SpecPredicate("in_field", False, 2)
         s = template
-        pool = roof.basis_matrices()
         for _ in range(rng.randrange(0, 3)):
-            coeffs = [rng.randrange(fs.q) for _ in pool]
-            v = None
-            for c, b in zip(coeffs, pool):
-                scaled = Mat(n, n, tuple(fs.mul(c, e) for e in b.entries))
-                v = scaled if v is None else mat_add(v, scaled)
+            coeffs = [rng.randrange(fs.q) for _ in range(roof.dim)]
+            v = Mat(n, n, roof.space.combine(coeffs))
             s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [v]))
         p = random_invertible(fs, rng, n)
         s = cons.conjugate_space(fs, s, p)
@@ -536,40 +511,34 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
 # ----------------------------------------------------------------------
 # registry for the CLI
 # ----------------------------------------------------------------------
+# name -> harness(fs, trials, seed, workers), in the order the CLI lists them
+_LEMMAS = {
+    "covering": lambda fs, trials, seed, workers: covering_harness(fs, trials, seed),
+    "vanishing": lambda fs, trials, seed, workers: vanishing_harness(fs, trials, seed),
+    "trace-ortho-1": lambda fs, trials, seed, workers: trace_ortho1_harness(fs, trials, seed),
+    "trace-ortho-2": lambda fs, trials, seed, workers: trace_ortho2_harness(fs, trials, seed),
+    "transrank": lambda fs, trials, seed, workers: transrank_harness(fs, trials, seed),
+    "splitting": lambda fs, trials, seed, workers: splitting_harness(
+        fs, trials, seed, workers=workers),
+    "confinement-first": lambda fs, trials, seed, workers: confinement_first_harness(
+        fs, trials, seed, workers=workers),
+    "confinement-second": lambda fs, trials, seed, workers: confinement_second_harness(
+        fs, min(trials, 50), seed, workers=workers),
+    "confinement-third": lambda fs, trials, seed, workers: confinement_third_harness(
+        fs, seed=seed, workers=workers),
+    "lastblock": lambda fs, trials, seed, workers: lastblock_audit(fs),
+    "sl-rank1-span": lambda fs, trials, seed, workers: sl_rank1_harness(fs),
+    "diagonal-zero": lambda fs, trials, seed, workers: diagonal_zero_harness(fs),
+    "hurdle-dimension": lambda fs, trials, seed, workers: hurdle_dimension_harness(
+        fs, trials, seed, workers=workers),
+    "choice-audit": lambda fs, trials, seed, workers: choice_lemma_audit(fs, seed=seed),
+}
+
+LEMMA_NAMES = list(_LEMMAS)
+
+
 def run_lemma(fs: FieldSpec, name: str, trials: int = 200, seed: int = 0,
               workers: int = 1) -> LemmaVerdict:
-    if name == "covering":
-        return covering_harness(fs, trials, seed)
-    if name == "vanishing":
-        return vanishing_harness(fs, trials, seed)
-    if name == "trace-ortho-1":
-        return trace_ortho1_harness(fs, trials, seed)
-    if name == "trace-ortho-2":
-        return trace_ortho2_harness(fs, trials, seed)
-    if name == "transrank":
-        return transrank_harness(fs, trials, seed)
-    if name == "splitting":
-        return splitting_harness(fs, trials, seed, workers=workers)
-    if name == "confinement-first":
-        return confinement_first_harness(fs, trials, seed, workers=workers)
-    if name == "confinement-second":
-        return confinement_second_harness(fs, min(trials, 50), seed, workers=workers)
-    if name == "confinement-third":
-        return confinement_third_harness(fs, seed=seed, workers=workers)
-    if name == "lastblock":
-        return lastblock_audit(fs)
-    if name == "sl-rank1-span":
-        return sl_rank1_harness(fs)
-    if name == "diagonal-zero":
-        return diagonal_zero_harness(fs)
-    if name == "hurdle-dimension":
-        return hurdle_dimension_harness(fs, trials, seed, workers=workers)
-    if name == "choice-audit":
-        return choice_lemma_audit(fs, seed=seed)
-    raise ValueError(f"unknown lemma harness {name!r}")
-
-
-LEMMA_NAMES = ["covering", "vanishing", "trace-ortho-1", "trace-ortho-2",
-               "transrank", "splitting", "confinement-first", "confinement-second",
-               "confinement-third", "lastblock", "sl-rank1-span", "diagonal-zero",
-               "hurdle-dimension", "choice-audit"]
+    if name not in _LEMMAS:
+        raise ValueError(f"unknown lemma harness {name!r}")
+    return _LEMMAS[name](fs, trials, seed, workers)

@@ -150,7 +150,8 @@ def pool_threads(workers: int, chunks: int) -> int:
 
 def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                 budget: int, samples: int, seed: int, workers: int):
-    """Shared scan plumbing.  Returns (mode, checked, used_seed, min_fail_index).
+    """Shared scan plumbing.  Returns (mode, checked, used_seed, index,
+    witness): the minimal failing index and its element, or None twice.
 
     fail_batch(planes [n, m, k, W], count) -> bool array over the first
     `count` lanes of a bit-sliced batch (see :mod:`._bulk`), or None to
@@ -159,6 +160,8 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     draws; the minimal failing index is independent of the worker
     partitioning.  The positions are cut into at most `workers` ranges and
     at most ceil(positions / CHUNK), and each range into batches of CHUNK.
+    The witness is rebuilt from its index and re-checked with fail_scalar;
+    a witness that passes it means the scan is inconsistent.
 
     Both predicates must be invariant under scaling: M fails iff c*M fails
     for every c in F*.  Exhaustive scans rely on it and are projective:
@@ -173,8 +176,9 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     k = fs.degree
     total = q ** d
     exhaustive = total <= budget
+    if not exhaustive and samples < 1:
+        raise ValueError(f"a sampled scan needs a positive sample count, got {samples}")
     count = _bulk.projective_count(q, d) if exhaustive else samples
-    used_seed = None if exhaustive else seed
 
     use_bulk = fail_batch is not None and _bulk.supports(fs)
     if use_bulk:
@@ -211,24 +215,34 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     else:
         results = [run_range(*c) for c in chunks]
     fails = [r for r in results if r is not None]
-    return ("exhaustive" if exhaustive else "sampled", total if exhaustive else samples,
-            used_seed, min(fails) if fails else None)
+    bad = min(fails) if fails else None
+    witness = None
+    if bad is not None:
+        witness = _element_for_index(fs, s, bad, exhaustive, seed)
+        if not fail_scalar(witness):
+            raise AssertionError("witness failed to re-verify; scan is inconsistent")
+    if exhaustive:
+        return "exhaustive", total, None, bad, witness
+    return "sampled", samples, seed, bad, witness
 
 
 def _element_for_index(fs: FieldSpec, s: MatSubspace, index: int,
                        exhaustive: bool, seed: int) -> Mat:
+    """The element at an enumeration index, or at a sample index of the
+    seeded stream."""
     if exhaustive:
         return s.element_at(index)
-    coords = _bulk.sample_coords(fs.q, s.dim, seed, index, index + 1)[0]
-    mul = fs.mul
     n, m = s.shape
-    out = [0] * (n * m)
-    for c, row in zip(coords, s.space.basis):
-        if c:
-            for j, x in enumerate(row):
-                if x:
-                    out[j] ^= mul(int(c), x)
-    return Mat(n, m, out)
+    coords = _bulk.sample_coords(fs.q, s.dim, seed, index, index + 1)[0].tolist()
+    return Mat(n, m, s.space.combine(coords))
+
+
+def _space_verdict(fs: FieldSpec, predicate: str, label: str, scan) -> SpaceVerdict:
+    mode, checked, used_seed, index, witness = scan
+    if witness is None:
+        return SpaceVerdict(predicate, label, mode, checked, used_seed, "holds")
+    return SpaceVerdict(predicate, label, mode, checked, used_seed, "fails",
+                        witness, profile(fs, witness), index)
 
 
 def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
@@ -247,19 +261,8 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
     def fail_scalar(mat: Mat) -> bool:
         return not check_element(fs, mat, pred)
 
-    mode, checked, used_seed, bad = _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
-    v = SpaceVerdict(pred.name, label, mode, checked, used_seed, "holds")
-    if bad is not None:
-        w = _element_for_index(fs, s, bad, mode == "exhaustive", seed)
-        prof = profile(fs, w)
-        if pred.count(prof) <= pred.k:
-            raise AssertionError("witness failed to re-verify; scan is inconsistent")
-        v.outcome = "fails"
-        v.witness = w
-        v.witness_profile = prof
-        v.witness_index = bad
-    return v
+    return _space_verdict(fs, pred.name, label, _scan_space(
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers))
 
 
 def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
@@ -280,16 +283,5 @@ def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
     def fail_scalar(mat: Mat) -> bool:
         return not is_even_poly(char_poly(fs, mat))
 
-    mode, checked, used_seed, bad = _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
-    v = SpaceVerdict("even-char-poly", label, mode, checked, used_seed, "holds")
-    if bad is not None:
-        w = _element_for_index(fs, s, bad, mode == "exhaustive", seed)
-        prof = profile(fs, w)
-        if is_even_poly(prof.char_poly):
-            raise AssertionError("witness failed to re-verify; scan is inconsistent")
-        v.outcome = "fails"
-        v.witness = w
-        v.witness_profile = prof
-        v.witness_index = bad
-    return v
+    return _space_verdict(fs, "even-char-poly", label, _scan_space(
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from .gf import FieldSpec
 from .matrix import (Mat, char_poly, is_regular_hessenberg, mat_add, mat_vec,
                      rank, rref_rows, tensor, trace, unit, companion)
-from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace,
-                       enumerate_grassmannian, enumerate_projective, line,
+from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
+                       enumerate_grassmannian, enumerate_projective, full_space, line,
                        projective_points_of, DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space, _element_for_index
 from .upoly import Poly, poly, poly_add
@@ -222,13 +222,6 @@ def find_intransitivity_veil(fs: FieldSpec, t: MatSubspace,
     return None
 
 
-def is_primitively_intransitive(fs: FieldSpec, t: MatSubspace,
-                                budget: int = DEFAULT_BUDGET) -> bool:
-    if t.shape[0] == 0 or not is_intransitive(fs, t):
-        return False
-    return find_intransitivity_veil(fs, t, budget) is None
-
-
 # ----------------------------------------------------------------------
 # alternators
 # ----------------------------------------------------------------------
@@ -266,27 +259,13 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
                     row[q_entry_index(a, c)] ^= f[c, b]
                     row[q_entry_index(b, c)] ^= f[c, a]
                 rows.append(row)  # symmetry of Q f
-    sol = VecSubspace(fs, unknowns, rows).annihilator()
-    total = fs.q ** sol.dim
-    indices = range(total) if total <= budget else None
-    if indices is not None:
-        for i in indices:
-            vec = sol.element_at(i)
-            q = Mat(udim, vdim, vec)
-            if rank(fs, q) == vdim:
-                return q
-        return None
-    for i in range(samples):
-        coords = _bulk.sample_coords(fs.q, sol.dim, seed, i, i + 1)[0]
-        vec = [0] * unknowns
-        for c, row in zip(coords, sol.basis):
-            if c:
-                for j, xv in enumerate(row):
-                    if xv:
-                        vec[j] ^= fs.mul(int(c), xv)
-        q = Mat(udim, vdim, vec)
-        if rank(fs, q) == vdim:
-            return q
+    grams = MatSubspace((udim, vdim), VecSubspace(fs, unknowns, rows).annihilator())
+    total = fs.q ** grams.dim
+    exhaustive = total <= budget
+    for i in range(total if exhaustive else samples):
+        gram = _element_for_index(fs, grams, i, exhaustive, seed)
+        if rank(fs, gram) == vdim:
+            return gram
     return None
 
 
@@ -375,12 +354,7 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
     if total > budget:
         raise BudgetExceeded(total, budget)
     for idx in range(total):
-        rest = idx
-        entries = []
-        for _ in range(cells):
-            entries.append(rest % fs.q)
-            rest //= fs.q
-        rmat = Mat(p, n - p, entries)
+        rmat = Mat(p, n - p, digits(idx, fs.q, cells))
         cand = mat_add(m, _embed_block(n, p, rmat))
         if char_poly(fs, cand) == r:
             return rmat
@@ -426,29 +400,19 @@ Monomial = tuple[int, ...]
 
 
 def eval_monomial_map(fs: FieldSpec, p: dict[Monomial, int], x) -> int:
+    mul = fs.mul
     acc = 0
     for mono, coef in p.items():
-        if coef == 0:
-            continue
         term = coef
         for xi, e in zip(x, mono):
-            for _ in range(e):
-                term = fs.mul(term, xi)
-            if term == 0:
-                break
-        acc ^= term
+            if e:
+                if not xi:      # a zero coordinate kills the whole term
+                    break
+                for _ in range(e):
+                    term = mul(term, xi)
+        else:
+            acc ^= term
     return acc
-
-
-def _all_points(fs: FieldSpec, n: int):
-    q = fs.q
-    for idx in range(q ** n):
-        v = []
-        rest = idx
-        for _ in range(n):
-            v.append(rest % q)
-            rest //= q
-        yield tuple(v)
 
 
 def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
@@ -478,14 +442,15 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
     if by_dim.get(n - 1, 0) > fs.q - d:
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": f"{by_dim.get(n - 1, 0)} hyperplanes > |F|-d"})
-    for x in _all_points(fs, n):
+    points = full_space(fs, n)
+    for x in points.enumerate_elements():
         if any(v.member(x) for v in family):
             continue
         if eval_monomial_map(fs, p, x):
             return LemmaVerdict(name, "hypothesis-violation",
                                 {"reason": "p does not vanish outside the union",
                                  "point": list(x)})
-    for x in _all_points(fs, n):
+    for x in points.enumerate_elements():
         if eval_monomial_map(fs, p, x):
             return LemmaVerdict(name, "fails", {"point": list(x)})
     return LemmaVerdict(name, "holds", {"points_checked": fs.q ** n})
@@ -497,18 +462,6 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
 def _linear_map(fs: FieldSpec, n: int, image_of_unit) -> list[list[int]]:
     return [list(image_of_unit(unit(n, n, i, j)))
             for i in range(n) for j in range(n)]
-
-
-def _apply_map_scalar(fs: FieldSpec, lin: list[list[int]], flat) -> list[int]:
-    width = len(lin[0]) if lin else 0
-    out = [0] * width
-    for j, c in enumerate(flat):
-        if c:
-            row = lin[j]
-            for t2, coef in enumerate(row):
-                if coef:
-                    out[t2] ^= fs.mul(c, coef)
-    return out
 
 
 def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
@@ -561,13 +514,12 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
                 return LemmaVerdict(name, "fails",
                                     {"condition": "a", "witness": b.to_json()})
 
-    lin_g = _linear_map(fs, n, lambda e: g_block(e))
-    lin_q = _linear_map(fs, n, lambda e: q_block(e))
+    # both blocks are linear in u: on planes they are fixed maps of the entries
     k = fs.degree
     bulk = _bulk.supports(fs)
     if bulk:
-        map_g = _bulk.linear_map(fs, lin_g, gdim * gdim)
-        map_q = _bulk.linear_map(fs, lin_q, 4)
+        map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
+        map_q = _bulk.linear_map(fs, _linear_map(fs, n, q_block), 4)
 
     def fail_batch(planes, count):
         flat = planes.reshape(-1, planes.shape[-1])
@@ -584,8 +536,8 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
 
     def fail_scalar(u: Mat) -> bool:
-        gb = Mat(gdim, gdim, _apply_map_scalar(fs, lin_g, u.entries))
-        qb = _apply_map_scalar(fs, lin_q, u.entries)
+        gb = Mat(gdim, gdim, g_block(u))
+        qb = q_block(u)
         prof = profile(fs, gb)
         tq = qb[0] ^ qb[3]
         if mode == "2spec" and prof.distinct_in_f > 1:
@@ -598,10 +550,9 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
             return True
         return False
 
-    scan_mode, checked, used_seed, bad = _scan_space(
+    scan_mode, checked, used_seed, bad, w = _scan_space(
         fs, s, fail_batch if bulk else None, fail_scalar, budget, samples, seed, workers)
-    if bad is not None:
-        w = _element_for_index(fs, s, bad, scan_mode == "exhaustive", seed)
+    if w is not None:
         return LemmaVerdict(name, "fails",
                             {"condition": "bcd", "witness": w.to_json(),
                              "index": bad, "mode": scan_mode})
@@ -803,27 +754,6 @@ def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
                          "hypothesis_violations": hypothesis_violations})
 
 
-def confinement_check(fs: FieldSpec, kind: str, **instance) -> LemmaVerdict:
-    """Dispatch to the named confinement checker.
-
-    kinds: "first" (space, phi), "second" (space, hyperplane, kernel),
-    "third" (space), "lastblock" (matrix); the remaining keyword arguments
-    are forwarded (budget, samples, seed, workers where applicable).
-    """
-    if kind == "first":
-        return confinement_first_check(fs, instance.pop("space"),
-                                       instance.pop("phi"), **instance)
-    if kind == "second":
-        return confinement_second_check(fs, instance.pop("space"),
-                                        instance.pop("hyperplane"),
-                                        instance.pop("kernel"), **instance)
-    if kind == "third":
-        return confinement_third_check(fs, instance.pop("space"), **instance)
-    if kind == "lastblock":
-        return lastblock_check(fs, instance.pop("matrix"))
-    raise ValueError(f"unknown confinement kind {kind!r}")
-
-
 # ----------------------------------------------------------------------
 # diagonal-zero witness and rank-one span
 # ----------------------------------------------------------------------
@@ -832,14 +762,8 @@ def diagonal_zero_witness(fs: FieldSpec, n: int) -> Mat | None:
     F, showing the zero-diagonal space is not 2-spec (n >= 3, |F| > 2).
     Searched among companion matrices of trace-zero monic polynomials,
     which all live inside the zero-diagonal space; deterministic order."""
-    q = fs.q
-    for idx in range(q ** (n - 1)):
-        coeffs = []
-        rest = idx
-        for _ in range(n - 1):
-            coeffs.append(rest % q)
-            rest //= q
-        r = poly(coeffs + [0, 1])
+    for idx in range(fs.q ** (n - 1)):
+        r = poly(digits(idx, fs.q, n - 1) + [0, 1])
         c = companion(r)
         if profile(fs, c).distinct_in_f >= 3:
             return c

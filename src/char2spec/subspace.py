@@ -12,7 +12,7 @@ into an explicit "budget" verdict distinct from failure.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from .gf import FieldSpec
@@ -21,6 +21,15 @@ from .matrix import Mat, rref_rows
 Vec = tuple[int, ...]
 
 DEFAULT_BUDGET = 1 << 24
+
+
+def digits(index: int, q: int, count: int) -> list[int]:
+    """The first `count` base-q digits of index, least significant first."""
+    out = []
+    for _ in range(count):
+        out.append(index % q)
+        index //= q
+    return out
 
 
 class BudgetExceeded(Exception):
@@ -118,27 +127,29 @@ class VecSubspace:
     def contains_space(self, other: "VecSubspace") -> bool:
         return all(self.member(v) for v in other.basis)
 
-    def element_at(self, index: int) -> Vec:
-        """The index-th element in the canonical enumeration order: the j-th
-        base-q digit of the index is the coefficient of basis row j."""
-        q = self.field.q
+    def combine(self, coords) -> Vec:
+        """The combination sum_j coords[j] * basis[j] of the canonical basis."""
         mul = self.field.mul
         out = [0] * self.ambient
-        for row in self.basis:
-            c = index % q
-            index //= q
+        for c, row in zip(coords, self.basis):
             if c:
                 for j, x in enumerate(row):
                     if x:
                         out[j] ^= mul(c, x)
         return tuple(out)
 
+    def element_at(self, index: int) -> Vec:
+        """The index-th element in the canonical enumeration order: the j-th
+        base-q digit of the index is the coefficient of basis row j."""
+        return self.combine(digits(index, self.field.q, self.dim))
+
     def enumerate_elements(self, budget: int = DEFAULT_BUDGET) -> Iterator[Vec]:
         total = self.field.q ** self.dim
         if total > budget:
             raise BudgetExceeded(total, budget)
-        for i in range(total):
-            yield self.element_at(i)
+        # index order: the first coordinate counts fastest
+        for coords in product(range(self.field.q), repeat=self.dim):
+            yield self.combine(coords[::-1])
 
     def to_json(self) -> dict:
         return {"ambient": self.ambient, "basis": [list(r) for r in self.basis]}
@@ -313,18 +324,12 @@ def trace_orthogonal(s: MatSubspace) -> MatSubspace:
 # ----------------------------------------------------------------------
 def enumerate_projective(field: FieldSpec, ambient: int) -> Iterator[Vec]:
     """One representative per line of F^ambient, first nonzero coordinate
-    normalized to 1; ordered by pivot position then by base-q counter."""
-    q = field.q
+    normalized to 1; ordered by pivot position then by base-q counter
+    (last coordinate fastest)."""
     for p in range(ambient):
-        tail = ambient - p - 1
-        for i in range(q ** tail):
-            v = [0] * ambient
-            v[p] = 1
-            rest = i
-            for j in range(ambient - 1, p, -1):
-                v[j] = rest % q
-                rest //= q
-            yield tuple(v)
+        head = (0,) * p + (1,)
+        for rest in product(range(field.q), repeat=ambient - p - 1):
+            yield head + rest
 
 
 def projective_count(q: int, ambient: int) -> int:
@@ -334,14 +339,7 @@ def projective_count(q: int, ambient: int) -> int:
 def projective_points_of(space: VecSubspace) -> Iterator[Vec]:
     """One representative per line of the given subspace."""
     for c in enumerate_projective(space.field, space.dim):
-        mul = space.field.mul
-        out = [0] * space.ambient
-        for coef, row in zip(c, space.basis):
-            if coef:
-                for j, x in enumerate(row):
-                    if x:
-                        out[j] ^= mul(coef, x)
-        yield tuple(out)
+        yield space.combine(c)
 
 
 def gaussian_binomial(m: int, d: int, q: int) -> int:
@@ -373,12 +371,10 @@ def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
         base = [[0] * ambient for _ in range(d)]
         for r, p in enumerate(pivots):
             base[r][p] = 1
-        for idx in range(q ** len(free)):
+        for values in product(range(q), repeat=len(free)):
             rows = [row[:] for row in base]
-            rest = idx
-            for (r, c) in reversed(free):
-                rows[r][c] = rest % q
-                rest //= q
+            for (r, c), x in zip(free, values):
+                rows[r][c] = x
             yield VecSubspace._trusted(field, ambient, rows, pivots)
 
 

@@ -51,6 +51,22 @@ def test_usage_errors(capsys):
         code = main(["verify", "--construction", "nt3", "--pred", "1-spec", "--workers", bad])
         assert code == 2
         assert "--workers: expected a positive integer" in capsys.readouterr().err
+    for bad in ("0", "-5"):
+        code = main(["verify", "--construction", "full3", "--pred", "0-spec",
+                     "--budget", "1", "--samples", bad])
+        assert code == 2
+        assert "--samples: expected a positive integer" in capsys.readouterr().err
+    for bad in ("0", "-3"):
+        code = main(["lemma", "--name", "covering", "--trials", bad])
+        assert code == 2
+        assert "--trials: expected a positive integer" in capsys.readouterr().err
+
+
+def test_choice_matrix_needs_target(capsys):
+    code = main(["choice", "--n", "3", "--matrix", "0,0,0,1,0,0,0,1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--matrix needs --target" in captured.err
 
 
 def test_scan_adapted(capsys):

@@ -4,15 +4,22 @@ from char2spec.gf import GF4
 from char2spec import harnesses as H
 
 
-@pytest.mark.parametrize("name,trials", [
-    ("trace-ortho-1", 60), ("trace-ortho-2", 60), ("transrank", 40),
-    ("covering", 60), ("vanishing", 60), ("confinement-first", 40),
-    ("confinement-second", 15), ("splitting", 25), ("hurdle-dimension", 40),
-    ("lastblock", 1), ("sl-rank1-span", 1), ("diagonal-zero", 1),
-])
+TRIALS = {"trace-ortho-1": 60, "trace-ortho-2": 60, "transrank": 40, "covering": 60,
+          "vanishing": 60, "confinement-first": 40, "confinement-second": 15,
+          "splitting": 25, "hurdle-dimension": 40}
+
+
+@pytest.mark.parametrize("name,trials", [(name, TRIALS.get(name, 1)) for name in H.LEMMA_NAMES])
 def test_harness_holds(name, trials):
     v = H.run_lemma(GF4, name, trials=trials, seed=13)
     assert v.holds, (name, v.to_json())
+
+
+def test_lemma_registry_order():
+    assert H.LEMMA_NAMES == [
+        "covering", "vanishing", "trace-ortho-1", "trace-ortho-2", "transrank", "splitting",
+        "confinement-first", "confinement-second", "confinement-third", "lastblock",
+        "sl-rank1-span", "diagonal-zero", "hurdle-dimension", "choice-audit"]
 
 
 def test_harnesses_are_seed_reproducible():

@@ -228,7 +228,7 @@ def test_gf256_n8_scan_takes_the_bulk_path(monkeypatch, space, pred):
     assert calls and v.mode == "sampled" and v.checked == 200
     scalar = _scan_space(fs, s, None, lambda m: not check_element(fs, m, p),
                          1000, 200, 4, 1)
-    assert scalar == ("sampled", 200, 4, v.witness_index)
+    assert scalar == ("sampled", 200, 4, v.witness_index, v.witness)
     assert v.holds == (space == "nt8")
 
 
@@ -312,7 +312,33 @@ def test_projective_scalar_path_keeps_minimal_witness(workers, small_chunk):
     fails = lambda m: not is_nilpotent(GF8, m)
     got = _scan_space(GF8, space, None, fails, budget=1 << 24, samples=0, seed=0,
                       workers=workers)
-    assert got == ("exhaustive", 8 ** 4, None, first_failing_index(space, fails))
+    expect = first_failing_index(space, fails)
+    assert got == ("exhaustive", 8 ** 4, None, expect, space.element_at(expect))
+
+
+def test_scan_rebuilds_and_rechecks_the_witness(gf4):
+    space = cons.full(gf4, 2)
+    always = lambda planes, count: np.ones(count, dtype=bool)
+    # the batch verdict is re-checked on the rebuilt element with fail_scalar
+    got = _scan_space(gf4, space, always, lambda m: True, 1 << 24, 0, 0, 1)
+    assert got == ("exhaustive", 4 ** 4, None, 0, mx.zero(2))
+    got = _scan_space(gf4, space, always, lambda m: True, 8, 50, 3, 1)
+    assert got == ("sampled", 50, 3, 0, sample_element(space, 3, 0))
+    with pytest.raises(AssertionError, match="inconsistent"):
+        _scan_space(gf4, space, always, lambda m: False, 1 << 24, 0, 0, 1)
+    with pytest.raises(AssertionError, match="inconsistent"):
+        _scan_space(gf4, space, always, lambda m: False, 8, 50, 3, 1)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sampled_scan_needs_positive_samples(gf4, samples):
+    pred = parse_predicate("0-spec")
+    with pytest.raises(ValueError, match="positive sample count"):
+        check_space(gf4, cons.full(gf4, 3), pred, budget=1, samples=samples)
+    with pytest.raises(ValueError, match="positive sample count"):
+        check_space_even_charpoly(gf4, cons.full(gf4, 3), budget=1, samples=samples)
+    # an exhaustive scan does not read the sample count
+    assert check_space(gf4, cons.nt(gf4, 2), pred, samples=samples).checked == 4
 
 
 def _splitting_fails(fs, cert):
@@ -343,6 +369,26 @@ def test_splitting_check_keeps_minimal_witness(gf2, workers, small_chunk):
     assert v.outcome == "fails" and v.detail["condition"] == "bcd"
     assert v.detail["index"] == expect == 16
     assert v.detail["witness"] == space.element_at(expect).to_json()
+
+
+def test_splitting_check_scalar_path(gf2, monkeypatch):
+    # the same failing instance, with the bit-sliced kernel switched off
+    h4 = cons.hurdle_template(gf2, 4)
+    cert = st.detect_hurdle(gf2, h4)
+    space = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
+    bulk = st.splitting_check(gf2, space, cert, mode="2spec")
+    monkeypatch.setattr(_bulk, "supports", lambda fs: False)
+    scalar = st.splitting_check(gf2, space, cert, mode="2spec")
+    assert scalar.to_json() == bulk.to_json()
+    assert scalar.detail["index"] == 16
+    # k > 8 always takes the scalar path: a sampled hurdle over GF(2^9)
+    # certified by the dual plane of e_{n-2}, e_{n-1} holds
+    fs = FieldSpec(9)
+    plane = sub.span(fs, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
+    v = st.splitting_check(fs, cons.hurdle_template(fs, 4), st.HurdleCertificate(plane),
+                           mode="2spec", budget=1, samples=200)
+    assert v.outcome == "holds"
+    assert v.detail == {"mode": "sampled", "checked": 200, "seed": 0}
 
 
 def test_pool_threads(monkeypatch):

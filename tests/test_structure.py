@@ -146,7 +146,11 @@ def test_intransitivity_and_veil(gf4):
     veil = st.find_intransitivity_veil(gf4, into_e1)
     assert veil is not None and veil.dim == n - 1
     assert veil.member((1, 0, 0))
-    assert not st.is_primitively_intransitive(gf4, into_e1)
+    # an intransitive space is primitively intransitive when it has no
+    # nonzero veil: into_e1 has one, the 2x2 alternating line has none
+    alt2 = cons.alts(gf4, 2)
+    assert st.is_intransitive(gf4, alt2)
+    assert st.find_intransitivity_veil(gf4, alt2) is None
     assert not st.is_intransitive(gf4, cons.full(gf4, 2))
 
 
@@ -215,6 +219,25 @@ def test_alternator_mats_p_roundtrip(gf4):
     assert gram is not None
     assert st.is_alternator(gf4, perp, gram)
     assert mx.rank(gf4, gram) == 4
+
+
+def test_alternator_sampled_grams_are_pinned(gf4):
+    # a budget below q^dim of the Gram space makes the search sample it;
+    # the pinned Grams fix the seeded sample stream and its coordinate order
+    perp = sub.trace_orthogonal(cons.mats_p(gf4, 4, cons.k2m(gf4, 2)))
+    swap = [0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0]
+    for seed, c in enumerate([2, 3, 2, 2, 2, 3, 1, 3, 1, 3, 1, 2]):
+        gram = st.find_alternator(gf4, cons.alts(gf4, 3), budget=1, seed=seed)
+        assert gram == mx.Mat(3, 3, [c if i % 4 == 0 else 0 for i in range(9)])
+    for seed, c in [(0, 2), (1, 3), (5, 3)]:
+        gram = st.find_alternator(gf4, perp, budget=3, samples=200, seed=seed)
+        assert gram == mx.Mat(4, 4, [c * e for e in swap])
+        assert st.is_alternator(gf4, perp, gram)
+    # exhaustive within the budget: the first full-rank Gram in index order
+    assert st.find_alternator(gf4, perp, budget=10) == mx.Mat(4, 4, swap)
+    # no full-rank Gram exists: sampling gives up after its samples
+    t3 = sub.MatSubspace.from_matrices(gf4, (3, 3), [mx.identity(3)])
+    assert st.find_alternator(gf4, t3, budget=1, samples=50) is None
 
 
 # ----------------------------------------------------------------------
@@ -301,6 +324,22 @@ def test_vanishing_negative_example(gf4):
     v = st.vanishing_check(gf4, p, 2, axes)
     assert v.outcome == "hypothesis-violation"
     assert "point" in v.detail
+
+
+def test_eval_monomial_map_on_every_point(gf4):
+    p = {(2, 0, 1): 3, (0, 0, 0): 2, (1, 1, 1): 1, (0, 3, 0): 0}
+    for x in sub.full_space(gf4, 3).enumerate_elements():
+        want = 0
+        for mono, coef in p.items():
+            term = coef
+            for xi, e in zip(x, mono):
+                term = gf4.mul(term, gf4.pow(xi, e))
+            want ^= term
+        assert st.eval_monomial_map(gf4, p, x) == want
+        for mono in p:
+            assert st.eval_monomial_map(gf4, {mono: 1}, x) == (
+                gf4.mul(gf4.mul(gf4.pow(x[0], mono[0]), gf4.pow(x[1], mono[1])),
+                        gf4.pow(x[2], mono[2])))
 
 
 def test_vanishing_zero_poly_holds(gf4):
@@ -425,15 +464,23 @@ def test_sl_rank1_span(gf4):
         assert st.sl_rank1_span(gf4, n) == cons.sl(gf4, n)
 
 
-def test_confinement_dispatcher(gf4):
+def test_confinement_checkers_take_keyword_options(gf4):
     t = st.third_confinement_template(gf4, 5)
-    v = st.confinement_check(gf4, "third", space=t, budget=1 << 20)
+    v = st.confinement_third_check(gf4, t, budget=64, samples=300, seed=2)
+    assert v.holds and v.detail == {"spec_mode": "sampled", "checked": 300}
+    phi = (1, 0, 0)
+    s = sub.MatSubspace.from_matrices(
+        gf4, (3, 3), [mx.tensor(gf4, phi, tuple(int(i == j) for j in range(3)))
+                      for i in range(3)])
+    v = st.confinement_first_check(gf4, s, phi, budget=4, samples=200, seed=1)
+    assert v.holds and v.detail == {"spec_mode": "sampled", "checked": 200}
+    h = sub.span(gf4, 3, [(0, 1, 0), (0, 0, 1)])
+    g = sub.span(gf4, 3, [(1, 0, 0)])
+    z = st.second_confinement_generators(gf4, h, g)
+    v = st.confinement_second_check(gf4, z, h, g, budget=1 << 20, samples=10, seed=3)
     assert v.holds
     a = mx.tensor(gf4, (0, 0, 1), (0, 1, 0))
-    assert st.confinement_check(gf4, "lastblock", matrix=a).outcome in (
-        "holds", "hypothesis-violation")
-    with pytest.raises(ValueError):
-        st.confinement_check(gf4, "fourth")
+    assert st.lastblock_check(gf4, a).outcome in ("holds", "hypothesis-violation")
 
 
 def test_transrank_identity_on_samples(gf4):

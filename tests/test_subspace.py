@@ -120,6 +120,36 @@ def test_projective_enumeration(gf4):
             assert first == 1
 
 
+def test_digits_and_combine(gf4):
+    assert sub.digits(0, 4, 3) == [0, 0, 0]
+    assert sub.digits(4 * 4 * 3 + 4 * 2 + 1, 4, 3) == [1, 2, 3]
+    assert sub.digits(5, 2, 2) == [1, 0]          # digits past `count` drop
+    s = sub.span(gf4, 3, [(1, 0, 2), (0, 1, 1)])
+    assert s.combine((2, 3)) == (2, 3, gf4.mul(2, 2) ^ 3)
+    assert s.combine((0, 0)) == (0, 0, 0)
+    for i in range(16):
+        assert s.element_at(i) == s.combine(sub.digits(i, 4, 2))
+    assert list(s.enumerate_elements()) == [s.element_at(i) for i in range(16)]
+    # the full space enumerates F^n in base-q counter order, first digit fastest
+    assert list(sub.full_space(GF2, 2).enumerate_elements()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def test_enumeration_orders(gf4):
+    # projective points and Grassmannian free entries count with the last
+    # coordinate fastest
+    assert list(sub.enumerate_projective(gf4, 2)) == [(1, 0), (1, 1), (1, 2), (1, 3), (0, 1)]
+    assert list(sub.enumerate_projective(GF2, 3)) == [
+        (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1), (0, 1, 0), (0, 1, 1), (0, 0, 1)]
+    planes = [w.basis for w in sub.enumerate_grassmannian(GF2, 2, 3)]
+    assert planes == [((1, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 1, 1)),
+                      ((1, 0, 1), (0, 1, 0)), ((1, 0, 1), (0, 1, 1)),
+                      ((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 0, 1)),
+                      ((0, 1, 0), (0, 0, 1))]
+    s = sub.span(gf4, 3, [(1, 0, 2), (0, 1, 1)])
+    assert list(sub.projective_points_of(s)) == [
+        s.combine(c) for c in sub.enumerate_projective(gf4, 2)]
+
+
 def test_grassmannian_counts():
     cases = [(fs, d, m) for fs, mmax in ((GF2, 6), (GF4, 5), (GF8, 4), (GF16, 3))
              for m in range(1, mmax + 1) for d in range(0, m + 1)]
