@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .gf import GF2, GF4, GF8, FieldSpec
-from .matrix import Mat, det, identity, inverse, min_poly, random_invertible
-from .subspace import MatSubspace, trace_orthogonal
+from .matrix import Mat, det, inverse, min_poly, random_invertible
+from .subspace import trace_orthogonal
 from .spectra import check_space, check_space_even_charpoly, parse_predicate, profile
 from .structure import (adapted_scan, certifies_hurdle, detect_hurdle,
                         find_alternator, is_alternator, lastblock_audit,
@@ -26,7 +26,7 @@ from .structure import (adapted_scan, certifies_hurdle, detect_hurdle,
                         transitive_rank)
 from . import constructions as cons
 from . import harnesses as H
-from .upoly import ONE, Poly, poly_divmod
+from .upoly import ONE, poly_divmod
 
 
 @dataclass
@@ -178,22 +178,9 @@ def criterion_6(cfg: AcceptanceConfig) -> dict:
     fs = GF4
     rows = []
     ok = True
-    harness_runs = [
-        ("trace-ortho-1", lambda: H.trace_ortho1_harness(fs, 200, cfg.seed)),
-        ("trace-ortho-2", lambda: H.trace_ortho2_harness(fs, 200, cfg.seed)),
-        ("transrank", lambda: H.transrank_harness(fs, 200, cfg.seed)),
-        ("covering", lambda: H.covering_harness(fs, 200, cfg.seed)),
-        ("vanishing", lambda: H.vanishing_harness(fs, 200, cfg.seed)),
-        ("confinement-first", lambda: H.confinement_first_harness(
-            fs, 200, cfg.seed, workers=cfg.workers)),
-        ("splitting", lambda: H.splitting_harness(
-            fs, 200, cfg.seed, workers=cfg.workers)),
-        ("hurdle-dimension", lambda: H.hurdle_dimension_harness(
-            fs, 200, cfg.seed, workers=cfg.workers)),
-        ("diagonal-zero", lambda: H.diagonal_zero_harness(fs, (3, 4, 5))),
-    ]
-    for name, run in harness_runs:
-        v = run()
+    for name in ("trace-ortho-1", "trace-ortho-2", "transrank", "covering", "vanishing",
+                 "confinement-first", "splitting", "hurdle-dimension", "diagonal-zero"):
+        v = H.run_lemma(fs, name, 200, cfg.seed, cfg.workers)
         ok = ok and v.holds
         rows.append({"harness": name, "outcome": v.outcome,
                      "instances": v.detail.get("instances")})

@@ -154,17 +154,10 @@ def cmd_acceptance(args) -> int:
     t0 = time.perf_counter()
     cfg = AcceptanceConfig(budget=args.budget, samples=args.samples,
                            seed=args.seed, workers=args.workers)
-    result = run_acceptance(cfg, with_determinism=not args.skip_determinism)
-    checks = result["criteria"]
-    report = {"schema": SCHEMA, "version": __version__, "command": "acceptance",
-              "config": _config_echo(args), "checks": checks,
-              "summary": {"total": result["summary"]["total"],
-                          "failed": result["summary"]["failed"]},
-              "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
+    checks = run_acceptance(cfg, with_determinism=not args.skip_determinism)["criteria"]
     for c in checks:
-        line = f"criterion {c['criterion']:>2} [{c['name']}]: {c['outcome']}"
-        print(line, file=sys.stderr)
-    return _emit(report, args.out)
+        print(f"criterion {c['criterion']:>2} [{c['name']}]: {c['outcome']}", file=sys.stderr)
+    return _emit(_report("acceptance", _config_echo(args), checks, t0), args.out)
 
 
 def _positive_int(text: str) -> int:

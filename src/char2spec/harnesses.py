@@ -17,19 +17,19 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec
-from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_mul,
-                     mat_vec, random_invertible, rref_rows, tensor)
-from .subspace import (MatSubspace, QuotientChart, VecSubspace, enumerate_projective,
+from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_vec,
+                     random_invertible, rref_rows, transpose)
+from .subspace import (MatSubspace, VecSubspace, enumerate_projective,
                        full_space, random_subspace, trace_orthogonal)
 from .spectra import SpecPredicate, check_space
-from .structure import (LemmaVerdict, certifies_hurdle, choice_solve,
+from .structure import (LemmaVerdict, _embed_block, certifies_hurdle, choice_solve,
                         confinement_first_check, confinement_second_check,
                         confinement_third_check, covering_check,
                         covering_hypotheses, detect_hurdle,
                         diagonal_zero_witness, eval_monomial_map, image_dim,
-                        lastblock_audit,
+                        lastblock_audit, quotient_space,
                         range_space, second_confinement_generators,
-                        sl_rank1_span, splitting_check,
+                        sl_rank1_span, splitting_check, tensor_span,
                         third_confinement_template, vanishing_check)
 from . import constructions as cons
 from . import _bulk
@@ -90,31 +90,16 @@ def trace_ortho1_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> Lem
 
 def trace_ortho2_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """dim{u in S : u kills U0} + dim(pi S-perp) = dim V * (dim U - dim U0)
-    with an explicit quotient chart for pi."""
+    with an explicit quotient chart for pi; the left side comes from S (the
+    kernel of restricting to U0), the right side from S-perp."""
     rng = random.Random(seed)
     for t in range(trials):
         udim = rng.randrange(1, 5)
         vdim = rng.randrange(1, 5)
         s = _random_mat_subspace(fs, rng, vdim, udim, rng.randrange(0, udim * vdim + 1))
         u0 = random_subspace(fs, rng, udim, rng.randrange(0, udim + 1))
-        # S_{U0}: solve u * w = 0 for all w in a basis of U0, inside S coords
-        rows = []
-        for b in s.basis_matrices():
-            col = []
-            for w in u0.basis:
-                col.extend(mat_vec(fs, b, w))
-            rows.append(col)
-        if s.dim == 0:
-            lhs = 0
-        elif not u0.basis:
-            lhs = s.dim
-        else:
-            mat_rows = [[rows[i][k] for i in range(s.dim)] for k in range(len(rows[0]))]
-            lhs = s.dim - len(rref_rows(fs, mat_rows)[1])
-        pi = QuotientChart(fs, u0).matrix()
-        perp = trace_orthogonal(s)
-        pis = perp.transform(lambda b: mat_mul(fs, pi, b)) if perp.dim else None
-        rhs = pis.dim if pis is not None else 0
+        lhs = s.dim - _restriction_dim(fs, s, u0)
+        rhs = quotient_space(fs, trace_orthogonal(s), u0).dim
         if lhs + rhs != vdim * (udim - u0.dim):
             return LemmaVerdict("trace-ortho-2", "fails",
                                 {"trial": t, "lhs": lhs, "rhs": rhs,
@@ -228,32 +213,18 @@ def confinement_first_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         phi = tuple(rng.randrange(fs.q) for _ in range(n))
         if not any(phi):
             phi = tuple(1 if i == 0 else 0 for i in range(n))
-        gens = [tensor(fs, phi, tuple(1 if j == i else 0 for j in range(n)))
-                for i in range(n)]
-        s = MatSubspace.from_matrices(fs, (n, n), gens)
+        s = tensor_span(fs, [phi], full_space(fs, n).basis)
         if rng.randrange(2):
             s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [identity(n)]))
         p = random_invertible(fs, rng, n)
         s = cons.conjugate_space(fs, s, p)
         # phi transforms contravariantly: phi' = phi o P^{-1}
-        phi_c = tuple(_row_times(fs, phi, inverse(fs, p)))
+        phi_c = mat_vec(fs, transpose(inverse(fs, p)), phi)
         verdict = confinement_first_check(fs, s, phi_c, workers=workers)
         if verdict.outcome != "holds":
             verdict.detail["trial"] = t
             return verdict
     return LemmaVerdict("confinement-first", "holds", {"instances": trials, "seed": seed})
-
-
-def _row_times(fs: FieldSpec, row, m: Mat) -> list[int]:
-    return [_dot(fs, row, m.col(j)) for j in range(m.cols)]
-
-
-def _dot(fs: FieldSpec, a, b) -> int:
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc ^= fs.mul(x, y)
-    return acc
 
 
 def confinement_second_harness(fs: FieldSpec, trials: int = 50, seed: int = 0,
@@ -332,8 +303,8 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
             s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [v]))
         p = random_invertible(fs, rng, n)
         s = cons.conjugate_space(fs, s, p)
-        pinv = inverse(fs, p)
-        plane = VecSubspace(fs, n, [_row_times(fs, phi, pinv)
+        pinv_t = transpose(inverse(fs, p))
+        plane = VecSubspace(fs, n, [mat_vec(fs, pinv_t, phi)
                                     for phi in (tuple(1 if i == n - 2 else 0 for i in range(n)),
                                                 tuple(1 if i == n - 1 else 0 for i in range(n)))])
         if not certifies_hurdle(fs, s, plane):
@@ -398,6 +369,8 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
     (vectorized), every candidate is re-verified through the batch
     characteristic polynomial, and a deterministic subsample is re-run
     through the scalar `choice_solve` for agreement."""
+    if n != 3:
+        raise ValueError(f"the choice audit is specialized to n = 3, got n = {n}")
     q = fs.q
     mul = fs.mul_table_np()
     inv_t = _bulk.inv_table(fs)
@@ -446,9 +419,6 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
             cols.append(charpolys(pert) ^ chi0)
         deltas[p] = cols
 
-    if n != 3:
-        raise NotImplementedError("the vectorized audit is specialized to n = 3")
-
     for p, poss in positions.items():
         d1, d2 = deltas[p]
         a, b = d1[:, 0], d1[:, 1]
@@ -491,12 +461,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
             if rmat is None:
                 return LemmaVerdict("choice-audit", "fails",
                                     {"matrix": m.to_json(), "target": list(r), "p": p})
-            embedded = [[0] * n for _ in range(n)]
-            for i in range(p):
-                for j in range(n - p):
-                    embedded[i][p + j] = rmat[i, j]
-            total_m = mat_add(m, Mat(n, n, [x for row in embedded for x in row]))
-            if char_poly(fs, total_m) != r:
+            if char_poly(fs, mat_add(m, _embed_block(n, p, rmat))) != r:
                 return LemmaVerdict("choice-audit", "fails",
                                     {"reason": "returned block failed re-verification",
                                      "matrix": m.to_json(), "p": p})

@@ -14,7 +14,7 @@ path and is cross-checked against both.
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .upoly import Poly, ONE, poly, poly_gcd, poly_lcm, poly_mul
+from .upoly import Poly, ONE, poly, poly_lcm
 
 Row = tuple[int, ...]
 
@@ -113,6 +113,16 @@ def mat_mul(fs: FieldSpec, a: Mat, b: Mat) -> Mat:
                 orow[j] ^= mul(c, brow[j])
         out[i * m:(i + 1) * m] = orow
     return Mat(n, m, out)
+
+
+def dot(fs: FieldSpec, a, b) -> int:
+    """sum_i a_i b_i, e.g. a functional phi evaluated at a vector x."""
+    mul = fs.mul
+    acc = 0
+    for x, y in zip(a, b):
+        if x and y:
+            acc ^= mul(x, y)
+    return acc
 
 
 def mat_vec(fs: FieldSpec, a: Mat, v) -> tuple[int, ...]:

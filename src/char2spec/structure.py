@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .gf import FieldSpec
-from .matrix import (Mat, char_poly, is_regular_hessenberg, mat_add, mat_vec,
+from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_vec,
                      rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
                        enumerate_grassmannian, enumerate_projective, full_space, line,
                        projective_points_of, DEFAULT_BUDGET)
-from .spectra import SpecPredicate, check_space, profile, _scan_space, _element_for_index
+from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
 from . import _bulk
 
@@ -43,19 +43,16 @@ class LemmaVerdict:
 # ----------------------------------------------------------------------
 # rank-one tensor spaces and adapted vectors
 # ----------------------------------------------------------------------
+def tensor_span(fs: FieldSpec, phis, ys) -> MatSubspace:
+    """Span of the tensors phi (x) y for every phi in phis and y in ys
+    (ys must be non-empty; it fixes n)."""
+    n = len(ys[0])
+    return MatSubspace.from_matrices(fs, (n, n), [tensor(fs, phi, y) for phi in phis for y in ys])
+
+
 def range_space(fs: FieldSpec, x) -> MatSubspace:
     """All operators with range inside the line F*x (dimension n)."""
-    n = len(x)
-    gens = [tensor(fs, tuple(1 if j == i else 0 for j in range(n)), x) for i in range(n)]
-    return MatSubspace.from_matrices(fs, (n, n), gens)
-
-
-def trace_zero_range_space(fs: FieldSpec, x) -> MatSubspace:
-    """Operators with trace zero and range inside F*x (dimension n-1)."""
-    n = len(x)
-    perp = line(fs, x).annihilator()
-    gens = [tensor(fs, phi, x) for phi in perp.basis]
-    return MatSubspace.from_matrices(fs, (n, n), gens)
+    return tensor_span(fs, full_space(fs, len(x)).basis, [x])
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,9 @@ class AdaptedScanReport:
 
 
 def adapted_meet_dim(fs: FieldSpec, s: MatSubspace, x) -> int:
-    return s.intersect(trace_zero_range_space(fs, x)).dim
+    """dim of S meet the trace-zero operators with range inside F*x, which
+    are the tensors phi (x) x with phi(x) = 0 (dimension n-1)."""
+    return s.intersect(tensor_span(fs, line(fs, x).annihilator().basis, [x])).dim
 
 
 def adapted_scan(fs: FieldSpec, s: MatSubspace, label: str = "") -> AdaptedScanReport:
@@ -234,8 +233,10 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
     field with more than two elements that condition is also sufficient,
     so the Gram matrices form the solution space of a linear system.
     Right-nondegeneracy means Q has full column rank; the solution space
-    is searched in deterministic enumeration order (seeded sampling past
-    the budget)."""
+    is scanned by :func:`spectra._scan_space` in enumeration order (seeded
+    sampling past the budget), which re-verifies the Gram it returns.
+    Full rank is invariant under scaling, so the exhaustive scan is
+    projective and still returns the Gram of smallest index."""
     if fs.q <= 2:
         raise ValueError("alternator solving requires |F| > 2")
     vdim, udim = t.shape       # operators U -> V
@@ -260,13 +261,8 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
                     row[q_entry_index(b, c)] ^= f[c, a]
                 rows.append(row)  # symmetry of Q f
     grams = MatSubspace((udim, vdim), VecSubspace(fs, unknowns, rows).annihilator())
-    total = fs.q ** grams.dim
-    exhaustive = total <= budget
-    for i in range(total if exhaustive else samples):
-        gram = _element_for_index(fs, grams, i, exhaustive, seed)
-        if rank(fs, gram) == vdim:
-            return gram
-    return None
+    return _scan_space(fs, grams, None, lambda g: rank(fs, g) == vdim,
+                       budget, samples, seed, 1)[4]
 
 
 def is_alternator(fs: FieldSpec, t: MatSubspace, gram: Mat) -> bool:
@@ -277,12 +273,7 @@ def is_alternator(fs: FieldSpec, t: MatSubspace, gram: Mat) -> bool:
         return False
     for f in t.basis_matrices():
         for x in enumerate_projective(fs, udim):
-            fx = mat_vec(fs, f, x)
-            qfx = mat_vec(fs, gram, fx)
-            acc = 0
-            for xi, yi in zip(x, qfx):
-                acc ^= fs.mul(xi, yi)
-            if acc:
+            if dot(fs, x, mat_vec(fs, gram, mat_vec(fs, f, x))):
                 return False
     return True
 
@@ -442,18 +433,39 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
     if by_dim.get(n - 1, 0) > fs.q - d:
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": f"{by_dim.get(n - 1, 0)} hyperplanes > |F|-d"})
-    points = full_space(fs, n)
-    for x in points.enumerate_elements():
-        if any(v.member(x) for v in family):
-            continue
+    # one walk: a nonzero value outside the union violates the hypothesis
+    # wherever it comes; otherwise the first nonzero value fails the lemma
+    first = None
+    for x in full_space(fs, n).enumerate_elements():
         if eval_monomial_map(fs, p, x):
-            return LemmaVerdict(name, "hypothesis-violation",
-                                {"reason": "p does not vanish outside the union",
-                                 "point": list(x)})
-    for x in points.enumerate_elements():
-        if eval_monomial_map(fs, p, x):
-            return LemmaVerdict(name, "fails", {"point": list(x)})
+            if not any(v.member(x) for v in family):
+                return LemmaVerdict(name, "hypothesis-violation",
+                                    {"reason": "p does not vanish outside the union",
+                                     "point": list(x)})
+            if first is None:
+                first = x
+    if first is not None:
+        return LemmaVerdict(name, "fails", {"point": list(first)})
     return LemmaVerdict(name, "holds", {"points_checked": fs.q ** n})
+
+
+# ----------------------------------------------------------------------
+# the spectrum hypothesis of the splitting and confinement checkers
+# ----------------------------------------------------------------------
+_TWO_SPEC = SpecPredicate("in_field", False, 2)
+
+
+def _spec_hypothesis(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate, name: str,
+                     budget: int, samples: int, seed: int, workers: int):
+    """Scan the space for a spectrum hypothesis.  Returns (space verdict,
+    None) when it holds, else (space verdict, the checker's
+    hypothesis-violation verdict carrying the witness)."""
+    pv = check_space(fs, s, pred, budget=budget, samples=samples, seed=seed, workers=workers)
+    if pv.holds:
+        return pv, None
+    return pv, LemmaVerdict(name, "hypothesis-violation",
+                            {"reason": f"space is not {pred.name}",
+                             "witness": pv.witness.to_json()})
 
 
 # ----------------------------------------------------------------------
@@ -486,11 +498,9 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": "certificate tensors are not all inside the space"})
     pred = SpecPredicate("in_field", mode == "1star", 2 if mode == "2spec" else 1)
-    pv = check_space(fs, s, pred, budget=budget, samples=samples, seed=seed, workers=workers)
-    if not pv.holds:
-        return LemmaVerdict(name, "hypothesis-violation",
-                            {"reason": f"space is not {pred.name}",
-                             "witness": pv.witness.to_json()})
+    _, violation = _spec_hypothesis(fs, s, pred, name, budget, samples, seed, workers)
+    if violation:
+        return violation
 
     g = cert.kernel
     chart = QuotientChart(fs, g)
@@ -574,24 +584,15 @@ def confinement_first_check(fs: FieldSpec, s: MatSubspace, phi,
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs n >= 3 square"})
     if not any(phi):
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "phi = 0"})
-    for i in range(n):
-        y = tuple(1 if j == i else 0 for j in range(n))
-        if not s.member(tensor(fs, phi, y)):
-            return LemmaVerdict(name, "hypothesis-violation",
-                                {"reason": "phi (x) V is not inside the space"})
-    pv = check_space(fs, s, SpecPredicate("in_field", False, 2),
-                     budget=budget, samples=samples, seed=seed, workers=workers)
-    if not pv.holds:
+    if not s.contains_space(tensor_span(fs, [phi], full_space(fs, n).basis)):
         return LemmaVerdict(name, "hypothesis-violation",
-                            {"reason": "space is not 2-spec", "witness": pv.witness.to_json()})
-    mul = fs.mul
+                            {"reason": "phi (x) V is not inside the space"})
+    pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
+    if violation:
+        return violation
     for x in enumerate_projective(fs, n):
-        if adapted_meet_dim(fs, s, x) > 0:
-            acc = 0
-            for a, b in zip(phi, x):
-                acc ^= mul(a, b)
-            if acc != 0:
-                return LemmaVerdict(name, "fails", {"point": list(x)})
+        if dot(fs, phi, x) and adapted_meet_dim(fs, s, x) > 0:
+            return LemmaVerdict(name, "fails", {"point": list(x)})
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
 
 
@@ -600,14 +601,7 @@ def second_confinement_generators(fs: FieldSpec, h: VecSubspace,
     """All trace-zero operators that vanish on G and map into H (dim 2n-3
     when G is not inside H)."""
     from .constructions import sl
-    n = h.ambient
-    p = g.annihilator()
-    gens = []
-    for phi in p.basis:
-        for y in h.basis:
-            gens.append(tensor(fs, phi, y))
-    ambient_space = MatSubspace.from_matrices(fs, (n, n), gens)
-    return ambient_space.intersect(sl(fs, n))
+    return tensor_span(fs, g.annihilator().basis, h.basis).intersect(sl(fs, h.ambient))
 
 
 def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
@@ -631,11 +625,9 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     if not s.contains_space(gen):
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": "generator operators are not all inside the space"})
-    pv = check_space(fs, s, SpecPredicate("in_field", False, 2),
-                     budget=budget, samples=samples, seed=seed, workers=workers)
-    if not pv.holds:
-        return LemmaVerdict(name, "hypothesis-violation",
-                            {"reason": "space is not 2-spec", "witness": pv.witness.to_json()})
+    _, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
+    if violation:
+        return violation
     try:
         cert = detect_hurdle(fs, s, budget)
     except BudgetExceeded as exc:
@@ -645,14 +637,8 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     bad_points = [x for x in enumerate_projective(fs, n)
                   if adapted_meet_dim(fs, s, x) > 0
                   and not g.member(x) and not h.member(x)]
-    mul = fs.mul
     for theta in enumerate_projective(fs, n):
-        def in_ker(x):
-            acc = 0
-            for a, b in zip(theta, x):
-                acc ^= mul(a, b)
-            return acc == 0
-        if all(in_ker(x) for x in bad_points):
+        if not any(dot(fs, theta, x) for x in bad_points):
             return LemmaVerdict(name, "holds", {"case": "hyperplane", "theta": list(theta)})
     return LemmaVerdict(name, "fails", {"outside_points": [list(x) for x in bad_points]})
 
@@ -690,11 +676,9 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
     if not s.contains_space(third_confinement_template(fs, n)):
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": "template generators are not all inside the space"})
-    pv = check_space(fs, s, SpecPredicate("in_field", False, 2),
-                     budget=budget, samples=samples, seed=seed, workers=workers)
-    if not pv.holds:
-        return LemmaVerdict(name, "hypothesis-violation",
-                            {"reason": "space is not 2-spec", "witness": pv.witness.to_json()})
+    pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
+    if violation:
+        return violation
     for x in enumerate_projective(fs, n):
         if x[0] != 0 and x[2] != 0 and adapted_meet_dim(fs, s, x) > 0:
             return LemmaVerdict(name, "fails", {"point": list(x)})

@@ -332,10 +332,6 @@ def enumerate_projective(field: FieldSpec, ambient: int) -> Iterator[Vec]:
             yield head + rest
 
 
-def projective_count(q: int, ambient: int) -> int:
-    return (q ** ambient - 1) // (q - 1)
-
-
 def projective_points_of(space: VecSubspace) -> Iterator[Vec]:
     """One representative per line of the given subspace."""
     for c in enumerate_projective(space.field, space.dim):

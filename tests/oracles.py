@@ -165,3 +165,38 @@ def spectrum_tables_scalar(fs: FieldSpec, n: int):
     (which is the packed-index order)."""
     rows = [root_slots(fs, f) for f in all_monic(fs, n)]
     return tuple(list(col) for col in zip(*rows))
+
+
+def alternator_grams(fs: FieldSpec, t):
+    """The Gram matrices Q (U x V) with Q f alternating for every f in the
+    operator space T <= Hom(U, V): the kernel of Q -> ((Q f)_aa, (Q f)_ab +
+    (Q f)_ba), with the map tabulated by multiplying unit matrices."""
+    from char2spec.matrix import mat_mul, unit
+    from char2spec.subspace import MatSubspace, VecSubspace
+    vdim, udim = t.shape
+    units = [unit(udim, vdim, i, j) for i in range(udim) for j in range(vdim)]
+    rows = []
+    for f in t.basis_matrices():
+        prods = [mat_mul(fs, u, f) for u in units]
+        for a in range(udim):
+            rows.append([p[a, a] for p in prods])
+            for b in range(a + 1, udim):
+                rows.append([p[a, b] ^ p[b, a] for p in prods])
+    return MatSubspace((udim, vdim), VecSubspace(fs, udim * vdim, rows).annihilator())
+
+
+def vanishing_points_two_pass(fs: FieldSpec, p, family):
+    """The point walk of the vanishing check in two passes: first every
+    point outside the union must have p(x) = 0 (else a hypothesis
+    violation there), then the first point with p(x) != 0 fails the
+    conclusion.  Returns (outcome, point or None)."""
+    from char2spec.structure import eval_monomial_map
+    from char2spec.subspace import full_space
+    points = list(full_space(fs, family[0].ambient).enumerate_elements())
+    for x in points:
+        if not any(v.member(x) for v in family) and eval_monomial_map(fs, p, x):
+            return "hypothesis-violation", x
+    for x in points:
+        if eval_monomial_map(fs, p, x):
+            return "fails", x
+    return "holds", None

@@ -60,6 +60,11 @@ def test_usage_errors(capsys):
         code = main(["lemma", "--name", "covering", "--trials", bad])
         assert code == 2
         assert "--trials: expected a positive integer" in capsys.readouterr().err
+    for bad in ("0", "2", "4"):
+        code = main(["choice", "--n", bad, "--cap", "10"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"the choice audit is specialized to n = 3, got n = {bad}" in captured.err
 
 
 def test_choice_matrix_needs_target(capsys):

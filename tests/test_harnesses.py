@@ -1,6 +1,6 @@
 import pytest
 
-from char2spec.gf import GF4
+from char2spec.gf import GF2, GF4, GF8
 from char2spec import harnesses as H
 
 
@@ -46,3 +46,11 @@ def test_confinement_third_harness():
 def test_unknown_lemma_name():
     with pytest.raises(ValueError):
         H.run_lemma(GF4, "not-a-lemma")
+
+
+def test_trace_ortho2_details_are_pinned():
+    for fs in (GF2, GF4, GF8):
+        for seed in (0, 3, 17, 41):
+            v = H.trace_ortho2_harness(fs, trials=40, seed=seed)
+            assert v.to_json() == {"name": "trace-ortho-2", "outcome": "holds",
+                                   "detail": {"instances": 40, "seed": seed}}

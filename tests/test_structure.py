@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -11,7 +12,8 @@ from char2spec import constructions as cons
 from char2spec import structure as st
 from char2spec.spectra import profile
 
-from oracles import all_monic
+from oracles import (all_monic, alternator_grams, first_failing_index,
+                     vanishing_points_two_pass)
 
 
 # ----------------------------------------------------------------------
@@ -240,6 +242,36 @@ def test_alternator_sampled_grams_are_pinned(gf4):
     assert st.find_alternator(gf4, t3, budget=1, samples=50) is None
 
 
+def _alternator_cases(fs):
+    rng = random.Random(1)
+    a4 = cons.alts(fs, 4)
+    yield from (cons.alts(fs, n) for n in (2, 3, 4))
+    yield from (cons.syms(fs, n) for n in (2, 3, 4))
+    yield from (cons.nt(fs, n) for n in (2, 3, 4))
+    yield sub.trace_orthogonal(cons.mats_p(fs, 4, cons.k2m(fs, 2)))
+    for n in (2, 3, 4):
+        yield sub.MatSubspace.from_matrices(fs, (n, n), [mx.identity(n)])
+    for _ in range(2):
+        yield sub.MatSubspace.from_matrices(
+            fs, (4, 4), [a4.element_at(rng.randrange(fs.q ** a4.dim)) for _ in range(2)])
+    yield sub.MatSubspace.from_matrices(fs, (2, 4), [mx.Mat(2, 4, [1, 0, 0, 0, 0, 1, 0, 0])])
+
+
+def test_alternator_exhaustive_is_the_first_full_rank_gram(gf4, gf8):
+    # exhaustive search returns the Gram of smallest enumeration index with
+    # full column rank, walking the whole Gram space (scalar line in Mat_4:
+    # index 80 over GF(4), 576 over GF(8))
+    firsts = []
+    for fs in (gf4, gf8):
+        for t in _alternator_cases(fs):
+            grams = alternator_grams(fs, t)
+            i = first_failing_index(grams, lambda g: mx.rank(fs, g) == t.shape[0])
+            firsts.append(i)
+            assert st.find_alternator(fs, t) == (None if i is None else grams.element_at(i))
+    assert firsts == ([1, 1, 1, None, None, None, None, None, None, 1, 1, None, 80, 1, 1, 1]
+                      + [1, 1, 1, None, None, None, None, None, None, 1, 1, None, 576, 1, 1, 1])
+
+
 # ----------------------------------------------------------------------
 # choice solver
 # ----------------------------------------------------------------------
@@ -342,6 +374,36 @@ def test_eval_monomial_map_on_every_point(gf4):
                         gf4.pow(x[2], mono[2])))
 
 
+def test_vanishing_walk_matches_two_pass_oracle(gf2, gf4, gf8):
+    # random polynomials (mostly nonzero off the union) and the harness's
+    # solution polynomials (which vanish there) on admissible families
+    paths = set()
+    for fs in (gf2, gf4, gf8):
+        rng = random.Random(fs.q)
+        for _ in range(40):
+            n = rng.choice((2, 3))
+            d = rng.randrange(1, min(fs.q - 1, 3) + 1)
+            family = [sub.random_subspace(fs, rng, n, k)
+                      for k in range(1, n - 1) for _ in range(rng.randrange(fs.q))]
+            family += [sub.random_subspace(fs, rng, n, n - 1)
+                       for _ in range(rng.randrange(fs.q - d + 1))]
+            family = family or [sub.random_subspace(fs, rng, n, 1)]
+            monos = [m for m in product(range(d + 1), repeat=n) if sum(m) == d]
+            off = [x for x in sub.full_space(fs, n).enumerate_elements()
+                   if not any(v.member(x) for v in family)]
+            sols = sub.VecSubspace(fs, len(monos), [
+                [st.eval_monomial_map(fs, {m: 1}, x) for m in monos] for x in off]).annihilator()
+            polys = [{m: rng.randrange(fs.q) for m in monos}]
+            polys += [{m: c for m, c in zip(monos, row) if c} for row in sols.basis]
+            for p in polys:
+                v = st.vanishing_check(fs, p, d, family)
+                outcome, point = vanishing_points_two_pass(fs, p, family)
+                assert v.outcome == outcome
+                assert v.detail.get("point") == (None if point is None else list(point))
+                paths.add(outcome)
+    assert paths == {"hypothesis-violation", "holds"}
+
+
 def test_vanishing_zero_poly_holds(gf4):
     fam = [sub.span(gf4, 3, [(1, 0, 0)])]
     v = st.vanishing_check(gf4, {}, 2, fam)
@@ -395,6 +457,45 @@ def test_splitting_hypothesis_violation(gf4):
     other_plane = sub.span(gf4, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     v = st.splitting_check(gf4, h4, st.HurdleCertificate(other_plane), mode="2spec")
     assert v.outcome == "hypothesis-violation"
+
+
+# the hypothesis-violation verdicts of the spec-hypothesis scans, pinned
+_W3 = {"rows": 3, "cols": 3, "entries": [1, 1, 0, 1, 0, 0, 0, 0, 0]}
+_W4 = {"rows": 4, "cols": 4, "entries": [2, 0, 0, 0, 1, 2, 0, 3, 1, 2, 0, 3, 3, 2, 0, 3]}
+
+
+def _violation(name, pred, witness):
+    return {"name": name, "outcome": "hypothesis-violation",
+            "detail": {"reason": f"space is not {pred}", "witness": witness}}
+
+
+def test_spec_hypothesis_violations_are_pinned(gf4):
+    full3 = cons.full(gf4, 3)
+    assert st.confinement_first_check(gf4, full3, (1, 2, 0)).to_json() == _violation(
+        "confinement-first", "2-spec", _W3)
+    assert st.confinement_first_check(gf4, full3, (1, 2, 0), budget=1, samples=500,
+                                      seed=4).to_json() == _violation(
+        "confinement-first", "2-spec",
+        {"rows": 3, "cols": 3, "entries": [2, 3, 1, 0, 1, 2, 0, 0, 3]})
+    h = sub.span(gf4, 3, [(0, 1, 0), (0, 0, 1)])
+    g = sub.span(gf4, 3, [(1, 0, 0)])
+    assert st.confinement_second_check(gf4, full3, h, g).to_json() == _violation(
+        "confinement-second", "2-spec", _W3)
+    assert st.confinement_third_check(gf4, cons.full(gf4, 5), budget=1, samples=300,
+                                      seed=2).to_json() == _violation(
+        "confinement-third", "2-spec",
+        {"rows": 5, "cols": 5, "entries": [2, 0, 0, 1, 1, 0, 2, 2, 2, 1, 3, 2, 3, 2, 1,
+                                           3, 1, 3, 1, 2, 1, 2, 1, 1, 1]})
+    full4 = cons.full(gf4, 4)
+    cert = st.detect_hurdle(gf4, cons.hurdle_template(gf4, 4))
+    for mode, pred in (("2spec", "2-spec"), ("1star", "1*-spec")):
+        v = st.splitting_check(gf4, full4, cert, mode=mode, budget=1, samples=500, seed=1)
+        assert v.to_json() == _violation(f"splitting-{mode}", pred, _W4)
+    # 2-spec but not 1*-spec: only the 1* scan rejects it
+    s2 = cons.joint(gf4, cons.sl(gf4, 2), cons.sl(gf4, 2))
+    assert st.splitting_check(gf4, s2, cert, mode="1star").to_json() == _violation(
+        "splitting-1star", "1*-spec",
+        {"rows": 4, "cols": 4, "entries": [2, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1]})
 
 
 def test_confinement_first(gf4):

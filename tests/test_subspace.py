@@ -109,11 +109,11 @@ def test_trace_orthogonal(gf4):
 
 def test_projective_enumeration(gf4):
     pts = list(sub.enumerate_projective(gf4, 2))
-    assert len(pts) == 5 == sub.projective_count(4, 2)
+    assert len(pts) == 5 == sub.gaussian_binomial(2, 1, 4)
     assert len(set(pts)) == 5
     for fs, m in [(GF2, 5), (GF4, 4), (GF8, 3), (GF16, 2)]:
         pts = list(sub.enumerate_projective(fs, m))
-        assert len(pts) == sub.projective_count(fs.q, m)
+        assert len(pts) == sub.gaussian_binomial(m, 1, fs.q)
         assert len(set(pts)) == len(pts)
         for p in pts:
             first = next(x for x in p if x)
