@@ -37,8 +37,11 @@ When q^n <= 2^16, :func:`root_counts` reads tables built the same way
 for all q^n monic polynomials, indexed by the packed low coefficients;
 above that it counts the batch directly.
 
-Only fields with k <= 8 are supported here (codes are uint8); callers
-fall back to the scalar path above that.
+The plane kernels and root counts support fields with k <= 8 only (codes
+are uint8); callers fall back to the scalar path above that.  The code
+array kernels (:func:`_mul`, :func:`_inv`, :func:`batch_rank`) serve
+every field: above k = 8 codes are uint16, a product is a shift-and-XOR
+reduced by the modulus and an inverse is a^(q-2).
 """
 
 from __future__ import annotations
@@ -55,6 +58,11 @@ _PLANE = np.dtype("<u8")
 
 def supports(fs: FieldSpec) -> bool:
     return fs.degree <= 8
+
+
+def code_dtype(fs: FieldSpec) -> np.dtype:
+    """The dtype of code arrays over fs: uint8 for k <= 8, else uint16."""
+    return np.dtype(np.uint8 if fs.degree <= 8 else np.uint16)
 
 
 # ----------------------------------------------------------------------
@@ -225,15 +233,65 @@ def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
 # root counts on coefficient codes
 # ----------------------------------------------------------------------
 def _mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of broadcast uint8 code arrays, one lookup in the flat
-    q*q table per product."""
-    return np.take(fs.mul_table_np().reshape(-1), (a.astype(np.uint16) << fs.degree) | b)
+    """Products of broadcast code arrays: for k <= 8 one lookup in the flat
+    q*q table per product; above, no table exists, and the product is a
+    shift-and-XOR over the bits of b, reduced by the modulus at each shift."""
+    k = fs.degree
+    if k <= 8:
+        return np.take(fs.mul_table_np().reshape(-1), (a.astype(np.uint16) << k) | b)
+    a = np.asarray(a, dtype=np.uint32)
+    b = np.asarray(b, dtype=np.uint32)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)
+    modulus = np.uint32(fs.modulus)
+    for t in range(k):
+        out ^= a * (b >> t & 1)
+        a = a << 1
+        a ^= (a >> k) * modulus
+    return out.astype(np.uint16)
 
 
 @lru_cache(maxsize=None)
 def inv_table(fs: FieldSpec) -> np.ndarray:
-    """Inverses of all q codes as uint8 (0 maps to 0)."""
+    """Inverses of all q codes as uint8 (0 maps to 0; k <= 8)."""
     return np.array([0] + [fs.inv(a) for a in range(1, fs.q)], dtype=np.uint8)
+
+
+def _inv(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Inverses of a code array (0 maps to 0): the table for k <= 8, else
+    a^(q-2) by square and multiply."""
+    if fs.degree <= 8:
+        return inv_table(fs)[a]
+    out = np.ones_like(a)
+    e = fs.q - 2
+    while e:
+        if e & 1:
+            out = _mul(fs, out, a)
+        a = _mul(fs, a, a)
+        e >>= 1
+    return out
+
+
+def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
+    """Ranks of a batch of matrices a [N, r, c] of codes, all lanes in step
+    (lane-uniform Gaussian elimination, as in M4RIE).  Column by column,
+    each lane takes as pivot its first unused row with a nonzero entry
+    (``argmax``) and clears that column in its other unused rows; the
+    rank is the number of pivots."""
+    big, rows, cols = a.shape
+    used = np.zeros((big, rows), dtype=bool)
+    if rows == 0:
+        return used.sum(axis=1)
+    a = a.copy()
+    lanes = np.arange(big)
+    for j in range(cols):
+        cand = (a[:, :, j] != 0) & ~used
+        piv = cand.argmax(axis=1)
+        prow = a[lanes, piv]                              # zero where no pivot
+        f = _mul(fs, a[:, :, j], _inv(fs, prow[:, j])[:, None]) * cand
+        f[lanes, piv] = 0
+        a ^= _mul(fs, f[:, :, None], prow[:, None, :])
+        used[lanes, piv] |= cand[lanes, piv]
+    return used.sum(axis=1)
 
 
 @lru_cache(maxsize=None)

@@ -144,6 +144,9 @@ def cmd_lemma(args) -> int:
     fs = _field(args)
     verdict = run_lemma(fs, args.name, trials=args.trials, seed=args.seed,
                         workers=args.workers)
+    if verdict.outcome == "hypothesis-violation" and "trial" not in verdict.detail:
+        # the harness rejects its own setup (such as the field), not a drawn instance
+        raise ValueError(f"lemma {args.name}: {verdict.detail['reason']}")
     check = verdict.to_json()
     check["outcome"] = verdict.outcome if verdict.outcome != "hypothesis-violation" else "fails"
     cfg = _config_echo(args, {"lemma": args.name, "trials": args.trials})

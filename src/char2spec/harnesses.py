@@ -170,7 +170,9 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     candidate_dims = 0
     for t in range(trials):
         n = n_choices[rng.randrange(len(n_choices))]
-        d = rng.randrange(1, d_max + 1)
+        # the lemma needs d <= |F|; for n = 2 every member is a hyperplane,
+        # at most |F| - d of them, and the family cannot be empty
+        d = rng.randrange(1, min(d_max, fs.q - 1 if n == 2 else fs.q) + 1)
         c_small = [rng.randrange(0, fs.q) for _ in range(1, n - 1)]
         c_hyp = rng.randrange(0, fs.q - d + 1)
         family = []

@@ -165,8 +165,11 @@ def tensor(fs: FieldSpec, phi, y) -> Mat:
 # elimination kernels (shared with the subspace module)
 # ----------------------------------------------------------------------
 def rref_rows(fs: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place reduced row-echelon form; returns (nonzero rows, pivot cols)."""
+    """In-place reduced row-echelon form; returns (nonzero rows, pivot cols).
+    Rows are scaled and eliminated through one row of the field's
+    multiplication table (mrow[y] = f * y) where it keeps one (k <= 8)."""
     mul, inv = fs.mul, fs.inv
+    table = fs._mul
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
@@ -182,12 +185,20 @@ def rref_rows(fs: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], li
         lead = rows[r][c]
         if lead != 1:
             li = inv(lead)
-            rows[r] = [mul(li, x) for x in rows[r]]
+            if table is None:
+                rows[r] = [mul(li, x) for x in rows[r]]
+            else:
+                mrow = table[li]
+                rows[r] = [mrow[x] for x in rows[r]]
         prow = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x ^ mul(f, y) for x, y in zip(rows[i], prow)]
+                if table is None:
+                    rows[i] = [x ^ mul(f, y) for x, y in zip(rows[i], prow)]
+                else:
+                    mrow = table[f]
+                    rows[i] = [x ^ mrow[y] for x, y in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -191,8 +191,13 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
             # sample indices are the positions themselves
             idx = _bulk.projective_indices(q, d, clo, chi) if exhaustive else None
             if not use_bulk:
-                for i in (idx.tolist() if exhaustive else range(clo, chi)):
-                    if fail_scalar(_element_for_index(fs, s, i, exhaustive, seed)):
+                if exhaustive:
+                    elems = ((i, s.element_at(i)) for i in idx.tolist())
+                else:   # the chunk's sample coordinates in one draw
+                    rows = _bulk.sample_coords(q, d, seed, clo, chi).tolist()
+                    elems = ((clo + j, Mat(n, m, s.space.combine(c))) for j, c in enumerate(rows))
+                for i, elem in elems:
+                    if fail_scalar(elem):
                         return i
                 continue
             if exhaustive:

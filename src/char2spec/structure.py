@@ -8,19 +8,25 @@ and single-instance checkers for the covering, vanishing, splitting and
 confinement lemmas.  Every checker validates its hypotheses before
 testing the conclusion; a violated hypothesis yields a distinct
 "hypothesis-violation" verdict rather than a lemma failure, and budget
-overflows surface as "budget", never as "none"/"fails".
+overflows surface as "budget", never as "none"/"fails".  Adapted scans
+and hurdle detection run in trace-dual form, from S-perp, on whole
+batches of points or dual planes (:mod:`._bulk` code kernels).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .gf import FieldSpec
-from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_vec,
+from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_mul, mat_vec,
                      rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
-                       enumerate_grassmannian, enumerate_projective, full_space, line,
-                       projective_points_of, DEFAULT_BUDGET)
+                       enumerate_grassmannian, enumerate_projective, full_space,
+                       grassmannian_blocks, line, projective_points_of, trace_orthogonal,
+                       DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
 from . import _bulk
@@ -97,10 +103,25 @@ class AdaptedScanReport:
                             "class": p.klass} for p in self.points]}
 
 
-def adapted_meet_dim(fs: FieldSpec, s: MatSubspace, x) -> int:
-    """dim of S meet the trace-zero operators with range inside F*x, which
-    are the tensors phi (x) x with phi(x) = 0 (dimension n-1)."""
-    return s.intersect(tensor_span(fs, line(fs, x).annihilator().basis, [x])).dim
+def _perp_codes(fs: FieldSpec, s: MatSubspace) -> np.ndarray:
+    """A basis of S-perp = trace_orthogonal(S) as codes [r, n, n]."""
+    return np.array(trace_orthogonal(s).space.basis,
+                    dtype=_bulk.code_dtype(fs)).reshape(-1, *s.shape)
+
+
+def adapted_meet_dims(fs: FieldSpec, s: MatSubspace, points) -> np.ndarray:
+    """At each nonzero point x, the dimension of S meet the trace-zero
+    operators with range inside F*x, the tensors phi (x) x with phi(x) = 0.
+    Trace-dual form: tr(u (phi (x) x)) = phi(u x), so the meet is the
+    annihilator of [u_1 x ... u_r x; x] over a basis u of S-perp, of
+    dimension n - its rank (one :func:`_bulk.batch_rank` for all points)."""
+    n = s.shape[0]
+    x = np.array(points, dtype=_bulk.code_dtype(fs)).reshape(len(points), n)
+    u = _perp_codes(fs, s)
+    ux = np.zeros((len(x), len(u), n), dtype=x.dtype)
+    for j in range(n):
+        ux ^= _bulk._mul(fs, u[None, :, :, j], x[:, None, None, j])
+    return n - _bulk.batch_rank(fs, np.concatenate([ux, x[:, None, :]], axis=1))
 
 
 def adapted_scan(fs: FieldSpec, s: MatSubspace, label: str = "") -> AdaptedScanReport:
@@ -110,10 +131,9 @@ def adapted_scan(fs: FieldSpec, s: MatSubspace, label: str = "") -> AdaptedScanR
     n, m = s.shape
     if n != m:
         raise ValueError("adapted scan needs a space of square matrices")
-    pts = []
-    for x in enumerate_projective(fs, n):
-        pts.append(PointReport(x, adapted_meet_dim(fs, s, x)))
-    return AdaptedScanReport(label, tuple(pts))
+    pts = list(enumerate_projective(fs, n))
+    meets = adapted_meet_dims(fs, s, pts).tolist()
+    return AdaptedScanReport(label, tuple(map(PointReport, pts, meets)))
 
 
 # ----------------------------------------------------------------------
@@ -135,29 +155,27 @@ class HurdleCertificate:
         return {"dual_plane": self.plane.to_json()}
 
 
+def _hurdle_tensors(fs: FieldSpec, plane: VecSubspace):
+    """The tensors phi (x) y for every projective point phi of the dual
+    plane and every y in a basis of its kernel."""
+    for phi in projective_points_of(plane):
+        for y in line(fs, phi).annihilator().basis:
+            yield tensor(fs, phi, y)
+
+
 def hurdle_tensor_space(fs: FieldSpec, plane: VecSubspace) -> MatSubspace:
     """Span of all tensors phi (x) y with phi in the dual plane and
-    phi(y) = 0.  Spanning family: every projective point of the plane
-    paired with a basis of its kernel; this reaches the full space of
-    trace-zero operators killing the pre-annihilator (dimension 2n-1),
-    which two kernel families alone would miss by one dimension."""
+    phi(y) = 0.  Spanning family: :func:`_hurdle_tensors`; this reaches
+    the full space of trace-zero operators killing the pre-annihilator
+    (dimension 2n-1), which two kernel families alone would miss by one
+    dimension."""
     n = plane.ambient
-    gens = []
-    for phi in projective_points_of(plane):
-        ker = line(fs, phi).annihilator()
-        for y in ker.basis:
-            gens.append(tensor(fs, phi, y))
-    return MatSubspace.from_matrices(fs, (n, n), gens)
+    return MatSubspace.from_matrices(fs, (n, n), _hurdle_tensors(fs, plane))
 
 
 def certifies_hurdle(fs: FieldSpec, s: MatSubspace, plane: VecSubspace) -> bool:
-    n = plane.ambient
-    for phi in projective_points_of(plane):
-        ker = line(fs, phi).annihilator()
-        for y in ker.basis:
-            if not s.member(tensor(fs, phi, y)):
-                return False
-    return True
+    """The primal test: every tensor of the plane is a member of S."""
+    return all(s.member(t) for t in _hurdle_tensors(fs, plane))
 
 
 def detect_hurdle(fs: FieldSpec, s: MatSubspace,
@@ -165,12 +183,30 @@ def detect_hurdle(fs: FieldSpec, s: MatSubspace,
     """Scan 2-dimensional dual subspaces in deterministic Grassmannian order
     and return the first certifying plane; None when the scan completes
     without one.  Raises BudgetExceeded when the Grassmannian is too large,
-    which callers must report as a "budget" outcome, not as None."""
+    which callers must report as a "budget" outcome, not as None.
+
+    Trace-dual form: phi (x) y lies in S iff (phi u)(y) = 0 for every u in
+    a basis of S-perp, so P certifies iff phi(y) = 0 forces (phi u)(y) = 0
+    for every phi in P, i.e. iff every u acts on P as one scalar: phi u =
+    c phi for both RREF rows, c read at the pivot of row 0.  Each block of
+    :func:`subspace.grassmannian_blocks` is filtered by one u after the
+    other, and the plane returned is re-verified by
+    :func:`certifies_hurdle`."""
     n, m = s.shape
     if n != m:
         raise ValueError("hurdle detection needs a space of square matrices")
-    for plane in enumerate_grassmannian(fs, 2, n, budget):
-        if certifies_hurdle(fs, s, plane):
+    u = _perp_codes(fs, s)
+    for pivots, block in grassmannian_blocks(fs, 2, n, budget):
+        for ui in u:
+            img = np.zeros_like(block)
+            for i in range(n):          # (phi u)_j = sum_i phi_i u_ij
+                img ^= _bulk._mul(fs, block[:, :, i, None], ui[i])
+            c = img[:, 0, pivots[0], None, None]
+            block = block[~np.any(img ^ _bulk._mul(fs, c, block), axis=(1, 2))]
+        if len(block):
+            plane = VecSubspace._trusted(fs, n, block[0].tolist(), pivots)
+            if not certifies_hurdle(fs, s, plane):
+                raise AssertionError("dual plane failed to re-verify; hurdle scan is inconsistent")
             return HurdleCertificate(plane)
     return None
 
@@ -179,10 +215,7 @@ def detect_hurdle(fs: FieldSpec, s: MatSubspace,
 # transitive rank, intransitivity veils
 # ----------------------------------------------------------------------
 def image_dim(fs: FieldSpec, basis_mats: list[Mat], x) -> int:
-    rows = [list(mat_vec(fs, b, x)) for b in basis_mats]
-    if not rows:
-        return 0
-    return len(rref_rows(fs, rows)[1])
+    return len(rref_rows(fs, [list(mat_vec(fs, b, x)) for b in basis_mats])[1])
 
 
 def transitive_rank(fs: FieldSpec, t: MatSubspace) -> int:
@@ -204,7 +237,6 @@ def is_intransitive(fs: FieldSpec, t: MatSubspace) -> bool:
 def quotient_space(fs: FieldSpec, t: MatSubspace, w: VecSubspace) -> MatSubspace:
     """The operator space pi T for the canonical projection pi: V -> V/W."""
     pi = QuotientChart(fs, w).matrix()
-    from .matrix import mat_mul
     return t.transform(lambda b: mat_mul(fs, pi, b))
 
 
@@ -239,28 +271,14 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
     projective and still returns the Gram of smallest index."""
     if fs.q <= 2:
         raise ValueError("alternator solving requires |F| > 2")
-    vdim, udim = t.shape       # operators U -> V
-    unknowns = udim * vdim     # Q is udim x vdim
-    rows = []
-
-    def q_entry_index(i: int, j: int) -> int:
-        return i * vdim + j
-
-    for f in t.basis_matrices():
-        # (Q f)_{a b} = sum_c Q[a, c] f[c, b]
-        for a in range(udim):
-            row = [0] * unknowns
-            for c in range(vdim):
-                row[q_entry_index(a, c)] ^= f[c, a]
-            rows.append(row)  # diagonal entry (a, a) vanishes
-        for a in range(udim):
-            for b in range(a + 1, udim):
-                row = [0] * unknowns
-                for c in range(vdim):
-                    row[q_entry_index(a, c)] ^= f[c, b]
-                    row[q_entry_index(b, c)] ^= f[c, a]
-                rows.append(row)  # symmetry of Q f
-    grams = MatSubspace((udim, vdim), VecSubspace(fs, unknowns, rows).annihilator())
+    vdim, udim = t.shape       # operators U -> V; Q is udim x vdim
+    # (Q f)_{ab} = sum_c Q[a, c] f[c, b]: for a <= b, one row in the
+    # unknowns Q[i, c] for the diagonal entry (a = b) or for the symmetry
+    # (Q f)_{ab} + (Q f)_{ba}
+    rows = [[(f[c, b] if i == a else 0) ^ (f[c, a] if i == b != a else 0)
+             for i in range(udim) for c in range(vdim)]
+            for f in t.basis_matrices() for a in range(udim) for b in range(a, udim)]
+    grams = MatSubspace((udim, vdim), VecSubspace(fs, udim * vdim, rows).annihilator())
     return _scan_space(fs, grams, None, lambda g: rank(fs, g) == vdim,
                        budget, samples, seed, 1)[4]
 
@@ -282,11 +300,7 @@ def is_alternator(fs: FieldSpec, t: MatSubspace, gram: Mat) -> bool:
 # choice solver
 # ----------------------------------------------------------------------
 def _embed_block(n: int, p: int, r: Mat) -> Mat:
-    e = [0] * (n * n)
-    for i in range(p):
-        for j in range(n - p):
-            e[i * n + (p + j)] = r[i, j]
-    return Mat(n, n, e)
+    return Mat(n, n, [r[i, j - p] if i < p <= j else 0 for i in range(n) for j in range(n)])
 
 
 def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
@@ -316,20 +330,13 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
     target = poly_add(r, chi0)  # char 2: the needed perturbation of chi
 
     if p == 1 or p == n - 1:
-        if p == 1:
-            positions = [(0, j) for j in range(1, n)]
-        else:
-            positions = [(i, n - 1) for i in range(n - 1)]
-        cols = []
-        for (i, j) in positions:
-            delta = char_poly(fs, mat_add(m, unit(n, n, i, j)))
-            cols.append(poly_add(delta, chi0))
+        positions = ([(0, j) for j in range(1, n)] if p == 1
+                     else [(i, n - 1) for i in range(n - 1)])
+        cols = [poly_add(char_poly(fs, mat_add(m, unit(n, n, i, j))), chi0)
+                for (i, j) in positions] + [target]
         # linear system over coefficients of degree 0..n-2
-        rows = []
-        for d in range(n - 1):
-            rows.append([c[d] if d < len(c) else 0 for c in cols]
-                        + [target[d] if d < len(target) else 0])
-        reduced, pivots = rref_rows(fs, rows)
+        reduced, pivots = rref_rows(fs, [[c[d] if d < len(c) else 0 for c in cols]
+                                         for d in range(n - 1)])
         if (n - 1) not in pivots:  # consistent system
             solution = [0] * (n - 1)
             for row, piv in zip(reduced, pivots):
@@ -376,9 +383,7 @@ def covering_hypotheses(fs: FieldSpec, family: list[VecSubspace], r: int) -> str
     n = family[0].ambient
     if len(family) != (n - 1) * r + 1:
         return f"family size {len(family)} != (n-1)r+1"
-    by_dim: dict[int, int] = {}
-    for v in family:
-        by_dim[v.dim] = by_dim.get(v.dim, 0) + 1
+    by_dim = Counter(v.dim for v in family)
     for k in range(1, n - 1):
         if by_dim.get(k, 0) != r:
             return f"dimension {k} appears {by_dim.get(k, 0)} times, expected {r}"
@@ -421,11 +426,9 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
                                 {"reason": f"monomial {mono} is not degree-{d} in {n} variables"})
     if fs.q < d:
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "|F| < d"})
-    by_dim: dict[int, int] = {}
-    for v in family:
-        if v.dim == 0:
-            return LemmaVerdict(name, "hypothesis-violation", {"reason": "trivial subspace in family"})
-        by_dim[v.dim] = by_dim.get(v.dim, 0) + 1
+    by_dim = Counter(v.dim for v in family)
+    if by_dim[0]:
+        return LemmaVerdict(name, "hypothesis-violation", {"reason": "trivial subspace in family"})
     for k in range(1, n - 1):
         if by_dim.get(k, 0) > fs.q - 1:
             return LemmaVerdict(name, "hypothesis-violation",
@@ -493,8 +496,7 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
     if n != nm or n < 3:
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs square matrices, n >= 3"})
 
-    wp = hurdle_tensor_space(fs, cert.plane)
-    if not s.contains_space(wp):
+    if not certifies_hurdle(fs, s, cert.plane):
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": "certificate tensors are not all inside the space"})
     pred = SpecPredicate("in_field", mode == "1star", 2 if mode == "2spec" else 1)
@@ -537,10 +539,8 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         qb = _bulk.apply_map(flat, map_q, 4 * k).reshape(4, k, -1)
         polys = _bulk.monic_codes(_bulk.charpoly_planes(fs, gb), count)
         counts_f = _bulk.root_counts(fs, polys, "in_field", False)
-        if mode == "2spec":
-            bad_b = counts_f > 1
-        else:
-            bad_b = _bulk.root_counts(fs, polys, "in_field", True) > 0
+        bad_b = (counts_f > 1 if mode == "2spec"
+                 else _bulk.root_counts(fs, polys, "in_field", True) > 0)
         tr_q = _bulk.nonzero_lanes(qb[0] ^ qb[3], count)
         g_zero = ~_bulk.nonzero_lanes(gb, count)
         return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
@@ -550,15 +550,8 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         qb = q_block(u)
         prof = profile(fs, gb)
         tq = qb[0] ^ qb[3]
-        if mode == "2spec" and prof.distinct_in_f > 1:
-            return True
-        if mode == "1star" and prof.distinct_nonzero_in_f > 0:
-            return True
-        if tq != 0 and prof.distinct_in_f > 0:
-            return True
-        if all(e == 0 for e in gb.entries) and tq != 0:
-            return True
-        return False
+        bad_b = prof.distinct_in_f > 1 if mode == "2spec" else prof.distinct_nonzero_in_f > 0
+        return bad_b or (tq != 0 and (prof.distinct_in_f > 0 or not any(gb.entries)))
 
     scan_mode, checked, used_seed, bad, w = _scan_space(
         fs, s, fail_batch if bulk else None, fail_scalar, budget, samples, seed, workers)
@@ -590,9 +583,9 @@ def confinement_first_check(fs: FieldSpec, s: MatSubspace, phi,
     pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
     if violation:
         return violation
-    for x in enumerate_projective(fs, n):
-        if dot(fs, phi, x) and adapted_meet_dim(fs, s, x) > 0:
-            return LemmaVerdict(name, "fails", {"point": list(x)})
+    for p in adapted_scan(fs, s).non_adapted:
+        if dot(fs, phi, p.point):
+            return LemmaVerdict(name, "fails", {"point": list(p.point)})
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
 
 
@@ -634,9 +627,8 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
         return LemmaVerdict(name, "budget", {"reason": str(exc)})
     if cert is not None:
         return LemmaVerdict(name, "holds", {"case": "hurdle", "certificate": cert.to_json()})
-    bad_points = [x for x in enumerate_projective(fs, n)
-                  if adapted_meet_dim(fs, s, x) > 0
-                  and not g.member(x) and not h.member(x)]
+    bad_points = [p.point for p in adapted_scan(fs, s).non_adapted
+                  if not g.member(p.point) and not h.member(p.point)]
     for theta in enumerate_projective(fs, n):
         if not any(dot(fs, theta, x) for x in bad_points):
             return LemmaVerdict(name, "holds", {"case": "hyperplane", "theta": list(theta)})
@@ -657,9 +649,7 @@ def third_confinement_template(fs: FieldSpec, n: int) -> MatSubspace:
         unit(n, n, 2, 1),                              # x
         unit(n, n, 1, 2),                              # y
     ]
-    for i in range(4, n):
-        for j in range(3):
-            gens.append(unit(n, n, i, j))
+    gens += [unit(n, n, i, j) for i in range(4, n) for j in range(3)]
     return MatSubspace.from_matrices(fs, (n, n), gens)
 
 
@@ -679,9 +669,9 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
     pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
     if violation:
         return violation
-    for x in enumerate_projective(fs, n):
-        if x[0] != 0 and x[2] != 0 and adapted_meet_dim(fs, s, x) > 0:
-            return LemmaVerdict(name, "fails", {"point": list(x)})
+    for p in adapted_scan(fs, s).non_adapted:
+        if p.point[0] != 0 and p.point[2] != 0:
+            return LemmaVerdict(name, "fails", {"point": list(p.point)})
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
 
 
@@ -696,16 +686,12 @@ def lastblock_check(fs: FieldSpec, a: Mat) -> LemmaVerdict:
     if rank(fs, a) != 1 or trace(a) != 0:
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs rank 1 and trace 0"})
     for nmat in sl(fs, 2).enumerate_elements():
-        summed = mat_add(a, Mat(3, 3, (nmat[0, 0], nmat[0, 1], 0,
-                                       nmat[1, 0], nmat[1, 1], 0,
-                                       0, 0, 0)))
+        summed = mat_add(a, Mat(3, 3, nmat.row(0) + (0,) + nmat.row(1) + (0, 0, 0, 0)))
         if profile(fs, summed).distinct_in_f > 2:
             return LemmaVerdict(name, "hypothesis-violation",
                                 {"reason": "a perturbed sum exceeds two eigenvalues",
                                  "witness": summed.to_json()})
-    last_col_zero = all(a[i, 2] == 0 for i in range(3))
-    last_row_zero = all(a[2, j] == 0 for j in range(3))
-    if last_col_zero or last_row_zero:
+    if not any(a.col(2)) or not any(a.row(2)):
         return LemmaVerdict(name, "holds", {})
     return LemmaVerdict(name, "fails", {"matrix": a.to_json()})
 
@@ -714,28 +700,42 @@ def rank_one_trace_zero(fs: FieldSpec, n: int):
     """All rank-1 trace-0 matrices, each exactly once, in deterministic order:
     projective y, projective phi with phi(y) = 0, scalar c in F*."""
     for y in enumerate_projective(fs, n):
-        perp = line(fs, y).annihilator()
-        for phi in projective_points_of(perp):
+        for phi in projective_points_of(line(fs, y).annihilator()):
             for c in range(1, fs.q):
                 yield tensor(fs, tuple(fs.mul(c, t) for t in phi), y)
 
 
 def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     """Exhaustive 3x3 audit: every rank-1 trace-0 matrix either breaks the
-    2-eigenvalue hypothesis or satisfies the row/column conclusion."""
-    total = holds = hypothesis_violations = 0
-    for a in rank_one_trace_zero(fs, 3):
-        total += 1
-        v = lastblock_check(fs, a)
-        if v.outcome == "holds":
-            holds += 1
-        elif v.outcome == "hypothesis-violation":
-            hypothesis_violations += 1
-        else:
-            return LemmaVerdict("lastblock-audit", "fails", {"matrix": a.to_json()})
-    return LemmaVerdict("lastblock-audit", "holds",
-                        {"instances": total, "conclusion_holds": holds,
-                         "hypothesis_violations": hypothesis_violations})
+    2-eigenvalue hypothesis or satisfies the row/column conclusion, as
+    :func:`lastblock_check` decides it, with the sums through the batch
+    kernels about 2^16 at a time.  The hypothesis is vacuous over GF(2);
+    over DEFAULT_BUDGET sums (GF(16) and up) is a "budget" verdict."""
+    from .constructions import sl
+    name = "lastblock-audit"
+    if fs.q <= 2:
+        return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs |F| > 2"})
+    q = fs.q    # (q^2 + q + 1) (q + 1) (q - 1) matrices, q^3 blocks each
+    total = (q * q + q + 1) * (q * q - 1) * q ** 3
+    if total > DEFAULT_BUDGET:
+        return LemmaVerdict(name, "budget", {"reason": str(BudgetExceeded(total, DEFAULT_BUDGET))})
+    mats = list(rank_one_trace_zero(fs, 3))
+    blocks = np.zeros((q ** 3, 9), dtype=np.uint8)
+    blocks[:, [0, 1, 3, 4]] = [b.entries for b in sl(fs, 2).enumerate_elements()]
+    a = np.array([m.entries for m in mats], dtype=np.uint8)
+    violated = np.zeros(len(mats), dtype=bool)
+    step = max(1, (1 << 16) // len(blocks))
+    for lo in range(0, len(mats), step):
+        sums = (a[lo:lo + step, None] ^ blocks).reshape(-1, 3, 3)
+        counts = _bulk.root_counts(fs, _bulk.batch_charpoly(fs, sums), "in_field", False)
+        violated[lo:lo + step] = (counts.reshape(-1, len(blocks)) > 2).any(axis=1)
+    # the conclusion fails when both the last column and the last row are nonzero
+    bad = np.flatnonzero(~violated & a[:, [2, 5, 8]].any(axis=1) & a[:, 6:].any(axis=1))
+    if bad.size:
+        return LemmaVerdict(name, "fails", {"matrix": mats[bad[0]].to_json()})
+    return LemmaVerdict(name, "holds",
+                        {"instances": len(mats), "conclusion_holds": int(np.sum(~violated)),
+                         "hypothesis_violations": int(np.sum(violated))})
 
 
 # ----------------------------------------------------------------------
@@ -747,8 +747,7 @@ def diagonal_zero_witness(fs: FieldSpec, n: int) -> Mat | None:
     Searched among companion matrices of trace-zero monic polynomials,
     which all live inside the zero-diagonal space; deterministic order."""
     for idx in range(fs.q ** (n - 1)):
-        r = poly(digits(idx, fs.q, n - 1) + [0, 1])
-        c = companion(r)
+        c = companion(poly(digits(idx, fs.q, n - 1) + [0, 1]))
         if profile(fs, c).distinct_in_f >= 3:
             return c
     return None
@@ -756,5 +755,4 @@ def diagonal_zero_witness(fs: FieldSpec, n: int) -> Mat | None:
 
 def sl_rank1_span(fs: FieldSpec, n: int) -> MatSubspace:
     """Span of all trace-zero rank-1 tensors; equals sl_n."""
-    gens = list(rank_one_trace_zero(fs, n))
-    return MatSubspace.from_matrices(fs, (n, n), gens)
+    return MatSubspace.from_matrices(fs, (n, n), rank_one_trace_zero(fs, n))

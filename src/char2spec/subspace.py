@@ -15,8 +15,11 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import Iterator
 
+import numpy as np
+
 from .gf import FieldSpec
 from .matrix import Mat, rref_rows
+from . import _bulk
 
 Vec = tuple[int, ...]
 
@@ -348,29 +351,38 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
-                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
+GRASSMANNIAN_BLOCK = 1 << 14
+
+
+def grassmannian_blocks(field: FieldSpec, d: int, ambient: int, budget: int = DEFAULT_BUDGET
+                        ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """All d-dimensional subspaces of F^ambient, each exactly once, as RREF
-    bases: pivot-column sets in lexicographic order, free entries counting
-    in base q (last free position fastest)."""
+    bases in code arrays: pivot-column sets in lexicographic order, free
+    entries counting in base q (last free position fastest).  Yields
+    (pivots, block) with block [N, d, ambient] (see :func:`_bulk.code_dtype`),
+    at most GRASSMANNIAN_BLOCK bases a block."""
     total = gaussian_binomial(ambient, d, field.q)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    q = field.q
-    if d == 0:
-        yield VecSubspace(field, ambient, [])
-        return
+    k = field.degree
     for pivots in combinations(range(ambient), d):
-        pivot_set = set(pivots)
         free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, ambient)
-                if c not in pivot_set]
-        base = [[0] * ambient for _ in range(d)]
-        for r, p in enumerate(pivots):
-            base[r][p] = 1
-        for values in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (r, c), x in zip(free, values):
-                rows[r][c] = x
+                if c not in pivots]
+        count = field.q ** len(free)
+        for lo in range(0, count, GRASSMANNIAN_BLOCK):
+            idx = np.arange(lo, min(lo + GRASSMANNIAN_BLOCK, count), dtype=np.int64)
+            block = np.zeros((idx.size, d, ambient), dtype=_bulk.code_dtype(field))
+            block[:, list(range(d)), list(pivots)] = 1
+            for f, (r, c) in enumerate(free):
+                block[:, r, c] = idx >> (k * (len(free) - 1 - f)) & (field.q - 1)
+            yield pivots, block
+
+
+def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
+                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
+    """The subspaces of :func:`grassmannian_blocks`, one at a time."""
+    for pivots, block in grassmannian_blocks(field, d, ambient, budget):
+        for rows in block.tolist():
             yield VecSubspace._trusted(field, ambient, rows, pivots)
 
 

@@ -200,3 +200,23 @@ def vanishing_points_two_pass(fs: FieldSpec, p, family):
         if eval_monomial_map(fs, p, x):
             return "fails", x
     return "holds", None
+
+
+def adapted_meet_dim(fs: FieldSpec, s, x) -> int:
+    """dim of S meet the tensors phi (x) x with phi(x) = 0, by intersecting
+    S with their span in n^2 coordinates."""
+    from char2spec.structure import tensor_span
+    from char2spec.subspace import line
+    return s.intersect(tensor_span(fs, line(fs, x).annihilator().basis, [x])).dim
+
+
+def detect_hurdle(fs: FieldSpec, s, budget: int = 1 << 24):
+    """The first dual plane in Grassmannian order whose tensors phi (x) y,
+    phi(y) = 0, all lie in S, one membership test at a time (None when no
+    plane certifies)."""
+    from char2spec.structure import certifies_hurdle
+    from char2spec.subspace import enumerate_grassmannian
+    for plane in enumerate_grassmannian(fs, 2, s.shape[0], budget):
+        if certifies_hurdle(fs, s, plane):
+            return plane
+    return None

@@ -12,6 +12,8 @@ that sub-check cannot pass; it is asserted as stated and left red
 deliberately rather than weakening the detector.  See the README note.
 """
 
+import hashlib
+
 import pytest
 
 from char2spec import acceptance as acc
@@ -114,3 +116,20 @@ def test_criterion_11_worker_determinism(cfg):
     r = _report(acc.criterion_11(cfg, worker_counts=(1, 4, 8)))
     assert r["outcome"] == "pass", r["detail"]
     assert r["detail"]["identical"] is True
+
+
+# sha256 of the canonical reports (timings stripped) of the criteria fed by
+# the batched structure procedures: hurdle detection and adapted scans (8),
+# the adapted points of the third confinement check and the last-block
+# audit (10)
+_PINNED_REPORTS = {
+    8: "01c75557b2015cacd5d1025a87c8a32fa2850dfe83215b0af879119afe656d35",
+    10: "8eab85a110ffe67347ed3f4ffd15855cee79637cc755dcaeeb3dfa67d1b4cf1c",
+}
+
+
+@pytest.mark.parametrize("num", sorted(_PINNED_REPORTS))
+def test_structure_criteria_reports_are_pinned(cfg, num):
+    r = getattr(acc, f"criterion_{num}")(cfg)
+    digest = hashlib.sha256(acc.canonical_bytes(acc.strip_timings(r))).hexdigest()
+    assert digest == _PINNED_REPORTS[num]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from char2spec import _bulk
+from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec
 from oracles import all_monic, root_slots, spectrum_tables_scalar
@@ -113,3 +114,48 @@ def test_counts_of_an_empty_batch():
     empty = np.zeros((0, 6), dtype=np.uint8)
     for kind, ez in SLOTS:
         assert _bulk.root_counts(GF16, empty, kind, ez).shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# code-array products and batched rank
+# ----------------------------------------------------------------------
+GF512 = FieldSpec(9)
+
+
+@pytest.mark.parametrize("fs", [GF4, GF512, FieldSpec(16)], ids=["gf4", "gf2^9", "gf2^16"])
+def test_code_products_and_inverses_match_the_field(fs):
+    rng = random.Random(fs.degree)
+    a = np.array([0, 1, fs.q - 1] + [rng.randrange(fs.q) for _ in range(200)])
+    b = np.array([rng.randrange(fs.q) for _ in range(a.size)])
+    dtype = _bulk.code_dtype(fs)
+    got = _bulk._mul(fs, a.astype(dtype), b.astype(dtype))
+    assert got.dtype == dtype
+    assert got.tolist() == [fs.mul(int(x), int(y)) for x, y in zip(a, b)]
+    # broadcasting, as the structure procedures use it
+    assert _bulk._mul(fs, a[:3, None].astype(dtype), b[None, :4].astype(dtype)).tolist() == [
+        [fs.mul(int(x), int(y)) for y in b[:4]] for x in a[:3]]
+    inv = _bulk._inv(fs, a.astype(dtype))
+    assert inv.tolist() == [fs.inv(int(x)) if x else 0 for x in a]
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF512], ids=["gf2", "gf4", "gf8", "gf2^9"])
+def test_batch_rank_matches_scalar_rank(fs):
+    rng = random.Random(30 + fs.degree)
+    dtype = _bulk.code_dtype(fs)
+    for rows, cols in [(0, 3), (1, 1), (3, 3), (5, 2), (2, 5), (7, 4), (17, 4), (4, 9)]:
+        lanes = []
+        for i in range(40):
+            if i == 0:      # all zero
+                lanes.append([0] * (rows * cols))
+            elif i == 1 and rows >= cols:     # full column rank
+                top = mx.random_invertible(fs, rng, cols).entries
+                lanes.append(list(top) + [0] * ((rows - cols) * cols))
+            else:           # sparse or dense, often rank deficient
+                dense = rng.random()
+                lanes.append([rng.randrange(fs.q) if rng.random() < dense else 0
+                              for _ in range(rows * cols)])
+        a = np.array(lanes, dtype=dtype).reshape(len(lanes), rows, cols)
+        want = [mx.rank(fs, mx.Mat(rows, cols, lane)) for lane in lanes]
+        assert _bulk.batch_rank(fs, a).tolist() == want, (rows, cols)
+        assert np.array_equal(a, np.array(lanes, dtype=dtype).reshape(a.shape))  # input intact
+    assert _bulk.batch_rank(fs, np.zeros((0, 3, 3), dtype=dtype)).shape == (0,)

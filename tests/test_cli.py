@@ -112,6 +112,18 @@ def test_lemma_subcommand(capsys):
     assert report["checks"][0]["outcome"] == "holds"
 
 
+def test_lemma_gf2_setup_errors_and_runs(capsys):
+    # over GF(2) the last-block hypothesis is vacuous: a usage error, not a failure
+    code = main(["lemma", "--field", "gf2", "--name", "lastblock"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: lemma lastblock: needs |F| > 2" in captured.err
+    # the vanishing harness draws its degree d <= |F|
+    code, report = run_cli(capsys, "lemma", "--field", "gf2", "--name", "vanishing",
+                           "--trials", "12", "--seed", "5")
+    assert code == 0 and report["checks"][0]["outcome"] == "holds"
+
+
 def test_report_determinism(capsys):
     argv = ["lemma", "--name", "covering", "--trials", "20", "--seed", "9"]
     _, a = run_cli(capsys, *argv)

@@ -504,3 +504,35 @@ def test_scan_partition_is_bounded_by_chunks(monkeypatch):
         v = check_space(GF4, space, pred, budget=8, samples=20_000, seed=1, workers=workers)
         runs.append((v.to_json(), len(calls)))
     assert runs[0] == runs[1] and runs[0][1] == 1
+
+
+# the sampled k > 8 (scalar path) verdicts over GF(2^9) at seed 7, 300 samples:
+# (space, predicate) -> (outcome, witness index)
+_WIDE_SAMPLED = {("full3", "2-spec"): ("fails", 16), ("full2", "1-spec"): ("fails", 1),
+                 ("ut3", "1-spec"): ("fails", 0), ("nt3", "0bar*-spec"): ("holds", None),
+                 ("nt3", "1*-spec"): ("holds", None), ("full3", "3-spec"): ("holds", None)}
+
+
+@pytest.mark.parametrize("chunk", [7, spectra.CHUNK])
+def test_wide_field_sampled_scans_are_pinned(monkeypatch, chunk):
+    # the scalar path draws each chunk's coordinates at once; verdicts,
+    # witness indices and sampled alternators match the per-sample stream
+    monkeypatch.setattr(spectra, "CHUNK", chunk)
+    fs = FieldSpec(9)
+    for (name, pred), want in _WIDE_SAMPLED.items():
+        space = cons.build(fs, name)
+        for workers in (1, 3):
+            v = check_space(fs, space, parse_predicate(pred), budget=1, samples=300, seed=7,
+                            workers=workers)
+            assert (v.outcome, v.checked, v.witness_index) == (want[0], 300, want[1])
+            if v.witness is not None:
+                assert v.witness == sample_element(space, 7, v.witness_index)
+    space = cons.build(fs, "full3")
+    fails = lambda m: not check_element(fs, m, parse_predicate("2-spec"))
+    assert first_failing_sample(space, 7, 300, fails) == 16
+    grams = [st.find_alternator(fs, cons.alts(fs, 3), budget=1, samples=50, seed=seed)
+             for seed in range(4)]
+    assert grams == [mx.Mat(3, 3, [c if i % 4 == 0 else 0 for i in range(9)])
+                     for c in (286, 104, 286, 480)]
+    scalar3 = sub.MatSubspace.from_matrices(fs, (3, 3), [mx.identity(3)])
+    assert st.find_alternator(fs, scalar3, budget=1, samples=50) is None

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from itertools import product
 from math import comb
 
 import pytest
 
-from char2spec.gf import GF2, GF4
+from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec
 from char2spec import matrix as mx
 from char2spec import subspace as sub
 from char2spec import upoly as up
@@ -12,6 +13,7 @@ from char2spec import constructions as cons
 from char2spec import structure as st
 from char2spec.spectra import profile
 
+import oracles
 from oracles import (all_monic, alternator_grams, first_failing_index,
                      vanishing_points_two_pass)
 
@@ -39,10 +41,9 @@ def test_adapted_scan_similarity_covariance(gf4):
         s = sub.MatSubspace((n, n), sub.random_subspace(gf4, rng, n * n, 4))
         p = mx.random_invertible(gf4, rng, n)
         conj = cons.conjugate_space(gf4, s, p)
-        for x in sub.enumerate_projective(gf4, n):
-            px = mx.mat_vec(gf4, p, x)
-            assert (st.adapted_meet_dim(gf4, s, x)
-                    == st.adapted_meet_dim(gf4, conj, px))
+        pts = list(sub.enumerate_projective(gf4, n))
+        assert (st.adapted_meet_dims(gf4, s, pts).tolist()
+                == st.adapted_meet_dims(gf4, conj, [mx.mat_vec(gf4, p, x) for x in pts]).tolist())
 
 
 def test_point_classification(gf4):
@@ -117,6 +118,62 @@ def test_detect_hurdle_negatives(gf4):
 def test_detect_hurdle_budget(gf4):
     with pytest.raises(sub.BudgetExceeded):
         st.detect_hurdle(gf4, cons.nt(gf4, 4), budget=10)
+
+
+def _dual_form_cases(fs, n_max, dims_step=1):
+    """Random spaces of every dimension 0..n^2 (every dims_step-th one) for
+    n = 2..n_max, then conjugated hurdle templates and named spaces."""
+    rng = random.Random(100 + fs.q)
+    for n in range(2, n_max + 1):
+        for d in range(0, n * n + 1, dims_step):
+            yield sub.MatSubspace((n, n), sub.random_subspace(fs, rng, n * n, d))
+        if n >= 3:
+            tpl = cons.hurdle_template(fs, n)
+            yield from (cons.conjugate_space(fs, tpl, mx.random_invertible(fs, rng, n))
+                        for _ in range(2))
+            yield from (cons.nt(fs, n), cons.sl(fs, n), cons.ut(fs, n))
+
+
+@pytest.mark.parametrize("fs,n_max,dims_step", [(GF2, 4, 1), (GF4, 4, 1), (GF8, 3, 1),
+                                                (GF8, 4, 4)],
+                         ids=["gf2", "gf4", "gf8", "gf8-n4"])
+def test_dual_forms_match_primal_oracles(fs, n_max, dims_step):
+    hurdles = 0
+    for s in _dual_form_cases(fs, n_max, dims_step):
+        rep = st.adapted_scan(fs, s)
+        assert [p.meet_dim for p in rep.points] == [
+            oracles.adapted_meet_dim(fs, s, p.point) for p in rep.points]
+        cert = st.detect_hurdle(fs, s)
+        want = oracles.detect_hurdle(fs, s)
+        assert (None if cert is None else cert.plane) == want
+        hurdles += want is not None
+    assert hurdles >= 4
+
+
+def test_dual_forms_over_a_wide_field():
+    # k = 9: no multiplication table, so the code kernels multiply by
+    # shift-and-XOR; the primal oracles are too slow for whole scans here
+    fs = FieldSpec(9)
+    rng = random.Random(9)
+    for d in range(0, 5):
+        s = sub.MatSubspace((2, 2), sub.random_subspace(fs, rng, 4, d))
+        cert = st.detect_hurdle(fs, s)
+        assert (None if cert is None else cert.plane) == oracles.detect_hurdle(fs, s)
+    for d in (0, 2, 5, 8, 9):
+        s = sub.MatSubspace((3, 3), sub.random_subspace(fs, rng, 9, d))
+        pts = [tuple(rng.randrange(fs.q) for _ in range(3)) for _ in range(12)]
+        pts = [x for x in pts if any(x)] + [(0, 0, 1), (1, 0, 0)]
+        assert st.adapted_meet_dims(fs, s, pts).tolist() == [
+            oracles.adapted_meet_dim(fs, s, x) for x in pts]
+    # the first plane (pivots 0, 1, no free entries) certifies the template
+    # conjugated by the reversal; the plain template's plane comes last
+    rev = mx.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+    flipped = cons.conjugate_space(fs, cons.hurdle_template(fs, 3), rev)
+    plane = st.detect_hurdle(fs, flipped).plane
+    assert plane == sub.span(fs, 3, [(1, 0, 0), (0, 1, 0)]) == oracles.detect_hurdle(fs, flipped)
+    cert = st.detect_hurdle(fs, cons.hurdle_template(fs, 3))
+    assert cert.plane == sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)])
+    assert st.detect_hurdle(fs, cons.nt(fs, 3)) is None
 
 
 # ----------------------------------------------------------------------
@@ -537,14 +594,39 @@ def test_confinement_third(gf4):
 def test_lastblock(gf4):
     v = st.lastblock_audit(gf4)
     assert v.holds
-    assert v.detail["instances"] == 315
-    assert v.detail["conclusion_holds"] + v.detail["hypothesis_violations"] == 315
+    assert v.detail == {"instances": 315, "conclusion_holds": 135, "hypothesis_violations": 180}
     # a tensor with nonzero last row and column violates the hypothesis
     a = mx.tensor(gf4, (1, 1, 1), (0, 1, 1))
     assert mx.trace(a) == 0 and mx.rank(gf4, a) == 1
     assert any(a[i, 2] for i in range(3)) and any(a[2, j] for j in range(3))
     vc = st.lastblock_check(gf4, a)
     assert vc.outcome == "hypothesis-violation"
+
+
+@pytest.mark.parametrize("fs,stride", [(GF4, 1), (GF8, 37)], ids=["gf4", "gf8"])
+def test_lastblock_audit_matches_the_checker(monkeypatch, fs, stride):
+    # every matrix over GF(4); every stride-th one over GF(8), where the
+    # checker walks 512 blocks per matrix that satisfies the hypothesis
+    subset = list(st.rank_one_trace_zero(fs, 3))[::stride]
+    want = Counter(st.lastblock_check(fs, a).outcome for a in subset)
+    monkeypatch.setattr(st, "rank_one_trace_zero", lambda fs, n: iter(subset))
+    v = st.lastblock_audit(fs)
+    assert v.holds and want["fails"] == 0
+    assert v.detail == {"instances": len(subset), "conclusion_holds": want["holds"],
+                        "hypothesis_violations": want["hypothesis-violation"]}
+
+
+def test_lastblock_audit_over_gf8_and_its_gates(gf2, gf4):
+    assert st.lastblock_audit(GF8).detail == {
+        "instances": 4599, "conclusion_holds": 1071, "hypothesis_violations": 3528}
+    # no 3x3 matrix over GF(2) has three eigenvalues in F
+    assert st.lastblock_audit(gf2).to_json() == {
+        "name": "lastblock-audit", "outcome": "hypothesis-violation",
+        "detail": {"reason": "needs |F| > 2"}}
+    # 69 615 matrices times 4 096 blocks over GF(16)
+    assert st.lastblock_audit(GF16).to_json() == {
+        "name": "lastblock-audit", "outcome": "budget",
+        "detail": {"reason": "enumeration of 285143040 objects exceeds budget 16777216"}}
 
 
 def test_diagonal_zero_witness(gf4):

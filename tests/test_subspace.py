@@ -150,6 +150,20 @@ def test_enumeration_orders(gf4):
         s.combine(c) for c in sub.enumerate_projective(gf4, 2)]
 
 
+def test_grassmannian_blocks_do_not_depend_on_block_size(monkeypatch):
+    # the plane stream is the same whether a pivot set fills one block or many
+    want = {(fs.q, d, m): [(w.basis, w.pivots) for w in sub.enumerate_grassmannian(fs, d, m)]
+            for fs, m in ((GF2, 4), (GF4, 4), (GF8, 3)) for d in range(0, m + 1)}
+    monkeypatch.setattr(sub, "GRASSMANNIAN_BLOCK", 3)
+    for fs, m in ((GF2, 4), (GF4, 4), (GF8, 3)):
+        for d in range(0, m + 1):
+            got = [(w.basis, w.pivots) for w in sub.enumerate_grassmannian(fs, d, m)]
+            assert got == want[(fs.q, d, m)]
+            blocks = list(sub.grassmannian_blocks(fs, d, m))
+            assert all(len(b) <= 3 and b.shape[1:] == (d, m) for _, b in blocks)
+    assert want[(4, 0, 4)] == [((), ())]
+
+
 def test_grassmannian_counts():
     cases = [(fs, d, m) for fs, mmax in ((GF2, 6), (GF4, 5), (GF8, 4), (GF16, 3))
              for m in range(1, mmax + 1) for d in range(0, m + 1)]
