@@ -23,25 +23,26 @@ input planes into output planes (:func:`linear_map`, :func:`apply_map`).
 The characteristic polynomial kernel is the division-free Berkowitz
 recurrence of the scalar path in :mod:`.matrix`, run on planes; tests
 cross-check it against both scalar algorithms on every shape in use.
-Only its n low coefficients are unpacked, to uint8 codes [N, n+1], for
-root counting.
+Only its n low coefficients are unpacked, to codes [N, n+1], for root
+counting.
 
 Root counts work on those code rows, all lanes in step (the tests hold
-them to the scalar :mod:`.upoly` routines).  Roots in F are the zeros of
-a Horner evaluation at all q elements.  Roots in the closure are
-deg rad f, from the characteristic-2 squarefree decomposition: with
-g = gcd(f, f') = s^2 and w = f / g, deg rad f = deg w + deg rad s -
-deg gcd(w, s), where the gcds are Bernstein-Yang divsteps (the same
-number of steps in every lane) and only lanes with g != 1 recurse on s.
-When q^n <= 2^16, :func:`root_counts` reads tables built the same way
-for all q^n monic polynomials, indexed by the packed low coefficients;
-above that it counts the batch directly.
+them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 8,
+the zeros of a Horner evaluation at all q elements, and above that
+deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
+Roots in the closure are deg rad f, from the characteristic-2 squarefree
+decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
+deg w + deg rad s - deg gcd(w, s), where the gcds are Bernstein-Yang
+divsteps (the same number of steps in every lane) and only lanes with
+g != 1 recurse on s.  When q^n <= 2^16, :func:`root_counts` reads tables
+built the same way for all q^n monic polynomials, indexed by the packed
+low coefficients; above that it counts the batch directly.
 
-The plane kernels and root counts support fields with k <= 8 only (codes
-are uint8); callers fall back to the scalar path above that.  The code
-array kernels (:func:`_mul`, :func:`_inv`, :func:`batch_rank`) serve
-every field: above k = 8 codes are uint16, a product is a shift-and-XOR
-reduced by the modulus and an inverse is a^(q-2).
+Every kernel serves every field, k <= 16.  Codes are uint8 for k <= 8
+and uint16 above (:func:`code_dtype`).  A product of code arrays is one
+read of the flat q*q table for k <= 8 and, above, a read of log/exp
+tables of 2^k entries to a generator of F*, built once per field;
+inverses and square roots are tables of q codes.
 """
 
 from __future__ import annotations
@@ -54,15 +55,21 @@ from .gf import FieldSpec
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
+_PARTIAL_BYTES = 1 << 24    # bound on the partial products of one matrix-vector product
 
 
 def supports(fs: FieldSpec) -> bool:
-    return fs.degree <= 8
+    """Whether scans over fs run on planes (every field, k <= 16)."""
+    return fs.degree <= 16
+
+
+def _dtype(k: int) -> np.dtype:
+    return np.dtype(np.uint8 if k <= 8 else np.uint16)
 
 
 def code_dtype(fs: FieldSpec) -> np.dtype:
     """The dtype of code arrays over fs: uint8 for k <= 8, else uint16."""
-    return np.dtype(np.uint8 if fs.degree <= 8 else np.uint16)
+    return _dtype(fs.degree)
 
 
 # ----------------------------------------------------------------------
@@ -104,14 +111,16 @@ def code_planes(codes: np.ndarray, width: int) -> np.ndarray:
 
 
 def monic_codes(coeffs: np.ndarray, count: int) -> np.ndarray:
-    """Low coefficients [n, k, W] (ascending) -> [count, n+1] uint8 codes of
-    the monic polynomials (column n is all ones)."""
+    """Low coefficients [n, k, W] (ascending) -> [count, n+1] codes of the
+    monic polynomials (column n is all ones), in the dtype of
+    :func:`code_dtype`."""
     n, k, w = coeffs.shape
+    dtype = _dtype(k)
     bits = _lane_bits(coeffs.reshape(n * k, w), count).reshape(n, k, count)
-    codes = bits[:, 0].copy()
+    codes = bits[:, 0].astype(dtype)
     for b in range(1, k):
-        codes |= bits[:, b] << b
-    out = np.ones((count, n + 1), dtype=np.uint8)
+        codes |= bits[:, b].astype(dtype, copy=False) << b
+    out = np.ones((count, n + 1), dtype=dtype)
     out[:, :n] = codes.T
     return out
 
@@ -170,8 +179,18 @@ def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a plane batch of square matrices.
 
     mats: [n, n, k, W] planes.  Returns the n low coefficients, ascending,
-    as [n, k, W] planes (the polynomial is monic of degree n)."""
+    as [n, k, W] planes (the polynomial is monic of degree n).
+
+    Every temporary grows with W, and the largest are the partial
+    products of :func:`_matvec`, [n, n-1, k, k, W] words.  Past
+    ``_PARTIAL_BYTES`` the lanes go in blocks of words that keep them
+    within it (k = 16 and 2^16 lanes: 63 MB in one block for n = 6);
+    k <= 8 with 2^16 lanes and n <= 6 takes one block."""
     n, _, k, w = mats.shape
+    step = max(1, _PARTIAL_BYTES // (_PLANE.itemsize * n * max(n - 1, 1) * k * k))
+    if w > step:
+        return np.concatenate([charpoly_planes(fs, mats[..., lo:lo + step])
+                               for lo in range(0, w, step)], axis=-1)
     # c holds the coefficients c_1 .. c_{m} of the leading principal
     # m x m block, by descending degree (c_0 = 1 is implicit)
     c = mats[0:1, 0]
@@ -204,9 +223,10 @@ def linear_map(fs: FieldSpec, rows, width: int) -> list[np.ndarray]:
     output planes l * k + t it is XORed into, those where bit t of
     x^b * rows[j][l] is set."""
     k = fs.degree
-    r = np.array(rows, dtype=np.uint8).reshape(len(rows), width)
-    images = fs.mul_table_np()[(1 << np.arange(k))[:, None], r[:, None, :]]   # [d, k, width]
-    bits = (images[..., None] >> np.arange(k, dtype=np.uint8)) & 1          # [d, k, width, k]
+    r = np.array(rows, dtype=code_dtype(fs)).reshape(len(rows), width)
+    powers = (1 << np.arange(k)).astype(r.dtype)
+    images = _mul(fs, powers[:, None], r[:, None, :])                        # [d, k, width]
+    bits = (images[..., None] >> np.arange(k, dtype=r.dtype)) & 1           # [d, k, width, k]
     src, dst = np.nonzero(bits.reshape(len(rows) * k, width * k))
     return np.split(dst, np.cumsum(np.bincount(src, minlength=len(rows) * k))[:-1])
 
@@ -222,7 +242,7 @@ def apply_map(planes: np.ndarray, targets: list[np.ndarray], size: int) -> np.nd
 def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a batch of square matrices.
 
-    mats: [N, n, n] uint8 codes.  Returns [N, n+1] uint8 coefficients by
+    mats: [N, n, n] codes.  Returns [N, n+1] coefficient codes by
     ascending degree (so [:, n] is all ones)."""
     big, n = mats.shape[:2]
     planes = code_planes(mats.reshape(big, n * n), fs.degree)
@@ -230,45 +250,73 @@ def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# root counts on coefficient codes
+# code arrays: products, inverses, ranks and root counts
 # ----------------------------------------------------------------------
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+@lru_cache(maxsize=None)
+def _log_exp(fs: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete log and exp code tables to a generator g of F*.
+
+    g is the least code whose order is q - 1 by the order test (g^((q-1)/p)
+    != 1 for every prime p | q - 1); x itself need not be primitive (the
+    default modulus x^9 + x + 1 of GF(2^9) is not).  exp[i] = g^(i mod
+    (q-1)) for i < 2(q-1) and 0 from there to 4(q-1); log[0] = 2(q-1), so
+    exp[log a + log b] is a * b for all codes, 0 included.  exp is built by
+    doubling: exp[m:2m] = g^m * exp[:m], a GF(2)-linear map of the codes
+    (an XOR of the images g^m * x^b of their set bits b)."""
+    q, order = fs.q, fs.q - 1
+    gen = next(g for g in range(1, q)
+               if all(fs.pow(g, order // p) != 1 for p in _prime_factors(order)))
+    dtype = code_dtype(fs)
+    exp = np.zeros(4 * order + 1, dtype=dtype)
+    exp[0] = 1
+    m, c = 1, gen
+    while m < order:
+        head = exp[:min(m, order - m)]
+        out = np.zeros_like(head)
+        for b in range(fs.degree):
+            out ^= (head >> b & 1) * dtype.type(fs.mul(c, 1 << b))
+        exp[m:m + head.size] = out
+        m, c = 2 * m, fs.mul(c, c)
+    exp[order:2 * order] = exp[:order]
+    log = np.empty(q, dtype=np.int32)
+    log[exp[:order]] = np.arange(order, dtype=np.int32)
+    log[0] = 2 * order
+    return log, exp
+
+
 def _mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of broadcast code arrays: for k <= 8 one lookup in the flat
-    q*q table per product; above, no table exists, and the product is a
-    shift-and-XOR over the bits of b, reduced by the modulus at each shift."""
+    """Products of broadcast code arrays: one lookup in the flat q*q table
+    for k <= 8, and exp[log a + log b] (:func:`_log_exp`) above."""
     k = fs.degree
     if k <= 8:
         return np.take(fs.mul_table_np().reshape(-1), (a.astype(np.uint16) << k) | b)
-    a = np.asarray(a, dtype=np.uint32)
-    b = np.asarray(b, dtype=np.uint32)
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)
-    modulus = np.uint32(fs.modulus)
-    for t in range(k):
-        out ^= a * (b >> t & 1)
-        a = a << 1
-        a ^= (a >> k) * modulus
-    return out.astype(np.uint16)
+    log, exp = _log_exp(fs)
+    return np.take(exp, log[a] + log[b])
 
 
 @lru_cache(maxsize=None)
 def inv_table(fs: FieldSpec) -> np.ndarray:
-    """Inverses of all q codes as uint8 (0 maps to 0; k <= 8)."""
-    return np.array([0] + [fs.inv(a) for a in range(1, fs.q)], dtype=np.uint8)
+    """Inverses of all q codes (0 maps to 0): exp[(q-1) - log a]."""
+    log, exp = _log_exp(fs)
+    out = exp[(fs.q - 1 - log) % (fs.q - 1)]
+    out[0] = 0
+    return out
 
 
 def _inv(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
-    """Inverses of a code array (0 maps to 0): the table for k <= 8, else
-    a^(q-2) by square and multiply."""
-    if fs.degree <= 8:
-        return inv_table(fs)[a]
-    out = np.ones_like(a)
-    e = fs.q - 2
-    while e:
-        if e & 1:
-            out = _mul(fs, out, a)
-        a = _mul(fs, a, a)
-        e >>= 1
-    return out
+    """Inverses of a code array (0 maps to 0), read from :func:`inv_table`."""
+    return inv_table(fs)[a]
 
 
 def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
@@ -296,7 +344,11 @@ def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sqrt_table(fs: FieldSpec) -> np.ndarray:
-    return np.array([fs.sqrt(a) for a in range(fs.q)], dtype=np.uint8)
+    """Square roots of all q codes: sqrt a = a^(q/2), k - 1 squarings."""
+    out = np.arange(fs.q, dtype=code_dtype(fs))
+    for _ in range(fs.degree - 1):
+        out = _mul(fs, out, out)
+    return out
 
 
 def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
@@ -314,11 +366,12 @@ def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
     every g is zero, and deg gcd follows from delta."""
     delta = df - dg
     steps = int((df + dg).max()) + 1
+    ones = f.dtype.type(np.iinfo(f.dtype).max)
     for _ in range(steps):
         f0, g0 = f[:, :1], g[:, :1]
         swap = (delta > 0) & (g0[:, 0] != 0)
         drop = _mul(fs, f0, g) ^ _mul(fs, g0, f)      # leading column is zero
-        f = f ^ ((f ^ g) & (swap[:, None] * np.uint8(0xFF)))
+        f = f ^ ((f ^ g) & (swap[:, None] * ones))
         g = np.zeros_like(drop)
         g[:, :-1] = drop[:, 1:]
         delta = np.where(swap, 1 - delta, 1 + delta)
@@ -365,8 +418,8 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
 
 
 def _field_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
-    """Distinct roots in F of every row of codes [N, L]: Horner evaluation
-    at all q elements, counting zeros."""
+    """Distinct roots in F of every row of codes [N, L] (k <= 8): Horner
+    evaluation at all q elements, counting zeros."""
     q = fs.q
     acc = np.repeat(polys[:, -1:], q, axis=1)
     for i in range(polys.shape[1] - 2, -1, -1):
@@ -374,20 +427,53 @@ def _field_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
     return np.count_nonzero(acc == 0, axis=1)
 
 
+def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
+    """Distinct roots in F of monic rows [N, n+1]: deg gcd(f, (x^q - x) mod f),
+    as x^q - x is the product of x - a over all a in F.
+
+    x^q mod f is k squarings of x mod f.  In characteristic 2 the square of
+    r = sum r_i x^i is sum r_i^2 x^(2i): the coefficients are squared and
+    spread to the even exponents, then the terms of degree >= n are reduced
+    by the monic f (x^n = f_0 + ... + f_(n-1) x^(n-1)), highest first."""
+    big, n = polys.shape[0], polys.shape[1] - 1
+    low = polys[:, :n]
+    log, exp = _log_exp(fs)
+    log_low = log[low]      # read once for all k (n - 1) reduction steps
+    x = np.zeros_like(low)
+    if n == 1:
+        x[:, 0] = low[:, 0]
+    else:
+        x[:, 1] = 1
+    r = x
+    for _ in range(fs.degree):
+        wide = np.zeros((big, 2 * n - 1), dtype=low.dtype)
+        wide[:, ::2] = _mul(fs, r, r)
+        for j in range(2 * n - 2, n - 1, -1):
+            wide[:, j - n:j] ^= np.take(exp, log[wide[:, j:j + 1]] + log_low)
+        r = wide[:, :n]
+    # reversed rows of equal width: f of formal degree n, then x^q - x mod f
+    g = np.zeros_like(polys)
+    g[:, :n] = (r ^ x)[:, ::-1]
+    degrees = np.full(big, n)
+    return _gcd(fs, polys[:, ::-1], g, degrees, degrees - 1)[1]
+
+
 def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
     """Distinct roots of a batch of monic polynomials [N, n+1] (ascending
-    uint8 codes), in F ("in_field") or in its closure ("in_closure"),
-    zero included, as uint8.  Rows go in blocks of about 2^16 / q, which
-    bounds the temporaries (the evaluation table is rows x q)."""
+    codes), in F ("in_field") or in its closure ("in_closure"), zero
+    included, as uint8.  For k <= 8 rows go in blocks of about 2^16 / q,
+    which bounds the Horner table (rows x q); above, in blocks of 2^14."""
     n = polys.shape[1] - 1
-    step = max(1024, (1 << 16) // fs.q)
+    step = max(1024, (1 << 16) // fs.q) if fs.degree <= 8 else 1 << 14
     out = np.empty(polys.shape[0], dtype=np.uint8)
     for lo in range(0, polys.shape[0], step):
         block = polys[lo:lo + step]
-        if kind == "in_field":
+        if kind == "in_closure":
+            out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
+        elif fs.degree <= 8:
             out[lo:lo + step] = _field_counts(fs, block)
         else:
-            out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
+            out[lo:lo + step] = _frobenius_counts(fs, block)
     return out
 
 
@@ -401,7 +487,7 @@ def spectrum_tables(fs: FieldSpec, n: int):
     if total > (1 << 20):
         raise ValueError("spectrum table too large; use scalar profiling")
     idx = np.arange(total)
-    polys = np.ones((total, n + 1), dtype=np.uint8)
+    polys = np.ones((total, n + 1), dtype=code_dtype(fs))
     for i in range(n):
         polys[:, i] = idx >> (fs.degree * i) & (fs.q - 1)
     in_f = count_roots(fs, polys, "in_field")

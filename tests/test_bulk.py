@@ -16,8 +16,8 @@ GF256 = FieldSpec(8)
 SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_closure", True)]
 
 
-def _codes(polys) -> np.ndarray:
-    return np.array(polys, dtype=np.uint8)
+def _codes(fs, polys) -> np.ndarray:
+    return np.array(polys, dtype=_bulk.code_dtype(fs))
 
 
 def _direct_slots(fs, polys: np.ndarray) -> list[np.ndarray]:
@@ -29,7 +29,7 @@ def _direct_slots(fs, polys: np.ndarray) -> list[np.ndarray]:
 
 
 def _assert_matches_upoly(fs, polys):
-    codes = _codes(polys)
+    codes = _codes(fs, polys)
     want = np.array([root_slots(fs, f) for f in polys]).T
     for slot, got in enumerate(_direct_slots(fs, codes)):
         assert np.array_equal(got, want[slot]), (fs, SLOTS[slot])
@@ -97,6 +97,36 @@ def test_counts_match_upoly_on_repeated_factors(fs, n):
     _assert_matches_upoly(fs, _constructed(fs, n, random.Random(100 * fs.degree + n)))
 
 
+def _wide_field_polys(fs, n, rng, count=30):
+    """Degree-n monic polynomials: random rows, products of linear factors
+    with repeats (0 among the roots half the time) and, for n >= 4, squares
+    of irreducible quadratics times a random cofactor, whose g = gcd(f, f')
+    is not 1, so that the closure count recurses on s."""
+    out = [_random_monic(fs, rng, n) for _ in range(count)]
+    for i in range(count):
+        roots = [rng.randrange(fs.q) for _ in range(rng.randrange(1, n + 1))]
+        if i % 2:
+            roots[0] = 0
+        out.append(_product(fs, *[(rng.choice(roots), 1) for _ in range(n)]))
+    if n >= 4:
+        for _ in range(count):
+            p = _random_monic(fs, rng, 2)
+            while up.count_roots_in_field(fs, p):
+                p = _random_monic(fs, rng, 2)
+            out.append(_product(fs, p, p, _random_monic(fs, rng, n - 4)))
+    return out
+
+
+@pytest.mark.parametrize("fs", [FieldSpec(9), FieldSpec(10), FieldSpec(16)],
+                         ids=["gf2^9", "gf2^10", "gf2^16"])
+def test_wide_field_counts_match_upoly(fs):
+    # roots in F by deg gcd(f, x^q - x mod f), in the closure by the
+    # squarefree recursion; n = 1 reads the table of all q linear rows
+    rng = random.Random(fs.degree)
+    for n in range(1, 6):
+        _assert_matches_upoly(fs, _wide_field_polys(fs, n, rng))
+
+
 @pytest.mark.parametrize("fs,n", [(GF4, 4), (GF8, 3)])
 def test_spectrum_tables_match_scalar_build(fs, n):
     got = _bulk.spectrum_tables(fs, n)
@@ -106,7 +136,7 @@ def test_spectrum_tables_match_scalar_build(fs, n):
 
 
 def test_pack_monic_orders_like_all_monic():
-    polys = _codes(list(all_monic(GF8, 3)))
+    polys = _codes(GF8, list(all_monic(GF8, 3)))
     assert _bulk.pack_monic(GF8, polys).tolist() == list(range(8 ** 3))
 
 
@@ -120,9 +150,14 @@ def test_counts_of_an_empty_batch():
 # code-array products and batched rank
 # ----------------------------------------------------------------------
 GF512 = FieldSpec(9)
+# the default moduli of k = 9..16, and a second degree-9 modulus whose root
+# x, like that of the default x^9 + x + 1, has order 73, not 511
+WIDE_FIELDS = [FieldSpec(k) for k in range(9, 17)] + [FieldSpec(9, 0b1000010111)]
 
 
-@pytest.mark.parametrize("fs", [GF4, GF512, FieldSpec(16)], ids=["gf4", "gf2^9", "gf2^16"])
+@pytest.mark.parametrize("fs", [GF2, GF4, GF256] + WIDE_FIELDS,
+                         ids=lambda fs: fs.name if fs == FieldSpec(fs.degree)
+                         else f"{fs.name}:{fs.modulus}")
 def test_code_products_and_inverses_match_the_field(fs):
     rng = random.Random(fs.degree)
     a = np.array([0, 1, fs.q - 1] + [rng.randrange(fs.q) for _ in range(200)])
@@ -136,6 +171,20 @@ def test_code_products_and_inverses_match_the_field(fs):
         [fs.mul(int(x), int(y)) for y in b[:4]] for x in a[:3]]
     inv = _bulk._inv(fs, a.astype(dtype))
     assert inv.tolist() == [fs.inv(int(x)) if x else 0 for x in a]
+    sqrt = _bulk._sqrt_table(fs)
+    assert sqrt.dtype == dtype
+    assert sqrt[a].tolist() == [fs.sqrt(int(x)) for x in a]
+
+
+@pytest.mark.parametrize("modulus", [0b1000000011, 0b1000010111])
+def test_log_exp_tables_find_a_generator(modulus):
+    fs = FieldSpec(9, modulus)
+    assert fs.pow(0b10, 73) == 1            # x is not primitive
+    log, exp = _bulk._log_exp(fs)
+    order = fs.q - 1
+    assert sorted(exp[:order].tolist()) == list(range(1, fs.q))
+    assert np.array_equal(log[exp[:order]], np.arange(order))
+    assert not exp[2 * order:].any() and log[0] == 2 * order
 
 
 @pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF512], ids=["gf2", "gf4", "gf8", "gf2^9"])

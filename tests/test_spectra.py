@@ -1,5 +1,7 @@
 import os
 import random
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -381,8 +383,8 @@ def test_splitting_check_scalar_path(gf2, monkeypatch):
     scalar = st.splitting_check(gf2, space, cert, mode="2spec")
     assert scalar.to_json() == bulk.to_json()
     assert scalar.detail["index"] == 16
-    # k > 8 always takes the scalar path: a sampled hurdle over GF(2^9)
-    # certified by the dual plane of e_{n-2}, e_{n-1} holds
+    # over GF(2^9), on planes: a sampled hurdle certified by the dual plane
+    # of e_{n-2}, e_{n-1} holds
     fs = FieldSpec(9)
     plane = sub.span(fs, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
     v = st.splitting_check(fs, cons.hurdle_template(fs, 4), st.HurdleCertificate(plane),
@@ -506,7 +508,8 @@ def test_scan_partition_is_bounded_by_chunks(monkeypatch):
     assert runs[0] == runs[1] and runs[0][1] == 1
 
 
-# the sampled k > 8 (scalar path) verdicts over GF(2^9) at seed 7, 300 samples:
+# the sampled k > 8 verdicts over GF(2^9) at seed 7, 300 samples, as the
+# scalar path gave them before k > 8 ran on planes:
 # (space, predicate) -> (outcome, witness index)
 _WIDE_SAMPLED = {("full3", "2-spec"): ("fails", 16), ("full2", "1-spec"): ("fails", 1),
                  ("ut3", "1-spec"): ("fails", 0), ("nt3", "0bar*-spec"): ("holds", None),
@@ -515,8 +518,8 @@ _WIDE_SAMPLED = {("full3", "2-spec"): ("fails", 16), ("full2", "1-spec"): ("fail
 
 @pytest.mark.parametrize("chunk", [7, spectra.CHUNK])
 def test_wide_field_sampled_scans_are_pinned(monkeypatch, chunk):
-    # the scalar path draws each chunk's coordinates at once; verdicts,
-    # witness indices and sampled alternators match the per-sample stream
+    # each chunk's coordinates are drawn at once; verdicts, witness indices
+    # and sampled alternators match the per-sample stream
     monkeypatch.setattr(spectra, "CHUNK", chunk)
     fs = FieldSpec(9)
     for (name, pred), want in _WIDE_SAMPLED.items():
@@ -536,3 +539,56 @@ def test_wide_field_sampled_scans_are_pinned(monkeypatch, chunk):
                      for c in (286, 104, 286, 480)]
     scalar3 = sub.MatSubspace.from_matrices(fs, (3, 3), [mx.identity(3)])
     assert st.find_alternator(fs, scalar3, budget=1, samples=50) is None
+
+
+# ----------------------------------------------------------------------
+# k > 8 on planes
+# ----------------------------------------------------------------------
+_SLOT_PREDS = ["2-spec", "1*-spec", "2bar-spec", "1bar*-spec"]   # one per root-count slot
+
+
+@pytest.mark.parametrize("fs", [FieldSpec(9), FieldSpec(10)], ids=["gf2^9", "gf2^10"])
+def test_wide_field_planes_match_scalar_path(monkeypatch, fs):
+    rng = random.Random(fs.degree)
+    # two-dimensional spaces scan exhaustively: q + 2 projective ranks
+    mat3 = sub.MatSubspace.from_matrices(fs, (3, 3), [mx.random_matrix(fs, rng, 3) for _ in range(2)])
+    mat2 = sub.MatSubspace.from_matrices(fs, (2, 2), [mx.random_matrix(fs, rng, 2) for _ in range(2)])
+    sampled = dict(budget=1, samples=200, seed=7)
+    calls = [partial(check_space, fs, cons.build(fs, name), parse_predicate(p), **sampled)
+             for name in ("full3", "ut3", "nt3") for p in _SLOT_PREDS]
+    calls += [partial(check_space, fs, mat3, parse_predicate(p)) for p in _SLOT_PREDS]
+    calls += [partial(check_space_even_charpoly, fs, cons.b2m(fs, 1), **sampled),
+              partial(check_space_even_charpoly, fs, mat2)]
+    h4 = cons.hurdle_template(fs, 4)
+    cert = st.HurdleCertificate(sub.span(fs, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+    plus = h4.sum_with(sub.MatSubspace.from_matrices(fs, (4, 4), [mx.unit(4, 4, 3, 3)]))
+    calls += [partial(st.splitting_check, fs, space, cert, mode=mode, **sampled)
+              for space in (h4, plus) for mode in ("2spec", "1star")]
+
+    kernel, batches = _bulk.charpoly_planes, []
+    monkeypatch.setattr(_bulk, "charpoly_planes",
+                        lambda fs, mats: batches.append(1) or kernel(fs, mats))
+    bulk = [c().to_json() for c in calls]
+    assert len(batches) >= len(calls)
+    batches.clear()
+    monkeypatch.setattr(_bulk, "supports", lambda fs: False)
+    assert [c().to_json() for c in calls] == bulk and not batches
+    outcomes = {v["outcome"] for v in bulk}
+    assert outcomes == {"holds", "fails", "hypothesis-violation"}
+    assert any(v.get("witness_index", 0) > 1 for v in bulk)
+
+
+def test_wide_field_scan_memory_is_bounded():
+    # nt6 over GF(2^16), one chunk of 2^16 samples: in one block of lanes,
+    # the partial products of the plane kernel alone would take 63 MB
+    fs = FieldSpec(16)
+    space, pred = cons.nt(fs, 6), parse_predicate("0bar*-spec")
+    check_space(fs, space, pred, budget=1, samples=64, seed=1)      # field tables built
+    tracemalloc.start()
+    try:
+        v = check_space(fs, space, pred, budget=1, samples=1 << 16, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.holds and v.checked == 1 << 16
+    assert peak <= 40 * 10 ** 6
