@@ -5,7 +5,8 @@ words: bit b of lane i is bit b of element i's code, and lane i sits in
 bit i % 64 of word i // 64, so one word carries 64 elements (Biham's
 bit-slicing; M4RIE holds matrices over GF(2^e) the same way).  Arrays of
 planes have shape [..., k, W] with W = ceil(N / 64).  Lanes past N in the
-last word are zero and are never unpacked.
+last word are zero and are never unpacked.  Codes go to planes through
+:func:`code_planes` and back through :func:`lane_codes`.
 
 Addition is XOR of planes.  Multiplication is a fixed AND/XOR network
 derived from the modulus: all k^2 partial products a_i & b_j in one
@@ -23,8 +24,8 @@ input planes into output planes (:func:`linear_map`, :func:`apply_map`).
 The characteristic polynomial kernel is the division-free Berkowitz
 recurrence of the scalar path in :mod:`.matrix`, run on planes; tests
 cross-check it against both scalar algorithms on every shape in use.
-Only its n low coefficients are unpacked, to codes [N, n+1], for root
-counting.
+Only its n low coefficients are unpacked, to codes [N, n+1]
+(:func:`monic_codes`), for root counting.
 
 Root counts work on those code rows, all lanes in step (the tests hold
 them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 8,
@@ -56,11 +57,6 @@ from .gf import FieldSpec
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the partial products of one matrix-vector product
-
-
-def supports(fs: FieldSpec) -> bool:
-    """Whether scans over fs run on planes (every field, k <= 16)."""
-    return fs.degree <= 16
 
 
 def _dtype(k: int) -> np.dtype:
@@ -110,18 +106,22 @@ def code_planes(codes: np.ndarray, width: int) -> np.ndarray:
     return np.ascontiguousarray(out).reshape(cols * width, lanes // 8).view(_PLANE)
 
 
+def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
+    """Planes [c, k, W] -> [count, c] codes of lanes 0 .. count-1, in the
+    dtype of :func:`code_dtype`."""
+    c, k, w = planes.shape
+    bits = _lane_bits(planes.reshape(c * k, w), count).reshape(c, k, count)
+    codes = bits[:, 0].astype(_dtype(k))
+    for b in range(1, k):
+        codes |= bits[:, b].astype(codes.dtype, copy=False) << b
+    return codes.T
+
+
 def monic_codes(coeffs: np.ndarray, count: int) -> np.ndarray:
     """Low coefficients [n, k, W] (ascending) -> [count, n+1] codes of the
-    monic polynomials (column n is all ones), in the dtype of
-    :func:`code_dtype`."""
-    n, k, w = coeffs.shape
-    dtype = _dtype(k)
-    bits = _lane_bits(coeffs.reshape(n * k, w), count).reshape(n, k, count)
-    codes = bits[:, 0].astype(dtype)
-    for b in range(1, k):
-        codes |= bits[:, b].astype(dtype, copy=False) << b
-    out = np.ones((count, n + 1), dtype=dtype)
-    out[:, :n] = codes.T
+    monic polynomials (column n is all ones)."""
+    out = np.ones((count, coeffs.shape[0] + 1), dtype=_dtype(coeffs.shape[1]))
+    out[:, :-1] = lane_codes(coeffs, count)
     return out
 
 

@@ -119,10 +119,9 @@ def cmd_choice(args) -> int:
     if args.matrix:
         if args.target is None:
             raise ValueError("--matrix needs --target (comma-separated coefficients)")
-        entries = [int(x) for x in args.matrix.split(",")]
         n = args.n
-        m = Mat(n, n, entries)
-        target = poly(int(x) for x in args.target.split(","))
+        m = Mat(n, n, _codes(fs, args.matrix, "--matrix"))
+        target = poly(_codes(fs, args.target, "--target"))
         try:
             r = choice_solve(fs, m, target, args.p, budget=args.budget)
         except BudgetExceeded as exc:
@@ -137,6 +136,15 @@ def cmd_choice(args) -> int:
     check["outcome"] = "holds" if verdict.holds else "fails"
     cfg = _config_echo(args, {"n": args.n, "cap": args.cap})
     return _emit(_report("choice", cfg, [check], t0), args.out)
+
+
+def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
+    """Comma-separated field elements, each a code in [0, q)."""
+    values = [int(x) for x in text.split(",")]
+    bad = [v for v in values if not 0 <= v < fs.q]
+    if bad:
+        raise ValueError(f"{option}: {bad[0]} is not an element of GF({fs.q})")
+    return values
 
 
 def cmd_lemma(args) -> int:
@@ -215,7 +223,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("choice", help="choice solver audit (or one instance via --matrix)")
     _add_common(p)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--matrix", default=None, help="comma-separated row-major entries")
     p.add_argument("--target", default=None, help="comma-separated coefficients, degree 0 first")
     p.add_argument("--p", type=int, default=1)

@@ -154,14 +154,14 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     witness): the minimal failing index and its element, or None twice.
 
     fail_batch(planes [n, m, k, W], count) -> bool array over the first
-    `count` lanes of a bit-sliced batch (see :mod:`._bulk`), or None to
-    force the scalar path; fail_scalar(Mat) -> bool.  The scan is
-    exhaustive when q^dim <= budget, else `samples` seeded counter-based
-    draws; the minimal failing index is independent of the worker
-    partitioning.  The positions are cut into at most `workers` ranges and
-    at most ceil(positions / CHUNK), and each range into batches of CHUNK.
-    The witness is rebuilt from its index and re-checked with fail_scalar;
-    a witness that passes it means the scan is inconsistent.
+    `count` lanes of a bit-sliced batch (see :mod:`._bulk`) decides every
+    element.  The scan is exhaustive when q^dim <= budget, else `samples`
+    seeded counter-based draws; the minimal failing index is independent
+    of the worker partitioning.  The positions are cut into at most
+    `workers` ranges and at most ceil(positions / CHUNK), and each range
+    into batches of CHUNK.  The witness alone is rebuilt from its index and
+    re-checked with fail_scalar(Mat) -> bool; a witness that passes it
+    means the scan is inconsistent.
 
     Both predicates must be invariant under scaling: M fails iff c*M fails
     for every c in F*.  Exhaustive scans rely on it and are projective:
@@ -179,31 +179,17 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs a positive sample count, got {samples}")
     count = _bulk.projective_count(q, d) if exhaustive else samples
-
-    use_bulk = fail_batch is not None and _bulk.supports(fs)
-    if use_bulk:
-        # basis coordinates -> matrix entries, on planes
-        to_entries = _bulk.linear_map(fs, s.space.basis, n * m)
+    # basis coordinates -> matrix entries, on planes
+    to_entries = _bulk.linear_map(fs, s.space.basis, n * m)
 
     def run_range(lo: int, hi: int) -> int | None:
         for clo in range(lo, hi, CHUNK):
             chi = min(clo + CHUNK, hi)
-            # sample indices are the positions themselves
-            idx = _bulk.projective_indices(q, d, clo, chi) if exhaustive else None
-            if not use_bulk:
-                if exhaustive:
-                    elems = ((i, s.element_at(i)) for i in idx.tolist())
-                else:   # the chunk's sample coordinates in one draw
-                    rows = _bulk.sample_coords(q, d, seed, clo, chi).tolist()
-                    elems = ((clo + j, Mat(n, m, s.space.combine(c))) for j, c in enumerate(rows))
-                for i, elem in elems:
-                    if fail_scalar(elem):
-                        return i
-                continue
             if exhaustive:
+                idx = _bulk.projective_indices(q, d, clo, chi)
                 # base-q digit j of an index is its bits [j k, (j+1) k)
                 coords = _bulk.code_planes(idx[:, None], d * k)
-            else:
+            else:   # sample indices are the positions themselves
                 coords = _bulk.code_planes(_bulk.sample_coords(q, d, seed, clo, chi), k)
             ents = _bulk.apply_map(coords, to_entries, n * m * k)
             hits = np.flatnonzero(fail_batch(ents.reshape(n, m, k, -1), chi - clo))

@@ -266,7 +266,8 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
     so the Gram matrices form the solution space of a linear system.
     Right-nondegeneracy means Q has full column rank; the solution space
     is scanned by :func:`spectra._scan_space` in enumeration order (seeded
-    sampling past the budget), which re-verifies the Gram it returns.
+    sampling past the budget), a chunk of Grams ranked at once by
+    :func:`_bulk.batch_rank`; the engine re-verifies the Gram it returns.
     Full rank is invariant under scaling, so the exhaustive scan is
     projective and still returns the Gram of smallest index."""
     if fs.q <= 2:
@@ -279,7 +280,12 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
              for i in range(udim) for c in range(vdim)]
             for f in t.basis_matrices() for a in range(udim) for b in range(a, udim)]
     grams = MatSubspace((udim, vdim), VecSubspace(fs, udim * vdim, rows).annihilator())
-    return _scan_space(fs, grams, None, lambda g: rank(fs, g) == vdim,
+
+    def full_rank(planes, count):
+        codes = _bulk.lane_codes(planes.reshape(udim * vdim, fs.degree, -1), count)
+        return _bulk.batch_rank(fs, codes.reshape(count, udim, vdim)) == vdim
+
+    return _scan_space(fs, grams, full_rank, lambda g: rank(fs, g) == vdim,
                        budget, samples, seed, 1)[4]
 
 
@@ -528,10 +534,8 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
 
     # both blocks are linear in u: on planes they are fixed maps of the entries
     k = fs.degree
-    bulk = _bulk.supports(fs)
-    if bulk:
-        map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
-        map_q = _bulk.linear_map(fs, _linear_map(fs, n, q_block), 4)
+    map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
+    map_q = _bulk.linear_map(fs, _linear_map(fs, n, q_block), 4)
 
     def fail_batch(planes, count):
         flat = planes.reshape(-1, planes.shape[-1])
@@ -554,7 +558,7 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return bad_b or (tq != 0 and (prof.distinct_in_f > 0 or not any(gb.entries)))
 
     scan_mode, checked, used_seed, bad, w = _scan_space(
-        fs, s, fail_batch if bulk else None, fail_scalar, budget, samples, seed, workers)
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
     if w is not None:
         return LemmaVerdict(name, "fails",
                             {"condition": "bcd", "witness": w.to_json(),

@@ -208,3 +208,17 @@ def test_batch_rank_matches_scalar_rank(fs):
         assert _bulk.batch_rank(fs, a).tolist() == want, (rows, cols)
         assert np.array_equal(a, np.array(lanes, dtype=dtype).reshape(a.shape))  # input intact
     assert _bulk.batch_rank(fs, np.zeros((0, 3, 3), dtype=dtype)).shape == (0,)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 9, 16])
+@pytest.mark.parametrize("count", [1, 63, 64, 65])
+def test_lane_codes_invert_code_planes(k, count):
+    rng = np.random.default_rng(100 * k + count)
+    dtype = np.uint8 if k <= 8 else np.uint16
+    codes = rng.integers(0, 1 << k, size=(count, 3)).astype(dtype)
+    planes = _bulk.code_planes(codes, k).reshape(3, k, -1)
+    got = _bulk.lane_codes(planes, count)
+    assert got.dtype == dtype and np.array_equal(got, codes)
+    # the monic wrapper appends the leading ones
+    monic = _bulk.monic_codes(planes, count)
+    assert np.array_equal(monic[:, :3], codes) and (monic[:, 3] == 1).all()

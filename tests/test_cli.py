@@ -60,6 +60,11 @@ def test_usage_errors(capsys):
         code = main(["lemma", "--name", "covering", "--trials", bad])
         assert code == 2
         assert "--trials: expected a positive integer" in capsys.readouterr().err
+    for bad in ("0", "-3"):
+        code = main(["choice", "--cap", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--cap: expected a positive integer" in captured.err
     for bad in ("0", "2", "4"):
         code = main(["choice", "--n", bad, "--cap", "10"])
         captured = capsys.readouterr()
@@ -72,6 +77,23 @@ def test_choice_matrix_needs_target(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--matrix needs --target" in captured.err
+
+
+def test_choice_codes_must_be_field_elements(capsys):
+    # codes outside [0, q) are refused before any work, naming the value
+    good = ("0,0,0,1,0,0,0,1,0", "1,1,0,1")
+    for matrix, target, bad in [("9,1,0,1,0,1,0,1,0", "0,0,9,1", "--matrix: 9"),
+                                (good[0], "0,0,9,1", "--target: 9"),
+                                (good[0], "0,-1,0,1", "--target: -1"),
+                                ("0,0,0,4,0,0,0,1,0", good[1], "--matrix: 4")]:
+        code = main(["choice", "--field", "gf4", "--n", "3",
+                     "--matrix", matrix, "--target", target])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: {bad} is not an element of GF(4)" in captured.err
+    code = main(["choice", "--field", "gf4", "--n", "3", "--matrix", good[0], "--target", good[1]])
+    captured = capsys.readouterr()
+    assert code == 0 and json.loads(captured.out)["checks"][0]["outcome"] == "holds"
 
 
 def test_scan_adapted(capsys):

@@ -228,9 +228,9 @@ def test_gf256_n8_scan_takes_the_bulk_path(monkeypatch, space, pred):
     monkeypatch.setattr(_bulk, "count_roots", lambda *a: calls.append(1) or count_roots(*a))
     v = check_space(fs, s, p, budget=1000, samples=200, seed=4)
     assert calls and v.mode == "sampled" and v.checked == 200
-    scalar = _scan_space(fs, s, None, lambda m: not check_element(fs, m, p),
-                         1000, 200, 4, 1)
-    assert scalar == ("sampled", 200, 4, v.witness_index, v.witness)
+    expect = first_failing_sample(s, 4, 200, lambda m: not check_element(fs, m, p))
+    assert v.witness_index == expect
+    assert v.witness == (None if expect is None else sample_element(s, 4, expect))
     assert v.holds == (space == "nt8")
 
 
@@ -307,17 +307,6 @@ def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
     assert check_space_even_charpoly(GF8, EVEN_GF8_LATE).witness_index == 66
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_projective_scalar_path_keeps_minimal_witness(workers, small_chunk):
-    # fail_batch=None forces the scalar path over the same rank -> index map
-    space = _nt_plus(GF8, 3, 2, 1)
-    fails = lambda m: not is_nilpotent(GF8, m)
-    got = _scan_space(GF8, space, None, fails, budget=1 << 24, samples=0, seed=0,
-                      workers=workers)
-    expect = first_failing_index(space, fails)
-    assert got == ("exhaustive", 8 ** 4, None, expect, space.element_at(expect))
-
-
 def test_scan_rebuilds_and_rechecks_the_witness(gf4):
     space = cons.full(gf4, 2)
     always = lambda planes, count: np.ones(count, dtype=bool)
@@ -332,6 +321,45 @@ def test_scan_rebuilds_and_rechecks_the_witness(gf4):
         _scan_space(gf4, space, always, lambda m: False, 8, 50, 3, 1)
 
 
+def test_fail_scalar_runs_only_on_the_witness(gf2, gf4, monkeypatch):
+    # planes decide every element; fail_scalar re-checks the witness alone
+    scans = []
+    engine = spectra._scan_space
+
+    def counted(fs, s, fail_batch, fail_scalar, *rest):
+        calls = []
+        out = engine(fs, s, fail_batch, lambda m: calls.append(1) or fail_scalar(m), *rest)
+        scans.append((out[4] is not None, len(calls)))
+        return out
+    monkeypatch.setattr(spectra, "_scan_space", counted)
+    monkeypatch.setattr(st, "_scan_space", counted)
+    h4 = cons.hurdle_template(gf2, 4)
+    cert = st.detect_hurdle(gf2, h4)
+    plus = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
+    scalar3 = sub.MatSubspace.from_matrices(gf4, (3, 3), [mx.identity(3)])
+    runs = [  # (scan, whether its last scan finds a witness)
+        (lambda: check_space(gf4, cons.full(gf4, 3), parse_predicate("1-spec")), True),
+        (lambda: check_space(gf4, cons.nt(gf4, 3), parse_predicate("0bar*-spec")), False),
+        (lambda: check_space(gf4, cons.full(gf4, 3), parse_predicate("1-spec"),
+                             budget=1, samples=100), True),
+        (lambda: check_space(gf4, cons.nt(gf4, 3), parse_predicate("0bar*-spec"),
+                             budget=1, samples=100), False),
+        (lambda: check_space_even_charpoly(gf4, cons.full(gf4, 2)), True),
+        (lambda: check_space_even_charpoly(gf4, cons.nt(gf4, 2)), False),
+        (lambda: st.splitting_check(gf2, plus, cert), True),
+        (lambda: st.splitting_check(gf2, h4, cert), False),
+        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3)), True),
+        (lambda: st.find_alternator(gf4, scalar3), False),
+        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3), budget=1, samples=100), True),
+        (lambda: st.find_alternator(gf4, scalar3, budget=1, samples=100), False),
+    ]
+    for run, found in runs:
+        scans.clear()
+        run()
+        assert scans and scans[-1][0] == found
+        assert all(calls == int(witness) for witness, calls in scans)
+
+
 @pytest.mark.parametrize("samples", [0, -5])
 def test_sampled_scan_needs_positive_samples(gf4, samples):
     pred = parse_predicate("0-spec")
@@ -343,18 +371,19 @@ def test_sampled_scan_needs_positive_samples(gf4, samples):
     assert check_space(gf4, cons.nt(gf4, 2), pred, samples=samples).checked == 4
 
 
-def _splitting_fails(fs, cert):
-    """Conditions (b)-(d) of splitting_check in 2-spec mode, from the
-    G-block read off the RREF pivots and the quotient trace tr(u) + tr(u|G)."""
+def _splitting_fails(fs, cert, mode="2spec"):
+    """Conditions (b)-(d) of splitting_check, from the G-block read off the
+    RREF pivots and the quotient trace tr(u) + tr(u|G)."""
     g = cert.kernel
 
     def fails(u):
         cols = [mx.mat_vec(fs, u, row) for row in g.basis]
         block = mx.Mat(g.dim, g.dim, tuple(cols[j][g.pivots[i]]
                                            for i in range(g.dim) for j in range(g.dim)))
-        in_f = len(roots_by_evaluation(fs, charpoly_cofactor(fs, block)))
+        roots = roots_by_evaluation(fs, charpoly_cofactor(fs, block))
+        bad_b = len(roots) > 1 if mode == "2spec" else any(roots)
         tr_q = mx.trace(u) ^ mx.trace(block)
-        return in_f > 1 or (tr_q != 0 and in_f > 0) or (not any(block.entries) and tr_q != 0)
+        return bad_b or (tr_q != 0 and len(roots) > 0) or (not any(block.entries) and tr_q != 0)
     return fails
 
 
@@ -373,18 +402,9 @@ def test_splitting_check_keeps_minimal_witness(gf2, workers, small_chunk):
     assert v.detail["witness"] == space.element_at(expect).to_json()
 
 
-def test_splitting_check_scalar_path(gf2, monkeypatch):
-    # the same failing instance, with the bit-sliced kernel switched off
-    h4 = cons.hurdle_template(gf2, 4)
-    cert = st.detect_hurdle(gf2, h4)
-    space = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
-    bulk = st.splitting_check(gf2, space, cert, mode="2spec")
-    monkeypatch.setattr(_bulk, "supports", lambda fs: False)
-    scalar = st.splitting_check(gf2, space, cert, mode="2spec")
-    assert scalar.to_json() == bulk.to_json()
-    assert scalar.detail["index"] == 16
-    # over GF(2^9), on planes: a sampled hurdle certified by the dual plane
-    # of e_{n-2}, e_{n-1} holds
+def test_splitting_check_sampled_wide_field_holds():
+    # over GF(2^9): a sampled hurdle certified by the dual plane of
+    # e_{n-2}, e_{n-1} holds
     fs = FieldSpec(9)
     plane = sub.span(fs, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
     v = st.splitting_check(fs, cons.hurdle_template(fs, 4), st.HurdleCertificate(plane),
@@ -547,6 +567,14 @@ def test_wide_field_sampled_scans_are_pinned(monkeypatch, chunk):
 _SLOT_PREDS = ["2-spec", "1*-spec", "2bar-spec", "1bar*-spec"]   # one per root-count slot
 
 
+def _walk(space, sampled, fails):
+    """The oracle walk over the sample stream (seed 7, 200 samples) or over
+    every element in index order."""
+    if sampled:
+        return first_failing_sample(space, 7, 200, fails)
+    return first_failing_index(space, fails)
+
+
 @pytest.mark.parametrize("fs", [FieldSpec(9), FieldSpec(10)], ids=["gf2^9", "gf2^10"])
 def test_wide_field_planes_match_scalar_path(monkeypatch, fs):
     rng = random.Random(fs.degree)
@@ -554,28 +582,42 @@ def test_wide_field_planes_match_scalar_path(monkeypatch, fs):
     mat3 = sub.MatSubspace.from_matrices(fs, (3, 3), [mx.random_matrix(fs, rng, 3) for _ in range(2)])
     mat2 = sub.MatSubspace.from_matrices(fs, (2, 2), [mx.random_matrix(fs, rng, 2) for _ in range(2)])
     sampled = dict(budget=1, samples=200, seed=7)
-    calls = [partial(check_space, fs, cons.build(fs, name), parse_predicate(p), **sampled)
-             for name in ("full3", "ut3", "nt3") for p in _SLOT_PREDS]
-    calls += [partial(check_space, fs, mat3, parse_predicate(p)) for p in _SLOT_PREDS]
-    calls += [partial(check_space_even_charpoly, fs, cons.b2m(fs, 1), **sampled),
-              partial(check_space_even_charpoly, fs, mat2)]
+    spec_fails = lambda p: lambda m: not check_element(fs, m, p)
+    odd = lambda m: not is_even_poly(mx.char_poly(fs, m))
+    # (call, space, sampled, the scalar predicate, the spectrum hypothesis)
+    cases = [(partial(check_space, fs, space, parse_predicate(p), **sampled), space, True,
+              spec_fails(parse_predicate(p)), None)
+             for space in (cons.build(fs, name) for name in ("full3", "ut3", "nt3"))
+             for p in _SLOT_PREDS]
+    cases += [(partial(check_space, fs, mat3, parse_predicate(p)), mat3, False,
+               spec_fails(parse_predicate(p)), None) for p in _SLOT_PREDS]
+    b2m1 = cons.b2m(fs, 1)
+    cases += [(partial(check_space_even_charpoly, fs, b2m1, **sampled), b2m1, True, odd, None),
+              (partial(check_space_even_charpoly, fs, mat2), mat2, False, odd, None)]
     h4 = cons.hurdle_template(fs, 4)
     cert = st.HurdleCertificate(sub.span(fs, 4, [(0, 0, 1, 0), (0, 0, 0, 1)]))
     plus = h4.sum_with(sub.MatSubspace.from_matrices(fs, (4, 4), [mx.unit(4, 4, 3, 3)]))
-    calls += [partial(st.splitting_check, fs, space, cert, mode=mode, **sampled)
-              for space in (h4, plus) for mode in ("2spec", "1star")]
+    cases += [(partial(st.splitting_check, fs, space, cert, mode=mode, **sampled), space, True,
+               _splitting_fails(fs, cert, mode), spec_fails(parse_predicate(hyp)))
+              for space in (h4, plus) for mode, hyp in (("2spec", "2-spec"), ("1star", "1*-spec"))]
 
     kernel, batches = _bulk.charpoly_planes, []
     monkeypatch.setattr(_bulk, "charpoly_planes",
                         lambda fs, mats: batches.append(1) or kernel(fs, mats))
-    bulk = [c().to_json() for c in calls]
-    assert len(batches) >= len(calls)
-    batches.clear()
-    monkeypatch.setattr(_bulk, "supports", lambda fs: False)
-    assert [c().to_json() for c in calls] == bulk and not batches
-    outcomes = {v["outcome"] for v in bulk}
-    assert outcomes == {"holds", "fails", "hypothesis-violation"}
-    assert any(v.get("witness_index", 0) > 1 for v in bulk)
+    got = []
+    for call, space, is_sampled, fails, hypothesis in cases:
+        v = call()
+        index = v.witness_index if hasattr(v, "witness_index") else v.detail.get("index")
+        if hypothesis is not None and _walk(space, is_sampled, hypothesis) is not None:
+            expect = ("hypothesis-violation", None)
+        else:
+            i = _walk(space, is_sampled, fails)
+            expect = ("holds" if i is None else "fails", i)
+        assert (v.outcome, index) == expect
+        got.append(expect)
+    assert len(batches) >= len(cases)
+    assert {outcome for outcome, _ in got} == {"holds", "fails", "hypothesis-violation"}
+    assert any(i is not None and i > 1 for _, i in got)
 
 
 def test_wide_field_scan_memory_is_bounded():

@@ -11,6 +11,8 @@ from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec import constructions as cons
 from char2spec import structure as st
+from char2spec import _bulk
+from char2spec import spectra
 from char2spec.spectra import profile
 
 import oracles
@@ -327,6 +329,37 @@ def test_alternator_exhaustive_is_the_first_full_rank_gram(gf4, gf8):
             assert st.find_alternator(fs, t) == (None if i is None else grams.element_at(i))
     assert firsts == ([1, 1, 1, None, None, None, None, None, None, 1, 1, None, 80, 1, 1, 1]
                       + [1, 1, 1, None, None, None, None, None, None, 1, 1, None, 576, 1, 1, 1])
+
+
+@pytest.mark.parametrize("fs", [GF4, FieldSpec(9)], ids=["gf4", "gf2^9"])
+def test_alternator_sampled_is_the_first_full_rank_sample(fs):
+    # square and non-square (2 x 4) operator spaces, and the scalar line in
+    # Mat_3, which has no full-rank Gram: the sampled search returns the
+    # Gram at the first full-rank sample of the seeded stream
+    cases = [cons.alts(fs, 3),
+             sub.MatSubspace.from_matrices(fs, (4, 4), [mx.identity(4)]),
+             sub.MatSubspace.from_matrices(fs, (2, 4), [mx.Mat(2, 4, [1, 0, 0, 0, 0, 1, 0, 0])]),
+             sub.MatSubspace.from_matrices(fs, (3, 3), [mx.identity(3)])]
+    firsts = []
+    for t in cases:
+        grams = alternator_grams(fs, t)
+        for seed in range(4):
+            i = oracles.first_failing_sample(grams, seed, 40,
+                                             lambda g: mx.rank(fs, g) == t.shape[0])
+            want = None if i is None else oracles.sample_element(grams, seed, i)
+            assert st.find_alternator(fs, t, budget=1, samples=40, seed=seed) == want
+            firsts.append(i)
+    assert firsts[-4:] == [None] * 4 and None not in firsts[:-4]
+
+
+def test_alternator_sampling_ranks_whole_chunks(gf4, monkeypatch):
+    # no full-rank Gram: all 10^5 samples are ranked, a chunk per batch_rank
+    calls = []
+    rank = _bulk.batch_rank
+    monkeypatch.setattr(_bulk, "batch_rank", lambda *a: calls.append(1) or rank(*a))
+    t3 = sub.MatSubspace.from_matrices(gf4, (3, 3), [mx.identity(3)])
+    assert st.find_alternator(gf4, t3, budget=1, samples=10 ** 5) is None
+    assert len(calls) == -(-10 ** 5 // spectra.CHUNK) == 2
 
 
 # ----------------------------------------------------------------------
