@@ -40,10 +40,10 @@ built the same way for all q^n monic polynomials, indexed by the packed
 low coefficients; above that it counts the batch directly.
 
 Every kernel serves every field, k <= 16.  Codes are uint8 for k <= 8
-and uint16 above (:func:`code_dtype`).  A product of code arrays is one
-read of the flat q*q table for k <= 8 and, above, a read of log/exp
-tables of 2^k entries to a generator of F*, built once per field;
-inverses and square roots are tables of q codes.
+and uint16 above (:func:`.gf.code_dtype`).  The kernels build no field
+table; they read those of the :class:`.gf.FieldSpec`.  A product of code
+arrays is one read of the flat q*q table for k <= 8 and, above, a read
+of the log/exp tables; inverses and square roots read tables of q codes.
 """
 
 from __future__ import annotations
@@ -52,20 +52,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, code_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the partial products of one matrix-vector product
-
-
-def _dtype(k: int) -> np.dtype:
-    return np.dtype(np.uint8 if k <= 8 else np.uint16)
-
-
-def code_dtype(fs: FieldSpec) -> np.dtype:
-    """The dtype of code arrays over fs: uint8 for k <= 8, else uint16."""
-    return _dtype(fs.degree)
+_TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
 
 
 # ----------------------------------------------------------------------
@@ -111,7 +103,7 @@ def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
     dtype of :func:`code_dtype`."""
     c, k, w = planes.shape
     bits = _lane_bits(planes.reshape(c * k, w), count).reshape(c, k, count)
-    codes = bits[:, 0].astype(_dtype(k))
+    codes = bits[:, 0].astype(code_dtype(k))
     for b in range(1, k):
         codes |= bits[:, b].astype(codes.dtype, copy=False) << b
     return codes.T
@@ -120,7 +112,7 @@ def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
 def monic_codes(coeffs: np.ndarray, count: int) -> np.ndarray:
     """Low coefficients [n, k, W] (ascending) -> [count, n+1] codes of the
     monic polynomials (column n is all ones)."""
-    out = np.ones((count, coeffs.shape[0] + 1), dtype=_dtype(coeffs.shape[1]))
+    out = np.ones((count, coeffs.shape[0] + 1), dtype=code_dtype(coeffs.shape[1]))
     out[:, :-1] = lane_codes(coeffs, count)
     return out
 
@@ -223,7 +215,7 @@ def linear_map(fs: FieldSpec, rows, width: int) -> list[np.ndarray]:
     output planes l * k + t it is XORed into, those where bit t of
     x^b * rows[j][l] is set."""
     k = fs.degree
-    r = np.array(rows, dtype=code_dtype(fs)).reshape(len(rows), width)
+    r = np.array(rows, dtype=code_dtype(fs.degree)).reshape(len(rows), width)
     powers = (1 << np.arange(k)).astype(r.dtype)
     images = _mul(fs, powers[:, None], r[:, None, :])                        # [d, k, width]
     bits = (images[..., None] >> np.arange(k, dtype=r.dtype)) & 1           # [d, k, width, k]
@@ -252,71 +244,19 @@ def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # code arrays: products, inverses, ranks and root counts
 # ----------------------------------------------------------------------
-def _prime_factors(m: int) -> list[int]:
-    out, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    return out + [m] if m > 1 else out
-
-
-@lru_cache(maxsize=None)
-def _log_exp(fs: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete log and exp code tables to a generator g of F*.
-
-    g is the least code whose order is q - 1 by the order test (g^((q-1)/p)
-    != 1 for every prime p | q - 1); x itself need not be primitive (the
-    default modulus x^9 + x + 1 of GF(2^9) is not).  exp[i] = g^(i mod
-    (q-1)) for i < 2(q-1) and 0 from there to 4(q-1); log[0] = 2(q-1), so
-    exp[log a + log b] is a * b for all codes, 0 included.  exp is built by
-    doubling: exp[m:2m] = g^m * exp[:m], a GF(2)-linear map of the codes
-    (an XOR of the images g^m * x^b of their set bits b)."""
-    q, order = fs.q, fs.q - 1
-    gen = next(g for g in range(1, q)
-               if all(fs.pow(g, order // p) != 1 for p in _prime_factors(order)))
-    dtype = code_dtype(fs)
-    exp = np.zeros(4 * order + 1, dtype=dtype)
-    exp[0] = 1
-    m, c = 1, gen
-    while m < order:
-        head = exp[:min(m, order - m)]
-        out = np.zeros_like(head)
-        for b in range(fs.degree):
-            out ^= (head >> b & 1) * dtype.type(fs.mul(c, 1 << b))
-        exp[m:m + head.size] = out
-        m, c = 2 * m, fs.mul(c, c)
-    exp[order:2 * order] = exp[:order]
-    log = np.empty(q, dtype=np.int32)
-    log[exp[:order]] = np.arange(order, dtype=np.int32)
-    log[0] = 2 * order
-    return log, exp
-
-
 def _mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products of broadcast code arrays: one lookup in the flat q*q table
-    for k <= 8, and exp[log a + log b] (:func:`_log_exp`) above."""
+    for k <= 8, and exp[log a + log b] in the field's log/exp tables above."""
     k = fs.degree
     if k <= 8:
         return np.take(fs.mul_table_np().reshape(-1), (a.astype(np.uint16) << k) | b)
-    log, exp = _log_exp(fs)
-    return np.take(exp, log[a] + log[b])
-
-
-@lru_cache(maxsize=None)
-def inv_table(fs: FieldSpec) -> np.ndarray:
-    """Inverses of all q codes (0 maps to 0): exp[(q-1) - log a]."""
-    log, exp = _log_exp(fs)
-    out = exp[(fs.q - 1 - log) % (fs.q - 1)]
-    out[0] = 0
-    return out
+    log = fs.log_table
+    return np.take(fs.exp_table, log[a] + log[b])
 
 
 def _inv(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
-    """Inverses of a code array (0 maps to 0), read from :func:`inv_table`."""
-    return inv_table(fs)[a]
+    """Inverses of a code array (0 maps to 0), read from the field's table."""
+    return fs.inv_table[a]
 
 
 def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
@@ -340,15 +280,6 @@ def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
         a ^= _mul(fs, f[:, :, None], prow[:, None, :])
         used[lanes, piv] |= cand[lanes, piv]
     return used.sum(axis=1)
-
-
-@lru_cache(maxsize=None)
-def _sqrt_table(fs: FieldSpec) -> np.ndarray:
-    """Square roots of all q codes: sqrt a = a^(q/2), k - 1 squarings."""
-    out = np.arange(fs.q, dtype=code_dtype(fs))
-    for _ in range(fs.degree - 1):
-        out = _mul(fs, out, out)
-    return out
 
 
 def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
@@ -375,7 +306,7 @@ def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
         g = np.zeros_like(drop)
         g[:, :-1] = drop[:, 1:]
         delta = np.where(swap, 1 - delta, 1 + delta)
-    return _mul(fs, inv_table(fs)[f[:, :1]], f), (delta + df + dg - steps) // 2
+    return _mul(fs, _inv(fs, f[:, :1]), f), (delta + df + dg - steps) // 2
 
 
 def _divide(fs: FieldSpec, f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -409,7 +340,7 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     if rep.size:
         f, g, df, dg = f[rep], g[rep], df[rep], dg[rep]
         w = _divide(fs, f, g)
-        s = _sqrt_table(fs)[g[:, ::2]]          # g = s^2 has even exponents only
+        s = fs.sqrt_table[g[:, ::2]]          # g = s^2 has even exponents only
         padded = np.zeros_like(w)
         padded[:, :s.shape[1]] = s
         _, dws = _gcd(fs, w, padded, df - dg, dg // 2)
@@ -437,7 +368,7 @@ def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
     by the monic f (x^n = f_0 + ... + f_(n-1) x^(n-1)), highest first."""
     big, n = polys.shape[0], polys.shape[1] - 1
     low = polys[:, :n]
-    log, exp = _log_exp(fs)
+    log, exp = fs.log_table, fs.exp_table
     log_low = log[low]      # read once for all k (n - 1) reduction steps
     x = np.zeros_like(low)
     if n == 1:
@@ -484,10 +415,11 @@ def spectrum_tables(fs: FieldSpec, n: int):
     significant).  Four uint8 arrays: roots in F, nonzero roots in F,
     roots in the closure, nonzero roots in the closure."""
     total = fs.q ** n
-    if total > (1 << 20):
-        raise ValueError("spectrum table too large; use scalar profiling")
+    if total > _TABLE_POLYS:
+        raise ValueError(f"a spectrum table of {total} polynomials exceeds "
+                         f"{_TABLE_POLYS}; count the batch with count_roots")
     idx = np.arange(total)
-    polys = np.ones((total, n + 1), dtype=code_dtype(fs))
+    polys = np.ones((total, n + 1), dtype=code_dtype(fs.degree))
     for i in range(n):
         polys[:, i] = idx >> (fs.degree * i) & (fs.q - 1)
     in_f = count_roots(fs, polys, "in_field")
@@ -512,10 +444,11 @@ def root_counts(fs: FieldSpec, polys: np.ndarray, kind: str, exclude_zero: bool)
     """Distinct-root counts for a batch of monic polynomials of equal degree.
 
     Coefficient spaces of at most 2^16 polynomials read a full precomputed
-    table; larger ones are counted directly by :func:`count_roots`."""
+    table (:func:`spectrum_tables`); larger ones are counted directly by
+    :func:`count_roots`."""
     n = polys.shape[1] - 1
     slot = _KIND_SLOT[(kind, exclude_zero)]
-    if fs.q ** n <= (1 << 16):
+    if fs.q ** n <= _TABLE_POLYS:
         return spectrum_tables(fs, n)[slot][pack_monic(fs, polys)]
     counts = count_roots(fs, polys, kind)
     if exclude_zero:

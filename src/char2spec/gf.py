@@ -6,25 +6,20 @@ objects; the interpreting :class:`FieldSpec` is passed explicitly to
 every operation that needs reduction.  Addition is XOR and never needs
 the spec.  Zero and one are always represented by 0 and 1.
 
-Multiplication uses per-field log/antilog tables for k <= 8 and
-carry-less shift-and-reduce above.  Square roots exist for every
-element (the Frobenius x -> x^2 is bijective on a finite field of
-characteristic 2); they are computed as x^(q/2).
+:class:`FieldSpec` is the one place that tabulates a field, for every k:
+discrete log and exp tables to the least generator of F*, and from them
+the inverse and square-root tables (numpy arrays for the batch kernels
+of :mod:`._bulk`, Python lists for the scalar operations).  For k <= 8
+it also keeps the q x q product table; scalar products read it there and
+use carry-less shift-and-reduce above.  Code arrays are uint8 for k <= 8
+and uint16 above (:func:`code_dtype`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-# Default modulus per extension degree (bit-encoded, degree-k monic
-# irreducible over GF(2)).  These are the lexicographically least
-# irreducibles for their degree; higher degrees are computed on demand.
-_DEFAULT_MODULUS = {
-    1: 0b10,      # x
-    2: 0b111,     # x^2 + x + 1
-    3: 0b1011,    # x^3 + x + 1
-    4: 0b10011,   # x^4 + x + 1
-}
+import numpy as np
 
 _MAX_DEGREE = 16
 
@@ -66,16 +61,32 @@ def least_irreducible_gf2(k: int) -> int:
     raise AssertionError("irreducible polynomials exist in every degree")
 
 
+def _prime_factors(m: int) -> list[int]:
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] if m > 1 else out
+
+
+def code_dtype(degree: int) -> np.dtype:
+    """The dtype of code arrays over GF(2^degree): uint8 for degree <= 8,
+    else uint16."""
+    return np.dtype(np.uint8 if degree <= 8 else np.uint16)
+
+
 class FieldSpec:
     """GF(2^k) with an explicit modulus polynomial.
 
-    Immutable after construction; log/antilog (and, for k <= 8, full
-    multiplication/inverse/sqrt lookup) tables are built once.  Safe to
-    share freely between workers.
+    Immutable after construction, which builds every table of the field
+    (:meth:`_build_tables`).  Safe to share freely between workers.
     """
 
     __slots__ = (
-        "degree", "modulus", "q", "_log", "_exp",
+        "degree", "modulus", "q", "log_table", "exp_table", "inv_table", "sqrt_table",
         "_mul", "_inv", "_sqrt", "_np_mul",
     )
 
@@ -83,7 +94,7 @@ class FieldSpec:
         if not 1 <= degree <= _MAX_DEGREE:
             raise ValueError(f"extension degree must be in [1, {_MAX_DEGREE}], got {degree}")
         if modulus is None:
-            modulus = _DEFAULT_MODULUS.get(degree) or least_irreducible_gf2(degree)
+            modulus = least_irreducible_gf2(degree)
         if _gf2_degree(modulus) != degree:
             raise ValueError(f"modulus {modulus:#b} does not have degree {degree}")
         if not is_irreducible_gf2(modulus):
@@ -91,7 +102,6 @@ class FieldSpec:
         self.degree = degree
         self.modulus = modulus
         self.q = 1 << degree
-        self._np_mul = None
         self._build_tables()
 
     def _mul_raw(self, a: int, b: int) -> int:
@@ -107,38 +117,48 @@ class FieldSpec:
         return p
 
     def _build_tables(self) -> None:
-        q = self.q
-        if self.degree > 8:
-            self._log = self._exp = self._mul = self._inv = self._sqrt = None
-            return
-        # Find a multiplicative generator by brute force; the group of
-        # nonzero elements is cyclic of order q - 1.
-        gen = 1
-        for cand in range(2, q):
-            seen, v = 0, 1
-            for _ in range(q - 1):
-                v = self._mul_raw(v, cand)
-                seen += 1
-                if v == 1:
-                    break
-            if seen == q - 1:
-                gen = cand
-                break
-        exp = [0] * (2 * q)
-        log = [0] * q
-        v = 1
-        for i in range(q - 1):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, gen)
-        for i in range(q - 1, 2 * q):
-            exp[i] = exp[i - (q - 1)]
-        self._exp = exp
-        self._log = log
-        self._mul = [[0 if (a == 0 or b == 0) else exp[log[a] + log[b]]
-                      for b in range(q)] for a in range(q)]
-        self._inv = [0] + [exp[(q - 1) - log[a]] for a in range(1, q)]
-        self._sqrt = [self.pow(a, q >> 1) for a in range(q)]
+        """Log and exp code tables to a generator g of F*, and the inverse,
+        square-root and (k <= 8) product tables read from them.
+
+        g is the least code whose order is q - 1 by the order test (g^((q-1)/p)
+        != 1 for every prime p | q - 1); x itself need not be primitive (the
+        default modulus x^9 + x + 1 of GF(2^9) is not).  exp[i] = g^(i mod
+        (q-1)) for i < 2(q-1) and 0 from there to 4(q-1); log[0] = 2(q-1), so
+        exp[log a + log b] is a * b for all codes, 0 included.  exp is built by
+        doubling: exp[m:2m] = g^m * exp[:m], a GF(2)-linear map of the codes
+        (an XOR of the images g^m * x^b of their set bits b).  With log a = l,
+        1/a = g^(q-1-l) and sqrt a = g^(l/2), l/2 taken mod the odd q - 1."""
+        q, order = self.q, self.q - 1
+        dtype = code_dtype(self.degree)
+        self._mul = None            # scalar products use _mul_raw until the table exists
+        gen = next(g for g in range(1, q)
+                   if all(self.pow(g, order // p) != 1 for p in _prime_factors(order)))
+        exp = np.zeros(4 * order + 1, dtype=dtype)
+        exp[0] = 1
+        m, c = 1, gen
+        while m < order:
+            head = exp[:min(m, order - m)]
+            out = np.zeros_like(head)
+            for b in range(self.degree):
+                out ^= (head >> b & 1) * dtype.type(self._mul_raw(c, 1 << b))
+            exp[m:m + head.size] = out
+            m, c = 2 * m, self._mul_raw(c, c)
+        exp[order:2 * order] = exp[:order]
+        log = np.empty(q, dtype=np.int32)
+        log[exp[:order]] = np.arange(order, dtype=np.int32)
+        log[0] = 2 * order
+        nonzero = log[1:]
+        inv = np.zeros(q, dtype=dtype)
+        inv[1:] = exp[order - nonzero]
+        sqrt = np.zeros(q, dtype=dtype)
+        sqrt[1:] = exp[(nonzero + order * (nonzero & 1)) >> 1]
+        self.log_table, self.exp_table = log, exp
+        self.inv_table, self.sqrt_table = inv, sqrt
+        self._inv, self._sqrt = inv.tolist(), sqrt.tolist()
+        self._np_mul = None
+        if self.degree <= 8:
+            self._np_mul = exp[log[:, None] + log]
+            self._mul = self._np_mul.tolist()
 
     # ------------------------------------------------------------------
     # element operations
@@ -151,12 +171,7 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inversion of zero in GF(2^k)")
-        if self._inv is not None:
-            return self._inv[a]
-        return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
         r = 1
@@ -168,24 +183,16 @@ class FieldSpec:
         return r
 
     def sqrt(self, a: int) -> int:
-        """The unique b with b*b == a (Frobenius inverse, x -> x^(q/2))."""
-        if self._sqrt is not None:
-            return self._sqrt[a]
-        return self.pow(a, self.q >> 1)
-
-    def frobenius(self, a: int) -> int:
-        return self.mul(a, a)
+        """The unique b with b*b == a (the inverse of the Frobenius x -> x^2)."""
+        return self._sqrt[a]
 
     def elements(self) -> range:
         return range(self.q)
 
-    def mul_table_np(self):
+    def mul_table_np(self) -> np.ndarray:
         """q x q uint8 multiplication table (k <= 8 only), for batch kernels."""
-        if self.degree > 8:
-            raise ValueError("numpy multiplication table only kept for k <= 8")
         if self._np_mul is None:
-            import numpy as np
-            self._np_mul = np.array(self._mul, dtype=np.uint8)
+            raise ValueError("numpy multiplication table only kept for k <= 8")
         return self._np_mul
 
     # ------------------------------------------------------------------

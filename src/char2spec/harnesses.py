@@ -370,12 +370,20 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
     Solutions come from the same affine solve as :func:`structure.choice_solve`
     (vectorized), every candidate is re-verified through the batch
     characteristic polynomial, and a deterministic subsample is re-run
-    through the scalar `choice_solve` for agreement."""
+    through the scalar `choice_solve` for agreement.  It tries q^2 targets
+    for every matrix, so it serves k <= 8 only."""
     if n != 3:
         raise ValueError(f"the choice audit is specialized to n = 3, got n = {n}")
+    if fs.degree > 8:
+        raise ValueError(f"the choice audit tries q^2 targets per matrix and serves "
+                         f"GF(2^k) for k <= 8 only, got k = {fs.degree}")
+    if cap is not None and cap < 1:
+        raise ValueError(f"the choice audit cap must be a positive integer, got cap = {cap}")
     q = fs.q
-    mul = fs.mul_table_np()
-    inv_t = _bulk.inv_table(fs)
+
+    def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return _bulk._mul(fs, a, b)
+
     upper_cells = [(i, j) for i in range(n) for j in range(i, n)]
     sub_cells = [(i + 1, i) for i in range(n - 1)]
     total = (q ** len(upper_cells)) * ((q - 1) ** len(sub_cells))
@@ -425,15 +433,15 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         d1, d2 = deltas[p]
         a, b = d1[:, 0], d1[:, 1]
         c, d = d2[:, 0], d2[:, 1]
-        det = mul[a, d] ^ mul[b, c]
-        det_inv = inv_t[det]
+        det = mul(a, d) ^ mul(b, c)
+        det_inv = _bulk._inv(fs, det)
         singular = det == 0
         for a0 in range(q):
             for a1 in range(q):
                 rhs0 = chi0[:, 0] ^ a0
                 rhs1 = chi0[:, 1] ^ a1
-                x1 = mul[det_inv, mul[rhs0, d] ^ mul[rhs1, c]]
-                x2 = mul[det_inv, mul[a, rhs1] ^ mul[b, rhs0]]
+                x1 = mul(det_inv, mul(rhs0, d) ^ mul(rhs1, c))
+                x2 = mul(det_inv, mul(a, rhs1) ^ mul(b, rhs0))
                 (i1, j1), (i2, j2) = poss
                 moves = _bulk.code_planes(np.stack([x1, x2], axis=1), k).reshape(2, k, -1)
                 cand = planes.copy()

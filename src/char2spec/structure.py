@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, code_dtype
 from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_mul, mat_vec,
                      rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
@@ -106,7 +106,7 @@ class AdaptedScanReport:
 def _perp_codes(fs: FieldSpec, s: MatSubspace) -> np.ndarray:
     """A basis of S-perp = trace_orthogonal(S) as codes [r, n, n]."""
     return np.array(trace_orthogonal(s).space.basis,
-                    dtype=_bulk.code_dtype(fs)).reshape(-1, *s.shape)
+                    dtype=code_dtype(fs.degree)).reshape(-1, *s.shape)
 
 
 def adapted_meet_dims(fs: FieldSpec, s: MatSubspace, points) -> np.ndarray:
@@ -116,7 +116,7 @@ def adapted_meet_dims(fs: FieldSpec, s: MatSubspace, points) -> np.ndarray:
     annihilator of [u_1 x ... u_r x; x] over a basis u of S-perp, of
     dimension n - its rank (one :func:`_bulk.batch_rank` for all points)."""
     n = s.shape[0]
-    x = np.array(points, dtype=_bulk.code_dtype(fs)).reshape(len(points), n)
+    x = np.array(points, dtype=code_dtype(fs.degree)).reshape(len(points), n)
     u = _perp_codes(fs, s)
     ux = np.zeros((len(x), len(u), n), dtype=x.dtype)
     for j in range(n):

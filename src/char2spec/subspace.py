@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, code_dtype
 from .matrix import Mat, rref_rows
 from . import _bulk
 
@@ -359,7 +359,7 @@ def grassmannian_blocks(field: FieldSpec, d: int, ambient: int, budget: int = DE
     """All d-dimensional subspaces of F^ambient, each exactly once, as RREF
     bases in code arrays: pivot-column sets in lexicographic order, free
     entries counting in base q (last free position fastest).  Yields
-    (pivots, block) with block [N, d, ambient] (see :func:`_bulk.code_dtype`),
+    (pivots, block) with block [N, d, ambient] (see :func:`.gf.code_dtype`),
     at most GRASSMANNIAN_BLOCK bases a block."""
     total = gaussian_binomial(ambient, d, field.q)
     if total > budget:
@@ -371,7 +371,7 @@ def grassmannian_blocks(field: FieldSpec, d: int, ambient: int, budget: int = DE
         count = field.q ** len(free)
         for lo in range(0, count, GRASSMANNIAN_BLOCK):
             idx = np.arange(lo, min(lo + GRASSMANNIAN_BLOCK, count), dtype=np.int64)
-            block = np.zeros((idx.size, d, ambient), dtype=_bulk.code_dtype(field))
+            block = np.zeros((idx.size, d, ambient), dtype=code_dtype(field.degree))
             block[:, list(range(d)), list(pivots)] = 1
             for f, (r, c) in enumerate(free):
                 block[:, r, c] = idx >> (k * (len(free) - 1 - f)) & (field.q - 1)

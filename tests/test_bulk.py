@@ -9,7 +9,7 @@ import pytest
 from char2spec import _bulk
 from char2spec import matrix as mx
 from char2spec import upoly as up
-from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec
+from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
 from oracles import all_monic, root_slots, spectrum_tables_scalar
 
 GF256 = FieldSpec(8)
@@ -17,7 +17,7 @@ SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_cl
 
 
 def _codes(fs, polys) -> np.ndarray:
-    return np.array(polys, dtype=_bulk.code_dtype(fs))
+    return np.array(polys, dtype=code_dtype(fs.degree))
 
 
 def _direct_slots(fs, polys: np.ndarray) -> list[np.ndarray]:
@@ -135,6 +135,12 @@ def test_spectrum_tables_match_scalar_build(fs, n):
         assert table.dtype == np.uint8 and table.tolist() == ref
 
 
+def test_spectrum_tables_stop_at_the_root_counts_bound():
+    # 16^5 = 2^20 polynomials: root_counts counts such batches directly
+    with pytest.raises(ValueError, match="count_roots"):
+        _bulk.spectrum_tables(GF16, 5)
+
+
 def test_pack_monic_orders_like_all_monic():
     polys = _codes(GF8, list(all_monic(GF8, 3)))
     assert _bulk.pack_monic(GF8, polys).tolist() == list(range(8 ** 3))
@@ -162,7 +168,7 @@ def test_code_products_and_inverses_match_the_field(fs):
     rng = random.Random(fs.degree)
     a = np.array([0, 1, fs.q - 1] + [rng.randrange(fs.q) for _ in range(200)])
     b = np.array([rng.randrange(fs.q) for _ in range(a.size)])
-    dtype = _bulk.code_dtype(fs)
+    dtype = code_dtype(fs.degree)
     got = _bulk._mul(fs, a.astype(dtype), b.astype(dtype))
     assert got.dtype == dtype
     assert got.tolist() == [fs.mul(int(x), int(y)) for x, y in zip(a, b)]
@@ -171,26 +177,15 @@ def test_code_products_and_inverses_match_the_field(fs):
         [fs.mul(int(x), int(y)) for y in b[:4]] for x in a[:3]]
     inv = _bulk._inv(fs, a.astype(dtype))
     assert inv.tolist() == [fs.inv(int(x)) if x else 0 for x in a]
-    sqrt = _bulk._sqrt_table(fs)
+    sqrt = fs.sqrt_table
     assert sqrt.dtype == dtype
     assert sqrt[a].tolist() == [fs.sqrt(int(x)) for x in a]
-
-
-@pytest.mark.parametrize("modulus", [0b1000000011, 0b1000010111])
-def test_log_exp_tables_find_a_generator(modulus):
-    fs = FieldSpec(9, modulus)
-    assert fs.pow(0b10, 73) == 1            # x is not primitive
-    log, exp = _bulk._log_exp(fs)
-    order = fs.q - 1
-    assert sorted(exp[:order].tolist()) == list(range(1, fs.q))
-    assert np.array_equal(log[exp[:order]], np.arange(order))
-    assert not exp[2 * order:].any() and log[0] == 2 * order
 
 
 @pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF512], ids=["gf2", "gf4", "gf8", "gf2^9"])
 def test_batch_rank_matches_scalar_rank(fs):
     rng = random.Random(30 + fs.degree)
-    dtype = _bulk.code_dtype(fs)
+    dtype = code_dtype(fs.degree)
     for rows, cols in [(0, 3), (1, 1), (3, 3), (5, 2), (2, 5), (7, 4), (17, 4), (4, 9)]:
         lanes = []
         for i in range(40):

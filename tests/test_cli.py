@@ -72,6 +72,15 @@ def test_usage_errors(capsys):
         assert f"the choice audit is specialized to n = 3, got n = {bad}" in captured.err
 
 
+def test_choice_audit_refuses_wide_fields(capsys):
+    for argv in (["choice", "--field", "gf2^9", "--cap", "10"],
+                 ["lemma", "--name", "choice-audit", "--field", "gf2^9"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the choice audit tries q^2 targets per matrix" in captured.err
+
+
 def test_choice_matrix_needs_target(capsys):
     code = main(["choice", "--n", "3", "--matrix", "0,0,0,1,0,0,0,1,0"])
     captured = capsys.readouterr()

@@ -1,15 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 
-from char2spec.gf import (GF2, GF4, GF8, GF16, FieldSpec, field_spec, is_irreducible_gf2,
-                          least_irreducible_gf2)
+from char2spec.gf import (GF2, GF4, GF8, GF16, FieldSpec, code_dtype, field_spec,
+                          is_irreducible_gf2, least_irreducible_gf2)
 
 
 def test_default_moduli():
+    assert GF2.modulus == 0b10
     assert GF4.modulus == 0b111
     assert GF8.modulus == 0b1011
     assert GF16.modulus == 0b10011
+    for k in (1, 2, 3, 4):
+        assert FieldSpec(k).modulus == least_irreducible_gf2(k)
     for k in (2, 3, 4, 5, 6, 9):
         assert is_irreducible_gf2(least_irreducible_gf2(k))
         # nothing smaller of the same degree is irreducible
@@ -109,5 +113,64 @@ def test_field_spec_parser():
 def test_frobenius_inverse_roundtrip():
     for fs in (GF4, GF8, GF16):
         for a in fs.elements():
-            assert fs.sqrt(fs.frobenius(a)) == a
-            assert fs.frobenius(fs.sqrt(a)) == a
+            assert fs.sqrt(fs.mul(a, a)) == a
+            assert fs.mul(fs.sqrt(a), fs.sqrt(a)) == a
+
+
+# ----------------------------------------------------------------------
+# the field tables
+# ----------------------------------------------------------------------
+# a second degree-9 modulus whose root x, like that of the default
+# x^9 + x + 1, has order 73, not 511
+GF512_B = FieldSpec(9, 0b1000010111)
+TABLE_FIELDS = [FieldSpec(k) for k in range(1, 17)] + [GF512_B]
+
+
+def _raw_pow(fs, a, n):
+    """a^n by square and multiply on the shift-and-reduce product alone."""
+    r = 1
+    while n:
+        if n & 1:
+            r = fs._mul_raw(r, a)
+        a = fs._mul_raw(a, a)
+        n >>= 1
+    return r
+
+
+@pytest.mark.parametrize("modulus", [0b1000000011, 0b1000010111])
+def test_log_exp_tables_find_a_generator(modulus):
+    fs = FieldSpec(9, modulus)
+    assert _raw_pow(fs, 0b10, 73) == 1          # x is not primitive
+    log, exp = fs.log_table, fs.exp_table
+    order = fs.q - 1
+    assert exp.size == 4 * order + 1
+    assert sorted(exp[:order].tolist()) == list(range(1, fs.q))
+    assert np.array_equal(exp[order:2 * order], exp[:order])
+    assert np.array_equal(log[exp[:order]], np.arange(order))
+    assert not exp[2 * order:].any() and log[0] == 2 * order
+
+
+@pytest.mark.parametrize("fs", TABLE_FIELDS, ids=lambda fs: f"k{fs.degree}:{fs.modulus}")
+def test_inverse_and_sqrt_tables_match_raw_powers(fs):
+    """Every element up to k = 10, 2 000 seeded samples above."""
+    q = fs.q
+    if fs.degree <= 10:
+        codes = range(q)
+    else:
+        rng = random.Random(fs.degree)
+        codes = [0, 1, q - 1] + [rng.randrange(q) for _ in range(2000)]
+    for a in codes:
+        s = _raw_pow(fs, a, q >> 1)
+        assert fs.sqrt_table[a] == fs.sqrt(a) == s
+        if a:
+            assert fs.inv_table[a] == fs.inv(a) == _raw_pow(fs, a, q - 2)
+    assert fs.inv_table[0] == 0
+    assert fs.inv_table.dtype == fs.sqrt_table.dtype == code_dtype(fs.degree)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_product_table_matches_raw_products(k):
+    fs = FieldSpec(k)
+    table = fs.mul_table_np()
+    assert table.shape == (fs.q, fs.q) and table.dtype == np.uint8
+    assert table.tolist() == [[fs._mul_raw(a, b) for b in range(fs.q)] for a in range(fs.q)]

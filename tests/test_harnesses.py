@@ -1,6 +1,6 @@
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8
+from char2spec.gf import GF2, GF4, GF8, field_spec
 from char2spec import harnesses as H
 
 
@@ -36,6 +36,15 @@ def test_choice_audit_full_and_capped():
     capped = H.choice_lemma_audit(GF4, n=3, cap=500, seed=0, spot_checks=4)
     assert capped.holds and capped.detail["capped"]
     assert capped.detail["hessenberg_matrices"] == 500
+
+
+def test_choice_audit_refuses_bad_caps_and_wide_fields():
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"cap = {cap}"):
+            H.choice_lemma_audit(GF4, n=3, cap=cap)
+    # q^2 targets per matrix: refused above k = 8 before any work
+    with pytest.raises(ValueError, match="k <= 8 only, got k = 9"):
+        H.choice_lemma_audit(field_spec("gf2^9"), n=3, cap=10)
 
 
 def test_confinement_third_harness():
