@@ -5,8 +5,11 @@ words: bit b of lane i is bit b of element i's code, and lane i sits in
 bit i % 64 of word i // 64, so one word carries 64 elements (Biham's
 bit-slicing; M4RIE holds matrices over GF(2^e) the same way).  Arrays of
 planes have shape [..., k, W] with W = ceil(N / 64).  Lanes past N in the
-last word are zero and are never unpacked.  Codes go to planes through
-:func:`code_planes` and back through :func:`lane_codes`.
+last word are never read.  Codes go to planes through :func:`code_planes`
+and back through :func:`lane_codes`.  An exhaustive scan needs no codes:
+the planes of the indices 64 w .. 64 w + 63 are fixed lane patterns for
+bits 0-5 and whole words of ones or zeros above (:func:`index_planes`),
+and the scan visits whole words of indices (:func:`projective_words`).
 
 Addition is XOR of planes.  Multiplication is a fixed AND/XOR network
 derived from the modulus: all k^2 partial products a_i & b_j in one
@@ -24,10 +27,14 @@ input planes into output planes (:func:`linear_map`, :func:`apply_map`).
 The characteristic polynomial kernel is the division-free Berkowitz
 recurrence of the scalar path in :mod:`.matrix`, run on planes; tests
 cross-check it against both scalar algorithms on every shape in use.
-Only its n low coefficients are unpacked, to codes [N, n+1]
-(:func:`monic_codes`), for root counting.
+Its n low coefficients go to root counting (:func:`spectrum_counts`).
+When q^n <= 2^16 they are read, as planes, into indices of tables built
+for all q^n monic polynomials (:func:`spectrum_tables`): the index is
+the n k low coefficient bits, which an 8 x 8 bit transpose takes from
+the planes (:func:`table_index`).  Above that they are unpacked to codes
+[N, n+1] (:func:`monic_codes`) and counted directly.
 
-Root counts work on those code rows, all lanes in step (the tests hold
+Direct root counts work on code rows, all lanes in step (the tests hold
 them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 8,
 the zeros of a Horner evaluation at all q elements, and above that
 deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
@@ -35,9 +42,7 @@ Roots in the closure are deg rad f, from the characteristic-2 squarefree
 decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
 deg w + deg rad s - deg gcd(w, s), where the gcds are Bernstein-Yang
 divsteps (the same number of steps in every lane) and only lanes with
-g != 1 recurse on s.  When q^n <= 2^16, :func:`root_counts` reads tables
-built the same way for all q^n monic polynomials, indexed by the packed
-low coefficients; above that it counts the batch directly.
+g != 1 recurse on s.  The spectrum tables are built the same way.
 
 Every kernel serves every field, k <= 16.  Codes are uint8 for k <= 8
 and uint16 above (:func:`.gf.code_dtype`).  The kernels build no field
@@ -65,6 +70,12 @@ _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum tab
 # ----------------------------------------------------------------------
 _BYTE_LSB = np.uint64(0x0101010101010101)
 _GATHER = np.uint64(0x0102040810204080)   # moves bit 8i to bit 56 + i
+_TRANSPOSE8 = tuple((np.uint64(shift), np.uint64(mask)) for shift, mask in
+                    ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0)))
+_ALL_ONES = ~np.uint64(0)
+# bit b < 6 of the lane number, over the 64 lanes of a word
+_LANE_BITS = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                       0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000], dtype=_PLANE)
 
 
 def _lane_bits(planes: np.ndarray, count: int) -> np.ndarray:
@@ -96,6 +107,21 @@ def code_planes(codes: np.ndarray, width: int) -> np.ndarray:
     # [cols, nbytes, bits, lanes / 8]: bit 8 * byte + b of each column
     out = out.reshape(cols, nbytes * bits, lanes // 8)[:, :width]
     return np.ascontiguousarray(out).reshape(cols * width, lanes // 8).view(_PLANE)
+
+
+def index_planes(words: np.ndarray, width: int) -> np.ndarray:
+    """Planes [width, W] of the low `width` bits of the lane indices
+    64 words[i] + l, l = 0 .. 63: the planes :func:`code_planes` builds from
+    those indices, without an index array.  Bits 0-5 are the lane number,
+    the same pattern in every word; bit b >= 6 is bit b - 6 of the word
+    number, all ones or all zeros across the word."""
+    out = np.empty((width, words.size), dtype=_PLANE)
+    low = min(width, 6)
+    out[:low] = _LANE_BITS[:low, None]
+    if width > 6:
+        shifts = np.arange(width - 6, dtype=np.uint64)[:, None]
+        out[6:] = (words.astype(np.uint64) >> shifts & np.uint64(1)) * _ALL_ONES
+    return out
 
 
 def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
@@ -428,28 +454,50 @@ def spectrum_tables(fs: FieldSpec, n: int):
     return in_f, in_f - zero, clo, clo - zero
 
 
-def pack_monic(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
-    """Pack [N, n+1] ascending monic coefficient rows into table indices."""
-    idx = np.zeros(polys.shape[0], dtype=np.int64)
-    for i in range(polys.shape[1] - 1):
-        idx |= polys[:, i].astype(np.int64) << (fs.degree * i)
-    return idx
+def table_index(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """The :func:`spectrum_tables` index of lanes 0 .. count-1 from the
+    planes [n, k, W] of the n low coefficients (n k <= 16): bit j k + b of
+    the index is plane (j, b), so the index is the lane's value across
+    the n k planes.
+
+    Eight planes at a time, a byte transpose gathers byte i of the eight
+    planes' word w into one uint64, an 8 x 8 bit matrix with one byte per
+    plane, and the three swap steps of ``transpose8`` (Warren, Hacker's
+    Delight, 7-3) turn it so that byte l holds the eight plane bits of
+    lane 64 w + 8 i + l: uint8 indices for n k <= 8, uint16 above."""
+    n, k, w = coeffs.shape
+    groups = -(-(n * k) // 8)
+    rows = np.zeros((groups * 8, w), dtype=_PLANE)
+    rows[:n * k] = coeffs.reshape(n * k, w)
+    grid = rows.view(np.uint8).reshape(groups, 8, 8 * w).transpose(0, 2, 1)
+    x = np.ascontiguousarray(grid).view(_PLANE)[..., 0]             # [groups, 8 W]
+    for shift, mask in _TRANSPOSE8:
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    out = x.view(np.uint8)[:, :count]                               # [groups, count]
+    if groups == 1:
+        return out[0]
+    return out[0].astype(np.uint16) | out[1].astype(np.uint16) << 8
 
 
 _KIND_SLOT = {("in_field", False): 0, ("in_field", True): 1,
               ("in_closure", False): 2, ("in_closure", True): 3}
 
 
-def root_counts(fs: FieldSpec, polys: np.ndarray, kind: str, exclude_zero: bool) -> np.ndarray:
-    """Distinct-root counts for a batch of monic polynomials of equal degree.
+def spectrum_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str,
+                    exclude_zero: bool) -> np.ndarray:
+    """Distinct-root counts of lanes 0 .. count-1 of a plane batch of monic
+    polynomials of degree n, given by their n low coefficients [n, k, W]
+    (the output of :func:`charpoly_planes`), as uint8.
 
     Coefficient spaces of at most 2^16 polynomials read a full precomputed
-    table (:func:`spectrum_tables`); larger ones are counted directly by
-    :func:`count_roots`."""
-    n = polys.shape[1] - 1
-    slot = _KIND_SLOT[(kind, exclude_zero)]
+    table (:func:`spectrum_tables`) at indices taken straight from the
+    planes (:func:`table_index`); larger ones are unpacked to codes and
+    counted directly by :func:`count_roots`."""
+    n = coeffs.shape[0]
     if fs.q ** n <= _TABLE_POLYS:
-        return spectrum_tables(fs, n)[slot][pack_monic(fs, polys)]
+        return spectrum_tables(fs, n)[_KIND_SLOT[(kind, exclude_zero)]][table_index(coeffs, count)]
+    polys = monic_codes(coeffs, count)
     counts = count_roots(fs, polys, kind)
     if exclude_zero:
         counts -= polys[:, 0] == 0
@@ -459,24 +507,37 @@ def root_counts(fs: FieldSpec, polys: np.ndarray, kind: str, exclude_zero: bool)
 # ----------------------------------------------------------------------
 # element streams
 # ----------------------------------------------------------------------
-def projective_count(q: int, d: int) -> int:
-    """Number of projective ranks in F_q^d: the zero vector plus one
-    representative per line, 1 + (q^d - 1)/(q - 1)."""
-    return 1 + (q ** d - 1) // (q - 1)
+# A projective scan of F_q^d visits index 0 and the blocks [q^j, 2 q^j),
+# j = 0 .. d-1 (see :mod:`.spectra`), in 64-lane words: word w holds the
+# indices 64 w .. 64 w + 63.  Word 0 holds every block with q^j < 64, and
+# the block of each q^j >= 64 is the run of q^j / 64 whole words from
+# word q^j / 64 on, as q^j is a power of two.
+def _block_words(q: int, d: int) -> list[int]:
+    """q^j / 64 for each block [q^j, 2 q^j) with q^j >= 64: its number of
+    words, and also the number of its first word."""
+    return [q ** j // 64 for j in range(d) if q ** j >= 64]
 
 
-def projective_indices(q: int, d: int, lo: int, hi: int) -> np.ndarray:
-    """Enumeration indices of the projective ranks [lo, hi), ascending.
+def projective_word_count(q: int, d: int) -> int:
+    """Words of a projective scan of F_q^d: word 0, then the words of every
+    block with q^j >= 64."""
+    return 1 + sum(_block_words(q, d))
 
-    Rank 0 is index 0; the remaining ranks run, in order, through the index
-    blocks [q^j, 2 q^j) for j = 0 .. d-1.  These are exactly the indices
-    whose highest nonzero base-q digit is 1, i.e. the smallest index on
-    each line {c v : c in F*}."""
-    ranks = np.arange(lo, hi, dtype=np.int64)
-    starts = np.array([0] + [projective_count(q, j) for j in range(d)], dtype=np.int64)
-    bases = np.array([0] + [q ** j for j in range(d)], dtype=np.int64)
-    block = np.searchsorted(starts, ranks, side="right") - 1
-    return bases[block] + (ranks - starts[block])
+
+def projective_words(q: int, d: int, lo: int, hi: int) -> np.ndarray:
+    """Word numbers of the word ranks [lo, hi) of a projective scan of
+    F_q^d, ascending: rank 0 is word 0, and the blocks follow in order.
+    Computed from the rank range alone, block by block."""
+    runs = [np.zeros(min(hi, 1) - min(lo, 1), dtype=np.int64)]
+    rank = 1
+    for size in _block_words(q, d):
+        if rank >= hi:
+            break
+        a, b = max(lo, rank), min(hi, rank + size)
+        if a < b:
+            runs.append(np.arange(size + a - rank, size + b - rank, dtype=np.int64))
+        rank += size
+    return np.concatenate(runs)
 
 
 _MASK64 = (1 << 64) - 1

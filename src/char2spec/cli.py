@@ -181,11 +181,23 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _budget(text: str) -> int:
+    """An enumeration budget: a positive integer up to 2^62, which keeps
+    every exhaustive scan's indices within int64."""
+    try:
+        value = int(text)
+        if 0 < value <= 1 << 62:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer up to 2^62, got {text!r}")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", default="gf4", help="gf2/gf4/gf8/gf16 or gf2^k[:modulus]")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="max objects per exhaustive pass (default 2^24)")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="max objects per exhaustive pass, at most 2^62 (default 2^24)")
     p.add_argument("--samples", type=_positive_int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1,

@@ -11,7 +11,7 @@ silently skipped).
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -182,7 +182,8 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         if not family:
             family = [random_subspace(fs, rng, n, 1)]
         monos = _monomials(n, d)
-        union_free = [x for x in full_space(fs, n).enumerate_elements()
+        # every point of F^n in index order (the first coordinate counts fastest)
+        union_free = [x for x in (c[::-1] for c in product(range(fs.q), repeat=n))
                       if not any(v.member(x) for v in family)]
         unit_maps = [{mono: 1} for mono in monos]
         rows = [[eval_monomial_map(fs, u, x) for u in unit_maps] for x in union_free]
@@ -406,14 +407,17 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
     # the matrices are packed into planes once; perturbations XOR into copies
     k = fs.degree
     planes = _bulk.code_planes(mats.reshape(count, n * n), k).reshape(n, n, k, -1)
-
-    def charpolys(pl: np.ndarray) -> np.ndarray:
-        return _bulk.monic_codes(_bulk.charpoly_planes(fs, pl), count)
-
-    chi0 = charpolys(planes)
+    chi0_planes = _bulk.charpoly_planes(fs, planes)
+    chi0 = _bulk.lane_codes(chi0_planes[:2], count)
     traces = np.zeros(count, dtype=np.uint8)
     for i in range(n):
         traces ^= mats[:, i, i]
+    trace_planes = _bulk.code_planes(traces[:, None], k)
+    # the k planes of each constant c, the same in every lane
+    constants = np.where(np.arange(q)[:, None] >> np.arange(k) & 1, _ALL_LANES, np.uint64(0))
+
+    def lane_planes(*cols: np.ndarray) -> np.ndarray:
+        return _bulk.code_planes(np.stack(cols, axis=1), k).reshape(len(cols), k, -1)
 
     solved = 0
     failures = 0
@@ -426,7 +430,8 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         for (i, j) in poss:
             pert = planes.copy()
             pert[i, j, 0] ^= _ALL_LANES     # entry (i, j) plus 1 in every lane
-            cols.append(charpolys(pert) ^ chi0)
+            cols.append(_bulk.lane_codes(_bulk.charpoly_planes(fs, pert)[:2] ^ chi0_planes[:2],
+                                         count))
         deltas[p] = cols
 
     for p, poss in positions.items():
@@ -436,20 +441,28 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         det = mul(a, d) ^ mul(b, c)
         det_inv = _bulk._inv(fs, det)
         singular = det == 0
+        # Cramer's rule for the target (a0, a1), with rhs = chi0 + (a0, a1):
+        # x1 = (rhs0 d + rhs1 c) / det and x2 = (rhs1 a + rhs0 b) / det are
+        # F-linear in (a0, a1), so the moves are a fixed part plus a part per
+        # a0 and a part per a1, and so are their planes
+        dd, dc, da, db = (mul(det_inv, v) for v in (d, c, a, b))
+        fixed = lane_planes(mul(chi0[:, 0], dd) ^ mul(chi0[:, 1], dc),
+                            mul(chi0[:, 1], da) ^ mul(chi0[:, 0], db))
+        by_a0 = [lane_planes(mul(np.uint8(t), dd), mul(np.uint8(t), db)) for t in range(q)]
+        by_a1 = [lane_planes(mul(np.uint8(t), dc), mul(np.uint8(t), da)) for t in range(q)]
+        (i1, j1), (i2, j2) = poss
         for a0 in range(q):
             for a1 in range(q):
-                rhs0 = chi0[:, 0] ^ a0
-                rhs1 = chi0[:, 1] ^ a1
-                x1 = mul(det_inv, mul(rhs0, d) ^ mul(rhs1, c))
-                x2 = mul(det_inv, mul(a, rhs1) ^ mul(b, rhs0))
-                (i1, j1), (i2, j2) = poss
-                moves = _bulk.code_planes(np.stack([x1, x2], axis=1), k).reshape(2, k, -1)
+                moves = fixed ^ by_a0[a0] ^ by_a1[a1]
                 cand = planes.copy()
                 cand[i1, j1] ^= moves[0]
                 cand[i2, j2] ^= moves[1]
-                chi = charpolys(cand)
-                ok = ((chi[:, 0] == a0) & (chi[:, 1] == a1)
-                      & (chi[:, 2] == traces) & ~singular)
+                # the candidate's three low coefficients minus the target's
+                miss = _bulk.charpoly_planes(fs, cand)
+                miss[0] ^= constants[a0][:, None]
+                miss[1] ^= constants[a1][:, None]
+                miss[2] ^= trace_planes
+                ok = ~_bulk.nonzero_lanes(miss, count) & ~singular
                 bad = np.flatnonzero(~ok)
                 solved += int(ok.sum())
                 for bi in bad:

@@ -18,10 +18,13 @@ F" and "nonzero") and the coefficient of x^i is multiplied by
 c^(n-i) (keeping "even").  Exhaustive scans are therefore projective:
 they check the zero matrix and one element per line {c M}, the one of
 smallest enumeration index, which is 1 + (q^dim - 1)/(q - 1) elements in
-place of q^dim.  The representatives are visited in ascending index
-order, so the first failing one is the minimal failing index of the
-whole space, and the witness, its index and the reported ``checked``
-count (q^dim) are those of a full enumeration.
+place of q^dim.  They go in words of 64 consecutive indices: word 0,
+whose non-representatives are checked too, then the index blocks that
+hold the representatives, which are runs of whole words.  Words are
+visited in ascending order, so the first failing lane is the minimal
+failing index of the whole space, and the witness, its index and the
+reported ``checked`` count (q^dim) are those of a full enumeration
+(:func:`_scan_space` has the argument).
 """
 
 from __future__ import annotations
@@ -157,18 +160,27 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     `count` lanes of a bit-sliced batch (see :mod:`._bulk`) decides every
     element.  The scan is exhaustive when q^dim <= budget, else `samples`
     seeded counter-based draws; the minimal failing index is independent
-    of the worker partitioning.  The positions are cut into at most
-    `workers` ranges and at most ceil(positions / CHUNK), and each range
-    into batches of CHUNK.  The witness alone is rebuilt from its index and
-    re-checked with fail_scalar(Mat) -> bool; a witness that passes it
-    means the scan is inconsistent.
+    of the worker partitioning.  The positions (64-lane words of indices
+    when exhaustive, sample indices otherwise) are cut into at most
+    `workers` ranges and at most ceil(positions / batch), and each range
+    into batches: max(1, CHUNK // 64) words, or CHUNK samples.  The
+    witness alone is rebuilt from its index and re-checked with
+    fail_scalar(Mat) -> bool; a witness that passes it means the scan is
+    inconsistent.
 
     Both predicates must be invariant under scaling: M fails iff c*M fails
     for every c in F*.  Exhaustive scans rely on it and are projective:
-    they check index 0 and, on each line {c v}, only its smallest index
-    (see :func:`_bulk.projective_indices`), 1 + (q^dim - 1)/(q - 1)
-    elements in all.  Ranks rise with index, so the first failing rank is
-    the minimal failing index of the whole space; `checked` reports q^dim.
+    they check index 0 and, on each line {c v}, its smallest index, the
+    one whose top nonzero base-q digit is 1.  Those indices are 0 and the
+    blocks [q^j, 2 q^j), and the scan runs over them in 64-lane words
+    (:func:`_bulk.projective_words`): word 0 holds indices 0 .. 63 (all of
+    them when q^dim < 64), and every block with q^j >= 64 is a run of
+    whole words.  The non-representatives in word 0 are checked too, which
+    keeps the result exact: if one fails, so does the representative of
+    its line, a smaller index in the same word.  Words rise with index, so
+    the first failing lane is the minimal failing index of the whole
+    space; `checked` reports q^dim.  Indices must fit int64, so an
+    exhaustive scan of q^dim >= 2^63 elements is refused.
     """
     n, m = s.shape
     d = s.dim
@@ -176,29 +188,37 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     k = fs.degree
     total = q ** d
     exhaustive = total <= budget
+    if exhaustive and total >= 1 << 63:
+        raise ValueError(f"an exhaustive scan of q^dim = 2^{d * k} elements needs indices "
+                         f"past int64; use a budget below 2^63")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs a positive sample count, got {samples}")
-    count = _bulk.projective_count(q, d) if exhaustive else samples
+    if exhaustive:
+        count, batch = _bulk.projective_word_count(q, d), max(1, CHUNK // 64)
+    else:
+        count, batch = samples, CHUNK
     # basis coordinates -> matrix entries, on planes
     to_entries = _bulk.linear_map(fs, s.space.basis, n * m)
 
     def run_range(lo: int, hi: int) -> int | None:
-        for clo in range(lo, hi, CHUNK):
-            chi = min(clo + CHUNK, hi)
+        for clo in range(lo, hi, batch):
+            chi = min(clo + batch, hi)
             if exhaustive:
-                idx = _bulk.projective_indices(q, d, clo, chi)
+                words = _bulk.projective_words(q, d, clo, chi)
                 # base-q digit j of an index is its bits [j k, (j+1) k)
-                coords = _bulk.code_planes(idx[:, None], d * k)
+                coords = _bulk.index_planes(words, d * k)
+                lanes = min(64 * words.size, total)
             else:   # sample indices are the positions themselves
                 coords = _bulk.code_planes(_bulk.sample_coords(q, d, seed, clo, chi), k)
+                lanes = chi - clo
             ents = _bulk.apply_map(coords, to_entries, n * m * k)
-            hits = np.flatnonzero(fail_batch(ents.reshape(n, m, k, -1), chi - clo))
+            hits = np.flatnonzero(fail_batch(ents.reshape(n, m, k, -1), lanes))
             if hits.size:
                 first = int(hits[0])
-                return int(idx[first]) if exhaustive else clo + first
+                return 64 * int(words[first // 64]) + first % 64 if exhaustive else clo + first
         return None
 
-    chunks = index_chunks(count, min(workers, -(-count // CHUNK)))
+    chunks = index_chunks(count, min(workers, -(-count // batch)))
     threads = pool_threads(workers, len(chunks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -245,9 +265,8 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
         raise ValueError("spectrum predicates need square matrices")
 
     def fail_batch(planes, count):
-        polys = _bulk.monic_codes(_bulk.charpoly_planes(fs, planes), count)
-        counts = _bulk.root_counts(fs, polys, pred.kind, pred.exclude_zero)
-        return counts > pred.k
+        coeffs = _bulk.charpoly_planes(fs, planes)
+        return _bulk.spectrum_counts(fs, coeffs, count, pred.kind, pred.exclude_zero) > pred.k
 
     def fail_scalar(mat: Mat) -> bool:
         return not check_element(fs, mat, pred)

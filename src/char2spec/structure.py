@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -445,7 +446,8 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
     # one walk: a nonzero value outside the union violates the hypothesis
     # wherever it comes; otherwise the first nonzero value fails the lemma
     first = None
-    for x in full_space(fs, n).enumerate_elements():
+    # every point of F^n in index order (the first coordinate counts fastest)
+    for x in (c[::-1] for c in product(range(fs.q), repeat=n)):
         if eval_monomial_map(fs, p, x):
             if not any(v.member(x) for v in family):
                 return LemmaVerdict(name, "hypothesis-violation",
@@ -541,10 +543,10 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         flat = planes.reshape(-1, planes.shape[-1])
         gb = _bulk.apply_map(flat, map_g, gdim * gdim * k).reshape(gdim, gdim, k, -1)
         qb = _bulk.apply_map(flat, map_q, 4 * k).reshape(4, k, -1)
-        polys = _bulk.monic_codes(_bulk.charpoly_planes(fs, gb), count)
-        counts_f = _bulk.root_counts(fs, polys, "in_field", False)
+        coeffs = _bulk.charpoly_planes(fs, gb)
+        counts_f = _bulk.spectrum_counts(fs, coeffs, count, "in_field", False)
         bad_b = (counts_f > 1 if mode == "2spec"
-                 else _bulk.root_counts(fs, polys, "in_field", True) > 0)
+                 else _bulk.spectrum_counts(fs, coeffs, count, "in_field", True) > 0)
         tr_q = _bulk.nonzero_lanes(qb[0] ^ qb[3], count)
         g_zero = ~_bulk.nonzero_lanes(gb, count)
         return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
@@ -730,8 +732,10 @@ def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     violated = np.zeros(len(mats), dtype=bool)
     step = max(1, (1 << 16) // len(blocks))
     for lo in range(0, len(mats), step):
-        sums = (a[lo:lo + step, None] ^ blocks).reshape(-1, 3, 3)
-        counts = _bulk.root_counts(fs, _bulk.batch_charpoly(fs, sums), "in_field", False)
+        sums = (a[lo:lo + step, None] ^ blocks).reshape(-1, 9)
+        planes = _bulk.code_planes(sums, fs.degree).reshape(3, 3, fs.degree, -1)
+        counts = _bulk.spectrum_counts(fs, _bulk.charpoly_planes(fs, planes), len(sums),
+                                       "in_field", False)
         violated[lo:lo + step] = (counts.reshape(-1, len(blocks)) > 2).any(axis=1)
     # the conclusion fails when both the last column and the last row are nonzero
     bad = np.flatnonzero(~violated & a[:, [2, 5, 8]].any(axis=1) & a[:, 6:].any(axis=1))

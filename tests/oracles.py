@@ -96,6 +96,20 @@ def first_failing_index(space, fails):
     return None
 
 
+def projective_indices(q: int, d: int) -> list[int]:
+    """The enumeration indices a projective scan of F_q^d must cover,
+    ascending: 0 and the blocks [q^j, 2 q^j), j = 0 .. d-1, the indices
+    whose highest nonzero base-q digit is 1 (the smallest index on each
+    line {c v : c in F*})."""
+    return [0] + [i for j in range(d) for i in range(q ** j, 2 * q ** j)]
+
+
+def pack_monic(fs: FieldSpec, polys) -> list[int]:
+    """Spectrum-table indices of ascending monic coefficient rows: the low
+    coefficients packed base q, constant term least significant."""
+    return [sum(int(c) << (fs.degree * i) for i, c in enumerate(row[:-1])) for row in polys]
+
+
 def is_nilpotent(fs: FieldSpec, m: Mat) -> bool:
     """M^n = 0, i.e. every eigenvalue in the closure is 0."""
     from char2spec.matrix import mat_mul

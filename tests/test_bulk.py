@@ -2,6 +2,8 @@
 routines of :mod:`char2spec.upoly`."""
 
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from char2spec import _bulk
 from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
-from oracles import all_monic, root_slots, spectrum_tables_scalar
+from oracles import all_monic, pack_monic, root_slots, spectrum_tables_scalar
 
 GF256 = FieldSpec(8)
 SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_closure", True)]
@@ -33,8 +35,10 @@ def _assert_matches_upoly(fs, polys):
     want = np.array([root_slots(fs, f) for f in polys]).T
     for slot, got in enumerate(_direct_slots(fs, codes)):
         assert np.array_equal(got, want[slot]), (fs, SLOTS[slot])
+    n = codes.shape[1] - 1
+    coeffs = _bulk.code_planes(codes[:, :n], fs.degree).reshape(n, fs.degree, -1)
     for slot, (kind, ez) in enumerate(SLOTS):
-        got = _bulk.root_counts(fs, codes, kind, ez)
+        got = _bulk.spectrum_counts(fs, coeffs, len(codes), kind, ez)
         assert got.dtype == np.uint8 and np.array_equal(got, want[slot]), (fs, SLOTS[slot])
 
 
@@ -92,7 +96,7 @@ def _constructed(fs, n, rng, per_pattern=40):
 
 @pytest.mark.parametrize("fs,n", [(GF16, 5), (GF16, 6), (GF256, 3), (GF256, 4)])
 def test_counts_match_upoly_on_repeated_factors(fs, n):
-    # q^n > 2^16: root_counts counts these directly, without a table
+    # q^n > 2^16: spectrum_counts counts these directly, without a table
     assert fs.q ** n > 1 << 16
     _assert_matches_upoly(fs, _constructed(fs, n, random.Random(100 * fs.degree + n)))
 
@@ -136,20 +140,46 @@ def test_spectrum_tables_match_scalar_build(fs, n):
 
 
 def test_spectrum_tables_stop_at_the_root_counts_bound():
-    # 16^5 = 2^20 polynomials: root_counts counts such batches directly
+    # 16^5 = 2^20 polynomials: spectrum_counts counts such batches directly
     with pytest.raises(ValueError, match="count_roots"):
         _bulk.spectrum_tables(GF16, 5)
 
 
 def test_pack_monic_orders_like_all_monic():
     polys = _codes(GF8, list(all_monic(GF8, 3)))
-    assert _bulk.pack_monic(GF8, polys).tolist() == list(range(8 ** 3))
+    assert pack_monic(GF8, polys) == list(range(8 ** 3))
+
+
+def _perfbench_tables():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return sorted({(fs.degree, n) for pairs in workloads.TABLES.values() for fs, n in pairs})
+
+
+def test_table_index_matches_packed_codes():
+    # every (field, n) whose spectrum table the benchmark reads, plus the
+    # widest table index of each byte count; lanes cut inside and at a word
+    rng = np.random.default_rng(12)
+    cases = _perfbench_tables() + [(2, 8), (2, 16), (16, 1)]
+    for k, n in cases:
+        fs = FieldSpec(k)
+        if fs.q ** n > 1 << 16:
+            continue
+        for count in (1, 64, 200, 4096):
+            coeffs = rng.integers(0, 1 << 64, size=(n, k, -(-count // 64)), dtype=np.uint64)
+            got = _bulk.table_index(coeffs, count)
+            assert got.dtype == (np.uint8 if n * k <= 8 else np.uint16), (k, n)
+            assert got.tolist() == pack_monic(fs, _bulk.monic_codes(coeffs, count)), (k, n, count)
 
 
 def test_counts_of_an_empty_batch():
-    empty = np.zeros((0, 6), dtype=np.uint8)
-    for kind, ez in SLOTS:
-        assert _bulk.root_counts(GF16, empty, kind, ez).shape == (0,)
+    for fs, n in [(GF16, 5), (GF4, 3)]:         # counted directly, read from a table
+        empty = np.zeros((n, fs.degree, 0), dtype=np.uint64)
+        for kind, ez in SLOTS:
+            assert _bulk.spectrum_counts(fs, empty, 0, kind, ez).shape == (0,)
 
 
 # ----------------------------------------------------------------------
@@ -217,3 +247,12 @@ def test_lane_codes_invert_code_planes(k, count):
     # the monic wrapper appends the leading ones
     monic = _bulk.monic_codes(planes, count)
     assert np.array_equal(monic[:, :3], codes) and (monic[:, 3] == 1).all()
+
+
+@pytest.mark.parametrize("offset", [0, 5, 1 << 30])
+def test_index_planes_match_code_planes_of_the_indices(offset):
+    words = np.arange(offset, offset + 3, dtype=np.int64)
+    indices = (64 * words[:, None] + np.arange(64)).reshape(-1, 1)
+    for width in range(1, 41):
+        assert np.array_equal(_bulk.index_planes(words, width),
+                              _bulk.code_planes(indices, width)), width

@@ -112,6 +112,20 @@ def test_scan_adapted(capsys):
     assert counts["points"] == 85 and counts["adapted"] == 0
 
 
+def test_budget_bounds(capsys):
+    # exhaustive indices must fit int64: budgets past 2^62 are usage errors
+    for bad in ("100000000000000000000000", str((1 << 62) + 1), "0", "-4", "many"):
+        code = main(["verify", "--field", "gf4", "--construction", "full6", "--pred", "6-spec",
+                     "--budget", bad])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--budget: expected a positive integer up to 2^62" in captured.err
+    code, report = run_cli(capsys, "verify", "--field", "gf4", "--construction", "full6",
+                           "--pred", "6-spec", "--budget", str(1 << 62), "--samples", "50")
+    assert code == 0 and report["config"]["budget"] == 1 << 62
+    assert report["checks"][0]["mode"] == "sampled"
+
+
 def test_detect_hurdle_outcomes(capsys):
     code, report = run_cli(capsys, "detect-hurdle", "--construction", "hurdle3")
     assert code == 0 and report["checks"][0]["outcome"] == "holds"

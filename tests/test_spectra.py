@@ -1,7 +1,9 @@
 import os
 import random
+import time
 import tracemalloc
 from functools import partial
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,13 +20,20 @@ from char2spec.spectra import (SpecPredicate, _element_for_index, _scan_space, c
                                check_space, check_space_even_charpoly, is_even_poly,
                                parse_predicate, pool_threads, profile)
 from oracles import (all_monic, charpoly_cofactor, first_failing_index, first_failing_sample,
-                     is_nilpotent, roots_by_evaluation, sample_coordinates, sample_element)
+                     is_nilpotent, projective_indices, roots_by_evaluation, sample_coordinates,
+                     sample_element)
 
 
 @pytest.fixture
 def small_chunk(monkeypatch):
-    # small batches, so that several workers get several ranges to merge
+    # small batches, so that several workers get several ranges to merge;
+    # the list gets one entry per batch of the charpoly kernel
     monkeypatch.setattr(spectra, "CHUNK", 16)
+    calls = []
+    kernel = _bulk.charpoly_planes
+    monkeypatch.setattr(_bulk, "charpoly_planes",
+                        lambda fs, mats: calls.append(1) or kernel(fs, mats))
+    return calls
 
 
 def test_profile_examples(gf4):
@@ -118,6 +127,7 @@ def test_worker_invariance_exhaustive(gf4, small_chunk):
     space = cons.sl2_joint_nt(gf4, 4)
     pred = parse_predicate("1bar*-spec")
     a = check_space(gf4, space, pred, workers=1)
+    assert len(small_chunk) > 1         # one word per batch
     b = check_space(gf4, space, pred, workers=4)
     assert a.to_json() == b.to_json()
 
@@ -210,10 +220,10 @@ def test_gf16_sampled_verdicts_are_pinned(gf16):
         space = spaces[name]
         coords = _bulk.code_planes(_bulk.sample_coords(gf16.q, space.dim, 11, 0, 20000), k)
         ents = _bulk.apply_map(coords, _bulk.linear_map(gf16, space.space.basis, n * n), n * n * k)
-        polys = _bulk.monic_codes(_bulk.charpoly_planes(gf16, ents.reshape(n, n, k, -1)), 20000)
+        coeffs = _bulk.charpoly_planes(gf16, ents.reshape(n, n, k, -1))
         for (kind, ez), want in zip([("in_field", False), ("in_field", True),
                                      ("in_closure", False), ("in_closure", True)], hists):
-            counts = _bulk.root_counts(gf16, polys, kind, ez)
+            counts = _bulk.spectrum_counts(gf16, coeffs, 20000, kind, ez)
             assert np.bincount(counts, minlength=6).tolist() == want, (name, kind, ez)
 
 
@@ -255,14 +265,97 @@ def _top_digit(i: int, q: int) -> int:
 
 @pytest.mark.parametrize("q,d", [(4, 3), (8, 2), (2, 5)])
 def test_projective_indices(q, d):
-    count = _bulk.projective_count(q, d)
-    assert count == 1 + (q ** d - 1) // (q - 1)
-    indices = _bulk.projective_indices(q, d, 0, count).tolist()
+    indices = projective_indices(q, d)
+    assert len(indices) == 1 + (q ** d - 1) // (q - 1)
     # ascending, and exactly 0 plus the indices whose top nonzero digit is 1
     assert indices == [0] + [i for i in range(1, q ** d) if _top_digit(i, q) == 1]
-    for cut in range(count + 1):
-        assert (_bulk.projective_indices(q, d, 0, cut).tolist()
-                + _bulk.projective_indices(q, d, cut, count).tolist()) == indices
+
+
+def _word_indices(q, d, lo, hi):
+    """The indices of the lanes a projective scan of F_q^d checks in its
+    word ranks [lo, hi)."""
+    words = _bulk.projective_words(q, d, lo, hi)
+    lanes = (64 * words[:, None] + np.arange(64)).reshape(-1)
+    return lanes[lanes < q ** d].tolist()
+
+
+@pytest.mark.parametrize("q,d", [(2, 5), (2, 12), (4, 3), (4, 10), (8, 2), (8, 7)])
+def test_word_cover_is_the_projective_indices_and_word_zero(q, d):
+    count = _bulk.projective_word_count(q, d)
+    covered = _word_indices(q, d, 0, count)
+    reps = projective_indices(q, d)
+    head = list(range(min(64, q ** d)))
+    # word 0 whole, then exactly the representatives past it, ascending
+    assert covered == head + [i for i in reps if i >= 64]
+    assert set(reps) <= set(covered)
+    # cut at every batch boundary, for batches of one word up to the default
+    for batch in (1, 3, max(1, spectra.CHUNK // 64)):
+        pieces = [_word_indices(q, d, lo, min(lo + batch, count)) for lo in range(0, count, batch)]
+        assert list(chain.from_iterable(pieces)) == covered, batch
+
+
+def test_word_lookup_reads_the_rank_range_alone():
+    # GF(2), d = 60: 2^54 words; the last three are the top of block 2^59
+    count = _bulk.projective_word_count(2, 60)
+    assert count == 1 + sum(2 ** j // 64 for j in range(6, 60))
+    start = time.perf_counter()
+    words = _bulk.projective_words(2, 60, count - 3, count)
+    assert time.perf_counter() - start < 1.0
+    assert words.tolist() == [2 ** 54 - 3, 2 ** 54 - 2, 2 ** 54 - 1]
+    assert _bulk.projective_words(2, 60, 1, 3).tolist() == [1, 2]   # block 2^6, then 2^7
+
+
+def _line_predicate(fs, d, bad):
+    """fail_batch and fail_scalar over the 1 x d space of coordinate rows:
+    an element fails iff the smallest index on its line is in `bad`, which
+    makes the predicate invariant under scaling.  Also returns the list
+    that gets one entry per batch."""
+    q, batches = fs.q, []
+
+    def representative(coords):
+        top = next((c for c in reversed(coords) if c), 0)
+        if not top:
+            return 0
+        inv = fs.inv(top)
+        return sum(fs.mul(inv, c) * q ** j for j, c in enumerate(coords))
+
+    def fail_batch(planes, count):
+        batches.append(1)
+        codes = _bulk.lane_codes(planes.reshape(d, fs.degree, -1), count)
+        return np.array([representative([int(c) for c in row]) in bad for row in codes])
+
+    return fail_batch, lambda m: representative(list(m.entries)) in bad, batches
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_word_scan_keeps_minimal_witness(workers, small_chunk):
+    # (field, d, representatives of the failing lines): failing
+    # non-representatives in word 0 (10, 15 on the line of 5; 42, 63 on the
+    # line of 21) ahead of failing representatives; first failures at the
+    # first and last lanes of word 1, and in word 3 of a GF(2) scan
+    cases = [(GF4, 4, {5, 16}), (GF4, 4, {21, 100}), (GF4, 4, {64}), (GF4, 4, {127}),
+             (GF2, 8, {200, 255}), (GF8, 2, {9}), (GF4, 4, set())]
+    for fs, d, bad in cases:
+        space = sub.MatSubspace((1, d), sub.full_space(fs, d))
+        fail_batch, fail_scalar, batches = _line_predicate(fs, d, bad)
+        expect = first_failing_index(space, fail_scalar)
+        got = _scan_space(fs, space, fail_batch, fail_scalar, 1 << 24, 0, 0, workers)
+        assert got[:4] == ("exhaustive", fs.q ** d, None, expect), (fs.q, d, bad)
+        assert expect is None or got[4] == space.element_at(expect)
+        if not bad:     # one batch per word: GF(4), d = 4 has words 0 and 1
+            assert len(batches) == _bulk.projective_word_count(fs.q, d) == 2
+
+
+def test_exhaustive_scan_refuses_indices_past_int64():
+    pred = parse_predicate("1-spec")
+    wide = sub.MatSubspace((1, 63), sub.full_space(GF2, 63))       # 2^63 elements
+    with pytest.raises(ValueError, match="int64"):
+        _scan_space(GF2, wide, None, None, 1 << 63, 0, 0, 1)
+    with pytest.raises(ValueError, match="int64"):
+        check_space(GF4, cons.full(GF4, 6), parse_predicate("6-spec"), budget=4 ** 36)
+    # under the budget the same spaces are sampled
+    v = check_space(GF2, cons.full(GF2, 8), pred, budget=1 << 62, samples=64)
+    assert v.mode == "sampled" and v.checked == 64
 
 
 def _nt_plus(fs, n, i, j):
@@ -295,13 +388,18 @@ def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
     ]
     for fs, space, pred, fails in spec_cases:
         expect = first_failing_index(space, fails)
+        small_chunk.clear()
         v = check_space(fs, space, parse_predicate(pred), workers=workers)
+        # one word per batch: several ranges, each at least one batch
+        assert workers == 1 or len(small_chunk) > 1
         assert v.mode == "exhaustive" and v.checked == fs.q ** space.dim
         assert v.witness_index == expect
         assert v.witness == space.element_at(expect)
     for fs, space in [(GF8, EVEN_GF8_LATE), (GF4, cons.full(GF4, 2))]:
         expect = first_failing_index(space, _odd_charpoly(fs))
+        small_chunk.clear()
         v = check_space_even_charpoly(fs, space, workers=workers)
+        assert workers == 1 or len(small_chunk) > 1
         assert v.checked == fs.q ** space.dim
         assert (v.witness_index, v.witness) == (expect, space.element_at(expect))
     assert check_space_even_charpoly(GF8, EVEN_GF8_LATE).witness_index == 66
@@ -395,7 +493,9 @@ def test_splitting_check_keeps_minimal_witness(gf2, workers, small_chunk):
     h4 = cons.hurdle_template(gf2, 4)
     cert = st.detect_hurdle(gf2, h4)
     space = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
+    small_chunk.clear()
     v = st.splitting_check(gf2, space, cert, mode="2spec", workers=workers)
+    assert workers == 1 or len(small_chunk) > 1
     expect = first_failing_index(space, _splitting_fails(gf2, cert))
     assert v.outcome == "fails" and v.detail["condition"] == "bcd"
     assert v.detail["index"] == expect == 16
@@ -450,7 +550,7 @@ def test_plane_elements_match_element_at(fs, shape, dim):
         assert _plane_elements(fs, space, idx, width) == [
             space.element_at(i).entries for i in range(lo, hi)]
     # every projective rank
-    ranks = _bulk.projective_indices(fs.q, dim, 0, _bulk.projective_count(fs.q, dim))
+    ranks = np.array(projective_indices(fs.q, dim))
     assert _plane_elements(fs, space, ranks[:, None], width) == [
         space.element_at(int(i)).entries for i in ranks]
     # sampled coordinates
@@ -497,7 +597,8 @@ def _field_plane(fs):
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("chunk", [5, 50, 100])
 def test_pad_lanes_never_fail(monkeypatch, workers, chunk):
-    # the zero matrix fails 0-spec, and lanes past a batch's end hold zeros
+    # the zero matrix fails 0-spec, and lanes past a batch's end (zeros, or
+    # indices past q^dim in word 0) are never read
     monkeypatch.setattr(spectra, "CHUNK", chunk)
     pred = parse_predicate("0-spec")
     fails = lambda m: len(roots_by_evaluation(GF4, charpoly_cofactor(GF4, m))) > 0
@@ -520,12 +621,16 @@ def test_scan_partition_is_bounded_by_chunks(monkeypatch):
     monkeypatch.setattr(_bulk, "charpoly_planes",
                         lambda fs, mats: calls.append(1) or kernel(fs, mats))
     space, pred = cons.sl2_joint_nt(GF4, 4), parse_predicate("1bar*-spec")
-    runs = []
-    for workers in (1, 10 ** 6):
-        calls.clear()
-        v = check_space(GF4, space, pred, budget=8, samples=20_000, seed=1, workers=workers)
-        runs.append((v.to_json(), len(calls)))
-    assert runs[0] == runs[1] and runs[0][1] == 1
+    # sampled, 20 000 positions; exhaustive, 342 words of 64 indices
+    assert _bulk.projective_word_count(4, space.dim) == 342
+    for budget in (8, 1 << 24):
+        runs = []
+        for workers in (1, 10 ** 6):
+            calls.clear()
+            v = check_space(GF4, space, pred, budget=budget, samples=20_000, seed=1,
+                            workers=workers)
+            runs.append((v.to_json(), len(calls)))
+        assert runs[0] == runs[1] and runs[0][1] == 1
 
 
 # the sampled k > 8 verdicts over GF(2^9) at seed 7, 300 samples, as the
