@@ -23,6 +23,6 @@ for a0 in range(4):
                 hits += 1
 print(f"  {hits} / 32 (target, split) pairs solved")
 
-v = choice_lemma_audit(GF4, n=3, cap=2000, seed=0, spot_checks=16)
+v = choice_lemma_audit(GF4, n=3, cap=2000, seed=0)
 print(f"\nCapped audit over {v.detail['hessenberg_matrices']} Hessenberg matrices: "
       f"{v.outcome} ({v.detail['solved']} solves, {v.detail['failures']} failures)")

@@ -35,8 +35,8 @@ the planes (:func:`table_index`).  Above that they are unpacked to codes
 [N, n+1] (:func:`monic_codes`) and counted directly.
 
 Direct root counts work on code rows, all lanes in step (the tests hold
-them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 8,
-the zeros of a Horner evaluation at all q elements, and above that
+them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 7,
+the zeros of a Horner evaluation at all q elements, and from k = 8 on
 deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
 Roots in the closure are deg rad f, from the characteristic-2 squarefree
 decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
@@ -97,7 +97,8 @@ def code_planes(codes: np.ndarray, width: int) -> np.ndarray:
     raw = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<")).view(np.uint8)
     lanes = 64 * -(-big // 64)
     rows = np.zeros((cols, nbytes, lanes), dtype=np.uint8)
-    rows[:, :, :big] = raw.reshape(big, cols, -1)[:, :, :nbytes].transpose(1, 2, 0)
+    raw = raw.reshape(big, cols, codes.dtype.itemsize)[:, :, :nbytes]
+    rows[:, :, :big] = raw.transpose(1, 2, 0)
     words = rows.view(np.uint64)[:, :, None, :] >> np.arange(bits, dtype=np.uint64)[:, None]
     words &= _BYTE_LSB
     with np.errstate(over="ignore"):
@@ -145,8 +146,7 @@ def monic_codes(coeffs: np.ndarray, count: int) -> np.ndarray:
 
 def nonzero_lanes(planes: np.ndarray, count: int) -> np.ndarray:
     """Lanes in which any of the planes [..., W] has a set bit."""
-    w = planes.shape[-1]
-    seen = np.bitwise_or.reduce(planes.reshape(-1, w), axis=0)
+    seen = np.bitwise_or.reduce(planes, axis=tuple(range(planes.ndim - 1)))
     return _lane_bits(seen[None], count)[0].astype(bool)
 
 
@@ -375,7 +375,7 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
 
 
 def _field_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
-    """Distinct roots in F of every row of codes [N, L] (k <= 8): Horner
+    """Distinct roots in F of every row of codes [N, L] (k <= 7): Horner
     evaluation at all q elements, counting zeros."""
     q = fs.q
     acc = np.repeat(polys[:, -1:], q, axis=1)
@@ -418,16 +418,19 @@ def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
 def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
     """Distinct roots of a batch of monic polynomials [N, n+1] (ascending
     codes), in F ("in_field") or in its closure ("in_closure"), zero
-    included, as uint8.  For k <= 8 rows go in blocks of about 2^16 / q,
-    which bounds the Horner table (rows x q); above, in blocks of 2^14."""
+    included, as uint8.  For k <= 7 roots in F are Horner counts and rows
+    go in blocks of about 2^16 / q, which bounds the Horner table (rows x q);
+    from k = 8 on, where q evaluations per row lose to k squarings, they are
+    Frobenius counts and rows go in blocks of 2^14."""
     n = polys.shape[1] - 1
-    step = max(1024, (1 << 16) // fs.q) if fs.degree <= 8 else 1 << 14
+    horner = fs.degree <= 7
+    step = max(1024, (1 << 16) // fs.q) if horner else 1 << 14
     out = np.empty(polys.shape[0], dtype=np.uint8)
     for lo in range(0, polys.shape[0], step):
         block = polys[lo:lo + step]
         if kind == "in_closure":
             out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
-        elif fs.degree <= 8:
+        elif horner:
             out[lo:lo + step] = _field_counts(fs, block)
         else:
             out[lo:lo + step] = _frobenius_counts(fs, block)

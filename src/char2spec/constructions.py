@@ -9,13 +9,12 @@ realization must have, and the test suite iterates it generically.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 
 from .gf import FieldSpec
-from .matrix import Mat, det, identity, inverse, mat_mul, unit
-from .subspace import MatSubspace, VecSubspace, random_subspace
+from .matrix import Mat, identity, inverse, mat_mul, rank, unit
+from .subspace import MatSubspace, VecSubspace
 
 
 def _space(fs: FieldSpec, n: int, mats) -> MatSubspace:
@@ -115,7 +114,7 @@ def k2m(fs: FieldSpec, m: int) -> Mat:
         e[i * n + (m + i)] = 1
         e[(m + i) * n + i] = 1
     k = Mat(n, n, e)
-    assert det(fs, k) != 0
+    assert rank(fs, k) == n
     return k
 
 
@@ -155,7 +154,7 @@ def line_plus(fs: FieldSpec, t: MatSubspace) -> MatSubspace:
 
 def mats_p(fs: FieldSpec, n: int, p: Mat) -> MatSubspace:
     """The space of all S*P with S symmetric; requires invertible P."""
-    if det(fs, p) == 0:
+    if rank(fs, p) != n:
         raise ValueError("mats_p requires invertible P")
     return syms(fs, n).transform(lambda s: mat_mul(fs, s, p))
 
@@ -192,36 +191,6 @@ def case_iv_n6(fs: FieldSpec) -> MatSubspace:
             gens.append(unit(n, n, i, 4 + j))
             gens.append(unit(n, n, 2 + i, 4 + j))
     return _space(fs, n, gens)
-
-
-# ----------------------------------------------------------------------
-# complexes of subspaces
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ComplexFamily:
-    """(k-1)*n subspaces whose dimensions form the staircase 1,..,1,2,..,2,...
-    with k repeats per level."""
-    k: int
-    n: int
-    spaces: tuple[VecSubspace, ...]
-
-    def __post_init__(self):
-        expect = complex_dims(self.k, self.n)
-        got = tuple(s.dim for s in self.spaces)
-        if got != expect:
-            raise ValueError(f"complex dimension pattern {got} != {expect}")
-
-
-def complex_dims(k: int, n: int) -> tuple[int, ...]:
-    return tuple(1 + (i - 1) // k for i in range(1, (k - 1) * n + 1))
-
-
-def make_complex(fs: FieldSpec, k: int, n: int, seed: int | None = None,
-                 spaces=None) -> ComplexFamily:
-    if spaces is None:
-        rng = random.Random(seed)
-        spaces = [random_subspace(fs, rng, n, d) for d in complex_dims(k, n)]
-    return ComplexFamily(k, n, tuple(spaces))
 
 
 # ----------------------------------------------------------------------
@@ -294,6 +263,8 @@ def build_with_expected(fs: FieldSpec, expr: str) -> tuple[MatSubspace, int]:
     space, expected, rest = _parse_expr(fs, text)
     if rest:
         raise ValueError(f"trailing input in construction expression: {rest!r}")
+    if space.shape == (0, 0):
+        raise ValueError(f"construction {expr!r} builds 0 x 0 matrices")
     return space, expected
 
 

@@ -129,14 +129,13 @@ def transrank_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaV
 # ----------------------------------------------------------------------
 # covering and vanishing
 # ----------------------------------------------------------------------
-def covering_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
-                     n_max: int = 4) -> LemmaVerdict:
+def covering_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """Random families matching the covering shape with r = |F| - 1 never
     cover the space."""
     rng = random.Random(seed)
     r = fs.q - 1
     for t in range(trials):
-        n = rng.randrange(2, n_max + 1)
+        n = rng.randrange(2, 5)
         family = []
         for k in range(1, n - 1):
             family += [random_subspace(fs, rng, n, k) for _ in range(r)]
@@ -161,18 +160,17 @@ def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
-                      n_choices=(2, 3), d_max: int = 3) -> LemmaVerdict:
+def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """Random admissible families; every homogeneous p forced to vanish off
     the union must vanish identically."""
     rng = random.Random(seed)
     polys_checked = 0
     candidate_dims = 0
     for t in range(trials):
-        n = n_choices[rng.randrange(len(n_choices))]
+        n = 2 + rng.randrange(2)
         # the lemma needs d <= |F|; for n = 2 every member is a hyperplane,
         # at most |F| - d of them, and the family cannot be empty
-        d = rng.randrange(1, min(d_max, fs.q - 1 if n == 2 else fs.q) + 1)
+        d = rng.randrange(1, min(3, fs.q - 1 if n == 2 else fs.q) + 1)
         c_small = [rng.randrange(0, fs.q) for _ in range(1, n - 1)]
         c_hyp = rng.randrange(0, fs.q - d + 1)
         family = []
@@ -206,6 +204,12 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
 # ----------------------------------------------------------------------
 # confinement and splitting
 # ----------------------------------------------------------------------
+# the enumeration budget and sample count of the splitting and
+# hurdle-dimension scans
+_BUDGET = 1 << 16
+_SAMPLES = 2 * 10 ** 4
+
+
 def confinement_first_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                               workers: int = 1) -> LemmaVerdict:
     """Conjugated instances of phi (x) V (optionally extended by the scalar
@@ -254,7 +258,6 @@ def confinement_second_harness(fs: FieldSpec, trials: int = 50, seed: int = 0,
 
 
 def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
-                      budget: int = 1 << 16, samples: int = 2 * 10 ** 4,
                       workers: int = 1) -> LemmaVerdict:
     """Random 2-spec hurdles between the template and the full twofold sl_2
     joint (n = 4); all four splitting conclusions must hold."""
@@ -268,8 +271,8 @@ def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
             coeffs = [rng.randrange(fs.q) for _ in range(big.dim)]
             v = Mat(4, 4, big.space.combine(coeffs))
             s = s.sum_with(MatSubspace.from_matrices(fs, (4, 4), [v]))
-        verdict = splitting_check(fs, s, cert, mode="2spec", budget=budget,
-                                  samples=samples, seed=seed + t, workers=workers)
+        verdict = splitting_check(fs, s, cert, mode="2spec", budget=_BUDGET,
+                                  samples=_SAMPLES, seed=seed + t, workers=workers)
         if verdict.outcome != "holds":
             verdict.detail["trial"] = t
             return verdict
@@ -277,7 +280,6 @@ def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
 
 
 def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
-                             budget: int = 1 << 16, samples: int = 2 * 10 ** 4,
                              workers: int = 1) -> LemmaVerdict:
     """Generated hurdles: 1*-spec instances must have dim <= C(n,2)+2 and
     2-spec instances dim <= C(n,2)+3 (+4 when n = 4).  Certificates are
@@ -313,7 +315,7 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         if not certifies_hurdle(fs, s, plane):
             return LemmaVerdict("hurdle-dimension", "hypothesis-violation",
                                 {"trial": t, "reason": "conjugated certificate failed"})
-        pv = check_space(fs, s, pred, budget=budget, samples=samples,
+        pv = check_space(fs, s, pred, budget=_BUDGET, samples=_SAMPLES,
                          seed=seed + t, workers=workers)
         if not pv.holds:
             return LemmaVerdict("hurdle-dimension", "hypothesis-violation",
@@ -324,11 +326,11 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     return LemmaVerdict("hurdle-dimension", "holds", {"instances": trials, "seed": seed})
 
 
-def diagonal_zero_harness(fs: FieldSpec, ns=(3, 4, 5)) -> LemmaVerdict:
+def diagonal_zero_harness(fs: FieldSpec) -> LemmaVerdict:
     """A witness with >= 3 distinct eigenvalues must exist inside the
-    zero-diagonal space for every requested n."""
+    zero-diagonal space for n = 3, 4, 5."""
     found = {}
-    for n in ns:
+    for n in (3, 4, 5):
         w = diagonal_zero_witness(fs, n)
         if w is None:
             return LemmaVerdict("diagonal-zero", "fails", {"n": n})
@@ -339,18 +341,18 @@ def diagonal_zero_harness(fs: FieldSpec, ns=(3, 4, 5)) -> LemmaVerdict:
     return LemmaVerdict("diagonal-zero", "holds", {"witnesses": found})
 
 
-def sl_rank1_harness(fs: FieldSpec, n_max: int = 4) -> LemmaVerdict:
+def sl_rank1_harness(fs: FieldSpec) -> LemmaVerdict:
+    n_max = 4
     for n in range(2, n_max + 1):
         if sl_rank1_span(fs, n) != cons.sl(fs, n):
             return LemmaVerdict("sl-rank1-span", "fails", {"n": n})
     return LemmaVerdict("sl-rank1-span", "holds", {"n_max": n_max})
 
 
-def confinement_third_harness(fs: FieldSpec, n: int = 5, seed: int = 0,
-                              budget: int = 1 << 20,
+def confinement_third_harness(fs: FieldSpec, seed: int = 0,
                               workers: int = 1) -> LemmaVerdict:
-    v = confinement_third_check(fs, third_confinement_template(fs, n),
-                                budget=budget, seed=seed, workers=workers)
+    v = confinement_third_check(fs, third_confinement_template(fs, 5),
+                                budget=1 << 20, seed=seed, workers=workers)
     v.name = "confinement-third"
     return v
 
@@ -359,10 +361,12 @@ def confinement_third_harness(fs: FieldSpec, n: int = 5, seed: int = 0,
 # choice lemma audit
 # ----------------------------------------------------------------------
 _ALL_LANES = ~np.uint64(0)
+# matrices the audit re-runs through the scalar choice_solve
+_SPOT_CHECKS = 64
 
 
 def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
-                       seed: int = 0, spot_checks: int = 64) -> LemmaVerdict:
+                       seed: int = 0) -> LemmaVerdict:
     """Total audit: for every regular Hessenberg matrix of the given size
     (canonically sampled down to `cap` when the full count exceeds it) and
     every monic target with matching trace, a top-right block perturbation
@@ -475,7 +479,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
                     else:
                         solved += 1
     rng = random.Random(seed)
-    for _ in range(spot_checks):
+    for _ in range(_SPOT_CHECKS):
         bi = rng.randrange(count)
         m = Mat(n, n, [int(x) for x in mats[bi].reshape(-1)])
         r = (rng.randrange(q), rng.randrange(q), int(traces[bi]), 1)
@@ -493,7 +497,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
                         {"hessenberg_matrices": count, "capped": capped,
                          "targets_per_matrix": q * q, "splits": [1, n - 1],
                          "solved": solved, "affine_fallbacks": fallbacks,
-                         "failures": failures, "spot_checks": spot_checks})
+                         "failures": failures, "spot_checks": _SPOT_CHECKS})
 
 
 # ----------------------------------------------------------------------

@@ -216,32 +216,6 @@ def rank(fs: FieldSpec, a: Mat) -> int:
     return len(rref_rows(fs, a.row_lists())[1])
 
 
-def det(fs: FieldSpec, a: Mat) -> int:
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    mul, inv = fs.mul, fs.inv
-    n = a.rows
-    rows = a.row_lists()
-    d = 1
-    for c in range(n):
-        sel = -1
-        for i in range(c, n):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel < 0:
-            return 0
-        rows[c], rows[sel] = rows[sel], rows[c]  # char 2: swaps cost no sign
-        lead = rows[c][c]
-        d = mul(d, lead)
-        li = inv(lead)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = mul(rows[i][c], li)
-                rows[i] = [x ^ mul(f, y) for x, y in zip(rows[i], rows[c])]
-    return d
-
-
 def inverse(fs: FieldSpec, a: Mat) -> Mat:
     if a.rows != a.cols:
         raise ValueError("inverse of a non-square matrix")
@@ -443,5 +417,5 @@ def random_matrix(fs: FieldSpec, rng, n: int, m: int | None = None) -> Mat:
 def random_invertible(fs: FieldSpec, rng, n: int) -> Mat:
     while True:
         a = random_matrix(fs, rng, n)
-        if det(fs, a) != 0:
+        if rank(fs, a) == n:
             return a

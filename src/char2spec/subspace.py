@@ -90,13 +90,6 @@ class VecSubspace:
     def member(self, v) -> bool:
         return not any(self.reduce(v))
 
-    def coords_of(self, v) -> Vec:
-        """Coefficients of v in the canonical basis (v must be a member)."""
-        coords = tuple(v[p] for p in self.pivots)
-        if not self.member(v):
-            raise ValueError("vector is not in the subspace")
-        return coords
-
     def sum_with(self, other: "VecSubspace") -> "VecSubspace":
         self._check_compatible(other)
         return VecSubspace(self.field, self.ambient, list(self.basis) + list(other.basis))

@@ -113,7 +113,7 @@ def test_criterion_10_third_confinement_and_lastblock(cfg):
 
 
 def test_criterion_11_worker_determinism(cfg):
-    r = _report(acc.criterion_11(cfg, worker_counts=(1, 4, 8)))
+    r = _report(acc.criterion_11(cfg))
     assert r["outcome"] == "pass", r["detail"]
     assert r["detail"]["identical"] is True
 

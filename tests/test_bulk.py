@@ -182,6 +182,14 @@ def test_counts_of_an_empty_batch():
             assert _bulk.spectrum_counts(fs, empty, 0, kind, ez).shape == (0,)
 
 
+def test_charpolys_and_nonzero_lanes_of_an_empty_batch():
+    for fs in (GF4, FieldSpec(9)):              # uint8 and uint16 codes
+        empty = np.zeros((0, 3, 3), dtype=code_dtype(fs.degree))
+        assert _bulk.batch_charpoly(fs, empty).shape == (0, 4)
+    for planes in (np.zeros((4, 0), np.uint64), np.zeros((3, 2, 0), np.uint64)):
+        assert _bulk.nonzero_lanes(planes, 0).shape == (0,)
+
+
 # ----------------------------------------------------------------------
 # code-array products and batched rank
 # ----------------------------------------------------------------------

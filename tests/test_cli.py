@@ -70,6 +70,17 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"the choice audit is specialized to n = 3, got n = {bad}" in captured.err
+    # a construction of 0 x 0 matrices is refused by name; an inner nt0 is fine
+    for argv in (["verify", "--construction", "nt0", "--pred", "1-spec"],
+                 ["scan-adapted", "--construction", "full0"],
+                 ["trk", "--construction", "nt0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"construction '{argv[2]}' builds 0 x 0 matrices" in captured.err
+    code, out = run_cli(capsys, "verify", "--construction", "joint(nt0,sl2,nt1)",
+                        "--pred", "2-spec")
+    assert code == 0 and out["checks"][0]["dim"] == 5
 
 
 def test_choice_audit_refuses_wide_fields(capsys):

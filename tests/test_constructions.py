@@ -5,7 +5,6 @@ import pytest
 
 from char2spec.gf import GF2, GF4
 from char2spec import matrix as mx
-from char2spec import subspace as sub
 from char2spec import constructions as cons
 from char2spec.spectra import check_space, parse_predicate
 
@@ -73,7 +72,7 @@ def test_b2m(gf4, gf8):
     assert cons.b2m(gf4, 2).dim == 10
     assert cons.b2m(gf4, 1).dim == 3
     k = cons.k2m(gf4, 2)
-    assert mx.det(gf4, k) != 0
+    assert mx.rank(gf4, k) == 4
     assert mx.transpose(k) == k and all(k[i, i] == 0 for i in range(4))
     lhs = cons.b2m(gf4, 2)
     rhs = cons.mul_space_left(gf4, mx.inverse(gf4, k), cons.syms(gf4, 4))
@@ -114,21 +113,6 @@ def test_case_iv(gf4):
         third = [[m[4 + i, 4 + j] for j in range(2)] for i in range(2)]
         assert first == third
         assert m[0, 0] ^ m[1, 1] == 0
-
-
-def test_complexes(gf4):
-    fam = cons.make_complex(gf4, 2, 3, seed=5)
-    assert tuple(s.dim for s in fam.spaces) == (1, 1, 2)
-    fam3 = cons.make_complex(gf4, 3, 3, seed=5)
-    assert tuple(s.dim for s in fam3.spaces) == (1, 1, 1, 2, 2, 2)
-    again = cons.make_complex(gf4, 2, 3, seed=5)
-    assert fam.spaces == again.spaces
-    explicit = cons.make_complex(gf4, 2, 2, spaces=[
-        sub.span(gf4, 2, [(1, 0)]), sub.span(gf4, 2, [(0, 1)])])
-    assert explicit.k == 2
-    with pytest.raises(ValueError):
-        cons.make_complex(gf4, 2, 2, spaces=[sub.span(gf4, 2, [(1, 0)]),
-                                             sub.full_space(gf4, 2)])
 
 
 def test_build_parser(gf4):
