@@ -20,7 +20,7 @@ from .gf import FieldSpec, field_spec
 from .matrix import Mat
 from .subspace import BudgetExceeded, DEFAULT_BUDGET
 from .spectra import check_space, parse_predicate
-from .structure import adapted_scan, choice_solve, detect_hurdle, is_intransitive, transitive_rank
+from .structure import LemmaVerdict, adapted_scan, choice_solve, detect_hurdle, transitive_rank
 from .harnesses import LEMMA_NAMES, choice_lemma_audit, run_lemma
 from .acceptance import AcceptanceConfig, run_acceptance
 from .constructions import build_with_expected
@@ -80,9 +80,11 @@ def cmd_scan_adapted(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
-    report = adapted_scan(fs, space, label=args.construction)
-    check = report.to_json()
-    check["outcome"] = "holds"
+    try:
+        check = adapted_scan(fs, space, label=args.construction, budget=args.budget).to_json()
+        check["outcome"] = "holds"
+    except BudgetExceeded as exc:
+        check = {"outcome": "budget", "reason": str(exc)}
     cfg = _config_echo(args, {"construction": args.construction})
     return _emit(_report("scan-adapted", cfg, [check], t0), args.out)
 
@@ -107,8 +109,11 @@ def cmd_trk(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
-    check = {"outcome": "holds", "trk": transitive_rank(fs, space),
-             "intransitive": is_intransitive(fs, space)}
+    try:
+        trk = transitive_rank(fs, space, budget=args.budget)
+        check = {"outcome": "holds", "trk": trk, "intransitive": trk < space.shape[0]}
+    except BudgetExceeded as exc:
+        check = {"outcome": "budget", "reason": str(exc)}
     cfg = _config_echo(args, {"construction": args.construction})
     return _emit(_report("trk", cfg, [check], t0), args.out)
 
@@ -150,8 +155,11 @@ def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
 def cmd_lemma(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
-    verdict = run_lemma(fs, args.name, trials=args.trials, seed=args.seed,
-                        workers=args.workers)
+    try:
+        verdict = run_lemma(fs, args.name, trials=args.trials, seed=args.seed,
+                            workers=args.workers)
+    except BudgetExceeded as exc:
+        verdict = LemmaVerdict(args.name, "budget", {"reason": str(exc)})
     if verdict.outcome == "hypothesis-violation" and "trial" not in verdict.detail:
         # the harness rejects its own setup (such as the field), not a drawn instance
         raise ValueError(f"lemma {args.name}: {verdict.detail['reason']}")

@@ -11,7 +11,7 @@ silently skipped).
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
@@ -19,16 +19,15 @@ import numpy as np
 from .gf import FieldSpec
 from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_vec,
                      random_invertible, rref_rows, transpose)
-from .subspace import (MatSubspace, VecSubspace, enumerate_projective,
-                       full_space, random_subspace, trace_orthogonal)
+from .subspace import (MatSubspace, VecSubspace, full_space, projective_blocks,
+                       random_subspace, trace_orthogonal)
 from .spectra import SpecPredicate, check_space
-from .structure import (LemmaVerdict, _embed_block, certifies_hurdle, choice_solve,
-                        confinement_first_check, confinement_second_check,
+from .structure import (LemmaVerdict, _embed_block, basis_codes, certifies_hurdle,
+                        choice_solve, confinement_first_check, confinement_second_check,
                         confinement_third_check, covering_check,
                         covering_hypotheses, detect_hurdle,
-                        diagonal_zero_witness, eval_monomial_map, image_dim,
-                        lastblock_audit, quotient_space,
-                        range_space, second_confinement_generators,
+                        diagonal_zero_witness, lastblock_audit, operator_images,
+                        quotient_space, second_confinement_generators,
                         sl_rank1_span, splitting_check, tensor_span,
                         third_confinement_template, vanishing_check)
 from . import constructions as cons
@@ -107,21 +106,46 @@ def trace_ortho2_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> Lem
     return LemmaVerdict("trace-ortho-2", "holds", {"instances": trials, "seed": seed})
 
 
+def transrank_sides(fs: FieldSpec, s: MatSubspace):
+    """Both sides of the transrank identity at the projective points x of
+    F^n, a block at a time in enumeration order
+    (:func:`subspace.projective_blocks`): yields (x, lhs, rhs) with lhs =
+    dim(S-perp x), the rank of the images of x under a basis of S-perp,
+    and rhs = n - dim(S n (V* (x) x)).  The right side never reads
+    S-perp: V* (x) x is spanned by the n tensors x e_j^T, so by the
+    Grassmann formula it is n - (dim S + n - rank[S; x e_1^T ... x e_n^T]).
+    One batch rank for each side and block."""
+    n = s.shape[0]
+    perp = basis_codes(trace_orthogonal(s))
+    sbasis = basis_codes(s).reshape(s.dim, n * n)
+    for x in projective_blocks(fs, n):
+        lhs = _bulk.batch_rank(fs, operator_images(fs, perp, x))
+        # tensor j holds x in column j of an n x n matrix
+        tensors = np.zeros((len(x), n, n, n), dtype=x.dtype)
+        for j in range(n):
+            tensors[:, j, :, j] = x
+        stacked = np.concatenate([np.broadcast_to(sbasis, (len(x), *sbasis.shape)),
+                                  tensors.reshape(len(x), n, n * n)], axis=1)
+        yield x, lhs, _bulk.batch_rank(fs, stacked) - s.dim
+
+
 def transrank_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
-    """dim(S-perp x) = n - dim(S n (V* (x) x)) for every projective x."""
+    """dim(S-perp x) = n - dim(S n (V* (x) x)) for every projective x
+    (:func:`transrank_sides`); a failure names the first point where the
+    sides differ."""
     rng = random.Random(seed)
     checked = 0
     for t in range(trials):
         n = rng.randrange(2, 5)
         s = _random_mat_subspace(fs, rng, n, n, rng.randrange(0, n * n + 1))
-        perp_basis = trace_orthogonal(s).basis_matrices()
-        for x in enumerate_projective(fs, n):
-            lhs = image_dim(fs, perp_basis, x)
-            rhs = n - s.intersect(range_space(fs, x)).dim
-            checked += 1
-            if lhs != rhs:
+        for x, lhs, rhs in transrank_sides(fs, s):
+            bad = np.flatnonzero(lhs != rhs)
+            if bad.size:
+                i = bad[0]
                 return LemmaVerdict("transrank", "fails",
-                                    {"trial": t, "point": list(x), "lhs": lhs, "rhs": rhs})
+                                    {"trial": t, "point": x[i].tolist(),
+                                     "lhs": int(lhs[i]), "rhs": int(rhs[i])})
+            checked += len(x)
     return LemmaVerdict("transrank", "holds",
                         {"instances": trials, "points_checked": checked, "seed": seed})
 
@@ -160,12 +184,42 @@ def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def monomial_values(fs: FieldSpec, x: np.ndarray, monos) -> np.ndarray:
+    """The value of every monomial (exponent tuple) at every point of x
+    [N, n], as codes [N, len(monos)]: exp of the exponent-weighted sum of
+    the logs, and 0 where a coordinate with a positive exponent is 0."""
+    e = np.array(monos, dtype=np.int64).reshape(len(monos), x.shape[1])
+    logs = np.where(x == 0, 0, fs.log_table[x]).astype(np.int64)
+    values = fs.exp_table[(logs @ e.T) % (fs.q - 1)]
+    values[((x == 0)[:, None, :] & (e > 0)).any(axis=2)] = 0
+    return values
+
+
+def vanishing_solutions(fs: FieldSpec, family: list[VecSubspace], monos,
+                        x: np.ndarray) -> VecSubspace:
+    """The coefficient vectors, over the given monomials of one degree d, of
+    the forms that vanish at every point of F^n outside the union of the
+    family: the annihilator of their values there.  x holds the projective
+    points of F^n as codes [N, n] (:func:`subspace.projective_blocks`): the
+    union is closed under scaling and each row scales by c^d from x to c x,
+    so the projective points outside the union give the same row space.
+    A point lies in a member iff A x = 0 over a basis A of the member's
+    annihilator."""
+    inside = np.zeros(len(x), dtype=bool)
+    for v in family:
+        ann = np.array(v.annihilator().basis, dtype=x.dtype).reshape(1, -1, v.ambient)
+        inside |= ~operator_images(fs, ann, x).any(axis=(1, 2))
+    rows = monomial_values(fs, x[~inside], monos).tolist()
+    return VecSubspace(fs, len(monos), rows).annihilator()
+
+
 def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """Random admissible families; every homogeneous p forced to vanish off
     the union must vanish identically."""
     rng = random.Random(seed)
     polys_checked = 0
     candidate_dims = 0
+    points = {}     # n -> the projective points of F^n
     for t in range(trials):
         n = 2 + rng.randrange(2)
         # the lemma needs d <= |F|; for n = 2 every member is a hyperplane,
@@ -180,14 +234,11 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaV
         if not family:
             family = [random_subspace(fs, rng, n, 1)]
         monos = _monomials(n, d)
-        # every point of F^n in index order (the first coordinate counts fastest)
-        union_free = [x for x in (c[::-1] for c in product(range(fs.q), repeat=n))
-                      if not any(v.member(x) for v in family)]
-        unit_maps = [{mono: 1} for mono in monos]
-        rows = [[eval_monomial_map(fs, u, x) for u in unit_maps] for x in union_free]
         # every p satisfying hypothesis (iii) lives in this solution space;
         # the lemma says each of them is the zero function
-        solutions = VecSubspace(fs, len(monos), rows).annihilator()
+        if n not in points:
+            points[n] = np.concatenate(list(projective_blocks(fs, n)))
+        solutions = vanishing_solutions(fs, family, monos, points[n])
         candidate_dims += solutions.dim
         for coeffs in solutions.basis:
             p = {mono: c for mono, c in zip(monos, coeffs) if c}
@@ -531,6 +582,8 @@ LEMMA_NAMES = list(_LEMMAS)
 
 def run_lemma(fs: FieldSpec, name: str, trials: int = 200, seed: int = 0,
               workers: int = 1) -> LemmaVerdict:
+    """Run one harness by name.  Raises BudgetExceeded when an instance
+    has more points or planes to visit than the default budget."""
     if name not in _LEMMAS:
         raise ValueError(f"unknown lemma harness {name!r}")
     return _LEMMAS[name](fs, trials, seed, workers)

@@ -10,14 +10,15 @@ testing the conclusion; a violated hypothesis yields a distinct
 "hypothesis-violation" verdict rather than a lemma failure, and budget
 overflows surface as "budget", never as "none"/"fails".  Adapted scans
 and hurdle detection run in trace-dual form, from S-perp, on whole
-batches of points or dual planes (:mod:`._bulk` code kernels).
+batches of points or dual planes (:mod:`._bulk` code kernels), and
+transitive rank ranks its points in batches after a short scalar head.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_mu
                      rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
                        enumerate_grassmannian, enumerate_projective, full_space,
-                       grassmannian_blocks, line, projective_points_of, trace_orthogonal,
-                       DEFAULT_BUDGET)
+                       grassmannian_blocks, line, projective_blocks, projective_points_of,
+                       trace_orthogonal, DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
 from . import _bulk
@@ -55,11 +56,6 @@ def tensor_span(fs: FieldSpec, phis, ys) -> MatSubspace:
     (ys must be non-empty; it fixes n)."""
     n = len(ys[0])
     return MatSubspace.from_matrices(fs, (n, n), [tensor(fs, phi, y) for phi in phis for y in ys])
-
-
-def range_space(fs: FieldSpec, x) -> MatSubspace:
-    """All operators with range inside the line F*x (dimension n)."""
-    return tensor_span(fs, full_space(fs, len(x)).basis, [x])
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,18 @@ class AdaptedScanReport:
                             "class": p.klass} for p in self.points]}
 
 
-def _perp_codes(fs: FieldSpec, s: MatSubspace) -> np.ndarray:
-    """A basis of S-perp = trace_orthogonal(S) as codes [r, n, n]."""
-    return np.array(trace_orthogonal(s).space.basis,
-                    dtype=code_dtype(fs.degree)).reshape(-1, *s.shape)
+def basis_codes(s: MatSubspace) -> np.ndarray:
+    """The canonical basis of a matrix space as codes [dim, n, m]."""
+    return np.array(s.space.basis, dtype=code_dtype(s.field.degree)).reshape(-1, *s.shape)
+
+
+def operator_images(fs: FieldSpec, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The images u_i x of every point x of x [N, m] under every operator of
+    u [r, n, m], as codes [N, r, n]."""
+    ux = np.zeros((len(x), len(u), u.shape[1]), dtype=x.dtype)
+    for j in range(u.shape[2]):
+        ux ^= _bulk._mul(fs, u[None, :, :, j], x[:, None, None, j])
+    return ux
 
 
 def adapted_meet_dims(fs: FieldSpec, s: MatSubspace, points) -> np.ndarray:
@@ -118,23 +122,24 @@ def adapted_meet_dims(fs: FieldSpec, s: MatSubspace, points) -> np.ndarray:
     dimension n - its rank (one :func:`_bulk.batch_rank` for all points)."""
     n = s.shape[0]
     x = np.array(points, dtype=code_dtype(fs.degree)).reshape(len(points), n)
-    u = _perp_codes(fs, s)
-    ux = np.zeros((len(x), len(u), n), dtype=x.dtype)
-    for j in range(n):
-        ux ^= _bulk._mul(fs, u[None, :, :, j], x[:, None, None, j])
+    ux = operator_images(fs, basis_codes(trace_orthogonal(s)), x)
     return n - _bulk.batch_rank(fs, np.concatenate([ux, x[:, None, :]], axis=1))
 
 
-def adapted_scan(fs: FieldSpec, s: MatSubspace, label: str = "") -> AdaptedScanReport:
+def adapted_scan(fs: FieldSpec, s: MatSubspace, label: str = "",
+                 budget: int = DEFAULT_BUDGET) -> AdaptedScanReport:
     """For every projective point x, the dimension of the intersection of S
     with the trace-zero operators of range F*x; 0 means x is adapted,
-    <= 1 weakly adapted."""
+    <= 1 weakly adapted.  Raises BudgetExceeded when there are more than
+    `budget` points."""
     n, m = s.shape
     if n != m:
         raise ValueError("adapted scan needs a space of square matrices")
-    pts = list(enumerate_projective(fs, n))
-    meets = adapted_meet_dims(fs, s, pts).tolist()
-    return AdaptedScanReport(label, tuple(map(PointReport, pts, meets)))
+    points = []
+    for block in projective_blocks(fs, n, budget):
+        meets = adapted_meet_dims(fs, s, block).tolist()
+        points += map(PointReport, map(tuple, block.tolist()), meets)
+    return AdaptedScanReport(label, tuple(points))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +201,7 @@ def detect_hurdle(fs: FieldSpec, s: MatSubspace,
     n, m = s.shape
     if n != m:
         raise ValueError("hurdle detection needs a space of square matrices")
-    u = _perp_codes(fs, s)
+    u = basis_codes(trace_orthogonal(s))
     for pivots, block in grassmannian_blocks(fs, 2, n, budget):
         for ui in u:
             img = np.zeros_like(block)
@@ -219,13 +224,25 @@ def image_dim(fs: FieldSpec, basis_mats: list[Mat], x) -> int:
     return len(rref_rows(fs, [list(mat_vec(fs, b, x)) for b in basis_mats])[1])
 
 
-def transitive_rank(fs: FieldSpec, t: MatSubspace) -> int:
-    """max over x of dim(T x); the maximum is attained on projective points."""
+def transitive_rank(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET) -> int:
+    """max over x of dim(T x); the maximum is attained on projective points.
+
+    The first m points are ranked one at a time, and the scan stops as
+    soon as a point reaches rank n (a full-rank space usually does so at
+    once, whatever the budget).  Past them, BudgetExceeded is raised when
+    there are more than `budget` points; otherwise all points are ranked
+    a block at a time, each block by one :func:`_bulk.batch_rank` of
+    [u_1 x ... u_r x] over a basis u (the head's m points once more)."""
     n, m = t.shape
     basis = t.basis_matrices()
     best = 0
-    for x in enumerate_projective(fs, m):
+    for x in islice(enumerate_projective(fs, m), m):
         best = max(best, image_dim(fs, basis, x))
+        if best == n:
+            return best
+    u = basis_codes(t)
+    for block in projective_blocks(fs, m, budget):
+        best = max(best, int(_bulk.batch_rank(fs, operator_images(fs, u, block)).max()))
         if best == n:
             break
     return best
@@ -576,7 +593,11 @@ def confinement_first_check(fs: FieldSpec, s: MatSubspace, phi,
                             budget: int = DEFAULT_BUDGET, samples: int = 10 ** 5,
                             seed: int = 0, workers: int = 1) -> LemmaVerdict:
     """Hypotheses: n >= 3, the space is 2-spec and contains phi (x) V.
-    Conclusion: every non-adapted projective point lies in Ker phi."""
+    Conclusion: every non-adapted projective point lies in Ker phi.
+
+    `budget` bounds the spectrum pass, which samples past it; the adapted
+    scan cannot sample, so it takes up to DEFAULT_BUDGET points and
+    reports "budget" past them."""
     name = "confinement-first"
     n, m = s.shape
     if n != m or n < 3:
@@ -589,7 +610,11 @@ def confinement_first_check(fs: FieldSpec, s: MatSubspace, phi,
     pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
     if violation:
         return violation
-    for p in adapted_scan(fs, s).non_adapted:
+    try:
+        non_adapted = adapted_scan(fs, s).non_adapted
+    except BudgetExceeded as exc:
+        return LemmaVerdict(name, "budget", {"reason": str(exc)})
+    for p in non_adapted:
         if dot(fs, phi, p.point):
             return LemmaVerdict(name, "fails", {"point": list(p.point)})
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
@@ -633,7 +658,7 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
         return LemmaVerdict(name, "budget", {"reason": str(exc)})
     if cert is not None:
         return LemmaVerdict(name, "holds", {"case": "hurdle", "certificate": cert.to_json()})
-    bad_points = [p.point for p in adapted_scan(fs, s).non_adapted
+    bad_points = [p.point for p in adapted_scan(fs, s, budget=budget).non_adapted
                   if not g.member(p.point) and not h.member(p.point)]
     for theta in enumerate_projective(fs, n):
         if not any(dot(fs, theta, x) for x in bad_points):
@@ -664,7 +689,11 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
                             seed: int = 0, workers: int = 1) -> LemmaVerdict:
     """Hypotheses: n >= 5, the space is 2-spec and contains the template.
     Conclusion: every non-adapted projective point has first or third
-    coordinate zero."""
+    coordinate zero.
+
+    `budget` bounds the spectrum pass, which samples past it; the adapted
+    scan cannot sample, so it takes up to DEFAULT_BUDGET points and
+    reports "budget" past them."""
     name = "confinement-third"
     n, m = s.shape
     if n != m or n < 5:
@@ -675,7 +704,11 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
     pv, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
     if violation:
         return violation
-    for p in adapted_scan(fs, s).non_adapted:
+    try:
+        non_adapted = adapted_scan(fs, s).non_adapted
+    except BudgetExceeded as exc:
+        return LemmaVerdict(name, "budget", {"reason": str(exc)})
+    for p in non_adapted:
         if p.point[0] != 0 and p.point[2] != 0:
             return LemmaVerdict(name, "fails", {"point": list(p.point)})
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})

@@ -328,6 +328,36 @@ def enumerate_projective(field: FieldSpec, ambient: int) -> Iterator[Vec]:
             yield head + rest
 
 
+PROJECTIVE_BLOCK = 1 << 14
+
+
+def projective_blocks(field: FieldSpec, ambient: int,
+                      budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """The points of :func:`enumerate_projective`, in the same order, as
+    code arrays [N, ambient] of at most PROJECTIVE_BLOCK points a block.
+    Raises BudgetExceeded at the call, before any block, when there are
+    more than `budget` points.
+
+    Read as a base-q word (first coordinate most significant), the points
+    of pivot p are the words of [q^r, 2 q^r), r = ambient - 1 - p, in
+    ascending order."""
+    q, k = field.q, field.degree
+    total = (q ** ambient - 1) // (q - 1)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+
+    def blocks():
+        heads = np.array([q ** (ambient - 1 - p) for p in range(ambient)], dtype=np.int64)
+        starts = np.cumsum(heads) - heads          # index of each pivot's first point
+        shifts = np.arange(ambient - 1, -1, -1, dtype=np.uint64) * np.uint64(k)
+        for lo in range(0, total, PROJECTIVE_BLOCK):
+            idx = np.arange(lo, min(lo + PROJECTIVE_BLOCK, total), dtype=np.int64)
+            p = np.searchsorted(starts, idx, side="right") - 1
+            words = (idx - starts[p] + heads[p]).astype(np.uint64)
+            yield (words[:, None] >> shifts & np.uint64(q - 1)).astype(code_dtype(k))
+    return blocks()
+
+
 def projective_points_of(space: VecSubspace) -> Iterator[Vec]:
     """One representative per line of the given subspace."""
     for c in enumerate_projective(space.field, space.dim):

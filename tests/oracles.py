@@ -234,3 +234,64 @@ def detect_hurdle(fs: FieldSpec, s, budget: int = 1 << 24):
         if certifies_hurdle(fs, s, plane):
             return plane
     return None
+
+
+def transitive_rank(fs: FieldSpec, t) -> int:
+    """max over projective x of dim(T x), one point at a time through
+    `image_dim`, stopping at the first point of rank n."""
+    from char2spec.structure import image_dim
+    from char2spec.subspace import enumerate_projective
+    n, m = t.shape
+    basis = t.basis_matrices()
+    best = 0
+    for x in enumerate_projective(fs, m):
+        best = max(best, image_dim(fs, basis, x))
+        if best == n:
+            break
+    return best
+
+
+def range_space(fs: FieldSpec, x):
+    """All operators with range inside the line F*x (dimension n)."""
+    from char2spec.structure import tensor_span
+    from char2spec.subspace import full_space
+    return tensor_span(fs, full_space(fs, len(x)).basis, [x])
+
+
+def transrank_sides(fs: FieldSpec, s):
+    """The projective points x of F^n with dim(S-perp x) and n - dim(S n
+    (V* (x) x)) at each, one point at a time: `image_dim` over a basis of
+    S-perp, and a Zassenhaus intersection with `range_space(x)`."""
+    from char2spec.structure import image_dim
+    from char2spec.subspace import enumerate_projective, trace_orthogonal
+    n = s.shape[0]
+    perp_basis = trace_orthogonal(s).basis_matrices()
+    points = list(enumerate_projective(fs, n))
+    lhs = [image_dim(fs, perp_basis, x) for x in points]
+    rhs = [n - s.intersect(range_space(fs, x)).dim for x in points]
+    return points, lhs, rhs
+
+
+def vanishing_solutions(fs: FieldSpec, family, monos):
+    """The forms over the given monomials that vanish at every point of
+    F^n outside the union of the family: the annihilator of their values
+    at all those points, by `member` and `eval_monomial_map`."""
+    from itertools import product
+    from char2spec.structure import eval_monomial_map
+    from char2spec.subspace import VecSubspace
+    n = family[0].ambient
+    union_free = [x for x in (c[::-1] for c in product(range(fs.q), repeat=n))
+                  if not any(v.member(x) for v in family)]
+    rows = [[eval_monomial_map(fs, {mono: 1}, x) for mono in monos] for x in union_free]
+    return VecSubspace(fs, len(monos), rows).annihilator()
+
+
+def operator_spaces(fs: FieldSpec, rng, shapes, count: int):
+    """For each (n, m) in shapes: the zero and the full subspace of
+    Mat_{n,m}, then `count` random ones of random dimension 0 .. n m."""
+    from char2spec.subspace import MatSubspace, VecSubspace, full_space, random_subspace
+    for n, m in shapes:
+        yield MatSubspace((n, m), VecSubspace(fs, n * m, []))
+        yield MatSubspace((n, m), full_space(fs, n * m))
+        for _ in range(count):
+            yield MatSubspace((n, m), random_subspace(fs, rng, n * m, rng.randrange(0, n * m + 1)))

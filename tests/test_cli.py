@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -152,6 +153,33 @@ def test_trk(capsys):
     assert code == 0
     assert report["checks"][0]["trk"] == 3
     assert report["checks"][0]["intransitive"] is True
+
+
+def test_point_scans_honour_the_budget(capsys):
+    # nt3 over GF(2^16) has ~4.3e9 projective points: a "budget" outcome,
+    # at once, as detect-hurdle reports it
+    for command in ("trk", "scan-adapted"):
+        t0 = time.perf_counter()
+        code, report = run_cli(capsys, command, "--field", "gf2^16", "--construction", "nt3",
+                               "--budget", "1000")
+        assert time.perf_counter() - t0 < 5
+        assert code == 0 and report["summary"]["failed"] == 0
+        assert report["checks"] == [{"outcome": "budget", "reason":
+                                     "enumeration of 4295032833 objects exceeds budget 1000"}]
+    # a harness instance past the default budget: transrank over GF(2^16)
+    # draws n = 2 (65 537 points) and then n = 4
+    code, report = run_cli(capsys, "lemma", "--field", "gf2^16", "--name", "transrank",
+                           "--trials", "10", "--seed", "1")
+    assert code == 0 and report["checks"] == [{"name": "transrank", "outcome": "budget", "detail": {
+        "reason": "enumeration of 281479271743489 objects exceeds budget 16777216"}}]
+    # full3 reaches rank 3 at its first point, before the budget is checked
+    code, report = run_cli(capsys, "trk", "--field", "gf2^16", "--construction", "full3",
+                           "--budget", "1000")
+    assert report["checks"] == [{"outcome": "holds", "trk": 3, "intransitive": False}]
+    code, report = run_cli(capsys, "trk", "--construction", "nt3", "--budget", "21")
+    assert report["checks"] == [{"outcome": "holds", "trk": 2, "intransitive": True}]
+    code, report = run_cli(capsys, "scan-adapted", "--construction", "nt3", "--budget", "21")
+    assert report["checks"][0]["counts"]["points"] == 21
 
 
 def test_choice_single_instance(capsys):

@@ -1,10 +1,16 @@
 import hashlib
 import json
+import random
 
+import numpy as np
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8, field_spec
+from char2spec.gf import GF2, GF4, GF8, FieldSpec, field_spec
 from char2spec import harnesses as H
+from char2spec import subspace as sub
+from char2spec.structure import eval_monomial_map
+
+import oracles
 
 
 TRIALS = {"trace-ortho-1": 60, "trace-ortho-2": 60, "transrank": 40, "covering": 60,
@@ -100,3 +106,78 @@ def test_lemma_reports_are_pinned(name):
 def test_choice_audit_report_is_pinned():
     # the audit's seed picks the spot checks, which the report only counts
     assert _digest(H.choice_lemma_audit(GF4)) == _PINNED_LEMMA_REPORTS["choice-audit"]
+
+
+def _points(fs, n):
+    return np.concatenate(list(sub.projective_blocks(fs, n)))
+
+
+def test_transrank_sides_match_scalar_oracle():
+    for fs, sizes in ((GF2, (2, 3, 4)), (GF4, (2, 3, 4)), (GF8, (2, 3)),
+                      (FieldSpec(9), (1, 2))):
+        for seed in (0, 1, 2):
+            for s in oracles.operator_spaces(fs, random.Random(seed), [(n, n) for n in sizes], 4):
+                x, lhs, rhs = map(np.concatenate, zip(*H.transrank_sides(fs, s)))
+                points, want_lhs, want_rhs = oracles.transrank_sides(fs, s)
+                assert [tuple(p) for p in x.tolist()] == points
+                assert lhs.tolist() == want_lhs and rhs.tolist() == want_rhs
+
+
+def test_transrank_failure_names_the_first_mismatch(monkeypatch):
+    # break the right side at points 4 and 9 of every 3 x 3 trial: the
+    # harness stops at the first such trial and names point 4
+    real = H.transrank_sides
+    sizes = []
+
+    def broken(fs, s):
+        sizes.append(s.shape[0])
+        for x, lhs, rhs in real(fs, s):
+            if s.shape[0] == 3:
+                rhs = rhs.copy()
+                rhs[[4, 9]] += 1
+            yield x, lhs, rhs
+
+    monkeypatch.setattr(H, "transrank_sides", broken)
+    v = H.transrank_harness(GF4, trials=20, seed=7)
+    assert v.outcome == "fails"
+    assert v.detail["trial"] == len(sizes) - 1 == sizes.index(3)
+    assert v.detail["point"] == list(list(sub.enumerate_projective(GF4, 3))[4])
+    assert v.detail["rhs"] == v.detail["lhs"] + 1
+
+
+def _families(fs, rng, count):
+    """Admissible vanishing families for n = 2 and 3, drawn as the harness
+    draws them, with a degree d for each."""
+    for _ in range(count):
+        n = 2 + rng.randrange(2)
+        d = rng.randrange(1, min(3, fs.q - 1 if n == 2 else fs.q) + 1)
+        family = [sub.random_subspace(fs, rng, n, k)
+                  for k in range(1, n - 1) for _ in range(rng.randrange(fs.q))]
+        family += [sub.random_subspace(fs, rng, n, n - 1)
+                   for _ in range(rng.randrange(fs.q - d + 1))]
+        yield n, d, family or [sub.random_subspace(fs, rng, n, 1)]
+
+
+def test_vanishing_solutions_match_scalar_oracle():
+    for fs in (GF2, GF4, GF8):
+        for seed in (0, 1, 2):
+            for n, d, family in _families(fs, random.Random(seed), 15):
+                monos = H._monomials(n, d)
+                assert (H.vanishing_solutions(fs, family, monos, _points(fs, n))
+                        == oracles.vanishing_solutions(fs, family, monos))
+    # GF(2^9), n = 2: the oracle walks all 2^18 points, so one family of
+    # two lines and d = 1 (monomial_values is checked at k = 9 below)
+    fs = FieldSpec(9)
+    family = [sub.random_subspace(fs, random.Random(3), 2, 1) for _ in range(2)]
+    monos = H._monomials(2, 1)
+    assert (H.vanishing_solutions(fs, family, monos, _points(fs, 2))
+            == oracles.vanishing_solutions(fs, family, monos))
+
+
+def test_monomial_values_match_scalar_evaluation():
+    for fs, n, d in ((GF2, 3, 3), (GF4, 3, 3), (GF8, 2, 4), (FieldSpec(9), 2, 3)):
+        x = _points(fs, n)
+        x = np.concatenate([x, np.zeros((1, n), dtype=x.dtype)])
+        monos = [m for e in range(d + 1) for m in H._monomials(n, e)]
+        got = H.monomial_values(fs, x, monos).tolist()
+        assert got == [[eval_monomial_map(fs, {m: 1}, p) for m in monos] for p in x.tolist()]

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import product
 from math import comb
@@ -197,6 +198,79 @@ def test_transitive_rank_rectangular(gf4):
     t = sub.MatSubspace.from_matrices(gf4, (3, 2), gens)
     assert st.transitive_rank(gf4, t) == 2
     assert st.is_intransitive(gf4, t)
+
+
+def test_transitive_rank_matches_scalar_oracle(monkeypatch):
+    # square and rectangular, also with 2-point blocks, so that the head
+    # spans several blocks
+    for size in (sub.PROJECTIVE_BLOCK, 2):
+        monkeypatch.setattr(sub, "PROJECTIVE_BLOCK", size)
+        for fs, shapes in ((GF2, [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 1)]),
+                           (GF4, [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (1, 3)]),
+                           (GF8, [(2, 2), (3, 3), (2, 3), (3, 2)]),
+                           (FieldSpec(9), [(1, 1), (1, 2), (2, 1), (2, 2)])):
+            for seed in (0, 1, 2):
+                for t in oracles.operator_spaces(fs, random.Random(seed), shapes, 6):
+                    assert st.transitive_rank(fs, t) == oracles.transitive_rank(fs, t), (fs, t)
+        for fs in (GF2, GF4, GF8):
+            for n in range(1, 5):
+                nt = cons.nt(fs, n)
+                assert st.transitive_rank(fs, nt) == oracles.transitive_rank(fs, nt) == n - 1
+
+
+def test_transitive_rank_and_adapted_scan_budget():
+    # ~4.3e9 points: full3 reaches rank 3 at its first point, before the
+    # budget is checked; nt3 and both adapted scans are refused at once
+    fs = FieldSpec(16)
+    assert st.transitive_rank(fs, cons.full(fs, 3), budget=1000) == 3
+    with pytest.raises(sub.BudgetExceeded):
+        st.transitive_rank(fs, cons.nt(fs, 3), budget=1000)
+    for t in (cons.nt(fs, 3), cons.full(fs, 3)):
+        with pytest.raises(sub.BudgetExceeded):
+            st.adapted_scan(fs, t, budget=1000)
+    assert st.transitive_rank(GF4, cons.nt(GF4, 3), budget=21) == 2
+    with pytest.raises(sub.BudgetExceeded):
+        st.transitive_rank(GF4, cons.nt(GF4, 3), budget=20)
+    assert st.adapted_scan(GF4, cons.nt(GF4, 3), budget=21).counts()["points"] == 21
+
+
+def test_confinement_checks_report_a_scan_past_the_budget():
+    # the sampled spectrum passes hold; the adapted scans of 4.3e9 and
+    # 1.2e19 points are "budget" verdicts, not exceptions
+    fs = FieldSpec(16)
+    phi = (1, 0, 0)
+    s = sub.MatSubspace.from_matrices(
+        fs, (3, 3), [mx.tensor(fs, phi, tuple(int(i == j) for j in range(3)))
+                     for i in range(3)])
+    v = st.confinement_first_check(fs, s, phi, budget=1, samples=50)
+    assert v.outcome == "budget"
+    assert v.detail == {"reason": "enumeration of 4295032833 objects exceeds budget 16777216"}
+    v = st.confinement_third_check(fs, st.third_confinement_template(fs, 5), budget=1,
+                                   samples=50)
+    assert v.outcome == "budget" and "exceeds budget 16777216" in v.detail["reason"]
+
+
+def test_transitive_rank_memory_is_bounded_by_the_block():
+    # nt3 over GF(2^8): 65 793 points and no point of rank 3, so the scan
+    # reads them all; ranked all at once they would take ~11 MB
+    fs = FieldSpec(8)
+    t = cons.nt(fs, 3)
+    st.transitive_rank(fs, cons.nt(fs, 2))      # field tables built
+    tracemalloc.start()
+    try:
+        got = st.transitive_rank(fs, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 2
+    assert peak <= 5 * 10 ** 6
+
+
+def test_adapted_scan_blocks_do_not_change_the_report(monkeypatch):
+    want = [st.adapted_scan(GF4, cons.build(GF4, c)).to_json() for c in ("nt3", "hurdle4")]
+    monkeypatch.setattr(sub, "PROJECTIVE_BLOCK", 5)
+    assert [st.adapted_scan(GF4, cons.build(GF4, c)).to_json()
+            for c in ("nt3", "hurdle4")] == want
 
 
 def test_intransitivity_and_veil(gf4):
@@ -707,4 +781,4 @@ def test_transrank_identity_on_samples(gf4):
                                                         rng.randrange(0, n * n + 1)))
         perp = sub.trace_orthogonal(s).basis_matrices()
         for x in sub.enumerate_projective(gf4, n):
-            assert st.image_dim(gf4, perp, x) == n - s.intersect(st.range_space(gf4, x)).dim
+            assert st.image_dim(gf4, perp, x) == n - s.intersect(oracles.range_space(gf4, x)).dim

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8, GF16
+from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
 from char2spec import matrix as mx
 from char2spec import subspace as sub
 
@@ -162,6 +162,31 @@ def test_grassmannian_blocks_do_not_depend_on_block_size(monkeypatch):
             blocks = list(sub.grassmannian_blocks(fs, d, m))
             assert all(len(b) <= 3 and b.shape[1:] == (d, m) for _, b in blocks)
     assert want[(4, 0, 4)] == [((), ())]
+
+
+def test_projective_blocks_concatenate_to_enumeration(monkeypatch):
+    # the same points in the same order, whether a block holds a whole
+    # pivot's points, several pivots' or a part of one
+    cases = [(fs, m) for fs, mmax in ((GF2, 5), (GF4, 4), (GF8, 3), (FieldSpec(9), 2))
+             for m in range(0, mmax + 1)]
+    for size in (sub.PROJECTIVE_BLOCK, 7, 1):
+        monkeypatch.setattr(sub, "PROJECTIVE_BLOCK", size)
+        for fs, m in cases:
+            blocks = list(sub.projective_blocks(fs, m))
+            assert all(0 < len(b) <= size and b.shape[1:] == (m,)
+                       and b.dtype == code_dtype(fs.degree) for b in blocks)
+            got = [tuple(x) for b in blocks for x in b.tolist()]
+            assert got == list(sub.enumerate_projective(fs, m))
+
+
+def test_projective_blocks_budget():
+    # raised at the call, before any block is made
+    with pytest.raises(sub.BudgetExceeded) as exc:
+        sub.projective_blocks(FieldSpec(16), 3, budget=1000)
+    assert exc.value.needed == 65536 ** 2 + 65536 + 1 and exc.value.budget == 1000
+    assert sum(map(len, sub.projective_blocks(GF4, 3, budget=21))) == 21
+    with pytest.raises(sub.BudgetExceeded):
+        sub.projective_blocks(GF4, 3, budget=20)
 
 
 def test_grassmannian_counts():
