@@ -11,6 +11,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -213,7 +214,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the JSON report to a file")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="char2spec",
         description="Exact checks on bounded-spectrum matrix spaces over GF(2^k).")
@@ -263,9 +266,12 @@ def main(argv=None) -> int:
     # exhaustive space has exactly 2^20 elements and the sampled criteria
     # must stay sampled
     p.set_defaults(fn=cmd_acceptance, budget=1 << 20)
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -29,7 +29,7 @@ from .structure import (LemmaVerdict, _embed_block, basis_codes, certifies_hurdl
                         diagonal_zero_witness, lastblock_audit, operator_images,
                         quotient_space, second_confinement_generators,
                         sl_rank1_span, splitting_check, tensor_span,
-                        third_confinement_template, vanishing_check)
+                        third_confinement_template, union_mask, vanishing_check)
 from . import constructions as cons
 from . import _bulk
 
@@ -203,13 +203,8 @@ def vanishing_solutions(fs: FieldSpec, family: list[VecSubspace], monos,
     points of F^n as codes [N, n] (:func:`subspace.projective_blocks`): the
     union is closed under scaling and each row scales by c^d from x to c x,
     so the projective points outside the union give the same row space.
-    A point lies in a member iff A x = 0 over a basis A of the member's
-    annihilator."""
-    inside = np.zeros(len(x), dtype=bool)
-    for v in family:
-        ann = np.array(v.annihilator().basis, dtype=x.dtype).reshape(1, -1, v.ambient)
-        inside |= ~operator_images(fs, ann, x).any(axis=(1, 2))
-    rows = monomial_values(fs, x[~inside], monos).tolist()
+    Union membership: :func:`structure.union_mask`."""
+    rows = monomial_values(fs, x[~union_mask(fs, family, x)], monos).tolist()
     return VecSubspace(fs, len(monos), rows).annihilator()
 
 

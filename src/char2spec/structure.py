@@ -1,17 +1,19 @@
 """Structural procedures on matrix subspaces.
 
 Implements the executable versions of the package's structure theory:
-adapted/weakly-adapted vector scans, hurdle detection over the dual
-2-Grassmannian, transitive rank and intransitivity veils, alternator
-solving, the constructive choice solver for regular Hessenberg matrices,
-and single-instance checkers for the covering, vanishing, splitting and
-confinement lemmas.  Every checker validates its hypotheses before
-testing the conclusion; a violated hypothesis yields a distinct
-"hypothesis-violation" verdict rather than a lemma failure, and budget
-overflows surface as "budget", never as "none"/"fails".  Adapted scans
-and hurdle detection run in trace-dual form, from S-perp, on whole
-batches of points or dual planes (:mod:`._bulk` code kernels), and
-transitive rank ranks its points in batches after a short scalar head.
+adapted/weakly-adapted vector scans, hurdle detection (the first
+certifying plane of the dual 2-Grassmannian), transitive rank and
+intransitivity veils, alternator solving, the constructive choice solver
+for regular Hessenberg matrices, and single-instance checkers for the
+covering, vanishing, splitting and confinement lemmas.  Every checker
+validates its hypotheses before testing the conclusion; a violated
+hypothesis yields a distinct "hypothesis-violation" verdict rather than
+a lemma failure, and budget overflows surface as "budget", never as
+"none"/"fails".  Adapted scans and hurdle detection run in trace-dual
+form, from S-perp: adapted scans on whole batches of points
+(:mod:`._bulk` code kernels), hurdle detection by refining the common
+left eigenspaces of a basis of S-perp, without walking the planes.
+Transitive rank ranks its points in batches after a short scalar head.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from itertools import islice, product
 import numpy as np
 
 from .gf import FieldSpec, code_dtype
-from .matrix import (Mat, char_poly, dot, is_regular_hessenberg, mat_add, mat_mul, mat_vec,
-                     rank, rref_rows, tensor, trace, unit, companion)
+from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_add, mat_mul,
+                     mat_vec, rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
                        enumerate_grassmannian, enumerate_projective, full_space,
-                       grassmannian_blocks, line, projective_blocks, projective_points_of,
+                       gaussian_binomial, line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
@@ -162,59 +164,110 @@ class HurdleCertificate:
 
 
 def _hurdle_tensors(fs: FieldSpec, plane: VecSubspace):
-    """The tensors phi (x) y for every projective point phi of the dual
-    plane and every y in a basis of its kernel."""
-    for phi in projective_points_of(plane):
+    """The tensors phi (x) y for phi = w1, w2 and w1 + w2, where w1, w2 are
+    the RREF rows of the dual plane, and every y in a basis of ker phi.
+
+    They span every tensor phi (x) y with phi in the plane and phi(y) = 0,
+    the trace-zero operators killing the plane's pre-annihilator
+    (dimension 2n-1): the kernels of w1 and w2 give the operators
+    w1 (x) y1 + w2 (x) y2 with w1(y1) = w2(y2) = 0 (dimension 2n-2), and
+    the kernel of w1 + w2 adds one with w1(y) = w2(y) = 1."""
+    w1, w2 = plane.basis
+    for phi in (w1, w2, tuple(a ^ b for a, b in zip(w1, w2))):
         for y in line(fs, phi).annihilator().basis:
             yield tensor(fs, phi, y)
 
 
 def hurdle_tensor_space(fs: FieldSpec, plane: VecSubspace) -> MatSubspace:
     """Span of all tensors phi (x) y with phi in the dual plane and
-    phi(y) = 0.  Spanning family: :func:`_hurdle_tensors`; this reaches
-    the full space of trace-zero operators killing the pre-annihilator
-    (dimension 2n-1), which two kernel families alone would miss by one
-    dimension."""
+    phi(y) = 0, from the spanning family :func:`_hurdle_tensors`."""
     n = plane.ambient
     return MatSubspace.from_matrices(fs, (n, n), _hurdle_tensors(fs, plane))
 
 
 def certifies_hurdle(fs: FieldSpec, s: MatSubspace, plane: VecSubspace) -> bool:
-    """The primal test: every tensor of the plane is a member of S."""
+    """The primal test: every tensor of the plane is a member of S, checked
+    on the spanning family :func:`_hurdle_tensors`."""
     return all(s.member(t) for t in _hurdle_tensors(fs, plane))
+
+
+def field_roots(fs: FieldSpec, f: Poly) -> list[int]:
+    """The roots in F of a polynomial, ascending: Horner's rule at every
+    element of F at once on a code array."""
+    x = np.arange(fs.q, dtype=code_dtype(fs.degree))
+    acc = np.zeros_like(x)
+    for c in reversed(f):
+        acc = _bulk._mul(fs, acc, x) ^ c
+    return np.flatnonzero(acc == 0).tolist()
+
+
+def common_eigenspaces(fs: FieldSpec, u: list[Mat], n: int) -> list[VecSubspace]:
+    """The common left eigenspaces W(c) = {phi : phi u_j = c_j phi for all
+    j} of dimension at least 2, for the n x n operators u.
+
+    Starts from F^n and refines by one u at a time.  A u that acts on a
+    space W as one scalar keeps W whole (Bu == cB over its RREF basis B, c
+    read at the first pivot); otherwise a plane is dropped, and a larger W
+    is cut into the K(c) = {aB : a(Bu - cB) = 0} of dimension at least 2.
+    B is the identity on its pivot columns p, so a(Bu) = c a there: c is
+    an eigenvalue in F of the d x d matrix (Bu)[:, p]."""
+    spaces = [full_space(fs, n)] if n >= 2 else []
+    mul = fs.mul
+    for ui in u:
+        refined = []
+        for w in spaces:
+            img = mat_mul(fs, from_rows(w.basis), ui).row_lists()
+            c = img[0][w.pivots[0]]
+            if img == [[mul(c, b) for b in br] for br in w.basis]:
+                refined.append(w)
+                continue
+            if w.dim == 2:
+                continue
+            pivot_block = Mat(w.dim, w.dim, [row[p] for row in img for p in w.pivots])
+            for c in field_roots(fs, char_poly(fs, pivot_block)):
+                # a (Bu - cB) = 0: a is orthogonal to every column of Bu - cB
+                diff = [[x ^ mul(c, b) for x, b in zip(ir, br)] for ir, br in zip(img, w.basis)]
+                ker = VecSubspace(fs, w.dim, list(zip(*diff))).annihilator()
+                if ker.dim >= 2:
+                    refined.append(VecSubspace(fs, n, [w.combine(a) for a in ker.basis]))
+        spaces = refined
+        if not spaces:
+            break
+    return spaces
 
 
 def detect_hurdle(fs: FieldSpec, s: MatSubspace,
                   budget: int = DEFAULT_BUDGET) -> HurdleCertificate | None:
-    """Scan 2-dimensional dual subspaces in deterministic Grassmannian order
-    and return the first certifying plane; None when the scan completes
-    without one.  Raises BudgetExceeded when the Grassmannian is too large,
-    which callers must report as a "budget" outcome, not as None.
+    """The first certifying plane of the dual 2-Grassmannian in the order of
+    :func:`subspace.grassmannian_blocks`; None when no plane certifies.
+    Raises BudgetExceeded when the Grassmannian has more than `budget`
+    planes, which callers must report as a "budget" outcome, not as None,
+    although the search does not walk the planes.
 
     Trace-dual form: phi (x) y lies in S iff (phi u)(y) = 0 for every u in
     a basis of S-perp, so P certifies iff phi(y) = 0 forces (phi u)(y) = 0
-    for every phi in P, i.e. iff every u acts on P as one scalar: phi u =
-    c phi for both RREF rows, c read at the pivot of row 0.  Each block of
-    :func:`subspace.grassmannian_blocks` is filtered by one u after the
-    other, and the plane returned is re-verified by
-    :func:`certifies_hurdle`."""
+    for every phi in P, i.e. iff every u acts on P as one scalar c_u: P
+    lies in a common left eigenspace W(c) (:func:`common_eigenspaces`).
+    Distinct W(c) meet only in 0, and a plane inside W has its pivots
+    among W's, so the first plane of W in Grassmannian order is the span of
+    its first two RREF rows, and the answer is the least of those over the
+    W(c) by (pivot pair, free entries row by row).  The plane returned is
+    re-verified by :func:`certifies_hurdle`."""
     n, m = s.shape
     if n != m:
         raise ValueError("hurdle detection needs a space of square matrices")
-    u = basis_codes(trace_orthogonal(s))
-    for pivots, block in grassmannian_blocks(fs, 2, n, budget):
-        for ui in u:
-            img = np.zeros_like(block)
-            for i in range(n):          # (phi u)_j = sum_i phi_i u_ij
-                img ^= _bulk._mul(fs, block[:, :, i, None], ui[i])
-            c = img[:, 0, pivots[0], None, None]
-            block = block[~np.any(img ^ _bulk._mul(fs, c, block), axis=(1, 2))]
-        if len(block):
-            plane = VecSubspace._trusted(fs, n, block[0].tolist(), pivots)
-            if not certifies_hurdle(fs, s, plane):
-                raise AssertionError("dual plane failed to re-verify; hurdle scan is inconsistent")
-            return HurdleCertificate(plane)
-    return None
+    total = gaussian_binomial(n, 2, fs.q)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    spaces = common_eigenspaces(fs, trace_orthogonal(s).basis_matrices(), n)
+    if not spaces:
+        return None
+    # with the pivot pair fixed, the rows compare as their free entries do
+    w = min(spaces, key=lambda w: (w.pivots[:2], w.basis[0], w.basis[1]))
+    plane = VecSubspace._trusted(fs, n, w.basis[:2], w.pivots[:2])
+    if not certifies_hurdle(fs, s, plane):
+        raise AssertionError("dual plane failed to re-verify; hurdle search is inconsistent")
+    return HurdleCertificate(plane)
 
 
 # ----------------------------------------------------------------------
@@ -386,6 +439,17 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
 # ----------------------------------------------------------------------
 # covering and vanishing checks
 # ----------------------------------------------------------------------
+def union_mask(fs: FieldSpec, family: list[VecSubspace], x: np.ndarray) -> np.ndarray:
+    """Which points of x [N, n] (codes) lie in the union of the family: x
+    lies in a member iff A x = 0 over a basis A of the member's
+    annihilator.  Zero rows pad every basis to n rows, so one
+    :func:`operator_images` call tests every member."""
+    n = x.shape[1]
+    ann = [rows + [[0] * n] * (n - len(rows)) for rows in (v.annihilator_rows() for v in family)]
+    ops = np.array(ann, dtype=x.dtype).reshape(len(family), n, n)
+    return (~operator_images(fs, ops, x).any(axis=2)).any(axis=1)
+
+
 def covering_check(fs: FieldSpec, family: list[VecSubspace]) -> LemmaVerdict:
     """Scan all projective points; report the first one outside the union,
     or "covers" when the family covers the whole space."""

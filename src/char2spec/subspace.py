@@ -107,8 +107,10 @@ class VecSubspace:
         inter = [row[m:] for row in reduced if not any(row[:m])]
         return VecSubspace(self.field, m, inter)
 
-    def annihilator(self) -> "VecSubspace":
-        """Nullspace of the basis matrix: all phi with phi(x)=0 on the space."""
+    def annihilator_rows(self) -> list[list[int]]:
+        """A basis of the annihilator, not row-reduced: for each non-pivot
+        column f, the vector with 1 at f, 0 at the other non-pivot columns
+        and row[f] at the pivot of each basis row."""
         m = self.ambient
         free = [j for j in range(m) if j not in self.pivots]
         vecs = []
@@ -118,7 +120,11 @@ class VecSubspace:
             for row, p in zip(self.basis, self.pivots):
                 v[p] = row[f]  # char 2: -x = x
             vecs.append(v)
-        return VecSubspace(self.field, m, vecs)
+        return vecs
+
+    def annihilator(self) -> "VecSubspace":
+        """Nullspace of the basis matrix: all phi with phi(x)=0 on the space."""
+        return VecSubspace(self.field, self.ambient, self.annihilator_rows())
 
     def contains_space(self, other: "VecSubspace") -> bool:
         return all(self.member(v) for v in other.basis)

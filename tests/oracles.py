@@ -224,15 +224,47 @@ def adapted_meet_dim(fs: FieldSpec, s, x) -> int:
     return s.intersect(tensor_span(fs, line(fs, x).annihilator().basis, [x])).dim
 
 
+def certifies_hurdle(fs: FieldSpec, s, plane) -> bool:
+    """Every tensor phi (x) y with phi a projective point of the dual plane
+    and y in a basis of ker phi is a member of S."""
+    from char2spec.matrix import tensor
+    from char2spec.subspace import line, projective_points_of
+    return all(s.member(tensor(fs, phi, y)) for phi in projective_points_of(plane)
+               for y in line(fs, phi).annihilator().basis)
+
+
 def detect_hurdle(fs: FieldSpec, s, budget: int = 1 << 24):
     """The first dual plane in Grassmannian order whose tensors phi (x) y,
     phi(y) = 0, all lie in S, one membership test at a time (None when no
     plane certifies)."""
-    from char2spec.structure import certifies_hurdle
     from char2spec.subspace import enumerate_grassmannian
     for plane in enumerate_grassmannian(fs, 2, s.shape[0], budget):
         if certifies_hurdle(fs, s, plane):
             return plane
+    return None
+
+
+def detect_hurdle_blocks(fs: FieldSpec, s, budget: int = 1 << 24):
+    """The first dual plane in Grassmannian order on which every u in a
+    basis of S-perp acts as one scalar (phi u = c phi for both RREF rows, c
+    read at the pivot of row 0), filtering whole blocks of
+    `grassmannian_blocks` by one u after the other (None when no plane
+    certifies).  Fast enough for n = 5 over GF(4)."""
+    import numpy as np
+    from char2spec import _bulk
+    from char2spec.structure import basis_codes
+    from char2spec.subspace import VecSubspace, grassmannian_blocks, trace_orthogonal
+    n = s.shape[0]
+    u = basis_codes(trace_orthogonal(s))
+    for pivots, block in grassmannian_blocks(fs, 2, n, budget):
+        for ui in u:
+            img = np.zeros_like(block)
+            for i in range(n):          # (phi u)_j = sum_i phi_i u_ij
+                img ^= _bulk._mul(fs, block[:, :, i, None], ui[i])
+            c = img[:, 0, pivots[0], None, None]
+            block = block[~np.any(img ^ _bulk._mul(fs, c, block), axis=(1, 2))]
+        if len(block):
+            return VecSubspace._trusted(fs, n, block[0].tolist(), pivots)
     return None
 
 

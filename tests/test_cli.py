@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from char2spec.cli import main
+from char2spec.cli import _parser, main
 from char2spec.acceptance import canonical_bytes
 
 
@@ -221,3 +221,28 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["checks"][0]["trk"] == 2
+
+
+def test_parser_is_built_once_and_answers_every_call_alike(capsys):
+    # usage errors (exit 2), help (exit 0) and valid commands, mixed in one
+    # process: every call must answer as its first call did
+    argvs = [["--help"], ["verify", "--construction", "nt3"], ["trk", "--construction", "nt3"],
+             ["lemma", "--name", "not-a-lemma"], ["detect-hurdle", "--help"],
+             ["detect-hurdle", "--construction", "hurdle3"], ["trk", "--workers", "0"], [],
+             ["verify", "--construction", "full2", "--pred", "1-spec", "--seed", "3"]]
+
+    def call(argv):
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            report = json.loads(out)
+            del report["timing_ms"]
+            out = canonical_bytes(report)
+        return code, out, err
+
+    first = [call(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0, 0, 2, 2, 1]
+    assert _parser() is _parser()
+    for _ in range(2):
+        for i in (8, 3, 0, 5, 1, 4, 7, 2, 6):
+            assert call(argvs[i]) == first[i]

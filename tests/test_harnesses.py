@@ -1,12 +1,14 @@
 import hashlib
 import json
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from char2spec.gf import GF2, GF4, GF8, FieldSpec, field_spec
 from char2spec import harnesses as H
+from char2spec import structure as S
 from char2spec import subspace as sub
 from char2spec.structure import eval_monomial_map
 
@@ -181,3 +183,44 @@ def test_monomial_values_match_scalar_evaluation():
         monos = [m for e in range(d + 1) for m in H._monomials(n, e)]
         got = H.monomial_values(fs, x, monos).tolist()
         assert got == [[eval_monomial_map(fs, {m: 1}, p) for m in monos] for p in x.tolist()]
+
+
+def _covering_families(fs, rng, count, n_max=4):
+    """Random families of 1 to q + 2 members of every dimension, drawn
+    for n = 1 .. n_max."""
+    for _ in range(count):
+        n = rng.randrange(1, n_max + 1)
+        yield [sub.random_subspace(fs, rng, n, rng.randrange(n + 1))
+               for _ in range(rng.randrange(1, fs.q + 3))]
+
+
+def test_union_mask_matches_membership():
+    for fs, n_max in ((GF2, 4), (GF4, 4), (FieldSpec(9), 2)):
+        for family in _covering_families(fs, random.Random(fs.q + 1), 20, n_max):
+            n = family[0].ambient
+            x = _points(fs, n)
+            want = [any(v.member(p) for v in family) for p in x.tolist()]
+            assert S.union_mask(fs, family, x).tolist() == want
+
+
+def test_harness_draws_are_pinned(monkeypatch):
+    # the reports at GF(4), seed 7 and 20 trials carry no instance sizes,
+    # so the sizes the covering (n) and vanishing (n, d) harnesses draw are
+    # pinned here
+    covering, vanishing = Counter(), Counter()
+    check, solutions = H.covering_check, H.vanishing_solutions
+
+    def count_covering(fs, family):
+        covering[family[0].ambient] += 1
+        return check(fs, family)
+
+    def count_vanishing(fs, family, monos, x):
+        vanishing[family[0].ambient, sum(monos[0])] += 1
+        return solutions(fs, family, monos, x)
+
+    monkeypatch.setattr(H, "covering_check", count_covering)
+    monkeypatch.setattr(H, "vanishing_solutions", count_vanishing)
+    assert H.run_lemma(GF4, "covering", 20, 7).holds
+    assert H.run_lemma(GF4, "vanishing", 20, 7).holds
+    assert covering == {2: 7, 3: 8, 4: 5}
+    assert vanishing == {(2, 1): 5, (2, 2): 2, (2, 3): 4, (3, 1): 3, (3, 2): 2, (3, 3): 4}

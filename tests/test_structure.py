@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -177,6 +178,157 @@ def test_dual_forms_over_a_wide_field():
     cert = st.detect_hurdle(fs, cons.hurdle_template(fs, 3))
     assert cert.plane == sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)])
     assert st.detect_hurdle(fs, cons.nt(fs, 3)) is None
+
+
+def _perp_of(fs, n, us):
+    """The space S with S-perp = span(us)."""
+    return sub.trace_orthogonal(sub.MatSubspace((n, n), sub.VecSubspace(
+        fs, n * n, [u.entries for u in us])))
+
+
+def _eigen_space(fs, rng, n):
+    """A space whose S-perp is spanned by up to two operators P^-1 D P with
+    D diagonal in runs of equal eigenvalues, so that S-perp often has
+    several common eigenspaces of dimension >= 2; sometimes one random
+    element is added to S."""
+    p = mx.random_invertible(fs, rng, n)
+    us = []
+    for _ in range(rng.randrange(3)):
+        vals = []
+        while len(vals) < n:
+            vals += [rng.randrange(fs.q)] * rng.randrange(1, 4)
+        d = mx.Mat(n, n, [vals[i] if i == j else 0 for i in range(n) for j in range(n)])
+        us.append(mx.mat_mul(fs, mx.inverse(fs, p), mx.mat_mul(fs, d, p)))
+    s = _perp_of(fs, n, us)
+    if rng.randrange(3) == 0:
+        s = s.sum_with(sub.MatSubspace((n, n), sub.random_subspace(fs, rng, n * n, 1)))
+    return s
+
+
+def test_detect_hurdle_matches_the_block_filter_on_conjugates(gf4):
+    rng = random.Random(15)
+    for n in (3, 4, 5):
+        tpl = cons.hurdle_template(gf4, n)
+        for i in range(6):
+            s = cons.conjugate_space(gf4, tpl, mx.random_invertible(gf4, rng, n))
+            if i % 2:       # widen the space: it may stop being a hurdle
+                s = s.sum_with(sub.MatSubspace((n, n), sub.random_subspace(gf4, rng, n * n, 1)))
+            cert = st.detect_hurdle(gf4, s)
+            assert (None if cert is None else cert.plane) == oracles.detect_hurdle_blocks(gf4, s)
+            assert i % 2 or cert is not None
+
+
+def test_detect_hurdle_matches_the_oracles_with_several_eigenspaces():
+    several = 0
+    for fs, n_max, count in ((GF2, 5, 60), (GF4, 5, 60), (GF8, 4, 40), (GF16, 4, 20)):
+        rng = random.Random(fs.q)
+        for _ in range(count):
+            n = rng.randrange(2, n_max + 1)
+            s = _eigen_space(fs, rng, n)
+            several += len(st.common_eigenspaces(
+                fs, sub.trace_orthogonal(s).basis_matrices(), n)) > 1
+            cert = st.detect_hurdle(fs, s)
+            assert (None if cert is None else cert.plane) == oracles.detect_hurdle_blocks(fs, s)
+    assert several >= 10
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF16], ids=["gf2", "gf4", "gf8", "gf16"])
+def test_detect_hurdle_matches_the_primal_oracle(fs):
+    rng = random.Random(200 + fs.q)
+    found = 0
+    for n in (1, 2, 3):
+        for _ in range(6 if fs.q < 16 else 3):
+            for s in (sub.MatSubspace((n, n), sub.random_subspace(
+                          fs, rng, n * n, rng.randrange(n * n + 1))),
+                      _eigen_space(fs, rng, n)):
+                cert = st.detect_hurdle(fs, s)
+                want = oracles.detect_hurdle(fs, s)
+                assert (None if cert is None else cert.plane) == want
+                found += want is not None
+    assert found >= 3
+
+
+def test_detect_hurdle_tie_break_reads_the_free_entries(gf4):
+    # two common eigenspaces with the same pivot pair (0, 1): the first rows
+    # differ first at column 2, where w1 has 0 and w2 has 1
+    w1 = [(1, 0, 0, 1), (0, 1, 1, 0)]
+    w2 = [(1, 0, 1, 0), (0, 1, 0, 3)]
+    p = mx.from_rows(w1 + w2)
+    pinv = mx.inverse(gf4, p)
+    for c1, c2 in ((1, 0), (0, 1), (2, 3)):
+        d = mx.Mat(4, 4, [(c1, c1, c2, c2)[i] if i == j else 0 for i in range(4) for j in range(4)])
+        s = _perp_of(gf4, 4, [mx.mat_mul(gf4, pinv, mx.mat_mul(gf4, d, p))])
+        spaces = st.common_eigenspaces(gf4, sub.trace_orthogonal(s).basis_matrices(), 4)
+        assert sorted(w.basis for w in spaces) == sorted([tuple(w1), tuple(w2)])
+        plane = st.detect_hurdle(gf4, s).plane
+        assert plane == sub.span(gf4, 4, w1) == oracles.detect_hurdle_blocks(gf4, s)
+
+
+def test_detect_hurdle_on_full_and_trace_zero_spaces(gf2, gf4):
+    # Mat_n has S-perp = 0 and sl_n has S-perp = F I: every plane certifies,
+    # so the answer is the first plane, span(e_1, e_2)
+    for fs in (gf2, gf4):
+        for n in (2, 3, 4):
+            e12 = sub.span(fs, n, [[int(i == j) for i in range(n)] for j in (0, 1)])
+            for s in (cons.full(fs, n), cons.sl(fs, n)):
+                assert st.detect_hurdle(fs, s).plane == e12
+
+
+def test_detect_hurdle_in_dimensions_one_and_two(gf4):
+    zero = lambda n: sub.MatSubspace((n, n), sub.VecSubspace(gf4, n * n, []))
+    # F^1 has no plane
+    assert st.detect_hurdle(gf4, zero(1)) is None
+    assert st.detect_hurdle(gf4, cons.full(gf4, 1)) is None
+    assert st.detect_hurdle(gf4, zero(1), budget=1) is None
+    # the only plane of F^2 certifies iff S contains sl_2
+    assert st.detect_hurdle(gf4, zero(2)) is None
+    assert st.detect_hurdle(gf4, cons.nt(gf4, 2)) is None
+    assert st.detect_hurdle(gf4, cons.sl(gf4, 2)).plane == sub.full_space(gf4, 2)
+    with pytest.raises(sub.BudgetExceeded):
+        st.detect_hurdle(gf4, cons.sl(gf4, 2), budget=0)
+    with pytest.raises(ValueError):
+        st.detect_hurdle(gf4, sub.MatSubspace((2, 3), sub.full_space(gf4, 6)))
+
+
+def test_detect_hurdle_over_gf_2_16_without_walking_the_planes():
+    # the Grassmannian of planes in F^3 has q^2 + q + 1 ~ 2^32 planes here,
+    # far more than a walk could visit in the bound
+    fs = FieldSpec(16)
+    s = cons.hurdle_template(fs, 3)
+    t0 = time.perf_counter()
+    cert = st.detect_hurdle(fs, s, budget=1 << 40)
+    assert time.perf_counter() - t0 < 10.0
+    assert cert.plane == sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)])
+    with pytest.raises(sub.BudgetExceeded):
+        st.detect_hurdle(fs, s)
+
+
+def test_field_roots_match_evaluation(gf2, gf8):
+    for fs in (gf2, gf8, FieldSpec(9)):
+        rng = random.Random(fs.q)
+        for _ in range(20):
+            f = up.poly([rng.randrange(fs.q) for _ in range(rng.randrange(1, 5))] + [1])
+            assert st.field_roots(fs, f) == oracles.roots_by_evaluation(fs, f)
+
+
+def test_certifies_hurdle_matches_every_point_of_the_plane(gf2, gf4):
+    # the three-point spanning family against the tensors of every point
+    for fs in (gf2, gf4):
+        rng = random.Random(fs.q)
+        for n in (2, 3, 4):
+            for _ in range(8):
+                plane = sub.random_subspace(fs, rng, n, 2)
+                full = st.hurdle_tensor_space(fs, plane)
+                assert full.dim == 2 * n - 1
+                drop = sub.random_subspace(fs, rng, full.dim, full.dim - 1)
+                part = sub.MatSubspace((n, n), sub.VecSubspace(
+                    fs, n * n, [full.space.combine(c) for c in drop.basis]))
+                other = sub.MatSubspace((n, n), sub.random_subspace(
+                    fs, rng, n * n, rng.randrange(n * n + 1)))
+                for s in (full, part, other, full.sum_with(other)):
+                    assert st.certifies_hurdle(fs, s, plane) == oracles.certifies_hurdle(
+                        fs, s, plane)
+                assert not st.certifies_hurdle(fs, part, plane)
 
 
 # ----------------------------------------------------------------------
