@@ -11,8 +11,9 @@ discrete log and exp tables to the least generator of F*, and from them
 the inverse and square-root tables (numpy arrays for the batch kernels
 of :mod:`._bulk`, Python lists for the scalar operations).  For k <= 8
 it also keeps the q x q product table; scalar products read it there and
-use carry-less shift-and-reduce above.  Code arrays are uint8 for k <= 8
-and uint16 above (:func:`code_dtype`).
+read the log/exp lists above.  Carry-less shift-and-reduce only builds
+the tables.  Code arrays are uint8 for k <= 8 and uint16 above
+(:func:`code_dtype`).
 """
 
 from __future__ import annotations
@@ -72,6 +73,17 @@ def _prime_factors(m: int) -> list[int]:
     return out + [m] if m > 1 else out
 
 
+def _power(mul, a: int, n: int) -> int:
+    """a^n by square and multiply on the product mul."""
+    r = 1
+    while n:
+        if n & 1:
+            r = mul(r, a)
+        a = mul(a, a)
+        n >>= 1
+    return r
+
+
 def code_dtype(degree: int) -> np.dtype:
     """The dtype of code arrays over GF(2^degree): uint8 for degree <= 8,
     else uint16."""
@@ -87,7 +99,7 @@ class FieldSpec:
 
     __slots__ = (
         "degree", "modulus", "q", "log_table", "exp_table", "inv_table", "sqrt_table",
-        "_mul", "_inv", "_sqrt", "_np_mul",
+        "_mul", "_log", "_exp", "_inv", "_sqrt", "_np_mul",
     )
 
     def __init__(self, degree: int, modulus: int | None = None):
@@ -130,9 +142,8 @@ class FieldSpec:
         1/a = g^(q-1-l) and sqrt a = g^(l/2), l/2 taken mod the odd q - 1."""
         q, order = self.q, self.q - 1
         dtype = code_dtype(self.degree)
-        self._mul = None            # scalar products use _mul_raw until the table exists
-        gen = next(g for g in range(1, q)
-                   if all(self.pow(g, order // p) != 1 for p in _prime_factors(order)))
+        gen = next(g for g in range(1, q) if all(
+            _power(self._mul_raw, g, order // p) != 1 for p in _prime_factors(order)))
         exp = np.zeros(4 * order + 1, dtype=dtype)
         exp[0] = 1
         m, c = 1, gen
@@ -155,10 +166,12 @@ class FieldSpec:
         self.log_table, self.exp_table = log, exp
         self.inv_table, self.sqrt_table = inv, sqrt
         self._inv, self._sqrt = inv.tolist(), sqrt.tolist()
-        self._np_mul = None
+        self._mul = self._np_mul = None
         if self.degree <= 8:
             self._np_mul = exp[log[:, None] + log]
             self._mul = self._np_mul.tolist()
+        else:
+            self._log, self._exp = log.tolist(), exp.tolist()
 
     # ------------------------------------------------------------------
     # element operations
@@ -166,7 +179,7 @@ class FieldSpec:
     def mul(self, a: int, b: int) -> int:
         if self._mul is not None:
             return self._mul[a][b]
-        return self._mul_raw(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -174,13 +187,7 @@ class FieldSpec:
         return self._inv[a]
 
     def pow(self, a: int, n: int) -> int:
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return _power(self.mul, a, n)
 
     def sqrt(self, a: int) -> int:
         """The unique b with b*b == a (the inverse of the Frobenius x -> x^2)."""

@@ -25,6 +25,17 @@ visited in ascending order, so the first failing lane is the minimal
 failing index of the whole space, and the witness, its index and the
 reported ``checked`` count (q^dim) are those of a full enumeration
 (:func:`_scan_space` has the argument).
+
+The predicates that keep the eigenvalue 0 (k-spec and kbar-spec) and
+evenness are also invariant under translation by c I:
+chi_{M+cI}(x) = chi_M(x + c), so every root moves by c (keeping "in F"
+and the number of distinct roots), and in characteristic 2
+(x + c)^2 = x^2 + c^2 keeps an even polynomial even.  The `*` forms are
+not: a shift can move a root onto 0 or off it.  So an exhaustive scan
+of a space that contains I (``line_plus``, ``optimal_2bar``, ``sl_2``
+in characteristic 2) checks one element per coset M + F I, the one of
+smallest index, and with the projective scan that is about
+1 + (q^(dim-1) - 1)/(q - 1) elements.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldSpec
-from .matrix import Mat, char_poly
+from .matrix import Mat, char_poly, identity
 from .subspace import MatSubspace, index_chunks
 from .upoly import (Poly, count_nonzero_roots_in_closure, count_nonzero_roots_in_field,
                     count_roots_in_closure, count_roots_in_field, poly_str)
@@ -152,7 +163,7 @@ def pool_threads(workers: int, chunks: int) -> int:
 
 
 def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
-                budget: int, samples: int, seed: int, workers: int):
+                budget: int, samples: int, seed: int, workers: int, shift=None):
     """Shared scan plumbing.  Returns (mode, checked, used_seed, index,
     witness): the minimal failing index and its element, or None twice.
 
@@ -181,6 +192,19 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     the first failing lane is the minimal failing index of the whole
     space; `checked` reports q^dim.  Indices must fit int64, so an
     exhaustive scan of q^dim >= 2^63 elements is refused.
+
+    `shift`, a nonzero flattened element, may name a translation both
+    predicates are invariant under: M fails iff M + c shift fails for every
+    c in F.  An exhaustive scan of a space that contains it visits one
+    element per coset M + F shift.  With e_j = shift[pivot_j] its
+    coordinates in the RREF basis and J the largest j with e_j != 0, the
+    digits above J are the same across a coset and digit J takes every
+    value once, so the element whose digit J is 0 is the coset's smallest
+    index.  The scan drops basis row J, runs projectively over the
+    remaining dim - 1 rows, and puts a 0 digit back at J in its minimal
+    failing index i': (i' div q^J) q^(J+1) + (i' mod q^J), the minimal
+    failing index of the whole space.  The budget, the int64 refusal and
+    `checked` stay keyed on q^dim, and sampled scans ignore `shift`.
     """
     n, m = s.shape
     d = s.dim
@@ -193,21 +217,28 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                          f"past int64; use a budget below 2^63")
     if not exhaustive and samples < 1:
         raise ValueError(f"a sampled scan needs a positive sample count, got {samples}")
+    rows, drop = list(s.space.basis), None
+    if exhaustive and shift is not None:
+        e = [shift[p] for p in s.space.pivots]
+        if s.space.combine(e) == tuple(shift):
+            drop = max(j for j, c in enumerate(e) if c)
+            del rows[drop]
+    scan_dim = len(rows)
     if exhaustive:
-        count, batch = _bulk.projective_word_count(q, d), max(1, CHUNK // 64)
+        count, batch = _bulk.projective_word_count(q, scan_dim), max(1, CHUNK // 64)
     else:
         count, batch = samples, CHUNK
     # basis coordinates -> matrix entries, on planes
-    to_entries = _bulk.linear_map(fs, s.space.basis, n * m)
+    to_entries = _bulk.linear_map(fs, rows, n * m)
 
     def run_range(lo: int, hi: int) -> int | None:
         for clo in range(lo, hi, batch):
             chi = min(clo + batch, hi)
             if exhaustive:
-                words = _bulk.projective_words(q, d, clo, chi)
+                words = _bulk.projective_words(q, scan_dim, clo, chi)
                 # base-q digit j of an index is its bits [j k, (j+1) k)
-                coords = _bulk.index_planes(words, d * k)
-                lanes = min(64 * words.size, total)
+                coords = _bulk.index_planes(words, scan_dim * k)
+                lanes = min(64 * words.size, q ** scan_dim)
             else:   # sample indices are the positions themselves
                 coords = _bulk.code_planes(_bulk.sample_coords(q, d, seed, clo, chi), k)
                 lanes = chi - clo
@@ -229,6 +260,9 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     bad = min(fails) if fails else None
     witness = None
     if bad is not None:
+        if drop is not None:    # put a 0 digit back at J
+            low = bad % q ** drop
+            bad = (bad - low) * q + low
         witness = _element_for_index(fs, s, bad, exhaustive, seed)
         if not fail_scalar(witness):
             raise AssertionError("witness failed to re-verify; scan is inconsistent")
@@ -271,8 +305,10 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
     def fail_scalar(mat: Mat) -> bool:
         return not check_element(fs, mat, pred)
 
+    # the `*` forms are not invariant under M -> M + cI
+    shift = None if pred.exclude_zero else identity(n).entries
     return _space_verdict(fs, pred.name, label, _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers))
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers, shift))
 
 
 def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
@@ -294,4 +330,4 @@ def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
         return not is_even_poly(char_poly(fs, mat))
 
     return _space_verdict(fs, "even-char-poly", label, _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers))
+        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers, identity(n).entries))

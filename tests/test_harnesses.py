@@ -176,6 +176,30 @@ def test_vanishing_solutions_match_scalar_oracle():
             == oracles.vanishing_solutions(fs, family, monos))
 
 
+@pytest.mark.parametrize("fs", [GF4, GF8], ids=["gf4", "gf8"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_vanishing_bound_is_sharp(fs, d):
+    """Sharpness control at n = 2: with |F| - d hyperplanes (lines of F^2)
+    only p = 0 vanishes off the union; with one line more, the product of
+    the linear forms of the d lines left out does, and vanishing_check
+    names the broken hypothesis.  A solver that always returned 0 would
+    still let the harness report "holds"; it fails here."""
+    lines = [sub.line(fs, (1, 0))] + [sub.line(fs, (c, 1)) for c in range(fs.q)]
+    monos = H._monomials(2, d)
+    x = _points(fs, 2)
+    assert H.vanishing_solutions(fs, lines[:fs.q - d], monos, x).dim == 0
+    family = lines[:fs.q - d + 1]
+    solutions = H.vanishing_solutions(fs, family, monos, x)
+    assert solutions.dim == 1
+    p = {mono: c for mono, c in zip(monos, solutions.basis[0]) if c}
+    outside = x[~S.union_mask(fs, family, x)].tolist()
+    assert len(outside) == d and all(eval_monomial_map(fs, p, pt) == 0 for pt in outside)
+    assert any(eval_monomial_map(fs, p, pt) for pt in x.tolist())
+    v = S.vanishing_check(fs, p, d, family)
+    assert v.outcome == "hypothesis-violation"
+    assert v.detail["reason"] == f"{fs.q - d + 1} hyperplanes > |F|-d"
+
+
 def test_monomial_values_match_scalar_evaluation():
     for fs, n, d in ((GF2, 3, 3), (GF4, 3, 3), (GF8, 2, 4), (FieldSpec(9), 2, 3)):
         x = _points(fs, n)

@@ -20,8 +20,8 @@ from char2spec.spectra import (SpecPredicate, _element_for_index, _scan_space, c
                                check_space, check_space_even_charpoly, is_even_poly,
                                parse_predicate, pool_threads, profile)
 from oracles import (all_monic, charpoly_cofactor, first_failing_index, first_failing_sample,
-                     is_nilpotent, projective_indices, roots_by_evaluation, sample_coordinates,
-                     sample_element)
+                     is_nilpotent, projective_indices, root_slots, roots_by_evaluation,
+                     sample_coordinates, sample_element)
 
 
 @pytest.fixture
@@ -362,6 +362,17 @@ def _nt_plus(fs, n, i, j):
     return cons.nt(fs, n).sum_with(sub.MatSubspace.from_matrices(fs, (n, n), [mx.unit(n, n, i, j)]))
 
 
+def _space_of(fs, n, text):
+    """The span of sums of unit matrices: "00+11 01" is span(E00 + E11, E01)."""
+    mats = []
+    for term in text.split():
+        entries = [0] * (n * n)
+        for ij in term.split("+"):
+            entries[int(ij[0]) * n + int(ij[1])] = 1
+        mats.append(mx.Mat(n, n, entries))
+    return sub.MatSubspace.from_matrices(fs, (n, n), mats)
+
+
 def _not_one_spec(fs):
     return lambda m: len(roots_by_evaluation(fs, charpoly_cofactor(fs, m))) > 1
 
@@ -384,7 +395,9 @@ def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
         # first failures at 80 > 4^3 and 576 > 8^3
         (GF4, _nt_plus(GF4, 3, 2, 1), "0bar*-spec", lambda m: not is_nilpotent(GF4, m)),
         (GF8, _nt_plus(GF8, 3, 2, 1), "0bar*-spec", lambda m: not is_nilpotent(GF8, m)),
-        (GF4, cons.full(GF4, 2), "1-spec", _not_one_spec(GF4)),
+        # contains I, and its scan of one element per coset still spans
+        # several words
+        (GF4, cons.full(GF4, 3), "1-spec", _not_one_spec(GF4)),
     ]
     for fs, space, pred, fails in spec_cases:
         expect = first_failing_index(space, fails)
@@ -395,7 +408,10 @@ def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
         assert v.mode == "exhaustive" and v.checked == fs.q ** space.dim
         assert v.witness_index == expect
         assert v.witness == space.element_at(expect)
-    for fs, space in [(GF8, EVEN_GF8_LATE), (GF4, cons.full(GF4, 2))]:
+    # the second contains I, and its scan of one element per coset still
+    # spans several words
+    even_gf4 = _space_of(GF4, 4, "00+11+22+33 01 02 03 12 13 23 20")
+    for fs, space in [(GF8, EVEN_GF8_LATE), (GF4, even_gf4)]:
         expect = first_failing_index(space, _odd_charpoly(fs))
         small_chunk.clear()
         v = check_space_even_charpoly(fs, space, workers=workers)
@@ -403,6 +419,113 @@ def test_projective_scan_keeps_minimal_witness(workers, small_chunk):
         assert v.checked == fs.q ** space.dim
         assert (v.witness_index, v.witness) == (expect, space.element_at(expect))
     assert check_space_even_charpoly(GF8, EVEN_GF8_LATE).witness_index == 66
+
+
+def _oracle_fails(fs, pred):
+    """A predicate's failure from the cofactor characteristic polynomial and
+    the scalar root counts, or an odd coefficient for "even"."""
+    if pred == "even":
+        return _odd_charpoly(fs)
+    p = parse_predicate(pred)
+    slot = 2 * (p.kind == "in_closure") + p.exclude_zero
+    return lambda m: root_slots(fs, charpoly_cofactor(fs, m))[slot] > p.k
+
+
+def _check(fs, space, pred, **kw):
+    if pred == "even":
+        return check_space_even_charpoly(fs, space, **kw)
+    return check_space(fs, space, parse_predicate(pred), **kw)
+
+
+# Spaces that contain I: (field, n, space, predicates).  With e_j the
+# coordinates of I in the RREF basis, J = max{j : e_j != 0} is the digit a
+# scan drops; J k < 6 puts it among the lane bits of a 64-lane word, J k >= 6
+# among the bits of the word number.  First failures, in predicate order:
+_SHIFT_CASES = [
+    (GF2, 3, "00+11+22 01 02 12 10", ("1-spec", "1bar-spec")),           # J = 0: 10, 10
+    (GF2, 3, "00 01 02 11+22 12 20", ("2bar-spec",)),                    # J = 3: 37
+    (GF2, 4, "00+11 01 02 03 12 13 22+33 23 30",
+     ("1-spec", "2bar-spec", "even")),                                   # J = 6: 1, 265, 265
+    (GF4, 3, "00+11+22 01 12 20", ("1-spec", "2bar-spec")),             # J = 0: 84, 84
+    (GF4, 3, "00 01 02 11+22 12 20", ("2-spec", "2bar-spec")),          # J = 3: 1041, 1041
+    (GF4, 2, "00+11 01+11 10", ("even",)),                              # J = 0: 4
+    (GF4, 4, "00+11 01 02 22+33 23+33", ("even",)),                     # J = 3: 256
+    (GF8, 3, "00+11+22 01 02 12 10", ("1-spec", "1bar-spec")),           # J = 0: 520, 520
+    (GF8, 3, "00 02 11+22 12 20", ("2-spec", "2bar-spec")),             # J = 2: 4107, 4105
+    (GF8, 2, "00+11 01+11 10", ("even",)),                              # J = 0: 8
+    (GF8, 4, "00+11 01 22+33 23+33", ("even",)),                        # J = 2: 512
+]
+
+
+@pytest.fixture(scope="module")
+def shift_expectations():
+    """The first failing index of every _SHIFT_CASES scan, by a full walk."""
+    return {(fs.q, text, pred): first_failing_index(_space_of(fs, n, text), _oracle_fails(fs, pred))
+            for fs, n, text, preds in _SHIFT_CASES for pred in preds}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_translation_scan_keeps_minimal_witness(workers, small_chunk, shift_expectations):
+    # one element per coset M + F I, against the full walk; the cases put J
+    # among the lane bits and among the word bits in every field, with a
+    # witness past q^(J+1), where the digit put back at J moves the index,
+    # and with a witness whose digit at the first nonzero e_j is not 0
+    moved, first_digit = set(), False
+    for fs, n, text, preds in _SHIFT_CASES:
+        space = _space_of(fs, n, text)
+        ident = mx.identity(n).entries
+        e = [ident[p] for p in space.space.pivots]
+        assert space.space.combine(e) == ident
+        nonzero = [j for j, c in enumerate(e) if c]
+        big = nonzero[-1]
+        for pred in preds:
+            expect = shift_expectations[fs.q, text, pred]
+            v = _check(fs, space, pred, workers=workers)
+            assert (v.mode, v.checked) == ("exhaustive", fs.q ** space.dim)
+            assert (v.witness_index, v.witness) == (expect, space.element_at(expect)), (text, pred)
+            if expect >= fs.q ** (big + 1):
+                moved.add((fs.q, big * fs.degree < 6))
+            first_digit |= nonzero[0] < big and expect // fs.q ** nonzero[0] % fs.q != 0
+    assert moved == {(q, lane) for q in (2, 4, 8) for lane in (True, False)}
+    assert first_digit
+
+
+def test_translation_scan_visits_one_element_per_coset(small_chunk):
+    # upper triangular with diagonal (a, b, b) over GF(4) holds 2-spec and
+    # 2*-spec, and nt4 1bar-spec; one word per batch, so the kernel runs
+    # once per word
+    space, nt4 = _space_of(GF4, 3, "00 01 02 11+22 12"), cons.nt(GF4, 4)
+    for s, pred, dim in [(space, "2-spec", space.dim - 1), (space, "2*-spec", space.dim),
+                         (nt4, "1bar-spec", nt4.dim)]:
+        small_chunk.clear()
+        v = check_space(GF4, s, parse_predicate(pred))
+        assert v.holds and v.checked == 4 ** s.dim
+        assert len(small_chunk) == _bulk.projective_word_count(4, dim), pred
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_scans_that_visit_every_coset(workers, small_chunk):
+    # no reduction: the * forms (a shift moves a root onto 0 or off it),
+    # spaces without I, and sampled scans, which keep their pinned stream
+    cases = [(GF4, 3, "00+11+22 01 12", "0bar*-spec"),      # I itself fails
+             (GF8, 3, "00+11+22 01 02 12 10", "1*-spec"),
+             (GF2, 4, "00+11 01 02 03 12 13 22+33 23 30", "1bar*-spec"),
+             (GF4, 3, "00 01 02 12 21", "1-spec"),
+             (GF8, 3, "01 02 12 10 20", "2bar-spec")]
+    for fs, n, text, pred in cases:
+        space = _space_of(fs, n, text)
+        expect = first_failing_index(space, _oracle_fails(fs, pred))
+        v = _check(fs, space, pred, workers=workers)
+        assert (v.mode, v.checked) == ("exhaustive", fs.q ** space.dim)
+        assert (v.witness_index, v.witness) == (expect, space.element_at(expect)), (text, pred)
+    for fs, n, text, preds in [case for case in _SHIFT_CASES if case[0] is GF4]:
+        space = _space_of(fs, n, text)
+        for pred in preds:
+            v = _check(fs, space, pred, budget=8, samples=300, seed=11, workers=workers)
+            assert (v.mode, v.checked) == ("sampled", 300)
+            expect = first_failing_sample(space, 11, 300, _oracle_fails(fs, pred))
+            assert v.witness_index == expect, (text, pred)
+            assert expect is None or v.witness == sample_element(space, 11, expect)
 
 
 def test_scan_rebuilds_and_rechecks_the_witness(gf4):
