@@ -94,14 +94,11 @@ def cmd_detect_hurdle(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
     space, _ = build_with_expected(fs, args.construction)
-    try:
-        cert = detect_hurdle(fs, space, budget=args.budget)
-        if cert is None:
-            check = {"outcome": "none"}
-        else:
-            check = {"outcome": "holds", "certificate": cert.to_json()}
-    except BudgetExceeded as exc:
-        check = {"outcome": "budget", "reason": str(exc)}
+    cert = detect_hurdle(fs, space)
+    if cert is None:
+        check = {"outcome": "none"}
+    else:
+        check = {"outcome": "holds", "certificate": cert.to_json()}
     cfg = _config_echo(args, {"construction": args.construction})
     return _emit(_report("detect-hurdle", cfg, [check], t0), args.out)
 

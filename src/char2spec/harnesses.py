@@ -397,16 +397,13 @@ def sl_rank1_harness(fs: FieldSpec) -> LemmaVerdict:
 
 def confinement_third_harness(fs: FieldSpec, seed: int = 0,
                               workers: int = 1) -> LemmaVerdict:
-    v = confinement_third_check(fs, third_confinement_template(fs, 5),
-                                budget=1 << 20, seed=seed, workers=workers)
-    v.name = "confinement-third"
-    return v
+    return confinement_third_check(fs, third_confinement_template(fs, 5),
+                                   budget=1 << 20, seed=seed, workers=workers)
 
 
 # ----------------------------------------------------------------------
 # choice lemma audit
 # ----------------------------------------------------------------------
-_ALL_LANES = ~np.uint64(0)
 # matrices the audit re-runs through the scalar choice_solve
 _SPOT_CHECKS = 64
 
@@ -464,7 +461,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         traces ^= mats[:, i, i]
     trace_planes = _bulk.code_planes(traces[:, None], k)
     # the k planes of each constant c, the same in every lane
-    constants = np.where(np.arange(q)[:, None] >> np.arange(k) & 1, _ALL_LANES, np.uint64(0))
+    constants = np.where(np.arange(q)[:, None] >> np.arange(k) & 1, _bulk._ALL_ONES, np.uint64(0))
 
     def lane_planes(*cols: np.ndarray) -> np.ndarray:
         return _bulk.code_planes(np.stack(cols, axis=1), k).reshape(len(cols), k, -1)
@@ -479,7 +476,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         cols = []
         for (i, j) in poss:
             pert = planes.copy()
-            pert[i, j, 0] ^= _ALL_LANES     # entry (i, j) plus 1 in every lane
+            pert[i, j, 0] ^= _bulk._ALL_ONES     # entry (i, j) plus 1 in every lane
             cols.append(_bulk.lane_codes(_bulk.charpoly_planes(fs, pert)[:2] ^ chi0_planes[:2],
                                          count))
         deltas[p] = cols
@@ -578,7 +575,7 @@ LEMMA_NAMES = list(_LEMMAS)
 def run_lemma(fs: FieldSpec, name: str, trials: int = 200, seed: int = 0,
               workers: int = 1) -> LemmaVerdict:
     """Run one harness by name.  Raises BudgetExceeded when an instance
-    has more points or planes to visit than the default budget."""
+    has more objects to enumerate than the default budget."""
     if name not in _LEMMAS:
         raise ValueError(f"unknown lemma harness {name!r}")
     return _LEMMAS[name](fs, trials, seed, workers)

@@ -29,7 +29,7 @@ from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_
                      mat_vec, rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
                        enumerate_grassmannian, enumerate_projective, full_space,
-                       gaussian_binomial, line, projective_blocks, projective_points_of,
+                       line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
@@ -236,13 +236,10 @@ def common_eigenspaces(fs: FieldSpec, u: list[Mat], n: int) -> list[VecSubspace]
     return spaces
 
 
-def detect_hurdle(fs: FieldSpec, s: MatSubspace,
-                  budget: int = DEFAULT_BUDGET) -> HurdleCertificate | None:
+def detect_hurdle(fs: FieldSpec, s: MatSubspace) -> HurdleCertificate | None:
     """The first certifying plane of the dual 2-Grassmannian in the order of
-    :func:`subspace.grassmannian_blocks`; None when no plane certifies.
-    Raises BudgetExceeded when the Grassmannian has more than `budget`
-    planes, which callers must report as a "budget" outcome, not as None,
-    although the search does not walk the planes.
+    :func:`subspace.enumerate_grassmannian`; None when no plane certifies.
+    The search does not walk the planes, so it needs no budget.
 
     Trace-dual form: phi (x) y lies in S iff (phi u)(y) = 0 for every u in
     a basis of S-perp, so P certifies iff phi(y) = 0 forces (phi u)(y) = 0
@@ -256,9 +253,6 @@ def detect_hurdle(fs: FieldSpec, s: MatSubspace,
     n, m = s.shape
     if n != m:
         raise ValueError("hurdle detection needs a space of square matrices")
-    total = gaussian_binomial(n, 2, fs.q)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
     spaces = common_eigenspaces(fs, trace_orthogonal(s).basis_matrices(), n)
     if not spaces:
         return None
@@ -692,6 +686,16 @@ def second_confinement_generators(fs: FieldSpec, h: VecSubspace,
     return tensor_span(fs, g.annihilator().basis, h.basis).intersect(sl(fs, h.ambient))
 
 
+def first_annihilating_point(fs: FieldSpec, n: int, points) -> tuple[int, ...] | None:
+    """The first projective point theta of F^n in :func:`enumerate_projective`
+    order with theta . x = 0 for every given x; None when the points span
+    F^n.  It is the first RREF row of their annihilator: it has the least
+    pivot, and adding multiples of later rows to it first changes a 0 of it
+    at one of their pivots."""
+    ann = VecSubspace(fs, n, points).annihilator()
+    return ann.basis[0] if ann.dim else None
+
+
 def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
                              g: VecSubspace, budget: int = DEFAULT_BUDGET,
                              samples: int = 10 ** 5, seed: int = 0,
@@ -700,7 +704,10 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     inside H, the space 2-spec and containing every trace-zero operator
     vanishing on G and mapping into H.  Conclusion: the space is a hurdle,
     or some hyperplane H' makes G u H u H' swallow every non-adapted
-    vector (H' is searched in projective-dual order)."""
+    vector (H' is the first in projective-dual order,
+    :func:`first_annihilating_point`).  `budget` bounds the spectrum pass,
+    which samples past it, and the adapted scan, which reports "budget"
+    past it."""
     name = "confinement-second"
     n, m = s.shape
     if n != m or n < 3:
@@ -716,17 +723,18 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     _, violation = _spec_hypothesis(fs, s, _TWO_SPEC, name, budget, samples, seed, workers)
     if violation:
         return violation
-    try:
-        cert = detect_hurdle(fs, s, budget)
-    except BudgetExceeded as exc:
-        return LemmaVerdict(name, "budget", {"reason": str(exc)})
+    cert = detect_hurdle(fs, s)
     if cert is not None:
         return LemmaVerdict(name, "holds", {"case": "hurdle", "certificate": cert.to_json()})
-    bad_points = [p.point for p in adapted_scan(fs, s, budget=budget).non_adapted
+    try:
+        scan = adapted_scan(fs, s, budget=budget)
+    except BudgetExceeded as exc:
+        return LemmaVerdict(name, "budget", {"reason": str(exc)})
+    bad_points = [p.point for p in scan.non_adapted
                   if not g.member(p.point) and not h.member(p.point)]
-    for theta in enumerate_projective(fs, n):
-        if not any(dot(fs, theta, x) for x in bad_points):
-            return LemmaVerdict(name, "holds", {"case": "hyperplane", "theta": list(theta)})
+    theta = first_annihilating_point(fs, n, bad_points)
+    if theta is not None:
+        return LemmaVerdict(name, "holds", {"case": "hyperplane", "theta": list(theta)})
     return LemmaVerdict(name, "fails", {"outside_points": [list(x) for x in bad_points]})
 
 

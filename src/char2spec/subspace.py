@@ -380,38 +380,23 @@ def gaussian_binomial(m: int, d: int, q: int) -> int:
     return num // den
 
 
-GRASSMANNIAN_BLOCK = 1 << 14
-
-
-def grassmannian_blocks(field: FieldSpec, d: int, ambient: int, budget: int = DEFAULT_BUDGET
-                        ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
+                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
     """All d-dimensional subspaces of F^ambient, each exactly once, as RREF
-    bases in code arrays: pivot-column sets in lexicographic order, free
-    entries counting in base q (last free position fastest).  Yields
-    (pivots, block) with block [N, d, ambient] (see :func:`.gf.code_dtype`),
-    at most GRASSMANNIAN_BLOCK bases a block."""
+    bases: pivot-column sets in lexicographic order, free entries counting
+    in base q (last free entry fastest).  Raises BudgetExceeded at the first
+    step when there are more than `budget` subspaces."""
     total = gaussian_binomial(ambient, d, field.q)
     if total > budget:
         raise BudgetExceeded(total, budget)
-    k = field.degree
     for pivots in combinations(range(ambient), d):
         free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, ambient)
                 if c not in pivots]
-        count = field.q ** len(free)
-        for lo in range(0, count, GRASSMANNIAN_BLOCK):
-            idx = np.arange(lo, min(lo + GRASSMANNIAN_BLOCK, count), dtype=np.int64)
-            block = np.zeros((idx.size, d, ambient), dtype=code_dtype(field.degree))
-            block[:, list(range(d)), list(pivots)] = 1
-            for f, (r, c) in enumerate(free):
-                block[:, r, c] = idx >> (k * (len(free) - 1 - f)) & (field.q - 1)
-            yield pivots, block
-
-
-def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
-                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
-    """The subspaces of :func:`grassmannian_blocks`, one at a time."""
-    for pivots, block in grassmannian_blocks(field, d, ambient, budget):
-        for rows in block.tolist():
+        head = [[int(c == p) for c in range(ambient)] for p in pivots]
+        for values in product(range(field.q), repeat=len(free)):
+            rows = [row[:] for row in head]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
             yield VecSubspace._trusted(field, ambient, rows, pivots)
 
 

@@ -244,19 +244,34 @@ def detect_hurdle(fs: FieldSpec, s, budget: int = 1 << 24):
     return None
 
 
+def first_annihilating_point(fs: FieldSpec, n: int, points):
+    """The first projective point theta of F^n with theta . x = 0 for every
+    given x, by walking the points in order (None when there is none)."""
+    from char2spec.matrix import dot
+    from char2spec.subspace import enumerate_projective
+    for theta in enumerate_projective(fs, n):
+        if not any(dot(fs, theta, x) for x in points):
+            return theta
+    return None
+
+
 def detect_hurdle_blocks(fs: FieldSpec, s, budget: int = 1 << 24):
     """The first dual plane in Grassmannian order on which every u in a
     basis of S-perp acts as one scalar (phi u = c phi for both RREF rows, c
-    read at the pivot of row 0), filtering whole blocks of
-    `grassmannian_blocks` by one u after the other (None when no plane
+    read at the pivot of row 0), filtering the planes of each pivot pair as
+    one code array by one u after the other (None when no plane
     certifies).  Fast enough for n = 5 over GF(4)."""
+    from itertools import groupby
     import numpy as np
     from char2spec import _bulk
+    from char2spec.gf import code_dtype
     from char2spec.structure import basis_codes
-    from char2spec.subspace import VecSubspace, grassmannian_blocks, trace_orthogonal
+    from char2spec.subspace import VecSubspace, enumerate_grassmannian, trace_orthogonal
     n = s.shape[0]
     u = basis_codes(trace_orthogonal(s))
-    for pivots, block in grassmannian_blocks(fs, 2, n, budget):
+    planes = enumerate_grassmannian(fs, 2, n, budget)
+    for pivots, group in groupby(planes, key=lambda w: w.pivots):
+        block = np.array([w.basis for w in group], dtype=code_dtype(fs.degree))
         for ui in u:
             img = np.zeros_like(block)
             for i in range(n):          # (phi u)_j = sum_i phi_i u_ij

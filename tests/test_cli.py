@@ -143,9 +143,18 @@ def test_detect_hurdle_outcomes(capsys):
     assert code == 0 and report["checks"][0]["outcome"] == "holds"
     code, report = run_cli(capsys, "detect-hurdle", "--construction", "nt3")
     assert code == 0 and report["checks"][0]["outcome"] == "none"
+    # the search walks no planes: --budget is only echoed
     code, report = run_cli(capsys, "detect-hurdle", "--construction", "nt4",
                            "--budget", "10")
-    assert code == 0 and report["checks"][0]["outcome"] == "budget"
+    assert code == 0 and report["checks"] == [{"outcome": "none"}]
+    assert report["config"]["budget"] == 10
+    # hurdle4 over GF(2^16) has ~2^64 dual planes, past any budget
+    t0 = time.perf_counter()
+    code, report = run_cli(capsys, "detect-hurdle", "--field", "gf2^16",
+                           "--construction", "hurdle4")
+    assert time.perf_counter() - t0 < 5
+    assert code == 0 and report["checks"] == [{"outcome": "holds", "certificate": {
+        "dual_plane": {"ambient": 4, "basis": [[0, 0, 1, 0], [0, 0, 0, 1]]}}}]
 
 
 def test_trk(capsys):
@@ -157,7 +166,7 @@ def test_trk(capsys):
 
 def test_point_scans_honour_the_budget(capsys):
     # nt3 over GF(2^16) has ~4.3e9 projective points: a "budget" outcome,
-    # at once, as detect-hurdle reports it
+    # at once, before any point is ranked or scanned
     for command in ("trk", "scan-adapted"):
         t0 = time.perf_counter()
         code, report = run_cli(capsys, command, "--field", "gf2^16", "--construction", "nt3",

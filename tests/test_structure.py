@@ -1,3 +1,4 @@
+import inspect
 import random
 import time
 import tracemalloc
@@ -120,8 +121,10 @@ def test_detect_hurdle_negatives(gf4):
 
 
 def test_detect_hurdle_budget(gf4):
-    with pytest.raises(sub.BudgetExceeded):
-        st.detect_hurdle(gf4, cons.nt(gf4, 4), budget=10)
+    # the search walks no planes, so it takes no budget and answers nt4
+    # whatever the number of its planes
+    assert "budget" not in inspect.signature(st.detect_hurdle).parameters
+    assert st.detect_hurdle(gf4, cons.nt(gf4, 4)) is None
 
 
 def _dual_form_cases(fs, n_max, dims_step=1):
@@ -279,28 +282,25 @@ def test_detect_hurdle_in_dimensions_one_and_two(gf4):
     # F^1 has no plane
     assert st.detect_hurdle(gf4, zero(1)) is None
     assert st.detect_hurdle(gf4, cons.full(gf4, 1)) is None
-    assert st.detect_hurdle(gf4, zero(1), budget=1) is None
     # the only plane of F^2 certifies iff S contains sl_2
     assert st.detect_hurdle(gf4, zero(2)) is None
     assert st.detect_hurdle(gf4, cons.nt(gf4, 2)) is None
     assert st.detect_hurdle(gf4, cons.sl(gf4, 2)).plane == sub.full_space(gf4, 2)
-    with pytest.raises(sub.BudgetExceeded):
-        st.detect_hurdle(gf4, cons.sl(gf4, 2), budget=0)
     with pytest.raises(ValueError):
         st.detect_hurdle(gf4, sub.MatSubspace((2, 3), sub.full_space(gf4, 6)))
 
 
 def test_detect_hurdle_over_gf_2_16_without_walking_the_planes():
     # the Grassmannian of planes in F^3 has q^2 + q + 1 ~ 2^32 planes here,
-    # far more than a walk could visit in the bound
+    # far more than a walk could visit in the bound, and more than the
+    # default budget of the point scans
     fs = FieldSpec(16)
     s = cons.hurdle_template(fs, 3)
+    assert sub.gaussian_binomial(3, 2, fs.q) > sub.DEFAULT_BUDGET
     t0 = time.perf_counter()
-    cert = st.detect_hurdle(fs, s, budget=1 << 40)
+    cert = st.detect_hurdle(fs, s)
     assert time.perf_counter() - t0 < 10.0
     assert cert.plane == sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)])
-    with pytest.raises(sub.BudgetExceeded):
-        st.detect_hurdle(fs, s)
 
 
 def test_field_roots_match_evaluation(gf2, gf8):
@@ -839,6 +839,23 @@ def test_confinement_second_minimal(gf4):
     g_bad = sub.span(gf4, n, [(0, 1, 0, 0), (0, 0, 1, 0)])
     v = st.confinement_second_check(gf4, z, h, g_bad)
     assert v.outcome == "hypothesis-violation"
+
+
+def test_first_annihilating_point_matches_the_projective_walk():
+    # the first theta in projective order with theta . x = 0 on every point
+    for fs in (GF2, GF4, GF8):
+        rng = random.Random(fs.q)
+        for n in (1, 2, 3, 4):
+            full = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            cases = [[], [(0,) * n], full, full[::-1]]
+            for _ in range(60):
+                cases.append([tuple(rng.randrange(fs.q) for _ in range(n))
+                              for _ in range(rng.randrange(1, n + 2))])
+            for points in cases:
+                want = oracles.first_annihilating_point(fs, n, points)
+                assert st.first_annihilating_point(fs, n, points) == want
+    assert st.first_annihilating_point(GF4, 3, []) == (1, 0, 0)
+    assert st.first_annihilating_point(GF4, 3, [(1, 2, 3), (0, 1, 1), (0, 0, 1)]) is None
 
 
 def test_confinement_third(gf4):

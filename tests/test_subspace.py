@@ -150,20 +150,6 @@ def test_enumeration_orders(gf4):
         s.combine(c) for c in sub.enumerate_projective(gf4, 2)]
 
 
-def test_grassmannian_blocks_do_not_depend_on_block_size(monkeypatch):
-    # the plane stream is the same whether a pivot set fills one block or many
-    want = {(fs.q, d, m): [(w.basis, w.pivots) for w in sub.enumerate_grassmannian(fs, d, m)]
-            for fs, m in ((GF2, 4), (GF4, 4), (GF8, 3)) for d in range(0, m + 1)}
-    monkeypatch.setattr(sub, "GRASSMANNIAN_BLOCK", 3)
-    for fs, m in ((GF2, 4), (GF4, 4), (GF8, 3)):
-        for d in range(0, m + 1):
-            got = [(w.basis, w.pivots) for w in sub.enumerate_grassmannian(fs, d, m)]
-            assert got == want[(fs.q, d, m)]
-            blocks = list(sub.grassmannian_blocks(fs, d, m))
-            assert all(len(b) <= 3 and b.shape[1:] == (d, m) for _, b in blocks)
-    assert want[(4, 0, 4)] == [((), ())]
-
-
 def test_projective_blocks_concatenate_to_enumeration(monkeypatch):
     # the same points in the same order, whether a block holds a whole
     # pivot's points, several pivots' or a part of one
