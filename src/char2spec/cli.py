@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -57,7 +58,12 @@ def _emit(report: dict, out_path: str | None) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe early: send the rest of stdout,
+            # the flush at exit included, to devnull in place of a traceback
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
@@ -201,7 +207,6 @@ def _budget(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", default="gf4", help="gf2/gf4/gf8/gf16 or gf2^k[:modulus]")
-    p.add_argument("--n", type=int, default=3)
     p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
                    help="max objects per exhaustive pass, at most 2^62 (default 2^24)")
     p.add_argument("--samples", type=_positive_int, default=10 ** 6)
@@ -243,6 +248,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("choice", help="choice solver audit (or one instance via --matrix)")
     _add_common(p)
+    p.add_argument("--n", type=int, default=3)
     p.add_argument("--cap", type=_positive_int, default=None)
     p.add_argument("--matrix", default=None, help="comma-separated row-major entries")
     p.add_argument("--target", default=None, help="comma-separated coefficients, degree 0 first")

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 
 import numpy as np
 
 from .gf import FieldSpec, code_dtype
 from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_add, mat_mul,
                      mat_vec, rank, rref_rows, tensor, trace, unit, companion)
-from .subspace import (BudgetExceeded, MatSubspace, QuotientChart, VecSubspace, digits,
+from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits,
                        enumerate_grassmannian, enumerate_projective, full_space,
                        line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
@@ -300,8 +300,12 @@ def is_intransitive(fs: FieldSpec, t: MatSubspace) -> bool:
 
 
 def quotient_space(fs: FieldSpec, t: MatSubspace, w: VecSubspace) -> MatSubspace:
-    """The operator space pi T for the canonical projection pi: V -> V/W."""
-    pi = QuotientChart(fs, w).matrix()
+    """The operator space pi T for the canonical projection pi: V -> V/W,
+    in the chart of V/W by the non-pivot columns of W: pi is the matrix of
+    W's annihilator rows (a non-pivot e_f maps to itself, e_p at the pivot
+    of row r to row r read at the non-pivot columns)."""
+    rows = w.annihilator_rows()
+    pi = Mat(len(rows), w.ambient, [x for row in rows for x in row])   # 0 x n when W = V
     return t.transform(lambda b: mat_mul(fs, pi, b))
 
 
@@ -437,7 +441,12 @@ def union_mask(fs: FieldSpec, family: list[VecSubspace], x: np.ndarray) -> np.nd
     """Which points of x [N, n] (codes) lie in the union of the family: x
     lies in a member iff A x = 0 over a basis A of the member's
     annihilator.  Zero rows pad every basis to n rows, so one
-    :func:`operator_images` call tests every member."""
+    :func:`operator_images` call tests every member; it holds n codes for
+    every (point, member) pair, so more than DEFAULT_BUDGET pairs raise
+    BudgetExceeded."""
+    pairs = len(x) * len(family)
+    if pairs > DEFAULT_BUDGET:
+        raise BudgetExceeded(pairs, DEFAULT_BUDGET)
     n = x.shape[1]
     ann = [rows + [[0] * n] * (n - len(rows)) for rows in (v.annihilator_rows() for v in family)]
     ops = np.array(ann, dtype=x.dtype).reshape(len(family), n, n)
@@ -497,7 +506,9 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
                     family: list[VecSubspace]) -> LemmaVerdict:
     """Hypotheses: p is d-homogeneous, |F| >= d, at most |F|-1 family members
     of each dimension 1..n-2 and at most |F|-d of dimension n-1, and p
-    vanishes outside the union.  Conclusion: p vanishes everywhere."""
+    vanishes outside the union.  Conclusion: p vanishes everywhere.  The
+    walk visits every point of F^n; more than DEFAULT_BUDGET of them give
+    a "budget" verdict."""
     if not family:
         raise ValueError("empty family")
     n = family[0].ambient
@@ -521,15 +532,18 @@ def vanishing_check(fs: FieldSpec, p: dict[Monomial, int], d: int,
     # one walk: a nonzero value outside the union violates the hypothesis
     # wherever it comes; otherwise the first nonzero value fails the lemma
     first = None
-    # every point of F^n in index order (the first coordinate counts fastest)
-    for x in (c[::-1] for c in product(range(fs.q), repeat=n)):
-        if eval_monomial_map(fs, p, x):
-            if not any(v.member(x) for v in family):
-                return LemmaVerdict(name, "hypothesis-violation",
-                                    {"reason": "p does not vanish outside the union",
-                                     "point": list(x)})
-            if first is None:
-                first = x
+    try:
+        # every point of F^n in index order (the first coordinate counts fastest)
+        for x in full_space(fs, n).enumerate_elements():
+            if eval_monomial_map(fs, p, x):
+                if not any(v.member(x) for v in family):
+                    return LemmaVerdict(name, "hypothesis-violation",
+                                        {"reason": "p does not vanish outside the union",
+                                         "point": list(x)})
+                if first is None:
+                    first = x
+    except BudgetExceeded as exc:
+        return LemmaVerdict(name, "budget", {"reason": str(exc)})
     if first is not None:
         return LemmaVerdict(name, "fails", {"point": list(first)})
     return LemmaVerdict(name, "holds", {"points_checked": fs.q ** n})
@@ -562,6 +576,16 @@ def _linear_map(fs: FieldSpec, n: int, image_of_unit) -> list[list[int]]:
             for i in range(n) for j in range(n)]
 
 
+def quotient_trace(fs: FieldSpec, plane: VecSubspace, u: Mat) -> int:
+    """The trace of u on V/G, for the subspace G that the dual plane
+    annihilates (u must leave G invariant).  The RREF rows w1, w2 of the
+    plane vanish on G and w_i(e_{p_j}) = delta_ij at their pivots p_j, so
+    they are the dual basis of e_{p1} + G, e_{p2} + G, and the trace is
+    w1(u e_{p1}) + w2(u e_{p2}) in every chart of V/G."""
+    (w1, w2), (p1, p2) = plane.basis, plane.pivots
+    return dot(fs, w1, u.col(p1)) ^ dot(fs, w2, u.col(p2))
+
+
 def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
                     mode: str = "2spec", budget: int = DEFAULT_BUDGET,
                     samples: int = 10 ** 5, seed: int = 0,
@@ -588,19 +612,12 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return violation
 
     g = cert.kernel
-    chart = QuotientChart(fs, g)
     gdim = g.dim
 
     def g_block(u: Mat) -> list[int]:
         # coordinates of u*g_j in the RREF basis of G: read the pivot entries
         cols = [mat_vec(fs, u, grow) for grow in g.basis]
         return [cols[j][g.pivots[i]] for i in range(gdim) for j in range(gdim)]
-
-    def q_block(u: Mat) -> list[int]:
-        cols = [chart.project(mat_vec(fs, u, chart.lift(tuple(1 if t == b else 0
-                                                              for t in range(2)))))
-                for b in range(2)]
-        return [cols[j][i] for i in range(2) for j in range(2)]
 
     # (a) invariance of G is linear: checking the basis suffices
     for b in s.basis_matrices():
@@ -609,28 +626,28 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
                 return LemmaVerdict(name, "fails",
                                     {"condition": "a", "witness": b.to_json()})
 
-    # both blocks are linear in u: on planes they are fixed maps of the entries
+    # the block and the trace are linear in u: on planes they are fixed maps
+    # of the entries
     k = fs.degree
     map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
-    map_q = _bulk.linear_map(fs, _linear_map(fs, n, q_block), 4)
+    map_q = _bulk.linear_map(
+        fs, _linear_map(fs, n, lambda u: [quotient_trace(fs, cert.plane, u)]), 1)
 
     def fail_batch(planes, count):
         flat = planes.reshape(-1, planes.shape[-1])
         gb = _bulk.apply_map(flat, map_g, gdim * gdim * k).reshape(gdim, gdim, k, -1)
-        qb = _bulk.apply_map(flat, map_q, 4 * k).reshape(4, k, -1)
         coeffs = _bulk.charpoly_planes(fs, gb)
         counts_f = _bulk.spectrum_counts(fs, coeffs, count, "in_field", False)
         bad_b = (counts_f > 1 if mode == "2spec"
                  else _bulk.spectrum_counts(fs, coeffs, count, "in_field", True) > 0)
-        tr_q = _bulk.nonzero_lanes(qb[0] ^ qb[3], count)
+        tr_q = _bulk.nonzero_lanes(_bulk.apply_map(flat, map_q, k), count)
         g_zero = ~_bulk.nonzero_lanes(gb, count)
         return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
 
     def fail_scalar(u: Mat) -> bool:
         gb = Mat(gdim, gdim, g_block(u))
-        qb = q_block(u)
         prof = profile(fs, gb)
-        tq = qb[0] ^ qb[3]
+        tq = quotient_trace(fs, cert.plane, u)
         bad_b = prof.distinct_in_f > 1 if mode == "2spec" else prof.distinct_nonzero_in_f > 0
         return bad_b or (tq != 0 and (prof.distinct_in_f > 0 or not any(gb.entries)))
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .gf import FieldSpec, code_dtype
 from .matrix import Mat, rref_rows
-from . import _bulk
 
 Vec = tuple[int, ...]
 
@@ -178,43 +177,6 @@ def full_space(field: FieldSpec, ambient: int) -> VecSubspace:
 
 def line(field: FieldSpec, v) -> VecSubspace:
     return VecSubspace(field, len(v), [v])
-
-
-class QuotientChart:
-    """Concrete chart for V/W: the non-pivot coordinates of W serve as the
-    quotient basis; the projection reduces modulo W and drops the pivots."""
-
-    __slots__ = ("field", "sub", "free")
-
-    def __init__(self, field: FieldSpec, sub: VecSubspace):
-        self.field = field
-        self.sub = sub
-        self.free = tuple(j for j in range(sub.ambient) if j not in sub.pivots)
-
-    @property
-    def dim(self) -> int:
-        return len(self.free)
-
-    def project(self, v) -> Vec:
-        w = self.sub.reduce(v)
-        return tuple(w[j] for j in self.free)
-
-    def lift(self, coords) -> Vec:
-        out = [0] * self.sub.ambient
-        for j, c in zip(self.free, coords):
-            out[j] = c
-        return tuple(out)
-
-    def matrix(self) -> Mat:
-        """The projection as a (dim quotient) x ambient matrix."""
-        m = self.sub.ambient
-        rows = []
-        for i in range(m):
-            e = [0] * m
-            e[i] = 1
-            rows.append(self.project(e))
-        cols = rows  # rows[i] is the image of e_i: assemble column-wise
-        return Mat(self.dim, m, tuple(cols[j][i] for i in range(self.dim) for j in range(m)))
 
 
 # ----------------------------------------------------------------------

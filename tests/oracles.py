@@ -204,9 +204,9 @@ def vanishing_points_two_pass(fs: FieldSpec, p, family):
     point outside the union must have p(x) = 0 (else a hypothesis
     violation there), then the first point with p(x) != 0 fails the
     conclusion.  Returns (outcome, point or None)."""
+    from itertools import product
     from char2spec.structure import eval_monomial_map
-    from char2spec.subspace import full_space
-    points = list(full_space(fs, family[0].ambient).enumerate_elements())
+    points = [c[::-1] for c in product(range(fs.q), repeat=family[0].ambient)]
     for x in points:
         if not any(v.member(x) for v in family) and eval_monomial_map(fs, p, x):
             return "hypothesis-violation", x
@@ -342,3 +342,30 @@ def operator_spaces(fs: FieldSpec, rng, shapes, count: int):
         yield MatSubspace((n, m), full_space(fs, n * m))
         for _ in range(count):
             yield MatSubspace((n, m), random_subspace(fs, rng, n * m, rng.randrange(0, n * m + 1)))
+
+
+def quotient_projection(fs: FieldSpec, w) -> Mat:
+    """The projection V -> V/W in the chart of the non-pivot columns of W:
+    column i is the unit vector e_i reduced modulo the RREF rows of W (each
+    pivot entry cleared by its row), read at the non-pivot columns."""
+    m = w.ambient
+    free = [j for j in range(m) if j not in w.pivots]
+    cols = []
+    for i in range(m):
+        v = [int(j == i) for j in range(m)]
+        for row, p in zip(w.basis, w.pivots):
+            c = v[p]
+            v = [x ^ fs.mul(c, y) for x, y in zip(v, row)]
+        cols.append([v[j] for j in free])
+    return Mat(len(free), m, [cols[i][r] for r in range(len(free)) for i in range(m)])
+
+
+def quotient_block(fs: FieldSpec, w, u: Mat) -> Mat:
+    """The matrix of u on V/W (W invariant under u) in the chart of
+    :func:`quotient_projection`: column b is the projection of u applied
+    to the b-th non-pivot unit vector of W."""
+    from char2spec.matrix import mat_vec
+    pi = quotient_projection(fs, w)
+    free = [j for j in range(w.ambient) if j not in w.pivots]
+    cols = [mat_vec(fs, pi, u.col(f)) for f in free]
+    return Mat(len(free), len(free), [cols[j][i] for i in range(len(free)) for j in range(len(free))])

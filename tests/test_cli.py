@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +219,45 @@ def test_lemma_gf2_setup_errors_and_runs(capsys):
     code, report = run_cli(capsys, "lemma", "--field", "gf2", "--name", "vanishing",
                            "--trials", "12", "--seed", "5")
     assert code == 0 and report["checks"][0]["outcome"] == "holds"
+
+
+def test_lemma_vanishing_over_gf2_16_reports_budget(capsys):
+    # the union test of 65 537 points against 55 537 drawn lines would hold
+    # 13.6 GiB of codes
+    code, report = run_cli(capsys, "lemma", "--field", "gf2^16", "--name", "vanishing",
+                           "--trials", "3", "--seed", "1")
+    assert code == 0 and report["checks"] == [{"name": "vanishing", "outcome": "budget", "detail": {
+        "reason": "enumeration of 3639728369 objects exceeds budget 16777216"}}]
+
+
+def test_closed_pipe_ends_quietly():
+    # a reader that stops after one line: the report (about 740 kB) outgrows
+    # the pipe, and the write after the close must not end in a traceback
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "char2spec.cli", "scan-adapted",
+                             "--field", "gf16", "--construction", "nt4"],
+                            cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_n_belongs_to_choice_alone(capsys):
+    argvs = [["verify", "--construction", "nt3", "--pred", "1-spec"],
+             ["scan-adapted", "--construction", "nt3"], ["detect-hurdle", "--construction", "nt3"],
+             ["trk", "--construction", "nt3"], ["lemma", "--name", "covering", "--trials", "2"],
+             ["acceptance", "--skip-determinism"]]
+    for argv in argvs:
+        assert main(argv + ["--n", "3"]) == 2
+        err = capsys.readouterr().err
+        # under lemma, --n abbreviates --name
+        assert ("argument --name: invalid choice: '3'" if argv[0] == "lemma"
+                else "unrecognized arguments: --n 3") in err, err
+    code, report = run_cli(capsys, "choice", "--n", "3", "--cap", "10")
+    assert code == 0 and report["config"]["n"] == 3
 
 
 def test_report_determinism(capsys):

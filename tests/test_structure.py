@@ -6,6 +6,7 @@ from collections import Counter
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec
@@ -471,6 +472,21 @@ def test_primitively_intransitive_dimension_bound(gf4):
     assert audited > 0
 
 
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, FieldSpec(9)], ids=["gf2", "gf4", "gf8", "gf2^9"])
+def test_quotient_space_matches_the_projection_oracle(fs):
+    rng = random.Random(fs.degree + 1)
+    shapes = [(n, m) for n in range(1, 5) for m in range(1, 4)]
+    for t in oracles.operator_spaces(fs, rng, shapes, 3):
+        n, m = t.shape
+        for d in (0, n, rng.randrange(n + 1)):
+            w = sub.random_subspace(fs, rng, n, d)
+            pi = oracles.quotient_projection(fs, w)
+            want = sub.MatSubspace.from_matrices(
+                fs, (n - d, m), [mx.mat_mul(fs, pi, b) for b in t.basis_matrices()])
+            got = st.quotient_space(fs, t, w)
+            assert got.basis_matrices() == want.basis_matrices(), (t.shape, t.dim, w.basis)
+
+
 # ----------------------------------------------------------------------
 # alternators
 # ----------------------------------------------------------------------
@@ -726,6 +742,26 @@ def test_vanishing_zero_poly_holds(gf4):
     assert v.holds
 
 
+def test_vanishing_check_reports_budget_past_the_points():
+    # a "holds" verdict would visit all 2^32 points of GF(2^16)^2
+    fs = FieldSpec(16)
+    v = st.vanishing_check(fs, {}, 1, [sub.line(fs, (1, 0))])
+    assert v.to_json() == {"name": "vanishing", "outcome": "budget", "detail": {
+        "reason": "enumeration of 4294967296 objects exceeds budget 16777216"}}
+
+
+def test_union_mask_refuses_more_pairs_than_the_budget(monkeypatch):
+    # it holds n codes for every (point, member) pair
+    monkeypatch.setattr(st, "DEFAULT_BUDGET", 100)
+    x = np.array(list(sub.enumerate_projective(GF4, 2)), dtype=np.uint8)
+    family = [sub.line(GF4, p) for p in x.tolist()] * 4
+    assert len(family) * len(x) == 100
+    assert st.union_mask(GF4, family, x).all()
+    with pytest.raises(sub.BudgetExceeded) as exc:
+        st.union_mask(GF4, family, np.concatenate([x, x[:1]]))
+    assert (exc.value.needed, exc.value.budget) == (120, 100)
+
+
 def test_vanishing_rejects_inhomogeneous(gf4):
     fam = [sub.span(gf4, 2, [(1, 0)])]
     v = st.vanishing_check(gf4, {(1, 0): 1, (0, 2): 1}, 1, fam)
@@ -773,6 +809,82 @@ def test_splitting_hypothesis_violation(gf4):
     other_plane = sub.span(gf4, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     v = st.splitting_check(gf4, h4, st.HurdleCertificate(other_plane), mode="2spec")
     assert v.outcome == "hypothesis-violation"
+
+
+def _stabilizer(fs, g):
+    """All n x n operators u with u G inside G: w(u y) = 0 for every w in
+    the annihilator of G and y in G, one linear condition on the entries of
+    u for each pair of basis vectors."""
+    n = g.ambient
+    conditions = [[fs.mul(w[i], y[j]) for i in range(n) for j in range(n)]
+                  for w in g.annihilator().basis for y in g.basis]
+    return sub.MatSubspace((n, n), sub.VecSubspace(fs, n * n, conditions).annihilator())
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, FieldSpec(9)], ids=["gf2", "gf4", "gf8", "gf2^9"])
+def test_quotient_trace_matches_the_quotient_block(fs):
+    # random dual planes, so that G lies in no coordinate subspace, and
+    # random operators that leave G invariant
+    rng = random.Random(fs.degree + 2)
+    for n in (3, 4, 5):
+        for _ in range(4):
+            plane = sub.random_subspace(fs, rng, n, 2)
+            g = plane.annihilator()
+            stab = _stabilizer(fs, g)
+            for _ in range(8):
+                u = mx.Mat(n, n, stab.space.combine([rng.randrange(fs.q) for _ in range(stab.dim)]))
+                assert all(g.member(mx.mat_vec(fs, u, y)) for y in g.basis)
+                want = mx.trace(oracles.quotient_block(fs, g, u))
+                assert st.quotient_trace(fs, plane, u) == want, (plane.basis, u)
+
+
+def _failed_conditions(fs, cert, mode, u):
+    """The conditions among (b), (c) and (d) of splitting_check that u
+    fails: the G-block read at the RREF pivots of G, the quotient trace
+    from the 2 x 2 block of oracles.quotient_block."""
+    g = cert.kernel
+    cols = [mx.mat_vec(fs, u, row) for row in g.basis]
+    block = mx.Mat(g.dim, g.dim, [cols[j][g.pivots[i]] for i in range(g.dim) for j in range(g.dim)])
+    roots = oracles.roots_by_evaluation(fs, oracles.charpoly_cofactor(fs, block))
+    tr_q = mx.trace(oracles.quotient_block(fs, g, u))
+    failed = set()
+    if len(roots) > 1 if mode == "2spec" else any(roots):
+        failed.add("b")
+    if tr_q and roots:
+        failed.add("c")
+    if tr_q and not any(block.entries):
+        failed.add("d")
+    return failed
+
+
+@pytest.mark.parametrize("mode, extra, seed, plane, index, failed", [
+    # the G-block has two eigenvalues in F, the quotient trace is 0
+    ("2spec", [[0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 1],
+               [1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1]], 1,
+     ((1, 0, 0, 1), (0, 1, 0, 1)), 128, {"b"}),
+    # a nonzero quotient trace with a nonzero G-block that has an eigenvalue in F
+    ("1star", [[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1]], 1,
+     ((1, 0, 0, 1), (0, 1, 0, 1)), 4, {"c"}),
+    ("2spec", [[0, 0, 1, 0, 1, 1, 0, 1, 1], [1, 1, 1, 0, 0, 0, 0, 1, 1]], 3,
+     ((1, 0, 0), (0, 1, 1)), 8, {"c"}),
+    # a nonzero quotient trace with a zero G-block
+    ("1star", [[0, 1, 0, 0, 0, 1, 0, 1, 1]], 3, ((1, 0, 0), (0, 1, 1)), 1, {"c", "d"}),
+], ids=["b-2spec", "c-1star", "c-2spec", "cd-1star"])
+def test_splitting_verdict_decided_by_one_condition(gf2, mode, extra, seed, plane, index, failed):
+    # over GF(2), where the 2-spec hypothesis does not force (b)-(d): the
+    # hurdle template plus extra operators that keep G invariant,
+    # conjugated so that the certificate plane is not a coordinate plane
+    n = 3 if len(extra[0]) == 9 else 4
+    space = cons.hurdle_template(gf2, n).sum_with(
+        sub.MatSubspace.from_matrices(gf2, (n, n), [mx.Mat(n, n, e) for e in extra]))
+    space = cons.conjugate_space(gf2, space, mx.random_invertible(gf2, random.Random(seed), n))
+    cert = st.detect_hurdle(gf2, space)
+    assert cert.plane.basis == plane
+    v = st.splitting_check(gf2, space, cert, mode=mode)
+    assert v.outcome == "fails" and v.detail["condition"] == "bcd"
+    assert v.detail["index"] == index == first_failing_index(
+        space, lambda u: bool(_failed_conditions(gf2, cert, mode, u)))
+    assert _failed_conditions(gf2, cert, mode, mx.mat_from_json(v.detail["witness"])) == failed
 
 
 # the hypothesis-violation verdicts of the spec-hypothesis scans, pinned

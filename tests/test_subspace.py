@@ -6,6 +6,8 @@ from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
 from char2spec import matrix as mx
 from char2spec import subspace as sub
 
+import oracles
+
 
 def test_span_and_member(gf4):
     s = sub.span(gf4, 3, [(1, 0, 0), (1, 1, 0)])
@@ -215,17 +217,26 @@ def test_element_enumeration(gf4):
     assert elems[0] == (0, 0, 0)
 
 
-def test_quotient_chart(gf4):
-    w = sub.span(gf4, 4, [(1, 0, 2, 0), (0, 1, 1, 0)])
-    chart = sub.QuotientChart(gf4, w)
-    assert chart.dim == 2
-    for coords in [(1, 0), (0, 1), (2, 3)]:
-        assert chart.project(chart.lift(coords)) == coords
-    for row in w.basis:
-        assert chart.project(row) == (0, 0)
-    pi = chart.matrix()
-    v = (1, 2, 3, 0)
-    assert tuple(mx.mat_vec(gf4, pi, v)) == chart.project(v)
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, FieldSpec(9)], ids=["gf2", "gf4", "gf8", "gf2^9"])
+def test_annihilator_rows_project_onto_the_quotient(fs):
+    # read as a matrix, the annihilator rows of W are the projection
+    # V -> V/W in the chart of W's non-pivot columns: it kills W, is the
+    # identity on the non-pivot unit vectors, and equals reducing modulo W
+    # and dropping the pivot coordinates
+    rng = random.Random(fs.degree)
+    for m in range(1, 6):
+        for d in (0, m, *(rng.randrange(m + 1) for _ in range(4))):
+            w = sub.random_subspace(fs, rng, m, d)
+            rows = w.annihilator_rows()
+            pi = mx.Mat(len(rows), m, [x for row in rows for x in row])
+            free = [j for j in range(m) if j not in w.pivots]
+            assert len(free) == m - d
+            for row in w.basis:
+                assert mx.mat_vec(fs, pi, row) == (0,) * len(free)
+            for r, f in enumerate(free):
+                e = tuple(int(j == f) for j in range(m))
+                assert mx.mat_vec(fs, pi, e) == tuple(int(i == r) for i in range(len(free)))
+            assert pi == oracles.quotient_projection(fs, w), (m, w.basis)
 
 
 def test_index_chunks():
