@@ -6,7 +6,9 @@ bit i % 64 of word i // 64, so one word carries 64 elements (Biham's
 bit-slicing; M4RIE holds matrices over GF(2^e) the same way).  Arrays of
 planes have shape [..., k, W] with W = ceil(N / 64).  Lanes past N in the
 last word are never read.  Codes go to planes through :func:`code_planes`
-and back through :func:`lane_codes`.  An exhaustive scan needs no codes:
+(a multiply gathers one bit of eight bytes) and come back through
+:func:`lane_codes` (an 8 x 8 bit transpose), the one reader of codes off
+planes.  An exhaustive scan needs no codes:
 the planes of the indices 64 w .. 64 w + 63 are fixed lane patterns for
 bits 0-5 and whole words of ones or zeros above (:func:`index_planes`),
 and the scan visits whole words of indices (:func:`projective_words`).
@@ -30,13 +32,14 @@ cross-check it against both scalar algorithms on every shape in use.
 Its n low coefficients go to root counting (:func:`spectrum_counts`).
 When q^n <= 2^16 they are read, as planes, into indices of tables built
 for all q^n monic polynomials (:func:`spectrum_tables`): the index is
-the n k low coefficient bits, which an 8 x 8 bit transpose takes from
-the planes (:func:`table_index`).  Above that they are unpacked to codes
-[N, n+1] (:func:`monic_codes`) and counted directly.
+:func:`lane_codes` of the n k coefficient planes read as one column.
+Above that they are unpacked to codes [N, n+1] (:func:`monic_codes`)
+and counted directly.
 
 Direct root counts work on code rows, all lanes in step (the tests hold
 them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 7,
-the zeros of a Horner evaluation at all q elements, and from k = 8 on
+the zeros of a Horner evaluation at all q elements (:func:`field_values`,
+which also finds the eigenvalues of :mod:`.structure`), and from k = 8 on
 deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
 Roots in the closure are deg rad f, from the characteristic-2 squarefree
 decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
@@ -76,12 +79,6 @@ _ALL_ONES = ~np.uint64(0)
 # bit b < 6 of the lane number, over the 64 lanes of a word
 _LANE_BITS = np.array([0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
                        0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000], dtype=_PLANE)
-
-
-def _lane_bits(planes: np.ndarray, count: int) -> np.ndarray:
-    """[P, W] planes -> [P, count] array of 0/1 bytes (lanes 0 .. count-1)."""
-    raw = np.ascontiguousarray(planes, dtype=_PLANE).view(np.uint8)
-    return np.unpackbits(raw, axis=1, count=count, bitorder="little")
 
 
 def code_planes(codes: np.ndarray, width: int) -> np.ndarray:
@@ -126,13 +123,32 @@ def index_planes(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
-    """Planes [c, k, W] -> [count, c] codes of lanes 0 .. count-1, in the
-    dtype of :func:`code_dtype`."""
-    c, k, w = planes.shape
-    bits = _lane_bits(planes.reshape(c * k, w), count).reshape(c, k, count)
-    codes = bits[:, 0].astype(code_dtype(k))
-    for b in range(1, k):
-        codes |= bits[:, b].astype(codes.dtype, copy=False) << b
+    """Planes [c, b, W] -> [count, c] codes of lanes 0 .. count-1 (b <= 16),
+    in the dtype of :func:`code_dtype`: column j's bit t is plane (j, t).
+
+    Eight planes of a column at a time, a byte transpose gathers byte i
+    of the eight planes' word w into one uint64, an 8 x 8 bit matrix with
+    one byte per plane, and the three swap steps of ``transpose8``
+    (Warren, Hacker's Delight, 7-3) turn it so that byte l holds the eight
+    plane bits of lane 64 w + 8 i + l.  A column's bytes for lane i are
+    then adjacent, the low byte first, and are read as one code."""
+    c, b, w = planes.shape
+    groups = -(-b // 8)
+    rows = np.zeros((c, groups * 8, w), dtype=_PLANE)
+    rows[:, :b] = planes
+    grid = rows.view(np.uint8).reshape(c, groups, 8, 8 * w).transpose(0, 1, 3, 2)
+    x = np.ascontiguousarray(grid).view(_PLANE)[..., 0]             # [c, groups, 8 W]
+    for shift, mask in _TRANSPOSE8:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    out = x.view(np.uint8)[..., :count]                             # [c, groups, count]
+    codes = out[:, 0].astype(code_dtype(b), copy=False)
+    if groups == 2:
+        codes |= out[:, 1].astype(codes.dtype) << 8
     return codes.T
 
 
@@ -147,7 +163,7 @@ def monic_codes(coeffs: np.ndarray, count: int) -> np.ndarray:
 def nonzero_lanes(planes: np.ndarray, count: int) -> np.ndarray:
     """Lanes in which any of the planes [..., W] has a set bit."""
     seen = np.bitwise_or.reduce(planes, axis=tuple(range(planes.ndim - 1)))
-    return _lane_bits(seen[None], count)[0].astype(bool)
+    return np.unpackbits(seen.view(np.uint8), count=count, bitorder="little").astype(bool)
 
 
 # ----------------------------------------------------------------------
@@ -257,16 +273,6 @@ def apply_map(planes: np.ndarray, targets: list[np.ndarray], size: int) -> np.nd
     return out
 
 
-def batch_charpoly(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
-    """Characteristic polynomials of a batch of square matrices.
-
-    mats: [N, n, n] codes.  Returns [N, n+1] coefficient codes by
-    ascending degree (so [:, n] is all ones)."""
-    big, n = mats.shape[:2]
-    planes = code_planes(mats.reshape(big, n * n), fs.degree)
-    return monic_codes(charpoly_planes(fs, planes.reshape(n, n, fs.degree, -1)), big)
-
-
 # ----------------------------------------------------------------------
 # code arrays: products, inverses, ranks and root counts
 # ----------------------------------------------------------------------
@@ -374,14 +380,16 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     return out
 
 
-def _field_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
-    """Distinct roots in F of every row of codes [N, L] (k <= 7): Horner
-    evaluation at all q elements, counting zeros."""
-    q = fs.q
-    acc = np.repeat(polys[:, -1:], q, axis=1)
+def field_values(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
+    """Values [N, q] of every row of ascending codes [N, L] (L >= 1, in
+    the dtype of :func:`code_dtype`) at every element of F, column a the
+    value at a, in the same dtype: Horner's rule, all rows and elements
+    in step."""
+    x = np.arange(fs.q, dtype=code_dtype(fs.degree))
+    acc = np.repeat(polys[:, -1:], fs.q, axis=1)
     for i in range(polys.shape[1] - 2, -1, -1):
-        acc = _mul(fs, acc, np.arange(q, dtype=np.uint8)) ^ polys[:, i:i + 1]
-    return np.count_nonzero(acc == 0, axis=1)
+        acc = _mul(fs, acc, x) ^ polys[:, i:i + 1]
+    return acc
 
 
 def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
@@ -431,7 +439,7 @@ def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
         if kind == "in_closure":
             out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
         elif horner:
-            out[lo:lo + step] = _field_counts(fs, block)
+            out[lo:lo + step] = np.count_nonzero(field_values(fs, block) == 0, axis=1)
         else:
             out[lo:lo + step] = _frobenius_counts(fs, block)
     return out
@@ -457,32 +465,6 @@ def spectrum_tables(fs: FieldSpec, n: int):
     return in_f, in_f - zero, clo, clo - zero
 
 
-def table_index(coeffs: np.ndarray, count: int) -> np.ndarray:
-    """The :func:`spectrum_tables` index of lanes 0 .. count-1 from the
-    planes [n, k, W] of the n low coefficients (n k <= 16): bit j k + b of
-    the index is plane (j, b), so the index is the lane's value across
-    the n k planes.
-
-    Eight planes at a time, a byte transpose gathers byte i of the eight
-    planes' word w into one uint64, an 8 x 8 bit matrix with one byte per
-    plane, and the three swap steps of ``transpose8`` (Warren, Hacker's
-    Delight, 7-3) turn it so that byte l holds the eight plane bits of
-    lane 64 w + 8 i + l: uint8 indices for n k <= 8, uint16 above."""
-    n, k, w = coeffs.shape
-    groups = -(-(n * k) // 8)
-    rows = np.zeros((groups * 8, w), dtype=_PLANE)
-    rows[:n * k] = coeffs.reshape(n * k, w)
-    grid = rows.view(np.uint8).reshape(groups, 8, 8 * w).transpose(0, 2, 1)
-    x = np.ascontiguousarray(grid).view(_PLANE)[..., 0]             # [groups, 8 W]
-    for shift, mask in _TRANSPOSE8:
-        t = (x ^ (x >> shift)) & mask
-        x ^= t ^ (t << shift)
-    out = x.view(np.uint8)[:, :count]                               # [groups, count]
-    if groups == 1:
-        return out[0]
-    return out[0].astype(np.uint16) | out[1].astype(np.uint16) << 8
-
-
 _KIND_SLOT = {("in_field", False): 0, ("in_field", True): 1,
               ("in_closure", False): 2, ("in_closure", True): 3}
 
@@ -494,12 +476,13 @@ def spectrum_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str,
     (the output of :func:`charpoly_planes`), as uint8.
 
     Coefficient spaces of at most 2^16 polynomials read a full precomputed
-    table (:func:`spectrum_tables`) at indices taken straight from the
-    planes (:func:`table_index`); larger ones are unpacked to codes and
-    counted directly by :func:`count_roots`."""
-    n = coeffs.shape[0]
+    table (:func:`spectrum_tables`) at indices read off the planes as one
+    column of n k bits (:func:`lane_codes`); larger ones are unpacked to
+    codes and counted directly by :func:`count_roots`."""
+    n, k, w = coeffs.shape
     if fs.q ** n <= _TABLE_POLYS:
-        return spectrum_tables(fs, n)[_KIND_SLOT[(kind, exclude_zero)]][table_index(coeffs, count)]
+        index = lane_codes(coeffs.reshape(1, n * k, w), count)[:, 0]
+        return spectrum_tables(fs, n)[_KIND_SLOT[(kind, exclude_zero)]][index]
     polys = monic_codes(coeffs, count)
     counts = count_roots(fs, polys, kind)
     if exclude_zero:

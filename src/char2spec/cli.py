@@ -220,33 +220,35 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
-        prog="char2spec",
+        prog="char2spec", allow_abbrev=False,
         description="Exact checks on bounded-spectrum matrix spaces over GF(2^k).")
     sub = parser.add_subparsers(dest="command", required=True)
+    # no option abbreviations: under lemma, --n would stand for --name
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("verify", help="build a space and verify a spectrum predicate")
+    p = add("verify", help="build a space and verify a spectrum predicate")
     _add_common(p)
     p.add_argument("--construction", required=True)
     p.add_argument("--pred", required=True, help="e.g. 1-spec, 2bar-spec, 1bar*-spec")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("scan-adapted", help="adapted-vector scan of a space")
+    p = add("scan-adapted", help="adapted-vector scan of a space")
     _add_common(p)
     p.add_argument("--construction", required=True)
     p.set_defaults(fn=cmd_scan_adapted)
 
-    p = sub.add_parser("detect-hurdle", help="search dual planes certifying a hurdle")
+    p = add("detect-hurdle", help="search dual planes certifying a hurdle")
     _add_common(p)
     p.add_argument("--construction", required=True)
     p.set_defaults(fn=cmd_detect_hurdle)
 
-    p = sub.add_parser("trk", help="transitive rank of a space")
+    p = add("trk", help="transitive rank of a space")
     _add_common(p)
     p.add_argument("--construction", required=True)
     p.set_defaults(fn=cmd_trk)
 
-    p = sub.add_parser("choice", help="choice solver audit (or one instance via --matrix)")
+    p = add("choice", help="choice solver audit (or one instance via --matrix)")
     _add_common(p)
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--cap", type=_positive_int, default=None)
@@ -255,13 +257,13 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=1)
     p.set_defaults(fn=cmd_choice)
 
-    p = sub.add_parser("lemma", help="run a lemma harness")
+    p = add("lemma", help="run a lemma harness")
     _add_common(p)
     p.add_argument("--name", required=True, choices=LEMMA_NAMES)
     p.add_argument("--trials", type=_positive_int, default=200)
     p.set_defaults(fn=cmd_lemma)
 
-    p = sub.add_parser("acceptance", help="run the acceptance suite")
+    p = add("acceptance", help="run the acceptance suite")
     _add_common(p)
     p.add_argument("--skip-determinism", action="store_true",
                    help="skip the worker-count determinism criterion")

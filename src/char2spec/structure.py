@@ -192,13 +192,10 @@ def certifies_hurdle(fs: FieldSpec, s: MatSubspace, plane: VecSubspace) -> bool:
 
 
 def field_roots(fs: FieldSpec, f: Poly) -> list[int]:
-    """The roots in F of a polynomial, ascending: Horner's rule at every
-    element of F at once on a code array."""
-    x = np.arange(fs.q, dtype=code_dtype(fs.degree))
-    acc = np.zeros_like(x)
-    for c in reversed(f):
-        acc = _bulk._mul(fs, acc, x) ^ c
-    return np.flatnonzero(acc == 0).tolist()
+    """The roots in F of a polynomial, ascending: the zeros of its values
+    at every element of F (:func:`_bulk.field_values`)."""
+    values = _bulk.field_values(fs, np.array([f], dtype=code_dtype(fs.degree)))
+    return np.flatnonzero(values[0] == 0).tolist()
 
 
 def common_eigenspaces(fs: FieldSpec, u: list[Mat], n: int) -> list[VecSubspace]:

@@ -238,12 +238,13 @@ class MatSubspace:
             yield Mat(n, m, v)
 
     def transform(self, f) -> "MatSubspace":
-        """Image space under a linear map f: Mat -> Mat (applied to the basis)."""
+        """Image space under a linear map f: Mat -> Mat (applied to the basis).
+        The target shape is that of any image, so a zero space takes it
+        from the image of the zero matrix."""
+        n, m = self.shape
         imgs = [f(b) for b in self.basis_matrices()]
-        if not imgs:
-            return MatSubspace(self.shape, VecSubspace(self.field, self.space.ambient, []))
-        shape = (imgs[0].rows, imgs[0].cols)
-        return MatSubspace.from_matrices(self.field, shape, imgs)
+        target = imgs[0] if imgs else f(Mat(n, m, [0] * (n * m)))
+        return MatSubspace.from_matrices(self.field, (target.rows, target.cols), imgs)
 
     def to_json(self) -> dict:
         return {"shape": list(self.shape),

@@ -110,6 +110,15 @@ def pack_monic(fs: FieldSpec, polys) -> list[int]:
     return [sum(int(c) << (fs.degree * i) for i, c in enumerate(row[:-1])) for row in polys]
 
 
+def lane_codes_by_bits(planes, count: int) -> list[list[int]]:
+    """Codes [count][c] of lanes 0 .. count-1 from planes [c, b, W] of
+    uint64 words, one bit at a time with Python ints: bit t of column j's
+    code in lane i is bit i % 64 of word i // 64 of plane (j, t)."""
+    words = planes.tolist()
+    return [[sum((col[t][i // 64] >> i % 64 & 1) << t for t in range(len(col))) for col in words]
+            for i in range(count)]
+
+
 def is_nilpotent(fs: FieldSpec, m: Mat) -> bool:
     """M^n = 0, i.e. every eigenvalue in the closure is 0."""
     from char2spec.matrix import mat_mul

@@ -1,7 +1,9 @@
 """The batch root counter of :mod:`char2spec._bulk` against the scalar
 routines of :mod:`char2spec.upoly`."""
 
+import inspect
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from char2spec import _bulk
 from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
-from oracles import all_monic, pack_monic, root_slots, spectrum_tables_scalar
+from oracles import (all_monic, lane_codes_by_bits, pack_monic, root_slots,
+                     spectrum_tables_scalar)
 
 GF256 = FieldSpec(8)
 SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_closure", True)]
@@ -160,19 +163,46 @@ def _perfbench_tables():
 
 
 def test_table_index_matches_packed_codes():
-    # every (field, n) whose spectrum table the benchmark reads, plus the
-    # widest table index of each byte count; lanes cut inside and at a word
+    # lane_codes against a bit-by-bit reader: every width in one or two
+    # bytes, 1-5 columns, lanes cut inside and at a word
     rng = np.random.default_rng(12)
-    cases = _perfbench_tables() + [(2, 8), (2, 16), (16, 1)]
-    for k, n in cases:
+    counts = (0, 1, 63, 64, 65, 200)
+    for b in range(1, 17):
+        for c in range(1, 6):
+            for count in counts:
+                planes = rng.integers(0, 1 << 64, size=(c, b, -(-count // 64)), dtype=np.uint64)
+                got = _bulk.lane_codes(planes, count)
+                assert got.dtype == code_dtype(b) and got.shape == (count, c), (b, c, count)
+                assert got.tolist() == lane_codes_by_bits(planes, count), (b, c, count)
+    # the table index is lane_codes of the n k coefficient planes as one
+    # column: every (field, n) whose spectrum table the benchmark reads,
+    # plus the widest index of each byte count
+    for k, n in _perfbench_tables() + [(2, 8), (2, 16), (16, 1)]:
         fs = FieldSpec(k)
         if fs.q ** n > 1 << 16:
             continue
-        for count in (1, 64, 200, 4096):
+        tables = _bulk.spectrum_tables(fs, n)
+        for count in counts + (4096,):
             coeffs = rng.integers(0, 1 << 64, size=(n, k, -(-count // 64)), dtype=np.uint64)
-            got = _bulk.table_index(coeffs, count)
-            assert got.dtype == (np.uint8 if n * k <= 8 else np.uint16), (k, n)
-            assert got.tolist() == pack_monic(fs, _bulk.monic_codes(coeffs, count)), (k, n, count)
+            index = pack_monic(fs, [row + [1] for row in lane_codes_by_bits(coeffs, count)])
+            for slot, (kind, ez) in enumerate(SLOTS):
+                got = _bulk.spectrum_counts(fs, coeffs, count, kind, ez)
+                assert got.tolist() == tables[slot][index].tolist(), (k, n, count, kind, ez)
+
+
+def test_every_public_kernel_has_a_caller():
+    # a public _bulk function that nothing in the library calls is dead
+    # code, kept alive only by its tests
+    lib = Path(_bulk.__file__).parent
+    texts = [path.read_text(encoding="utf-8") for path in sorted(lib.glob("*.py"))]
+    public = [name for name, obj in vars(_bulk).items()
+              if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
+              and getattr(obj, "__module__", None) == _bulk.__name__]
+    assert "lane_codes" in public and "spectrum_tables" in public
+    for name in public:
+        own = inspect.getsource(getattr(_bulk, name))
+        call = re.compile(rf"\b{name}\(")
+        assert any(call.search(text.replace(own, "")) for text in texts), name
 
 
 def test_counts_of_an_empty_batch():
@@ -184,8 +214,9 @@ def test_counts_of_an_empty_batch():
 
 def test_charpolys_and_nonzero_lanes_of_an_empty_batch():
     for fs in (GF4, FieldSpec(9)):              # uint8 and uint16 codes
-        empty = np.zeros((0, 3, 3), dtype=code_dtype(fs.degree))
-        assert _bulk.batch_charpoly(fs, empty).shape == (0, 4)
+        empty = np.zeros((0, 9), dtype=code_dtype(fs.degree))
+        planes = _bulk.code_planes(empty, fs.degree).reshape(3, 3, fs.degree, -1)
+        assert _bulk.monic_codes(_bulk.charpoly_planes(fs, planes), 0).shape == (0, 4)
     for planes in (np.zeros((4, 0), np.uint64), np.zeros((3, 2, 0), np.uint64)):
         assert _bulk.nonzero_lanes(planes, 0).shape == (0,)
 

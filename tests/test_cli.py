@@ -253,11 +253,18 @@ def test_n_belongs_to_choice_alone(capsys):
     for argv in argvs:
         assert main(argv + ["--n", "3"]) == 2
         err = capsys.readouterr().err
-        # under lemma, --n abbreviates --name
-        assert ("argument --name: invalid choice: '3'" if argv[0] == "lemma"
-                else "unrecognized arguments: --n 3") in err, err
+        assert "unrecognized arguments: --n 3" in err, err
     code, report = run_cli(capsys, "choice", "--n", "3", "--cap", "10")
     assert code == 0 and report["config"]["n"] == 3
+
+
+def test_abbreviated_options_are_usage_errors(capsys):
+    # no prefix stands for an option: --constr is not --construction, and
+    # under lemma --n is not --name
+    assert main(["trk", "--constr", "nt3"]) == 2
+    assert "the following arguments are required: --construction" in capsys.readouterr().err
+    assert main(["lemma", "--n", "covering", "--trials", "2"]) == 2
+    assert "the following arguments are required: --name" in capsys.readouterr().err
 
 
 def test_report_determinism(capsys):

@@ -159,7 +159,9 @@ def test_batch_charpoly_matches_scalar(fs):
     for n in range(1, 7):
         for size in (1, 63, 64, 65, 300):
             mats = rng.integers(0, fs.q, size=(size, n, n)).astype(np.uint8)
-            batch = _bulk.batch_charpoly(fs, mats)
+            planes = _bulk.code_planes(mats.reshape(size, n * n), fs.degree)
+            batch = _bulk.monic_codes(
+                _bulk.charpoly_planes(fs, planes.reshape(n, n, fs.degree, -1)), size)
             assert batch.shape == (size, n + 1) and batch.dtype == np.uint8
             for i in range(0, size, 1 if size <= 65 else 7):
                 m = mx.Mat(n, n, [int(x) for x in mats[i].reshape(-1)])

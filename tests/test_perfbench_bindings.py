@@ -41,14 +41,14 @@ def test_every_workload_warms_and_builds_its_ops(perfbench_modules, tmp_path):
 def test_tracer_installs_and_uninstalls(perfbench_modules):
     _, tracing = perfbench_modules
     from char2spec import _bulk
-    original = _bulk.batch_charpoly
+    original = _bulk.charpoly_planes
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert _bulk.batch_charpoly is not original
+        assert _bulk.charpoly_planes is not original
     finally:
         tracer.uninstall()
-    assert _bulk.batch_charpoly is original
+    assert _bulk.charpoly_planes is original
 
 
 @pytest.mark.parametrize("fs", [GF4, GF16], ids=["gf4", "gf16"])

@@ -484,7 +484,23 @@ def test_quotient_space_matches_the_projection_oracle(fs):
             want = sub.MatSubspace.from_matrices(
                 fs, (n - d, m), [mx.mat_mul(fs, pi, b) for b in t.basis_matrices()])
             got = st.quotient_space(fs, t, w)
+            assert got.shape == (n - d, m), (t.shape, t.dim, w.basis)
             assert got.basis_matrices() == want.basis_matrices(), (t.shape, t.dim, w.basis)
+
+
+def test_images_of_a_zero_space_take_the_target_shape(gf4):
+    # the shape of an image space is the map's, also when no basis matrix
+    # shows it: pi T lives in Mat_{n - dim W, m} for T = 0 and for W = F^n
+    zero = sub.MatSubspace((3, 2), sub.VecSubspace(gf4, 6, []))
+    t = sub.MatSubspace.from_matrices(gf4, (3, 2), [mx.Mat(3, 2, [1, 2, 0, 1, 3, 0])])
+    full = sub.full_space(gf4, 3)
+    assert st.quotient_space(gf4, zero, sub.line(gf4, (1, 0, 0))).shape == (2, 2)
+    assert st.quotient_space(gf4, zero, full).shape == (0, 2)
+    image = st.quotient_space(gf4, t, full)
+    assert image.shape == (0, 2) and image.dim == 0
+    p = mx.Mat(2, 3, [1, 0, 0, 0, 1, 0])
+    assert cons.mul_space_left(gf4, p, zero).shape == (2, 2)
+    assert cons.mul_space_left(gf4, p, t).shape == (2, 2)
 
 
 # ----------------------------------------------------------------------
