@@ -286,11 +286,6 @@ def _mul(fs: FieldSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.take(fs.exp_table, log[a] + log[b])
 
 
-def _inv(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
-    """Inverses of a code array (0 maps to 0), read from the field's table."""
-    return fs.inv_table[a]
-
-
 def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
     """Ranks of a batch of matrices a [N, r, c] of codes, all lanes in step
     (lane-uniform Gaussian elimination, as in M4RIE).  Column by column,
@@ -307,7 +302,7 @@ def batch_rank(fs: FieldSpec, a: np.ndarray) -> np.ndarray:
         cand = (a[:, :, j] != 0) & ~used
         piv = cand.argmax(axis=1)
         prow = a[lanes, piv]                              # zero where no pivot
-        f = _mul(fs, a[:, :, j], _inv(fs, prow[:, j])[:, None]) * cand
+        f = _mul(fs, a[:, :, j], fs.inv_table[prow[:, j]][:, None]) * cand
         f[lanes, piv] = 0
         a ^= _mul(fs, f[:, :, None], prow[:, None, :])
         used[lanes, piv] |= cand[lanes, piv]
@@ -338,7 +333,7 @@ def _gcd(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
         g = np.zeros_like(drop)
         g[:, :-1] = drop[:, 1:]
         delta = np.where(swap, 1 - delta, 1 + delta)
-    return _mul(fs, _inv(fs, f[:, :1]), f), (delta + df + dg - steps) // 2
+    return _mul(fs, fs.inv_table[f[:, :1]], f), (delta + df + dg - steps) // 2
 
 
 def _divide(fs: FieldSpec, f: np.ndarray, g: np.ndarray) -> np.ndarray:

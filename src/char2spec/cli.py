@@ -71,7 +71,7 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     fs = _field(args)
     space, expected = build_with_expected(fs, args.construction)
-    pred = parse_predicate(args.pred, args.k)
+    pred = parse_predicate(args.pred)
     verdict = check_space(fs, space, pred, budget=args.budget, samples=args.samples,
                           seed=args.seed, workers=args.workers, label=args.construction)
     check = verdict.to_json()
@@ -230,7 +230,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--construction", required=True)
     p.add_argument("--pred", required=True, help="e.g. 1-spec, 2bar-spec, 1bar*-spec")
-    p.add_argument("--k", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
 
     p = add("scan-adapted", help="adapted-vector scan of a space")

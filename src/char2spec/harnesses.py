@@ -486,7 +486,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
         a, b = d1[:, 0], d1[:, 1]
         c, d = d2[:, 0], d2[:, 1]
         det = mul(a, d) ^ mul(b, c)
-        det_inv = _bulk._inv(fs, det)
+        det_inv = fs.inv_table[det]
         singular = det == 0
         # Cramer's rule for the target (a0, a1), with rhs = chi0 + (a0, a1):
         # x1 = (rhs0 d + rhs1 c) / det and x2 = (rhs1 a + rhs0 b) / det are

@@ -14,7 +14,7 @@ path and is cross-checked against both.
 from __future__ import annotations
 
 from .gf import FieldSpec
-from .upoly import Poly, ONE, poly, poly_lcm
+from .upoly import Poly, poly
 
 Row = tuple[int, ...]
 
@@ -340,45 +340,21 @@ def char_poly(fs: FieldSpec, a: Mat) -> Poly:
 
 
 def min_poly(fs: FieldSpec, a: Mat) -> Poly:
-    """Least-degree monic annihilator, as the lcm of the Krylov annihilators
-    of the standard basis vectors."""
+    """Least-degree monic annihilator, by one row reduction of the rows
+    [vec(A^i) | e_i] for i = 0..n, with the e-coordinates listed from A^n
+    down to I.  The rows with zero A-part span the polynomials of degree
+    <= n that annihilate A (nonzero by Cayley-Hamilton), and the last
+    reduced row is the one of least degree, with leading coefficient 1."""
     if a.rows != a.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
     n = a.rows
-    out = ONE
-    for s in range(n):
-        v = tuple(1 if i == s else 0 for i in range(n))
-        # grow the Krylov flag until v, Av, ..., A^d v become dependent
-        basis: list[list[int]] = []   # rref rows over coordinates
-        piv: list[int] = []
-        chain = [v]
-        coords: list[list[int]] = []  # row-reduction history for back-solve
-        while True:
-            w = list(chain[-1])
-            comb = [0] * len(chain)
-            comb[-1] = 1
-            for brow, bpiv, bcomb in zip(basis, piv, coords):
-                f = w[bpiv]
-                if f:
-                    w = [x ^ fs.mul(f, y) for x, y in zip(w, brow)]
-                    comb = [x ^ fs.mul(f, y) for x, y in
-                            zip(comb, bcomb + [0] * (len(comb) - len(bcomb)))]
-            p = next((j for j, x in enumerate(w) if x), -1)
-            if p < 0:
-                # dependence: monic annihilator of degree len(chain)-1
-                d = len(chain) - 1
-                lead_inv = fs.inv(comb[d]) if comb[d] != 1 else 1
-                local = poly([fs.mul(lead_inv, comb[i]) for i in range(d + 1)])
-                out = poly_lcm(fs, out, local)
-                break
-            li = fs.inv(w[p])
-            basis.append([fs.mul(li, x) for x in w])
-            coords.append([fs.mul(li, x) for x in comb])
-            piv.append(p)
-            chain.append(mat_vec(fs, a, chain[-1]))
-        if len(out) - 1 == n:
-            break
-    return out
+    rows, power = [], identity(n)
+    for i in range(n + 1):
+        if i:
+            power = mat_mul(fs, power, a)
+        rows.append(list(power.entries) + [1 if j == n - i else 0 for j in range(n + 1)])
+    reduced, _ = rref_rows(fs, rows)
+    return poly(reduced[-1][n * n:][::-1])
 
 
 def companion(r: Poly) -> Mat:

@@ -49,8 +49,7 @@ import numpy as np
 from .gf import FieldSpec
 from .matrix import Mat, char_poly, identity
 from .subspace import MatSubspace, index_chunks
-from .upoly import (Poly, count_nonzero_roots_in_closure, count_nonzero_roots_in_field,
-                    count_roots_in_closure, count_roots_in_field, poly_str)
+from .upoly import Poly, count_roots_in_closure, count_roots_in_field, has_root_zero, poly_str
 from . import _bulk
 
 CHUNK = 1 << 16
@@ -73,13 +72,18 @@ class SpectrumProfile:
 
 
 def profile(fs: FieldSpec, m: Mat) -> SpectrumProfile:
+    """Distinct roots of the characteristic polynomial in F and in the
+    closure, with one root count of each kind; the nonzero counts drop
+    the root 0, as :func:`_bulk.spectrum_tables` does."""
     f = char_poly(fs, m)
+    in_f, in_closure = count_roots_in_field(fs, f), count_roots_in_closure(fs, f)
+    zero = has_root_zero(f)
     return SpectrumProfile(
         char_poly=f,
-        distinct_in_f=count_roots_in_field(fs, f),
-        distinct_nonzero_in_f=count_nonzero_roots_in_field(fs, f),
-        distinct_in_closure=count_roots_in_closure(fs, f),
-        distinct_nonzero_in_closure=count_nonzero_roots_in_closure(fs, f),
+        distinct_in_f=in_f,
+        distinct_nonzero_in_f=in_f - zero,
+        distinct_in_closure=in_closure,
+        distinct_nonzero_in_closure=in_closure - zero,
     )
 
 
@@ -103,9 +107,10 @@ class SpecPredicate:
         return prof.distinct_nonzero_in_closure if self.exclude_zero else prof.distinct_in_closure
 
 
-def parse_predicate(text: str, k: int | None = None) -> SpecPredicate:
+def parse_predicate(text: str) -> SpecPredicate:
     """Parse '1-spec', '2bar-spec', '0bar*-spec', '1*-spec' (and the same
-    without the '-spec' suffix)."""
+    without the '-spec' suffix).  The bound k is written in the text and
+    must be a nonnegative integer; ValueError otherwise."""
     t = text.strip().lower()
     if t.endswith("-spec"):
         t = t[:-5]
@@ -115,10 +120,12 @@ def parse_predicate(text: str, k: int | None = None) -> SpecPredicate:
     bar = t.endswith("bar")
     if bar:
         t = t[:-3]
-    kk = int(t) if t else k
-    if kk is None:
+    if not t:
         raise ValueError(f"predicate {text!r} has no bound k")
-    return SpecPredicate("in_closure" if bar else "in_field", star, kk)
+    k = int(t)
+    if k < 0:
+        raise ValueError(f"predicate {text!r} has a negative bound k")
+    return SpecPredicate("in_closure" if bar else "in_field", star, k)
 
 
 def check_element(fs: FieldSpec, m: Mat, pred: SpecPredicate) -> bool:

@@ -383,9 +383,11 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
     Requires tr(r) = tr(M) (the top-right block never touches the
     diagonal).  For p = 1 and p = n-1 the perturbation stays inside one
     row (resp. column), so the characteristic polynomial is affine in R
-    and the solve is a linear system whose columns are char_poly(M + E)
-    - char_poly(M) over the unit positions.  Other p fall back to
-    exhaustive search over q^{p(n-p)} candidates within the budget.
+    and the solve is an exact linear system over the degrees 0..n-2,
+    whose columns are char_poly(M + E) - char_poly(M) over the unit
+    positions: None when it is inconsistent, and AssertionError when its
+    solution fails the re-check.  Only 2 <= p <= n-2 searches, over the
+    q^{p(n-p)} candidates within the budget (else BudgetExceeded).
     Every result is re-verified through char_poly before being returned.
     """
     n = m.rows
@@ -409,15 +411,15 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
         # linear system over coefficients of degree 0..n-2
         reduced, pivots = rref_rows(fs, [[c[d] if d < len(c) else 0 for c in cols]
                                          for d in range(n - 1)])
-        if (n - 1) not in pivots:  # consistent system
-            solution = [0] * (n - 1)
-            for row, piv in zip(reduced, pivots):
-                solution[piv] = row[n - 1]
-            rmat = Mat(p, n - p, solution)
-            cand = mat_add(m, _embed_block(n, p, rmat))
-            if char_poly(fs, cand) == r:
-                return rmat
-        # fall through to exhaustive search on inconsistency
+        if (n - 1) in pivots:  # inconsistent system
+            return None
+        solution = [0] * (n - 1)
+        for row, piv in zip(reduced, pivots):
+            solution[piv] = row[n - 1]
+        rmat = Mat(p, n - p, solution)
+        if char_poly(fs, mat_add(m, _embed_block(n, p, rmat))) != r:
+            raise AssertionError("affine choice solve failed to re-verify; solver is inconsistent")
+        return rmat
 
     cells = p * (n - p)
     total = fs.q ** cells

@@ -163,7 +163,7 @@ def radical(fs: FieldSpec, f: Poly) -> Poly:
     g = poly_gcd(fs, f, d)
     w = monic(fs, poly_div_exact(fs, f, g))
     rg = radical(fs, g)
-    return monic(fs, poly_div_exact(fs, poly_mul(fs, w, rg), poly_gcd(fs, w, rg)))
+    return poly_lcm(fs, w, rg)
 
 
 def count_roots_in_closure(fs: FieldSpec, f: Poly) -> int:
@@ -175,14 +175,6 @@ def count_roots_in_closure(fs: FieldSpec, f: Poly) -> int:
 
 def has_root_zero(f: Poly) -> bool:
     return bool(f) and f[0] == 0
-
-
-def count_nonzero_roots_in_field(fs: FieldSpec, f: Poly) -> int:
-    return count_roots_in_field(fs, f) - (1 if has_root_zero(f) else 0)
-
-
-def count_nonzero_roots_in_closure(fs: FieldSpec, f: Poly) -> int:
-    return count_roots_in_closure(fs, f) - (1 if has_root_zero(f) else 0)
 
 
 def poly_str(f: Poly) -> str:

@@ -87,6 +87,17 @@ def matrix_eval_poly(fs: FieldSpec, f, m: Mat) -> Mat:
     return acc
 
 
+def min_poly_by_search(fs: FieldSpec, m: Mat):
+    """The monic f of least degree with f(M) = 0, by trying every monic
+    polynomial of degree 0, 1, ... in turn through :func:`matrix_eval_poly`."""
+    from char2spec.matrix import zero
+    for d in range(m.rows + 1):
+        for f in all_monic(fs, d):
+            if matrix_eval_poly(fs, f, m) == zero(m.rows):
+                return f
+    raise AssertionError("Cayley-Hamilton: the characteristic polynomial annihilates M")
+
+
 def first_failing_index(space, fails):
     """Smallest enumeration index whose element fails, by walking all q^dim
     elements in order (None when every element passes)."""
@@ -178,8 +189,9 @@ def first_failing_sample(space, seed: int, samples: int, fails):
 def root_slots(fs: FieldSpec, f) -> tuple[int, int, int, int]:
     """(roots in F, nonzero roots in F, roots in the closure, nonzero roots
     in the closure) of f, by the scalar routines of :mod:`upoly`."""
-    return (up.count_roots_in_field(fs, f), up.count_nonzero_roots_in_field(fs, f),
-            up.count_roots_in_closure(fs, f), up.count_nonzero_roots_in_closure(fs, f))
+    in_f, in_closure = up.count_roots_in_field(fs, f), up.count_roots_in_closure(fs, f)
+    zero = up.has_root_zero(f)
+    return in_f, in_f - zero, in_closure, in_closure - zero
 
 
 def spectrum_tables_scalar(fs: FieldSpec, n: int):

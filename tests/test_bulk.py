@@ -244,7 +244,7 @@ def test_code_products_and_inverses_match_the_field(fs):
     # broadcasting, as the structure procedures use it
     assert _bulk._mul(fs, a[:3, None].astype(dtype), b[None, :4].astype(dtype)).tolist() == [
         [fs.mul(int(x), int(y)) for y in b[:4]] for x in a[:3]]
-    inv = _bulk._inv(fs, a.astype(dtype))
+    inv = fs.inv_table[a.astype(dtype)]
     assert inv.tolist() == [fs.inv(int(x)) if x else 0 for x in a]
     sqrt = fs.sqrt_table
     assert sqrt.dtype == dtype

@@ -88,6 +88,19 @@ def test_usage_errors(capsys):
     assert code == 0 and out["checks"][0]["dim"] == 5
 
 
+def test_predicate_bounds_are_usage_errors(capsys):
+    # the bound k is written in the predicate: a negative or missing one is
+    # bad input, and there is no --k to supply it
+    for pred, message in (("-1-spec", "predicate '-1-spec' has a negative bound k"),
+                          ("*-spec", "predicate '*-spec' has no bound k")):
+        code = main(["verify", "--construction", "nt2", f"--pred={pred}"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err
+    assert main(["verify", "--construction", "nt2", "--pred", "2-spec", "--k", "5"]) == 2
+    assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+
+
 def test_choice_audit_refuses_wide_fields(capsys):
     for argv in (["choice", "--field", "gf2^9", "--cap", "10"],
                  ["lemma", "--name", "choice-audit", "--field", "gf2^9"]):

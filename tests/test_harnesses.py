@@ -200,6 +200,30 @@ def test_vanishing_bound_is_sharp(fs, d):
     assert v.detail["reason"] == f"{fs.q - d + 1} hyperplanes > |F|-d"
 
 
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8], ids=["gf2", "gf4", "gf8"])
+def test_covering_bound_is_sharp(fs):
+    """Sharpness control: the q + 1 lines of F^2 cover it, one past the q
+    lines that the hypotheses allow (r = q - 1); without the last line,
+    span((0, 1)), exactly that line's points stay uncovered.  In F^3, q
+    lines and the q + 1 planes through span(e3) cover the space, and the
+    hypotheses name |F| <= r.  A covering_check that skipped a family
+    member would report "holds" on a covering family; it fails here."""
+    too_many = f"|F| = {fs.q} is not greater than r = {fs.q}"
+    lines = [sub.line(fs, (1, c)) for c in range(fs.q)] + [sub.line(fs, (0, 1))]
+    v = S.covering_check(fs, lines)
+    assert (v.outcome, v.detail) == ("fails", {"covers": True})
+    assert S.covering_hypotheses(fs, lines, fs.q) == too_many
+    v = S.covering_check(fs, lines[:-1])
+    assert (v.outcome, v.detail) == ("holds", {"uncovered_point": [0, 1]})
+    assert S.covering_hypotheses(fs, lines[:-1], fs.q - 1) is None
+    family = ([sub.line(fs, (1, c, 0)) for c in range(fs.q)]
+              + [sub.span(fs, 3, [(1, c, 0), (0, 0, 1)]) for c in range(fs.q)]
+              + [sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)])])
+    v = S.covering_check(fs, family)
+    assert (v.outcome, v.detail) == ("fails", {"covers": True})
+    assert S.covering_hypotheses(fs, family, fs.q) == too_many
+
+
 def test_monomial_values_match_scalar_evaluation():
     for fs, n, d in ((GF2, 3, 3), (GF4, 3, 3), (GF8, 2, 4), (FieldSpec(9), 2, 3)):
         x = _points(fs, n)

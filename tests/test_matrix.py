@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec import _bulk
 
-from oracles import all_monic, charpoly_cofactor, matrix_eval_poly
+from oracles import all_monic, charpoly_cofactor, matrix_eval_poly, min_poly_by_search
 
 
 def test_basic_ops(gf4):
@@ -102,6 +103,28 @@ def test_min_poly(gf4):
         cp = mx.char_poly(gf4, a)
         assert not up.poly_divmod(gf4, cp, mp)[1]  # mp divides cp
         assert matrix_eval_poly(gf4, mp, a) == mx.zero(n)
+
+
+def test_min_poly_matches_the_search_oracle():
+    for entries in itertools.product(range(2), repeat=9):
+        a = mx.Mat(3, 3, entries)
+        assert mx.min_poly(GF2, a) == min_poly_by_search(GF2, a), a
+    rng = random.Random(20)
+    for fs, count in ((GF4, 90), (GF8, 45)):
+        for t in range(count):
+            n = rng.randrange(4)
+            if t % 3 == 0:    # a conjugated scalar or Jordan-like matrix
+                c = rng.randrange(fs.q)
+                jordan = mx.Mat(n, n, [c if i == j else rng.randrange(2) * (j == i + 1)
+                                       for i in range(n) for j in range(n)])
+                a = mx.conjugate(fs, jordan, mx.random_invertible(fs, rng, n))
+            elif t % 3 == 1:  # sparse
+                a = mx.Mat(n, n, [rng.randrange(fs.q) if rng.random() < 0.3 else 0
+                                  for _ in range(n * n)])
+            else:
+                a = mx.random_matrix(fs, rng, n)
+            assert mx.min_poly(fs, a) == min_poly_by_search(fs, a), a
+    assert mx.min_poly(GF4, mx.zero(0)) == (1,)
 
 
 def test_tensor(gf4, gf8):

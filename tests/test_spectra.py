@@ -65,6 +65,21 @@ def test_profile_invariants(gf4):
             assert (not a) or b
 
 
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, FieldSpec(9)], ids=["gf2", "gf4", "gf8", "gf2^9"])
+def test_profile_matches_root_slots_of_the_cofactor_charpoly(fs):
+    rng = random.Random(40 + fs.degree)
+    for t in range(60):
+        n = rng.randrange(1, 6)
+        m = mx.random_matrix(fs, rng, n)
+        if t % 2:         # singular matrices, so that the root 0 shows up
+            m = mx.Mat(n, n, m.entries[:-n] + (0,) * n)
+        f = charpoly_cofactor(fs, m)
+        p = profile(fs, m)
+        assert p.char_poly == f
+        assert (p.distinct_in_f, p.distinct_nonzero_in_f, p.distinct_in_closure,
+                p.distinct_nonzero_in_closure) == root_slots(fs, f)
+
+
 def test_charpoly_minpoly_same_root_sets():
     for fs in (GF2, GF4):
         rng = random.Random(2)
@@ -82,9 +97,14 @@ def test_predicate_parsing():
     assert p == SpecPredicate("in_closure", True, 1) and p.name == "1bar*-spec"
     assert parse_predicate("2-spec") == SpecPredicate("in_field", False, 2)
     assert parse_predicate("0bar*") == SpecPredicate("in_closure", True, 0)
-    assert parse_predicate("*-spec", k=1) == SpecPredicate("in_field", True, 1)
-    with pytest.raises(ValueError):
-        parse_predicate("*-spec")
+    with pytest.raises(TypeError):   # the bound is written in the text alone
+        parse_predicate("*-spec", k=1)
+    for text in ("*-spec", "bar", "-spec"):
+        with pytest.raises(ValueError, match="has no bound k"):
+            parse_predicate(text)
+    for text in ("-1-spec", "-2bar*", "-1*-spec"):
+        with pytest.raises(ValueError, match="has a negative bound k"):
+            parse_predicate(text)
 
 
 def test_check_space_examples(gf4):

@@ -671,6 +671,37 @@ def test_choice_middle_split_and_budget(gf4):
         st.choice_solve(gf4, big, (1, 1, 0, 0, 0, 1), 2, budget=10)
 
 
+def _regular_hessenberg(fs, rng, n):
+    return mx.Mat(n, n, [rng.randrange(1, fs.q) if i == j + 1 else
+                         rng.randrange(fs.q) if i <= j else 0
+                         for i in range(n) for j in range(n)])
+
+
+def test_choice_outer_splits_solve_exactly_without_search(gf4):
+    """For p = 1 and p = n - 1 char_poly is affine in the block, so the
+    linear solve is exact: budget=1 leaves no room for a search, and every
+    target with the right trace gets a block that re-verifies."""
+    rng = random.Random(22)
+    for n in range(2, 6):
+        for _ in range(8):
+            m = _regular_hessenberg(gf4, rng, n)
+            target = tuple(rng.randrange(4) for _ in range(n - 1)) + (mx.trace(m), 1)
+            for p in {1, n - 1}:
+                r = st.choice_solve(gf4, m, target, p, budget=1)
+                assert r is not None and (r.rows, r.cols) == (p, n - p)
+                assert mx.char_poly(gf4, mx.mat_add(m, st._embed_block(n, p, r))) == target
+
+
+def test_choice_outer_split_that_fails_its_recheck_raises(gf4, monkeypatch):
+    # a misplaced block breaks the affine solve's re-check, which is an
+    # internal fault, not a target without a solution
+    embed = st._embed_block
+    monkeypatch.setattr(st, "_embed_block", lambda n, p, r: mx.transpose(embed(n, p, r)))
+    m = mx.from_rows([[1, 2, 3], [1, 0, 1], [0, 2, 1]])
+    with pytest.raises(AssertionError, match="inconsistent"):
+        st.choice_solve(gf4, m, (2, 3, mx.trace(m), 1), 1)
+
+
 def test_choice_works_over_gf2(gf2):
     for r in all_monic(gf2, 3):
         m = mx.companion((r[0] ^ 1, r[1], r[2], 1))
