@@ -16,10 +16,13 @@ and the scan visits whole words of indices (:func:`projective_words`).
 Addition is XOR of planes.  Multiplication is a fixed AND/XOR network
 derived from the modulus: all k^2 partial products a_i & b_j in one
 broadcast AND, then, for each output bit t, the XOR of the partial
-products whose monomial x^(i+j) reduces to a polynomial with bit t set,
-gathered and folded in one ``reduceat``.  Sums of products (dot products,
-matrix-vector products) XOR the partial products first and run the
-network once.  A product costs the same few numpy calls for every k.
+products whose monomial x^(i+j) reduces to a polynomial with bit t set.
+The network is a [k, G] table of partial products, its rows padded to
+the widest with a slot that is always zero, so all k output planes are
+one gather along the table and one XOR along its rows.  Sums of products
+(dot products, matrix-vector products) XOR the partial products first
+and run the network once.  A product costs the same few numpy calls for
+every k.
 
 Multiplying by a fixed field constant is a GF(2)-linear map on the k
 planes of its argument, so any fixed F-linear map (basis coordinates to
@@ -64,7 +67,7 @@ from .gf import FieldSpec, code_dtype
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
-_PARTIAL_BYTES = 1 << 24    # bound on the partial products of one matrix-vector product
+_PARTIAL_BYTES = 1 << 24    # bound on the largest temporary of one matrix-vector product
 _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
 
 
@@ -170,43 +173,44 @@ def nonzero_lanes(planes: np.ndarray, count: int) -> np.ndarray:
 # field arithmetic on planes
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
-def _mul_network(fs: FieldSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each output bit t, the partial products (i, j) whose monomial
-    x^(i+j) mod the modulus has bit t set: (i indices, j indices, group
-    starts).  Every group holds (t, 0), so none is empty."""
+def _mul_network(fs: FieldSpec) -> np.ndarray:
+    """The product network as a [k, G] gather table: row t lists the
+    partial products (i, j), as i k + j, whose monomial x^(i+j) mod the
+    modulus has bit t set, padded to the widest row, G, with k k, the
+    index of a partial product that is always zero (see :func:`_matvec`).
+    Every row holds (t, 0), so none is all padding."""
     k = fs.degree
-    groups = [[(i, j) for i in range(k) for j in range(k)
+    groups = [[i * k + j for i in range(k) for j in range(k)
                if fs.mul(1 << i, 1 << j) >> t & 1] for t in range(k)]
-    pairs = np.array([p for g in groups for p in g], dtype=np.intp)
-    starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
-    return pairs[:, 0], pairs[:, 1], starts
+    width = max(map(len, groups))
+    return np.array([g + [k * k] * (width - len(g)) for g in groups], dtype=np.intp)
 
 
-def _partial(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """All partial products x_i & y_j: [..., k, W] x [..., k, W] -> [..., k, k, W]."""
-    return x[..., :, None, :] & y[..., None, :, :]
+def _matvec(net: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a [r, c, k, W] times v [c, k, W] -> [r, k, W], through the network
+    `net` of :func:`_mul_network`.
 
-
-def _fold(fs: FieldSpec, part: np.ndarray) -> np.ndarray:
-    """Reduce partial products [..., k, k, W] to the planes [..., k, W] of
-    the product modulo the field's modulus."""
-    pi, pj, starts = _mul_network(fs)
-    return np.bitwise_xor.reduceat(part[..., pi, pj, :], starts, axis=-2)
-
-
-def _matvec(fs: FieldSpec, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a [r, c, k, W] times v [c, k, W] -> [r, k, W]."""
-    return _fold(fs, np.bitwise_xor.reduce(_partial(a, v[None]), axis=1))
+    All partial products a_i & v_j, [r, c, k, k, W], come from one
+    broadcast AND and are XORed over the c columns into rows 0 .. k-1 of
+    a [r, k + 1, k, W] array whose row k stays zero.  One gather through
+    the network, [r, k, G, W], and one XOR along G give the product
+    planes.  Over GF(2) a product is the AND alone."""
+    r, _, k, w = a.shape
+    if k == 1:
+        return np.bitwise_xor.reduce(a & v, axis=1)
+    acc = np.zeros((r, k + 1, k, w), dtype=_PLANE)
+    np.bitwise_xor.reduce(a[:, :, :, None] & v[:, None], axis=1, out=acc[:, :k])
+    return np.bitwise_xor.reduce(acc.reshape(r, (k + 1) * k, w).take(net, axis=1), axis=2)
 
 
 @lru_cache(maxsize=None)
-def _conv_pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index pairs (j, s), j, s >= 1, j + s <= m, grouped by j + s = 2 .. m
-    (0-based into c[1:] and col[1:]), with the group starts."""
-    pairs = [(j - 1, i - j - 1) for i in range(2, m + 1) for j in range(1, i)]
-    starts = np.cumsum([0] + [i - 1 for i in range(2, m)])
-    js, ss = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return js, ss, starts
+def _conv_table(m: int) -> np.ndarray:
+    """[m-1, m-1] indices into rows 0 .. m-1 of c (c_1 .. c_{m-1}, then a
+    zero row) of the lower-triangular Toeplitz matrix T[i, s] = c_(i-s+1),
+    zero above the diagonal: the convolution sum_{j+s=i+1} c_j col_s is
+    row i of T col."""
+    i, s = np.ogrid[:m - 1, :m - 1]
+    return np.where(s <= i, i - s, m - 1)
 
 
 def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
@@ -215,37 +219,42 @@ def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     mats: [n, n, k, W] planes.  Returns the n low coefficients, ascending,
     as [n, k, W] planes (the polynomial is monic of degree n).
 
-    Every temporary grows with W, and the largest are the partial
-    products of :func:`_matvec`, [n, n-1, k, k, W] words.  Past
-    ``_PARTIAL_BYTES`` the lanes go in blocks of words that keep them
-    within it (k = 16 and 2^16 lanes: 63 MB in one block for n = 6);
-    k <= 8 with 2^16 lanes and n <= 6 takes one block."""
+    Every temporary grows with W.  The largest are those of
+    :func:`_matvec`: the partial products, [n, n-1, k, k, W] words, or
+    the gathered [n, k, G, W] where the network is wider, G > (n-1) k
+    (n = 2, or k = 16 at n = 3).  Past ``_PARTIAL_BYTES`` the lanes go in
+    blocks of words that keep the larger of the two within it (k = 16 and
+    2^16 lanes: 63 MB of partial products in one block for n = 6); k <= 8
+    with 2^16 lanes and n <= 6 takes one block."""
     n, _, k, w = mats.shape
-    step = max(1, _PARTIAL_BYTES // (_PLANE.itemsize * n * max(n - 1, 1) * k * k))
+    net = _mul_network(fs)
+    words = n * k * max((n - 1) * k, net.shape[1])
+    step = max(1, _PARTIAL_BYTES // (_PLANE.itemsize * words))
     if w > step:
         return np.concatenate([charpoly_planes(fs, mats[..., lo:lo + step])
                                for lo in range(0, w, step)], axis=-1)
-    # c holds the coefficients c_1 .. c_{m} of the leading principal
-    # m x m block, by descending degree (c_0 = 1 is implicit)
-    c = mats[0:1, 0]
+    # c holds the coefficients c_1 .. c_{m-1} of the leading principal
+    # (m-1) x (m-1) block, by descending degree (c_0 = 1 is implicit),
+    # then the zero row that pads the convolution table; col has one row
+    # more than it needs so that it becomes the next c in place
+    c = np.zeros((2, k, w), dtype=_PLANE)
+    c[0] = mats[0, 0]
     for m in range(2, n + 1):
         block = mats[:m, :m - 1]          # rows: the (m-1) block, then r
         v = mats[:m - 1, m - 1]
-        col = np.empty((m, k, w), dtype=_PLANE)
+        col = np.zeros((m + 1, k, w), dtype=_PLANE)
         col[0] = mats[m - 1, m - 1]
         for t in range(1, m):
             if t < m - 1:
-                prod = _matvec(fs, block, v)
+                prod = _matvec(net, block, v)
                 v, col[t] = prod[:m - 1], prod[m - 1]
             else:
-                col[t] = _matvec(fs, block[m - 1:], v)[0]
-        new = col.copy()
-        new[:m - 1] ^= c
-        js, ss, starts = _conv_pairs(m)
-        part = np.bitwise_xor.reduceat(_partial(c[js], col[ss]), starts, axis=0)
-        new[1:] ^= _fold(fs, part)
-        c = new
-    return c[::-1]
+                col[t] = _matvec(net, block[m - 1:], v)[0]
+        conv = _matvec(net, c[_conv_table(m)], col[:m - 1])
+        col[:m - 1] ^= c[:m - 1]
+        col[1:m] ^= conv
+        c = col
+    return c[n - 1::-1]
 
 
 # ----------------------------------------------------------------------

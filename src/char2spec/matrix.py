@@ -89,11 +89,6 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.entries, b.entries)))
 
 
-def mat_scale(fs: FieldSpec, c: int, a: Mat) -> Mat:
-    mul = fs.mul
-    return Mat(a.rows, a.cols, tuple(mul(c, x) for x in a.entries))
-
-
 def mat_mul(fs: FieldSpec, a: Mat, b: Mat) -> Mat:
     if a.cols != b.rows:
         raise ValueError("shape mismatch in multiplication")
@@ -206,12 +201,6 @@ def rref_rows(fs: FieldSpec, rows: list[list[int]]) -> tuple[list[list[int]], li
     return [row for row in rows[:r]], pivots
 
 
-def rref(fs: FieldSpec, a: Mat) -> tuple[Mat, list[int]]:
-    rows, pivots = rref_rows(fs, a.row_lists())
-    rows += [[0] * a.cols for _ in range(a.rows - len(rows))]
-    return from_rows(rows), pivots
-
-
 def rank(fs: FieldSpec, a: Mat) -> int:
     return len(rref_rows(fs, a.row_lists())[1])
 
@@ -225,11 +214,6 @@ def inverse(fs: FieldSpec, a: Mat) -> Mat:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return from_rows([row[n:] for row in reduced])
-
-
-def conjugate(fs: FieldSpec, m: Mat, p: Mat) -> Mat:
-    """p m p^-1 (similarity); raises on singular p."""
-    return mat_mul(fs, mat_mul(fs, p, m), inverse(fs, p))
 
 
 # ----------------------------------------------------------------------

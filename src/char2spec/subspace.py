@@ -262,12 +262,6 @@ class MatSubspace:
         return f"MatSubspace(dim {self.dim} of Mat_{n}x{m})"
 
 
-def mat_subspace_from_json(field: FieldSpec, obj: dict) -> MatSubspace:
-    from .matrix import mat_from_json
-    shape = tuple(obj["shape"])
-    return MatSubspace.from_matrices(field, shape, [mat_from_json(b) for b in obj["basis"]])
-
-
 def trace_orthogonal(s: MatSubspace) -> MatSubspace:
     """The trace-dual space: all v in Hom(V,U) with tr(vu)=0 for every u in S.
 

@@ -1,7 +1,8 @@
-"""Independent brute-force oracles used to freeze expected values.
+"""Independent brute-force oracles used to freeze expected values, and
+the small helpers that only tests use.
 
-These deliberately avoid the code paths they check: factorization is
-plain trial division, root counting is direct evaluation, and the
+The oracles deliberately avoid the code paths they check: factorization
+is plain trial division, root counting is direct evaluation, and the
 characteristic polynomial is a cofactor expansion of t*I + M over the
 polynomial ring.
 """
@@ -9,8 +10,40 @@ polynomial ring.
 from __future__ import annotations
 
 from char2spec.gf import FieldSpec
-from char2spec.matrix import Mat
+from char2spec.matrix import Mat, from_rows, inverse, mat_from_json, mat_mul, rref_rows
+from char2spec.subspace import MatSubspace
 from char2spec import upoly as up
+
+# the default moduli of k = 9..16, and a second degree-9 modulus whose root
+# x, like that of the default x^9 + x + 1, has order 73, not 511
+WIDE_FIELDS = [FieldSpec(k) for k in range(9, 17)] + [FieldSpec(9, 0b1000010111)]
+
+
+def field_id(fs: FieldSpec) -> str:
+    """A test id naming the field, and its modulus when not the default."""
+    return fs.name if fs == FieldSpec(fs.degree) else f"{fs.name}:{fs.modulus}"
+
+
+def mat_scale(fs: FieldSpec, c: int, a: Mat) -> Mat:
+    return Mat(a.rows, a.cols, tuple(fs.mul(c, x) for x in a.entries))
+
+
+def rref(fs: FieldSpec, a: Mat) -> tuple[Mat, list[int]]:
+    """The reduced row echelon form of a, zero rows last, and its pivots."""
+    rows, pivots = rref_rows(fs, a.row_lists())
+    rows += [[0] * a.cols for _ in range(a.rows - len(rows))]
+    return from_rows(rows), pivots
+
+
+def conjugate(fs: FieldSpec, m: Mat, p: Mat) -> Mat:
+    """p m p^-1 (similarity); raises on singular p."""
+    return mat_mul(fs, mat_mul(fs, p, m), inverse(fs, p))
+
+
+def mat_subspace_from_json(field: FieldSpec, obj: dict) -> MatSubspace:
+    """The inverse of :meth:`MatSubspace.to_json`."""
+    shape = tuple(obj["shape"])
+    return MatSubspace.from_matrices(field, shape, [mat_from_json(b) for b in obj["basis"]])
 
 
 def all_monic(fs: FieldSpec, degree: int):
@@ -79,7 +112,7 @@ def _poly_det(fs: FieldSpec, grid):
 
 def matrix_eval_poly(fs: FieldSpec, f, m: Mat) -> Mat:
     """f(M) by Horner's rule; used to confirm annihilators."""
-    from char2spec.matrix import identity, mat_add, mat_mul, mat_scale, zero
+    from char2spec.matrix import identity, mat_add, zero
     n = m.rows
     acc = zero(n, n)
     for c in reversed(f):

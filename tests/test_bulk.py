@@ -10,12 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import char2spec
 from char2spec import _bulk
 from char2spec import matrix as mx
+from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
-from oracles import (all_monic, lane_codes_by_bits, pack_monic, root_slots,
-                     spectrum_tables_scalar)
+from oracles import (WIDE_FIELDS, all_monic, field_id, lane_codes_by_bits, pack_monic,
+                     root_slots, spectrum_tables_scalar)
 
 GF256 = FieldSpec(8)
 SLOTS = [("in_field", False), ("in_field", True), ("in_closure", False), ("in_closure", True)]
@@ -191,18 +193,25 @@ def test_table_index_matches_packed_codes():
 
 
 def test_every_public_kernel_has_a_caller():
-    # a public _bulk function that nothing in the library calls is dead
-    # code, kept alive only by its tests
+    # a public function that nothing in the library or the demos calls, and
+    # that the package does not export, is dead code kept alive only by its
+    # tests.  matrix.zero and matrix.mat_from_json stay while the benchmark
+    # names or calls them.
     lib = Path(_bulk.__file__).parent
-    texts = [path.read_text(encoding="utf-8") for path in sorted(lib.glob("*.py"))]
-    public = [name for name, obj in vars(_bulk).items()
-              if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
-              and getattr(obj, "__module__", None) == _bulk.__name__]
-    assert "lane_codes" in public and "spectrum_tables" in public
-    for name in public:
-        own = inspect.getsource(getattr(_bulk, name))
-        call = re.compile(rf"\b{name}\(")
-        assert any(call.search(text.replace(own, "")) for text in texts), name
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted(lib.glob("*.py")) + sorted((lib.parents[1] / "demos").glob("*.py"))]
+    kept = {"zero", "mat_from_json"} | set(char2spec.__all__)
+    for module, known in [(_bulk, {"lane_codes", "spectrum_tables"}), (mx, {"rref_rows"}),
+                          (sub, {"trace_orthogonal"})]:
+        public = [name for name, obj in vars(module).items()
+                  if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
+                  and getattr(obj, "__module__", None) == module.__name__]
+        assert known <= set(public), module.__name__
+        for name in sorted(set(public) - kept):
+            own = inspect.getsource(getattr(module, name))
+            call = re.compile(rf"\b{name}\(")
+            assert any(call.search(text.replace(own, "")) for text in texts), \
+                f"{module.__name__}.{name}"
 
 
 def test_counts_of_an_empty_batch():
@@ -222,17 +231,57 @@ def test_charpolys_and_nonzero_lanes_of_an_empty_batch():
 
 
 # ----------------------------------------------------------------------
+# the plane product network
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("fs", [FieldSpec(k) for k in range(1, 9)] + WIDE_FIELDS, ids=field_id)
+def test_plane_products_match_the_field(fs):
+    # every pair of elements up to k = 8, 4096 seeded pairs above: a wrong
+    # partial product in any output bit's row of the network shows
+    k = fs.degree
+    if k <= 8:
+        a, b = np.divmod(np.arange(fs.q * fs.q), fs.q)
+    else:
+        a, b = np.random.default_rng(fs.modulus).integers(0, fs.q, size=(2, 4096))
+    planes = _bulk.code_planes(np.stack([a, b], axis=1).astype(code_dtype(k)), k)
+    planes = planes.reshape(2, k, -1)
+    prod = _bulk._matvec(_bulk._mul_network(fs), planes[None, None, 0], planes[None, 1])
+    got = _bulk.lane_codes(prod, a.size)[:, 0]
+    assert got.tolist() == [fs.mul(int(x), int(y)) for x, y in zip(a, b)], fs
+
+
+@pytest.mark.parametrize("fs,n", [(GF16, 5), (FieldSpec(16), 3)], ids=["gf16-n5", "gf2^16-n3"])
+def test_charpolys_match_across_lane_blocks(fs, n, monkeypatch):
+    # eight words in blocks of three (3, 3, 2) give the planes of one block
+    size = 64 * 7 + 5
+    codes = np.random.default_rng(fs.degree).integers(0, fs.q, size=(size, n * n))
+    codes = codes.astype(code_dtype(fs.degree))
+    planes = _bulk.code_planes(codes, fs.degree).reshape(n, n, fs.degree, -1)
+    whole = _bulk.charpoly_planes(fs, planes)
+    kernel, widths = _bulk.charpoly_planes, []
+
+    def recorded(fs, mats):
+        widths.append(mats.shape[-1])
+        return kernel(fs, mats)
+
+    monkeypatch.setattr(_bulk, "charpoly_planes", recorded)
+    per_word = n * fs.degree * max((n - 1) * fs.degree, _bulk._mul_network(fs).shape[1])
+    monkeypatch.setattr(_bulk, "_PARTIAL_BYTES", 3 * 8 * per_word)
+    blocked = _bulk.charpoly_planes(fs, planes)
+    assert widths == [8, 3, 3, 2]
+    assert np.array_equal(blocked, whole)
+    got = _bulk.monic_codes(blocked, size)
+    for i in (0, 191, 192, 383, 384, size - 1):       # both sides of each block edge
+        m = mx.Mat(n, n, [int(x) for x in codes[i]])
+        assert tuple(int(c) for c in got[i]) == mx.char_poly_hessenberg(fs, m), i
+
+
+# ----------------------------------------------------------------------
 # code-array products and batched rank
 # ----------------------------------------------------------------------
 GF512 = FieldSpec(9)
-# the default moduli of k = 9..16, and a second degree-9 modulus whose root
-# x, like that of the default x^9 + x + 1, has order 73, not 511
-WIDE_FIELDS = [FieldSpec(k) for k in range(9, 17)] + [FieldSpec(9, 0b1000010111)]
 
 
-@pytest.mark.parametrize("fs", [GF2, GF4, GF256] + WIDE_FIELDS,
-                         ids=lambda fs: fs.name if fs == FieldSpec(fs.degree)
-                         else f"{fs.name}:{fs.modulus}")
+@pytest.mark.parametrize("fs", [GF2, GF4, GF256] + WIDE_FIELDS, ids=field_id)
 def test_code_products_and_inverses_match_the_field(fs):
     rng = random.Random(fs.degree)
     a = np.array([0, 1, fs.q - 1] + [rng.randrange(fs.q) for _ in range(200)])

@@ -4,12 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8, GF16
+from char2spec.gf import GF2, GF4, GF8, GF16, code_dtype
 from char2spec import matrix as mx
 from char2spec import upoly as up
 from char2spec import _bulk
 
-from oracles import all_monic, charpoly_cofactor, matrix_eval_poly, min_poly_by_search
+from oracles import (WIDE_FIELDS, all_monic, charpoly_cofactor, conjugate, matrix_eval_poly,
+                     min_poly_by_search, rref)
 
 
 def test_basic_ops(gf4):
@@ -29,7 +30,7 @@ def test_basic_ops(gf4):
 
 def test_rref_reports_pivots(gf4):
     a = mx.from_rows([[0, 1, 2], [0, 2, 2], [0, 0, 0]])
-    r, pivots = mx.rref(gf4, a)
+    r, pivots = rref(gf4, a)
     assert pivots == [1, 2]
     assert r.row(0)[1] == 1 and r.row(1)[2] == 1
     assert r.row(0)[2] == 0  # fully reduced above the second pivot
@@ -117,7 +118,7 @@ def test_min_poly_matches_the_search_oracle():
                 c = rng.randrange(fs.q)
                 jordan = mx.Mat(n, n, [c if i == j else rng.randrange(2) * (j == i + 1)
                                        for i in range(n) for j in range(n)])
-                a = mx.conjugate(fs, jordan, mx.random_invertible(fs, rng, n))
+                a = conjugate(fs, jordan, mx.random_invertible(fs, rng, n))
             elif t % 3 == 1:  # sparse
                 a = mx.Mat(n, n, [rng.randrange(fs.q) if rng.random() < 0.3 else 0
                                   for _ in range(n * n)])
@@ -148,18 +149,18 @@ def test_tensor(gf4, gf8):
 
 def test_conjugate(gf4):
     a = mx.from_rows([[1, 2], [0, 3]])
-    assert mx.conjugate(gf4, a, mx.identity(2)) == a
+    assert conjugate(gf4, a, mx.identity(2)) == a
     perm = mx.from_rows([[0, 1], [1, 0]])
-    assert mx.conjugate(gf4, mx.unit(2, 2, 0, 1), perm) == mx.unit(2, 2, 1, 0)
+    assert conjugate(gf4, mx.unit(2, 2, 0, 1), perm) == mx.unit(2, 2, 1, 0)
     rng = random.Random(7)
     for _ in range(1000):
         n = rng.randrange(1, 6)
         a = mx.random_matrix(gf4, rng, n)
         p = mx.random_invertible(gf4, rng, n)
-        assert mx.char_poly(gf4, mx.conjugate(gf4, a, p)) == mx.char_poly(gf4, a)
+        assert mx.char_poly(gf4, conjugate(gf4, a, p)) == mx.char_poly(gf4, a)
     singular = mx.from_rows([[1, 1], [1, 1]])
     with pytest.raises(ValueError):
-        mx.conjugate(gf4, a, singular)
+        conjugate(gf4, a, singular)
 
 
 def test_regular_hessenberg_predicate(gf4):
@@ -175,18 +176,21 @@ def test_json_roundtrip():
     assert mx.mat_from_json(a.to_json()) == a
 
 
-@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF16])
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF16] + WIDE_FIELDS)
 def test_batch_charpoly_matches_scalar(fs):
-    # batch sizes around the 64-lane word of the bit-sliced kernel
+    # batch sizes around the 64-lane word of the bit-sliced kernel; uint8
+    # codes up to k = 8, uint16 above
     rng = np.random.default_rng(9)
+    dtype = code_dtype(fs.degree)
     for n in range(1, 7):
         for size in (1, 63, 64, 65, 300):
-            mats = rng.integers(0, fs.q, size=(size, n, n)).astype(np.uint8)
+            mats = rng.integers(0, fs.q, size=(size, n, n)).astype(dtype)
             planes = _bulk.code_planes(mats.reshape(size, n * n), fs.degree)
             batch = _bulk.monic_codes(
                 _bulk.charpoly_planes(fs, planes.reshape(n, n, fs.degree, -1)), size)
-            assert batch.shape == (size, n + 1) and batch.dtype == np.uint8
+            assert batch.shape == (size, n + 1) and batch.dtype == dtype
             for i in range(0, size, 1 if size <= 65 else 7):
                 m = mx.Mat(n, n, [int(x) for x in mats[i].reshape(-1)])
                 got = tuple(int(c) for c in batch[i])
-                assert got == mx.char_poly_hessenberg(fs, m) == mx.char_poly_berkowitz(fs, m)
+                assert got == mx.char_poly_hessenberg(fs, m) == mx.char_poly_berkowitz(fs, m), \
+                    (fs, n, size, i)

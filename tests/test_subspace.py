@@ -248,5 +248,5 @@ def test_index_chunks():
 def test_mat_subspace_json_roundtrip(gf4):
     s = sub.MatSubspace.from_matrices(gf4, (2, 2),
                                       [mx.unit(2, 2, 0, 1), mx.identity(2)])
-    back = sub.mat_subspace_from_json(gf4, s.to_json())
+    back = oracles.mat_subspace_from_json(gf4, s.to_json())
     assert back == s
