@@ -533,13 +533,6 @@ def projective_words(q: int, d: int, lo: int, hi: int) -> np.ndarray:
 _MASK64 = (1 << 64) - 1
 
 
-def _splitmix64_int(x: int) -> int:
-    z = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = x + _GOLDEN
@@ -556,7 +549,8 @@ def sample_coords(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
     Deterministic, independent of how the index range is partitioned
     across workers."""
     idx = np.arange(lo, hi, dtype=np.uint64)
-    key = _splitmix64_int(((seed & _MASK64) * 0x9E3779B97F4A7C15 + 1) & _MASK64)
+    key = int(_splitmix64(np.array([((seed & _MASK64) * 0x9E3779B97F4A7C15 + 1) & _MASK64],
+                                   dtype=np.uint64))[0])
     field = 8 if q <= 256 else 16
     per_word = 64 // field
     dtype = np.uint8 if field == 8 else np.uint16

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -128,8 +129,11 @@ def cmd_choice(args) -> int:
     if args.matrix:
         if args.target is None:
             raise ValueError("--matrix needs --target (comma-separated coefficients)")
-        n = args.n
-        m = Mat(n, n, _codes(fs, args.matrix, "--matrix"))
+        entries = _codes(fs, args.matrix, "--matrix")
+        n = math.isqrt(len(entries))
+        if n * n != len(entries):
+            raise ValueError(f"--matrix: {len(entries)} entries do not make a square matrix")
+        m = Mat(n, n, entries)
         target = poly(_codes(fs, args.target, "--target"))
         try:
             r = choice_solve(fs, m, target, args.p, budget=args.budget)
@@ -140,10 +144,10 @@ def cmd_choice(args) -> int:
                      else {"outcome": "fails", "reason": "no block achieves the target"})
         cfg = _config_echo(args, {"n": n, "p": args.p, "target": args.target})
         return _emit(_report("choice", cfg, [check], t0), args.out)
-    verdict = choice_lemma_audit(fs, n=args.n, cap=args.cap, seed=args.seed)
+    verdict = choice_lemma_audit(fs, cap=args.cap, seed=args.seed)     # n = 3, its only size
     check = verdict.to_json()
     check["outcome"] = "holds" if verdict.holds else "fails"
-    cfg = _config_echo(args, {"n": args.n, "cap": args.cap})
+    cfg = _config_echo(args, {"n": 3, "cap": args.cap})
     return _emit(_report("choice", cfg, [check], t0), args.out)
 
 
@@ -249,9 +253,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = add("choice", help="choice solver audit (or one instance via --matrix)")
     _add_common(p)
-    p.add_argument("--n", type=int, default=3)
     p.add_argument("--cap", type=_positive_int, default=None)
-    p.add_argument("--matrix", default=None, help="comma-separated row-major entries")
+    p.add_argument("--matrix", default=None,
+                   help="comma-separated row-major entries of a square matrix")
     p.add_argument("--target", default=None, help="comma-separated coefficients, degree 0 first")
     p.add_argument("--p", type=int, default=1)
     p.set_defaults(fn=cmd_choice)

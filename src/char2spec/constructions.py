@@ -50,15 +50,6 @@ def sl(fs: FieldSpec, n: int) -> MatSubspace:
     return _space(fs, n, gens)
 
 
-def syms(fs: FieldSpec, n: int) -> MatSubspace:
-    """Symmetric matrices, dimension n(n+1)/2."""
-    gens = [unit(n, n, i, i) for i in range(n)]
-    gens += [Mat(n, n, tuple((1 if (r, c) in ((i, j), (j, i)) else 0)
-                             for r in range(n) for c in range(n)))
-             for i in range(n) for j in range(i + 1, n)]
-    return _space(fs, n, gens)
-
-
 def alts(fs: FieldSpec, n: int) -> MatSubspace:
     """Alternating matrices (symmetric with zero diagonal in characteristic 2),
     dimension n(n-1)/2."""
@@ -66,6 +57,12 @@ def alts(fs: FieldSpec, n: int) -> MatSubspace:
                             for r in range(n) for c in range(n)))
             for i in range(n) for j in range(i + 1, n)]
     return _space(fs, n, gens)
+
+
+def syms(fs: FieldSpec, n: int) -> MatSubspace:
+    """Symmetric matrices, dimension n(n+1)/2: the diagonal units and the
+    alternating matrices."""
+    return _space(fs, n, [unit(n, n, i, i) for i in range(n)] + alts(fs, n).basis_matrices())
 
 
 def joint(fs: FieldSpec, *parts: MatSubspace) -> MatSubspace:

@@ -2,14 +2,17 @@
 
 Implements the executable versions of the package's structure theory:
 adapted/weakly-adapted vector scans, hurdle detection (the first
-certifying plane of the dual 2-Grassmannian), transitive rank and
-intransitivity veils, alternator solving, the constructive choice solver
-for regular Hessenberg matrices, and single-instance checkers for the
-covering, vanishing, splitting and confinement lemmas.  Every checker
-validates its hypotheses before testing the conclusion; a violated
-hypothesis yields a distinct "hypothesis-violation" verdict rather than
-a lemma failure, and budget overflows surface as "budget", never as
-"none"/"fails".  Adapted scans and hurdle detection run in trace-dual
+certifying plane of the dual 2-Grassmannian), transitive rank,
+alternator solving, the constructive choice solver for regular
+Hessenberg matrices, and single-instance checkers for the covering,
+vanishing, splitting and confinement lemmas.  Every checker validates
+its hypotheses before testing the conclusion; a violated hypothesis
+yields a distinct "hypothesis-violation" verdict rather than a lemma
+failure, and budget overflows surface as "budget", never as
+"none"/"fails".  In the three confinement checkers `budget` bounds only
+the spectrum pass, which samples past it; their adapted scans cannot
+sample, so they take up to DEFAULT_BUDGET points and report "budget"
+past them.  Adapted scans and hurdle detection run in trace-dual
 form, from S-perp: adapted scans on whole batches of points
 (:mod:`._bulk` code kernels), hurdle detection by refining the common
 left eigenspaces of a basis of S-perp, without walking the planes.
@@ -27,9 +30,8 @@ import numpy as np
 from .gf import FieldSpec, code_dtype
 from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_add, mat_mul,
                      mat_vec, rank, rref_rows, tensor, trace, unit, companion)
-from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits,
-                       enumerate_grassmannian, enumerate_projective, full_space,
-                       line, projective_blocks, projective_points_of,
+from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits, enumerate_projective,
+                       full_space, line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
 from .spectra import SpecPredicate, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
@@ -178,13 +180,6 @@ def _hurdle_tensors(fs: FieldSpec, plane: VecSubspace):
             yield tensor(fs, phi, y)
 
 
-def hurdle_tensor_space(fs: FieldSpec, plane: VecSubspace) -> MatSubspace:
-    """Span of all tensors phi (x) y with phi in the dual plane and
-    phi(y) = 0, from the spanning family :func:`_hurdle_tensors`."""
-    n = plane.ambient
-    return MatSubspace.from_matrices(fs, (n, n), _hurdle_tensors(fs, plane))
-
-
 def certifies_hurdle(fs: FieldSpec, s: MatSubspace, plane: VecSubspace) -> bool:
     """The primal test: every tensor of the plane is a member of S, checked
     on the spanning family :func:`_hurdle_tensors`."""
@@ -234,9 +229,11 @@ def common_eigenspaces(fs: FieldSpec, u: list[Mat], n: int) -> list[VecSubspace]
 
 
 def detect_hurdle(fs: FieldSpec, s: MatSubspace) -> HurdleCertificate | None:
-    """The first certifying plane of the dual 2-Grassmannian in the order of
-    :func:`subspace.enumerate_grassmannian`; None when no plane certifies.
-    The search does not walk the planes, so it needs no budget.
+    """The first certifying plane of the dual 2-Grassmannian; None when no
+    plane certifies.  The planes are ordered as RREF bases: by pivot pair
+    in lexicographic order, then by the free entries counted in base q,
+    the last one fastest.  The search does not walk the planes, so it
+    needs no budget.
 
     Trace-dual form: phi (x) y lies in S iff (phi u)(y) = 0 for every u in
     a basis of S-perp, so P certifies iff phi(y) = 0 forces (phi u)(y) = 0
@@ -262,7 +259,7 @@ def detect_hurdle(fs: FieldSpec, s: MatSubspace) -> HurdleCertificate | None:
 
 
 # ----------------------------------------------------------------------
-# transitive rank, intransitivity veils
+# transitive rank
 # ----------------------------------------------------------------------
 def image_dim(fs: FieldSpec, basis_mats: list[Mat], x) -> int:
     return len(rref_rows(fs, [list(mat_vec(fs, b, x)) for b in basis_mats])[1])
@@ -292,10 +289,6 @@ def transitive_rank(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET)
     return best
 
 
-def is_intransitive(fs: FieldSpec, t: MatSubspace) -> bool:
-    return transitive_rank(fs, t) < t.shape[0]
-
-
 def quotient_space(fs: FieldSpec, t: MatSubspace, w: VecSubspace) -> MatSubspace:
     """The operator space pi T for the canonical projection pi: V -> V/W,
     in the chart of V/W by the non-pivot columns of W: pi is the matrix of
@@ -304,19 +297,6 @@ def quotient_space(fs: FieldSpec, t: MatSubspace, w: VecSubspace) -> MatSubspace
     rows = w.annihilator_rows()
     pi = Mat(len(rows), w.ambient, [x for row in rows for x in row])   # 0 x n when W = V
     return t.transform(lambda b: mat_mul(fs, pi, b))
-
-
-def find_intransitivity_veil(fs: FieldSpec, t: MatSubspace,
-                             budget: int = DEFAULT_BUDGET) -> VecSubspace | None:
-    """Greatest-dimension proper nonzero subspace W of the target with
-    pi T intransitive; None when no nonzero W works (so an intransitive T
-    is primitively intransitive exactly when this returns None)."""
-    n, _ = t.shape
-    for d in range(n - 1, 0, -1):
-        for w in enumerate_grassmannian(fs, d, n, budget):
-            if is_intransitive(fs, quotient_space(fs, t, w)):
-                return w
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -486,18 +466,13 @@ Monomial = tuple[int, ...]
 
 
 def eval_monomial_map(fs: FieldSpec, p: dict[Monomial, int], x) -> int:
-    mul = fs.mul
+    mul, power = fs.mul, fs.pow
     acc = 0
     for mono, coef in p.items():
         term = coef
         for xi, e in zip(x, mono):
-            if e:
-                if not xi:      # a zero coordinate kills the whole term
-                    break
-                for _ in range(e):
-                    term = mul(term, xi)
-        else:
-            acc ^= term
+            term = mul(term, power(xi, e))
+        acc ^= term
     return acc
 
 
@@ -667,11 +642,7 @@ def confinement_first_check(fs: FieldSpec, s: MatSubspace, phi,
                             budget: int = DEFAULT_BUDGET, samples: int = 10 ** 5,
                             seed: int = 0, workers: int = 1) -> LemmaVerdict:
     """Hypotheses: n >= 3, the space is 2-spec and contains phi (x) V.
-    Conclusion: every non-adapted projective point lies in Ker phi.
-
-    `budget` bounds the spectrum pass, which samples past it; the adapted
-    scan cannot sample, so it takes up to DEFAULT_BUDGET points and
-    reports "budget" past them."""
+    Conclusion: every non-adapted projective point lies in Ker phi."""
     name = "confinement-first"
     n, m = s.shape
     if n != m or n < 3:
@@ -721,9 +692,7 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     vanishing on G and mapping into H.  Conclusion: the space is a hurdle,
     or some hyperplane H' makes G u H u H' swallow every non-adapted
     vector (H' is the first in projective-dual order,
-    :func:`first_annihilating_point`).  `budget` bounds the spectrum pass,
-    which samples past it, and the adapted scan, which reports "budget"
-    past it."""
+    :func:`first_annihilating_point`)."""
     name = "confinement-second"
     n, m = s.shape
     if n != m or n < 3:
@@ -743,7 +712,7 @@ def confinement_second_check(fs: FieldSpec, s: MatSubspace, h: VecSubspace,
     if cert is not None:
         return LemmaVerdict(name, "holds", {"case": "hurdle", "certificate": cert.to_json()})
     try:
-        scan = adapted_scan(fs, s, budget=budget)
+        scan = adapted_scan(fs, s)
     except BudgetExceeded as exc:
         return LemmaVerdict(name, "budget", {"reason": str(exc)})
     bad_points = [p.point for p in scan.non_adapted
@@ -777,11 +746,7 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
                             seed: int = 0, workers: int = 1) -> LemmaVerdict:
     """Hypotheses: n >= 5, the space is 2-spec and contains the template.
     Conclusion: every non-adapted projective point has first or third
-    coordinate zero.
-
-    `budget` bounds the spectrum pass, which samples past it; the adapted
-    scan cannot sample, so it takes up to DEFAULT_BUDGET points and
-    reports "budget" past them."""
+    coordinate zero."""
     name = "confinement-third"
     n, m = s.shape
     if n != m or n < 5:
@@ -802,27 +767,6 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
 
 
-def lastblock_check(fs: FieldSpec, a: Mat) -> LemmaVerdict:
-    """For a rank-1 trace-0 3x3 matrix whose sums with every sl_2-plus-zero
-    block have at most two eigenvalues in F, the last row or the last
-    column must vanish."""
-    from .constructions import sl
-    name = "lastblock"
-    if (a.rows, a.cols) != (3, 3):
-        return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs a 3x3 matrix"})
-    if rank(fs, a) != 1 or trace(a) != 0:
-        return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs rank 1 and trace 0"})
-    for nmat in sl(fs, 2).enumerate_elements():
-        summed = mat_add(a, Mat(3, 3, nmat.row(0) + (0,) + nmat.row(1) + (0, 0, 0, 0)))
-        if profile(fs, summed).distinct_in_f > 2:
-            return LemmaVerdict(name, "hypothesis-violation",
-                                {"reason": "a perturbed sum exceeds two eigenvalues",
-                                 "witness": summed.to_json()})
-    if not any(a.col(2)) or not any(a.row(2)):
-        return LemmaVerdict(name, "holds", {})
-    return LemmaVerdict(name, "fails", {"matrix": a.to_json()})
-
-
 def rank_one_trace_zero(fs: FieldSpec, n: int):
     """All rank-1 trace-0 matrices, each exactly once, in deterministic order:
     projective y, projective phi with phi(y) = 0, scalar c in F*."""
@@ -834,10 +778,11 @@ def rank_one_trace_zero(fs: FieldSpec, n: int):
 
 def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     """Exhaustive 3x3 audit: every rank-1 trace-0 matrix either breaks the
-    2-eigenvalue hypothesis or satisfies the row/column conclusion, as
-    :func:`lastblock_check` decides it, with the sums through the batch
-    kernels about 2^16 at a time.  The hypothesis is vacuous over GF(2);
-    over DEFAULT_BUDGET sums (GF(16) and up) is a "budget" verdict."""
+    2-eigenvalue hypothesis or satisfies the row/column conclusion, with
+    the sums through the batch kernels about 2^16 at a time; its oracle is
+    the one-matrix checker `lastblock_check` of `tests/oracles.py`.  The
+    hypothesis is vacuous over GF(2); over DEFAULT_BUDGET sums (GF(16) and
+    up) is a "budget" verdict."""
     from .constructions import sl
     name = "lastblock-audit"
     if fs.q <= 2:

@@ -3,22 +3,22 @@
 Subspaces are stored as reduced row-echelon bases with respect to a
 fixed global coordinate order (row-major flattening for matrix spaces),
 so equality is basis identity and every report is deterministic.
-Enumeration streams (all elements, projective representatives, the
-Grassmannian of d-dimensional subspaces) produce each object exactly
-once in an order independent of any worker partitioning; exceeding the
-configured budget raises :class:`BudgetExceeded`, which callers convert
-into an explicit "budget" verdict distinct from failure.
+Enumeration streams (all elements, projective representatives) produce
+each object exactly once in an order independent of any worker
+partitioning; exceeding the configured budget raises
+:class:`BudgetExceeded`, which callers convert into an explicit "budget"
+verdict distinct from failure.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator
 
 import numpy as np
 
 from .gf import FieldSpec, code_dtype
-from .matrix import Mat, rref_rows
+from .matrix import Mat, rref_rows, transpose, zero
 
 Vec = tuple[int, ...]
 
@@ -243,7 +243,7 @@ class MatSubspace:
         from the image of the zero matrix."""
         n, m = self.shape
         imgs = [f(b) for b in self.basis_matrices()]
-        target = imgs[0] if imgs else f(Mat(n, m, [0] * (n * m)))
+        target = imgs[0] if imgs else f(zero(n, m))
         return MatSubspace.from_matrices(self.field, (target.rows, target.cols), imgs)
 
     def to_json(self) -> dict:
@@ -270,12 +270,8 @@ def trace_orthogonal(s: MatSubspace) -> MatSubspace:
     flattenings.  dim S + dim S^perp = n*m and the double dual returns S.
     """
     n, m = s.shape
-    fs = s.field
-    transposed = []
-    for b in s.basis_matrices():
-        transposed.append(tuple(b.entries[i * m + j] for j in range(m) for i in range(n)))
-    ann = VecSubspace(fs, n * m, transposed).annihilator()
-    return MatSubspace((m, n), ann)
+    transposed = [transpose(b).entries for b in s.basis_matrices()]
+    return MatSubspace((m, n), VecSubspace(s.field, n * m, transposed).annihilator())
 
 
 # ----------------------------------------------------------------------
@@ -325,36 +321,6 @@ def projective_points_of(space: VecSubspace) -> Iterator[Vec]:
     """One representative per line of the given subspace."""
     for c in enumerate_projective(space.field, space.dim):
         yield space.combine(c)
-
-
-def gaussian_binomial(m: int, d: int, q: int) -> int:
-    if d < 0 or d > m:
-        return 0
-    num = den = 1
-    for i in range(d):
-        num *= q ** (m - i) - 1
-        den *= q ** (d - i) - 1
-    return num // den
-
-
-def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
-                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
-    """All d-dimensional subspaces of F^ambient, each exactly once, as RREF
-    bases: pivot-column sets in lexicographic order, free entries counting
-    in base q (last free entry fastest).  Raises BudgetExceeded at the first
-    step when there are more than `budget` subspaces."""
-    total = gaussian_binomial(ambient, d, field.q)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    for pivots in combinations(range(ambient), d):
-        free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, ambient)
-                if c not in pivots]
-        head = [[int(c == p) for c in range(ambient)] for p in pivots]
-        for values in product(range(field.q), repeat=len(free)):
-            rows = [row[:] for row in head]
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield VecSubspace._trusted(field, ambient, rows, pivots)
 
 
 def index_chunks(total: int, workers: int) -> list[tuple[int, int]]:

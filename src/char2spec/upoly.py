@@ -118,14 +118,6 @@ def poly_lcm(fs: FieldSpec, f: Poly, g: Poly) -> Poly:
     return monic(fs, poly_div_exact(fs, poly_mul(fs, f, g), poly_gcd(fs, f, g)))
 
 
-def poly_eval(fs: FieldSpec, f: Poly, a: int) -> int:
-    acc = 0
-    mul = fs.mul
-    for c in reversed(f):
-        acc = mul(acc, a) ^ c
-    return acc
-
-
 def derivative(f: Poly) -> Poly:
     """Formal derivative; in characteristic 2 only odd-degree terms survive."""
     return poly(f[i] if i % 2 == 1 else 0 for i in range(1, len(f)))

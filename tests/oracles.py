@@ -9,9 +9,12 @@ polynomial ring.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+from typing import Iterator
+
 from char2spec.gf import FieldSpec
 from char2spec.matrix import Mat, from_rows, inverse, mat_from_json, mat_mul, rref_rows
-from char2spec.subspace import MatSubspace
+from char2spec.subspace import BudgetExceeded, DEFAULT_BUDGET, MatSubspace, VecSubspace
 from char2spec import upoly as up
 
 # the default moduli of k = 9..16, and a second degree-9 modulus whose root
@@ -58,8 +61,16 @@ def all_monic(fs: FieldSpec, degree: int):
         yield tuple(coeffs) + (1,)
 
 
+def poly_eval(fs: FieldSpec, f, a: int) -> int:
+    acc = 0
+    mul = fs.mul
+    for c in reversed(f):
+        acc = mul(acc, a) ^ c
+    return acc
+
+
 def roots_by_evaluation(fs: FieldSpec, f) -> list[int]:
-    return [a for a in fs.elements() if up.poly_eval(fs, f, a) == 0]
+    return [a for a in fs.elements() if poly_eval(fs, f, a) == 0]
 
 
 def factor_trial_division(fs: FieldSpec, f) -> dict:
@@ -240,7 +251,6 @@ def alternator_grams(fs: FieldSpec, t):
     operator space T <= Hom(U, V): the kernel of Q -> ((Q f)_aa, (Q f)_ab +
     (Q f)_ba), with the map tabulated by multiplying unit matrices."""
     from char2spec.matrix import mat_mul, unit
-    from char2spec.subspace import MatSubspace, VecSubspace
     vdim, udim = t.shape
     units = [unit(udim, vdim, i, j) for i in range(udim) for j in range(vdim)]
     rows = []
@@ -258,7 +268,6 @@ def vanishing_points_two_pass(fs: FieldSpec, p, family):
     point outside the union must have p(x) = 0 (else a hypothesis
     violation there), then the first point with p(x) != 0 fails the
     conclusion.  Returns (outcome, point or None)."""
-    from itertools import product
     from char2spec.structure import eval_monomial_map
     points = [c[::-1] for c in product(range(fs.q), repeat=family[0].ambient)]
     for x in points:
@@ -278,20 +287,63 @@ def adapted_meet_dim(fs: FieldSpec, s, x) -> int:
     return s.intersect(tensor_span(fs, line(fs, x).annihilator().basis, [x])).dim
 
 
+def _plane_tensors(fs: FieldSpec, plane):
+    """The tensors phi (x) y for every projective point phi of the dual
+    plane and every y in a basis of ker phi."""
+    from char2spec.matrix import tensor
+    from char2spec.subspace import line, projective_points_of
+    for phi in projective_points_of(plane):
+        for y in line(fs, phi).annihilator().basis:
+            yield tensor(fs, phi, y)
+
+
+def hurdle_tensor_space(fs: FieldSpec, plane) -> MatSubspace:
+    """Span of all tensors phi (x) y with phi in the dual plane and
+    phi(y) = 0, from the tensors of every projective point of the plane."""
+    n = plane.ambient
+    return MatSubspace.from_matrices(fs, (n, n), _plane_tensors(fs, plane))
+
+
 def certifies_hurdle(fs: FieldSpec, s, plane) -> bool:
     """Every tensor phi (x) y with phi a projective point of the dual plane
     and y in a basis of ker phi is a member of S."""
-    from char2spec.matrix import tensor
-    from char2spec.subspace import line, projective_points_of
-    return all(s.member(tensor(fs, phi, y)) for phi in projective_points_of(plane)
-               for y in line(fs, phi).annihilator().basis)
+    return all(s.member(t) for t in _plane_tensors(fs, plane))
+
+
+def gaussian_binomial(m: int, d: int, q: int) -> int:
+    if d < 0 or d > m:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= q ** (m - i) - 1
+        den *= q ** (d - i) - 1
+    return num // den
+
+
+def enumerate_grassmannian(field: FieldSpec, d: int, ambient: int,
+                           budget: int = DEFAULT_BUDGET) -> Iterator[VecSubspace]:
+    """All d-dimensional subspaces of F^ambient, each exactly once, as RREF
+    bases: pivot-column sets in lexicographic order, free entries counting
+    in base q (last free entry fastest).  Raises BudgetExceeded at the first
+    step when there are more than `budget` subspaces."""
+    total = gaussian_binomial(ambient, d, field.q)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    for pivots in combinations(range(ambient), d):
+        free = [(r, c) for r in range(d) for c in range(pivots[r] + 1, ambient)
+                if c not in pivots]
+        head = [[int(c == p) for c in range(ambient)] for p in pivots]
+        for values in product(range(field.q), repeat=len(free)):
+            rows = [row[:] for row in head]
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield VecSubspace._trusted(field, ambient, rows, pivots)
 
 
 def detect_hurdle(fs: FieldSpec, s, budget: int = 1 << 24):
     """The first dual plane in Grassmannian order whose tensors phi (x) y,
     phi(y) = 0, all lie in S, one membership test at a time (None when no
     plane certifies)."""
-    from char2spec.subspace import enumerate_grassmannian
     for plane in enumerate_grassmannian(fs, 2, s.shape[0], budget):
         if certifies_hurdle(fs, s, plane):
             return plane
@@ -320,7 +372,7 @@ def detect_hurdle_blocks(fs: FieldSpec, s, budget: int = 1 << 24):
     from char2spec import _bulk
     from char2spec.gf import code_dtype
     from char2spec.structure import basis_codes
-    from char2spec.subspace import VecSubspace, enumerate_grassmannian, trace_orthogonal
+    from char2spec.subspace import trace_orthogonal
     n = s.shape[0]
     u = basis_codes(trace_orthogonal(s))
     planes = enumerate_grassmannian(fs, 2, n, budget)
@@ -352,6 +404,21 @@ def transitive_rank(fs: FieldSpec, t) -> int:
     return best
 
 
+def find_intransitivity_veil(fs: FieldSpec, t,
+                             budget: int = DEFAULT_BUDGET) -> VecSubspace | None:
+    """Greatest-dimension proper nonzero subspace W of the target with
+    pi T intransitive; None when no nonzero W works (so an intransitive T
+    is primitively intransitive exactly when this returns None)."""
+    from char2spec.structure import quotient_space
+    n, _ = t.shape
+    for d in range(n - 1, 0, -1):
+        for w in enumerate_grassmannian(fs, d, n, budget):
+            quotient = quotient_space(fs, t, w)
+            if transitive_rank(fs, quotient) < quotient.shape[0]:
+                return w
+    return None
+
+
 def range_space(fs: FieldSpec, x):
     """All operators with range inside the line F*x (dimension n)."""
     from char2spec.structure import tensor_span
@@ -377,9 +444,7 @@ def vanishing_solutions(fs: FieldSpec, family, monos):
     """The forms over the given monomials that vanish at every point of
     F^n outside the union of the family: the annihilator of their values
     at all those points, by `member` and `eval_monomial_map`."""
-    from itertools import product
     from char2spec.structure import eval_monomial_map
-    from char2spec.subspace import VecSubspace
     n = family[0].ambient
     union_free = [x for x in (c[::-1] for c in product(range(fs.q), repeat=n))
                   if not any(v.member(x) for v in family)]
@@ -390,7 +455,7 @@ def vanishing_solutions(fs: FieldSpec, family, monos):
 def operator_spaces(fs: FieldSpec, rng, shapes, count: int):
     """For each (n, m) in shapes: the zero and the full subspace of
     Mat_{n,m}, then `count` random ones of random dimension 0 .. n m."""
-    from char2spec.subspace import MatSubspace, VecSubspace, full_space, random_subspace
+    from char2spec.subspace import full_space, random_subspace
     for n, m in shapes:
         yield MatSubspace((n, m), VecSubspace(fs, n * m, []))
         yield MatSubspace((n, m), full_space(fs, n * m))
@@ -423,3 +488,27 @@ def quotient_block(fs: FieldSpec, w, u: Mat) -> Mat:
     free = [j for j in range(w.ambient) if j not in w.pivots]
     cols = [mat_vec(fs, pi, u.col(f)) for f in free]
     return Mat(len(free), len(free), [cols[j][i] for i in range(len(free)) for j in range(len(free))])
+
+
+def lastblock_check(fs: FieldSpec, a: Mat):
+    """For a rank-1 trace-0 3x3 matrix whose sums with every sl_2-plus-zero
+    block have at most two eigenvalues in F, the last row or the last
+    column must vanish."""
+    from char2spec.constructions import sl
+    from char2spec.matrix import mat_add, rank, trace
+    from char2spec.spectra import profile
+    from char2spec.structure import LemmaVerdict
+    name = "lastblock"
+    if (a.rows, a.cols) != (3, 3):
+        return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs a 3x3 matrix"})
+    if rank(fs, a) != 1 or trace(a) != 0:
+        return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs rank 1 and trace 0"})
+    for nmat in sl(fs, 2).enumerate_elements():
+        summed = mat_add(a, Mat(3, 3, nmat.row(0) + (0,) + nmat.row(1) + (0, 0, 0, 0)))
+        if profile(fs, summed).distinct_in_f > 2:
+            return LemmaVerdict(name, "hypothesis-violation",
+                                {"reason": "a perturbed sum exceeds two eigenvalues",
+                                 "witness": summed.to_json()})
+    if not any(a.col(2)) or not any(a.row(2)):
+        return LemmaVerdict(name, "holds", {})
+    return LemmaVerdict(name, "fails", {"matrix": a.to_json()})

@@ -1,19 +1,15 @@
 """The batch root counter of :mod:`char2spec._bulk` against the scalar
 routines of :mod:`char2spec.upoly`."""
 
-import inspect
 import random
-import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import char2spec
 from char2spec import _bulk
 from char2spec import matrix as mx
-from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, code_dtype
 from oracles import (WIDE_FIELDS, all_monic, field_id, lane_codes_by_bits, pack_monic,
@@ -190,28 +186,6 @@ def test_table_index_matches_packed_codes():
             for slot, (kind, ez) in enumerate(SLOTS):
                 got = _bulk.spectrum_counts(fs, coeffs, count, kind, ez)
                 assert got.tolist() == tables[slot][index].tolist(), (k, n, count, kind, ez)
-
-
-def test_every_public_kernel_has_a_caller():
-    # a public function that nothing in the library or the demos calls, and
-    # that the package does not export, is dead code kept alive only by its
-    # tests.  matrix.zero and matrix.mat_from_json stay while the benchmark
-    # names or calls them.
-    lib = Path(_bulk.__file__).parent
-    texts = [path.read_text(encoding="utf-8")
-             for path in sorted(lib.glob("*.py")) + sorted((lib.parents[1] / "demos").glob("*.py"))]
-    kept = {"zero", "mat_from_json"} | set(char2spec.__all__)
-    for module, known in [(_bulk, {"lane_codes", "spectrum_tables"}), (mx, {"rref_rows"}),
-                          (sub, {"trace_orthogonal"})]:
-        public = [name for name, obj in vars(module).items()
-                  if not name.startswith("_") and callable(obj) and not isinstance(obj, type)
-                  and getattr(obj, "__module__", None) == module.__name__]
-        assert known <= set(public), module.__name__
-        for name in sorted(set(public) - kept):
-            own = inspect.getsource(getattr(module, name))
-            call = re.compile(rf"\b{name}\(")
-            assert any(call.search(text.replace(own, "")) for text in texts), \
-                f"{module.__name__}.{name}"
 
 
 def test_counts_of_an_empty_batch():

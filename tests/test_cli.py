@@ -70,11 +70,6 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--cap: expected a positive integer" in captured.err
-    for bad in ("0", "2", "4"):
-        code = main(["choice", "--n", bad, "--cap", "10"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"the choice audit is specialized to n = 3, got n = {bad}" in captured.err
     # a construction of 0 x 0 matrices is refused by name; an inner nt0 is fine
     for argv in (["verify", "--construction", "nt0", "--pred", "1-spec"],
                  ["scan-adapted", "--construction", "full0"],
@@ -111,7 +106,7 @@ def test_choice_audit_refuses_wide_fields(capsys):
 
 
 def test_choice_matrix_needs_target(capsys):
-    code = main(["choice", "--n", "3", "--matrix", "0,0,0,1,0,0,0,1,0"])
+    code = main(["choice", "--matrix", "0,0,0,1,0,0,0,1,0"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "--matrix needs --target" in captured.err
@@ -124,12 +119,11 @@ def test_choice_codes_must_be_field_elements(capsys):
                                 (good[0], "0,0,9,1", "--target: 9"),
                                 (good[0], "0,-1,0,1", "--target: -1"),
                                 ("0,0,0,4,0,0,0,1,0", good[1], "--matrix: 4")]:
-        code = main(["choice", "--field", "gf4", "--n", "3",
-                     "--matrix", matrix, "--target", target])
+        code = main(["choice", "--field", "gf4", "--matrix", matrix, "--target", target])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert f"error: {bad} is not an element of GF(4)" in captured.err
-    code = main(["choice", "--field", "gf4", "--n", "3", "--matrix", good[0], "--target", good[1]])
+    code = main(["choice", "--field", "gf4", "--matrix", good[0], "--target", good[1]])
     captured = capsys.readouterr()
     assert code == 0 and json.loads(captured.out)["checks"][0]["outcome"] == "holds"
 
@@ -209,10 +203,20 @@ def test_point_scans_honour_the_budget(capsys):
 
 
 def test_choice_single_instance(capsys):
-    code, report = run_cli(capsys, "choice", "--n", "2",
-                           "--matrix", "0,0,1,1", "--target", "1,1,1", "--p", "1")
-    assert code == 0
+    # n is the square root of the entry count
+    code, report = run_cli(capsys, "choice", "--matrix", "0,0,1,1", "--target", "1,1,1",
+                           "--p", "1")
+    assert code == 0 and report["config"]["n"] == 2
     assert report["checks"][0]["block"]["entries"] == [1]
+    code, report = run_cli(capsys, "choice", "--matrix", "0,0,0,0,1,0,0,0,0,1,0,0,0,0,1,0",
+                           "--target", "1,1,1,0,1", "--p", "1")
+    # the shift matrix with top row (0, a, b, c) has char poly t^4 + a t^2 + b t + c
+    assert code == 0 and report["config"]["n"] == 4
+    assert report["checks"][0]["block"]["entries"] == [1, 1, 1]
+    code = main(["choice", "--matrix", "0,0,1,1,0", "--target", "1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: --matrix: 5 entries do not make a square matrix" in captured.err
 
 
 def test_lemma_subcommand(capsys):
@@ -258,16 +262,19 @@ def test_closed_pipe_ends_quietly():
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
-def test_n_belongs_to_choice_alone(capsys):
+def test_no_command_takes_n(capsys):
+    # the matrix size comes from the input: choice --matrix counts its
+    # entries, and the choice audit runs at n = 3, its only size
     argvs = [["verify", "--construction", "nt3", "--pred", "1-spec"],
              ["scan-adapted", "--construction", "nt3"], ["detect-hurdle", "--construction", "nt3"],
              ["trk", "--construction", "nt3"], ["lemma", "--name", "covering", "--trials", "2"],
-             ["acceptance", "--skip-determinism"]]
+             ["acceptance", "--skip-determinism"], ["choice", "--cap", "10"],
+             ["choice", "--matrix", "0,0,1,1", "--target", "1,1,1"]]
     for argv in argvs:
         assert main(argv + ["--n", "3"]) == 2
         err = capsys.readouterr().err
         assert "unrecognized arguments: --n 3" in err, err
-    code, report = run_cli(capsys, "choice", "--n", "3", "--cap", "10")
+    code, report = run_cli(capsys, "choice", "--cap", "10")
     assert code == 0 and report["config"]["n"] == 3
 
 

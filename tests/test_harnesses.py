@@ -53,6 +53,9 @@ def test_choice_audit_refuses_bad_caps_and_wide_fields():
     for cap in (0, -3):
         with pytest.raises(ValueError, match=f"cap = {cap}"):
             H.choice_lemma_audit(GF4, n=3, cap=cap)
+    for n in (0, 2, 4):
+        with pytest.raises(ValueError, match=f"specialized to n = 3, got n = {n}"):
+            H.choice_lemma_audit(GF4, n=n, cap=10)
     # q^2 targets per matrix: refused above k = 8 before any work
     with pytest.raises(ValueError, match="k <= 8 only, got k = 9"):
         H.choice_lemma_audit(field_spec("gf2^9"), n=3, cap=10)

@@ -2,11 +2,14 @@
 
 The harness calls the library directly; a refactor that drops or renames
 one of those names would otherwise show up only as failed benchmark ops.
-Building the op lists and warming the tables reaches every binding the
+Every name the harness reads off a library module must resolve, and
+building the op lists and warming the tables reaches every binding the
 workloads use at set-up.  The exhaustive scans alone are also run, once,
 against their pinned results in ``expected.json``.
 """
 
+import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -71,3 +74,43 @@ def test_scan_exhaustive_ops_match_the_pinned_results(perfbench_modules, tmp_pat
         assert not problems, (op.key, problems)
         assert got == expected[op.key], op.key
         assert checked == expected[op.key]["checked"]
+
+
+def _library_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every name imported from a char2spec module and
+    every attribute read off a name bound to one."""
+    modules, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("char2spec"):
+            for alias in node.names:
+                target = f"{node.module}.{alias.name}"
+                try:
+                    importlib.import_module(target)
+                except ModuleNotFoundError as exc:
+                    if exc.name != target:
+                        raise
+                    reads.add((node.module, alias.name))
+                else:
+                    modules[alias.asname or alias.name] = target
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("char2spec.") and alias.asname:
+                    modules[alias.asname] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reads.add((modules[node.value.id], node.attr))
+    return reads
+
+
+def test_every_library_name_the_benchmark_reads_resolves():
+    reads = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        reads |= _library_reads(ast.parse(path.read_text(encoding="utf-8")))
+    assert {("char2spec.spectra", "check_space_even_charpoly"),
+            ("char2spec.constructions", "build"), ("char2spec._bulk", "spectrum_tables"),
+            ("char2spec.harnesses", "confinement_third_harness"),
+            ("char2spec.matrix", "mat_from_json")} <= reads
+    missing = sorted(f"{module}.{name}" for module, name in reads
+                     if not hasattr(importlib.import_module(module), name))
+    assert missing == []

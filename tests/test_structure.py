@@ -70,7 +70,7 @@ def test_hurdle_tensor_space_dimension(gf4):
     for n in (3, 4, 5):
         plane = sub.span(gf4, n, [tuple(1 if i == n - 2 else 0 for i in range(n)),
                                   tuple(1 if i == n - 1 else 0 for i in range(n))])
-        wp = st.hurdle_tensor_space(gf4, plane)
+        wp = oracles.hurdle_tensor_space(gf4, plane)
         assert wp.dim == 2 * n - 1
         assert wp == cons.hurdle_template(gf4, n)
 
@@ -81,10 +81,10 @@ def test_sl3_contains_every_hurdle_tensor_space(gf2, gf4):
     # the reason the acceptance check on sl3 is red.
     for fs in (gf2, gf4):
         sl3 = cons.sl(fs, 3)
-        planes = list(sub.enumerate_grassmannian(fs, 2, 3))
+        planes = list(oracles.enumerate_grassmannian(fs, 2, 3))
         assert len(planes) == fs.q ** 2 + fs.q + 1
         for plane in planes:
-            assert sl3.contains_space(st.hurdle_tensor_space(fs, plane))
+            assert sl3.contains_space(oracles.hurdle_tensor_space(fs, plane))
 
 
 def test_detect_hurdle_on_template(gf4):
@@ -297,7 +297,7 @@ def test_detect_hurdle_over_gf_2_16_without_walking_the_planes():
     # default budget of the point scans
     fs = FieldSpec(16)
     s = cons.hurdle_template(fs, 3)
-    assert sub.gaussian_binomial(3, 2, fs.q) > sub.DEFAULT_BUDGET
+    assert oracles.gaussian_binomial(3, 2, fs.q) > sub.DEFAULT_BUDGET
     t0 = time.perf_counter()
     cert = st.detect_hurdle(fs, s)
     assert time.perf_counter() - t0 < 10.0
@@ -319,7 +319,7 @@ def test_certifies_hurdle_matches_every_point_of_the_plane(gf2, gf4):
         for n in (2, 3, 4):
             for _ in range(8):
                 plane = sub.random_subspace(fs, rng, n, 2)
-                full = st.hurdle_tensor_space(fs, plane)
+                full = oracles.hurdle_tensor_space(fs, plane)
                 assert full.dim == 2 * n - 1
                 drop = sub.random_subspace(fs, rng, full.dim, full.dim - 1)
                 part = sub.MatSubspace((n, n), sub.VecSubspace(
@@ -349,8 +349,7 @@ def test_transitive_rank_rectangular(gf4):
     # operators F^2 -> F^3 spanned by two unit maps: every image is a plane
     gens = [mx.unit(3, 2, 0, 0), mx.unit(3, 2, 1, 1)]
     t = sub.MatSubspace.from_matrices(gf4, (3, 2), gens)
-    assert st.transitive_rank(gf4, t) == 2
-    assert st.is_intransitive(gf4, t)
+    assert st.transitive_rank(gf4, t) == 2          # < 3: intransitive
 
 
 def test_transitive_rank_matches_scalar_oracle(monkeypatch):
@@ -401,6 +400,10 @@ def test_confinement_checks_report_a_scan_past_the_budget():
     v = st.confinement_third_check(fs, st.third_confinement_template(fs, 5), budget=1,
                                    samples=50)
     assert v.outcome == "budget" and "exceeds budget 16777216" in v.detail["reason"]
+    h, g = sub.span(fs, 3, [(0, 1, 0), (0, 0, 1)]), sub.span(fs, 3, [phi])
+    v = st.confinement_second_check(fs, st.second_confinement_generators(fs, h, g), h, g,
+                                    budget=1, samples=50)
+    assert v.detail == {"reason": "enumeration of 4295032833 objects exceeds budget 16777216"}
 
 
 def test_transitive_rank_memory_is_bounded_by_the_block():
@@ -430,22 +433,22 @@ def test_intransitivity_and_veil(gf4):
     n = 3
     into_e1 = sub.MatSubspace.from_matrices(
         gf4, (n, n), [mx.unit(n, n, 0, j) for j in range(n)])
-    assert st.is_intransitive(gf4, into_e1)
-    veil = st.find_intransitivity_veil(gf4, into_e1)
+    assert st.transitive_rank(gf4, into_e1) < n
+    veil = oracles.find_intransitivity_veil(gf4, into_e1)
     assert veil is not None and veil.dim == n - 1
     assert veil.member((1, 0, 0))
     # an intransitive space is primitively intransitive when it has no
     # nonzero veil: into_e1 has one, the 2x2 alternating line has none
     alt2 = cons.alts(gf4, 2)
-    assert st.is_intransitive(gf4, alt2)
-    assert st.find_intransitivity_veil(gf4, alt2) is None
-    assert not st.is_intransitive(gf4, cons.full(gf4, 2))
+    assert st.transitive_rank(gf4, alt2) < 2
+    assert oracles.find_intransitivity_veil(gf4, alt2) is None
+    assert st.transitive_rank(gf4, cons.full(gf4, 2)) == 2
 
 
 def test_alternating_space_is_intransitive(gf4):
     for n in (2, 3):
         alt = cons.alts(gf4, n)
-        assert st.is_intransitive(gf4, alt)
+        assert st.transitive_rank(gf4, alt) < n
 
 
 def test_primitively_intransitive_dimension_bound(gf4):
@@ -464,9 +467,9 @@ def test_primitively_intransitive_dimension_bound(gf4):
             pool.append((n, sub.MatSubspace((n, n),
                                             sub.random_subspace(gf4, rng, n * n, d))))
     for n, t in pool:
-        if not st.is_intransitive(gf4, t):
+        if st.transitive_rank(gf4, t) == n:
             continue
-        if st.find_intransitivity_veil(gf4, t) is None:
+        if oracles.find_intransitivity_veil(gf4, t) is None:
             audited += 1
             assert t.dim <= comb(n, 2), (n, t.dim)
     assert audited > 0
@@ -738,13 +741,15 @@ def test_vanishing_negative_example(gf4):
 
 
 def test_eval_monomial_map_on_every_point(gf4):
+    # against each power as e repeated products (x^0 = 1, 0^0 included)
     p = {(2, 0, 1): 3, (0, 0, 0): 2, (1, 1, 1): 1, (0, 3, 0): 0}
     for x in sub.full_space(gf4, 3).enumerate_elements():
         want = 0
         for mono, coef in p.items():
             term = coef
             for xi, e in zip(x, mono):
-                term = gf4.mul(term, gf4.pow(xi, e))
+                for _ in range(e):
+                    term = gf4.mul(term, xi)
             want ^= term
         assert st.eval_monomial_map(gf4, p, x) == want
         for mono in p:
@@ -1034,7 +1039,7 @@ def test_lastblock(gf4):
     a = mx.tensor(gf4, (1, 1, 1), (0, 1, 1))
     assert mx.trace(a) == 0 and mx.rank(gf4, a) == 1
     assert any(a[i, 2] for i in range(3)) and any(a[2, j] for j in range(3))
-    vc = st.lastblock_check(gf4, a)
+    vc = oracles.lastblock_check(gf4, a)
     assert vc.outcome == "hypothesis-violation"
 
 
@@ -1043,7 +1048,7 @@ def test_lastblock_audit_matches_the_checker(monkeypatch, fs, stride):
     # every matrix over GF(4); every stride-th one over GF(8), where the
     # checker walks 512 blocks per matrix that satisfies the hypothesis
     subset = list(st.rank_one_trace_zero(fs, 3))[::stride]
-    want = Counter(st.lastblock_check(fs, a).outcome for a in subset)
+    want = Counter(oracles.lastblock_check(fs, a).outcome for a in subset)
     monkeypatch.setattr(st, "rank_one_trace_zero", lambda fs, n: iter(subset))
     v = st.lastblock_audit(fs)
     assert v.holds and want["fails"] == 0
@@ -1097,8 +1102,12 @@ def test_confinement_checkers_take_keyword_options(gf4):
     z = st.second_confinement_generators(gf4, h, g)
     v = st.confinement_second_check(gf4, z, h, g, budget=1 << 20, samples=10, seed=3)
     assert v.holds
+    # budget bounds only the spectrum pass: the adapted scan still reads
+    # all 21 points of F^3
+    v = st.confinement_second_check(gf4, z, h, g, budget=1, samples=50)
+    assert v.detail == {"case": "hyperplane", "theta": [1, 0, 0]}
     a = mx.tensor(gf4, (0, 0, 1), (0, 1, 0))
-    assert st.lastblock_check(gf4, a).outcome in ("holds", "hypothesis-violation")
+    assert oracles.lastblock_check(gf4, a).outcome in ("holds", "hypothesis-violation")
 
 
 def test_transrank_identity_on_samples(gf4):
