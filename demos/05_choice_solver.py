@@ -2,15 +2,15 @@
 
 from char2spec import GF4
 from char2spec.harnesses import choice_lemma_audit
-from char2spec.matrix import char_poly, companion, from_rows, mat_add, trace
-from char2spec.structure import _embed_block, choice_solve
+from char2spec.matrix import char_poly, companion, from_rows, mat_add, place, trace
+from char2spec.structure import choice_solve
 from char2spec.upoly import poly, poly_str
 
 m = companion(poly([0, 1, 1]))  # t^2 + t
 target = poly([1, 1, 1])
 r = choice_solve(GF4, m, target, p=1)
 print(f"M = {m}, target {poly_str(target)}: top-right block {list(r.entries)}")
-print("  check:", poly_str(char_poly(GF4, mat_add(m, _embed_block(2, 1, r)))))
+print("  check:", poly_str(char_poly(GF4, mat_add(m, place(2, 2, 0, 1, r)))))
 
 m3 = from_rows([[1, 2, 3], [1, 0, 1], [0, 2, 1]])
 print(f"\nAll 16 trace-{trace(m3)} monic cubics are reachable from M3, both splits:")

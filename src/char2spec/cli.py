@@ -56,8 +56,12 @@ def _report(command: str, config: dict, checks: list[dict], t0: float) -> dict:
 def _emit(report: dict, out_path: str | None) -> int:
     text = json.dumps(report, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write the report to {out_path!r}: "
+                             f"{exc.strerror or exc}") from exc
     else:
         try:
             print(text, flush=True)

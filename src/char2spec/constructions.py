@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .gf import FieldSpec
-from .matrix import Mat, identity, inverse, mat_mul, rank, unit
+from .matrix import Mat, identity, inverse, mat_add, mat_mul, place, rank, unit
 from .subspace import MatSubspace, VecSubspace
 
 
@@ -42,21 +42,16 @@ def ut(fs: FieldSpec, n: int) -> MatSubspace:
 def sl(fs: FieldSpec, n: int) -> MatSubspace:
     """Trace-zero matrices, dimension n^2 - 1."""
     gens = [unit(n, n, i, j) for i in range(n) for j in range(n) if i != j]
-    for i in range(n - 1):
-        e = [0] * (n * n)
-        e[i * n + i] = 1
-        e[(i + 1) * n + (i + 1)] = 1  # char 2: E_ii - E_{i+1,i+1}
-        gens.append(Mat(n, n, e))
+    # char 2: E_ii - E_{i+1,i+1} = E_ii + E_{i+1,i+1}
+    gens += [mat_add(unit(n, n, i, i), unit(n, n, i + 1, i + 1)) for i in range(n - 1)]
     return _space(fs, n, gens)
 
 
 def alts(fs: FieldSpec, n: int) -> MatSubspace:
     """Alternating matrices (symmetric with zero diagonal in characteristic 2),
     dimension n(n-1)/2."""
-    gens = [Mat(n, n, tuple((1 if (r, c) in ((i, j), (j, i)) else 0)
-                            for r in range(n) for c in range(n)))
-            for i in range(n) for j in range(i + 1, n)]
-    return _space(fs, n, gens)
+    return _space(fs, n, (mat_add(unit(n, n, i, j), unit(n, n, j, i))
+                          for i in range(n) for j in range(i + 1, n)))
 
 
 def syms(fs: FieldSpec, n: int) -> MatSubspace:
@@ -78,14 +73,8 @@ def joint(fs: FieldSpec, *parts: MatSubspace) -> MatSubspace:
         sizes.append(a)
     n = sum(sizes)
     offs = [sum(sizes[:i]) for i in range(len(sizes))]
-    gens: list[Mat] = []
-    for part, off in zip(parts, offs):
-        for b in part.basis_matrices():
-            e = [0] * (n * n)
-            for i in range(b.rows):
-                for j in range(b.cols):
-                    e[(off + i) * n + (off + j)] = b[i, j]
-            gens.append(Mat(n, n, e))
+    gens = [place(n, n, off, off, b)
+            for part, off in zip(parts, offs) for b in part.basis_matrices()]
     for bi in range(len(sizes)):
         for bj in range(bi + 1, len(sizes)):
             for i in range(sizes[bi]):
@@ -106,11 +95,7 @@ def k2m(fs: FieldSpec, m: int) -> Mat:
     """Gram matrix of the standard symplectic form; in characteristic 2 both
     off-diagonal blocks are the identity.  Invertible and alternating."""
     n = 2 * m
-    e = [0] * (n * n)
-    for i in range(m):
-        e[i * n + (m + i)] = 1
-        e[(m + i) * n + i] = 1
-    k = Mat(n, n, e)
+    k = mat_add(place(n, n, 0, m, identity(m)), place(n, n, m, 0, identity(m)))
     assert rank(fs, k) == n
     return k
 
@@ -120,21 +105,13 @@ def b2m(fs: FieldSpec, m: int) -> MatSubspace:
     blocks [[A, S2], [S1, A^T]] with A square and S1, S2 symmetric
     (characteristic 2 turns -A^T into A^T); dim m^2 + m(m+1)."""
     n = 2 * m
-    gens: list[Mat] = []
-    for i in range(m):
-        for j in range(m):
-            e = [0] * (n * n)
-            e[i * n + j] = 1
-            e[(m + j) * n + (m + i)] = 1
-            gens.append(Mat(n, n, e))
-    for which in (0, 1):
-        ro, co = (m, 0) if which == 0 else (0, m)
-        for i in range(m):
-            for j in range(i, m):
-                e = [0] * (n * n)
-                e[(ro + i) * n + (co + j)] = 1
-                e[(ro + j) * n + (co + i)] = 1
-                gens.append(Mat(n, n, e))
+    gens = [mat_add(unit(n, n, i, j), unit(n, n, m + j, m + i))
+            for i in range(m) for j in range(m)]
+    for ro, co in ((m, 0), (0, m)):
+        # a diagonal position takes one unit: a unit plus itself is zero
+        gens += [unit(n, n, ro + i, co + i) for i in range(m)]
+        gens += [mat_add(unit(n, n, ro + i, co + j), unit(n, n, ro + j, co + i))
+                 for i in range(m) for j in range(i + 1, m)]
     return _space(fs, n, gens)
 
 
@@ -168,26 +145,13 @@ def conjugate_space(fs: FieldSpec, s: MatSubspace, p: Mat) -> MatSubspace:
 def case_iv_n6(fs: FieldSpec) -> MatSubspace:
     """The subspace of the threefold joint of sl_2 whose first and third
     diagonal blocks are equal; dimension 18."""
-    n = 6
     gens: list[Mat] = []
     for b in sl(fs, 2).basis_matrices():
-        e = [0] * (n * n)
-        for i in range(2):
-            for j in range(2):
-                e[i * n + j] = b[i, j]
-                e[(4 + i) * n + (4 + j)] = b[i, j]
-        gens.append(Mat(n, n, e))
-        e2 = [0] * (n * n)
-        for i in range(2):
-            for j in range(2):
-                e2[(2 + i) * n + (2 + j)] = b[i, j]
-        gens.append(Mat(n, n, e2))
-    for i in range(2):
-        for j in range(2):
-            gens.append(unit(n, n, i, 2 + j))
-            gens.append(unit(n, n, i, 4 + j))
-            gens.append(unit(n, n, 2 + i, 4 + j))
-    return _space(fs, n, gens)
+        gens.append(mat_add(place(6, 6, 0, 0, b), place(6, 6, 4, 4, b)))
+        gens.append(place(6, 6, 2, 2, b))
+    gens += [unit(6, 6, ro + i, co + j) for i in range(2) for j in range(2)
+             for ro, co in ((0, 2), (0, 4), (2, 4))]
+    return _space(fs, 6, gens)
 
 
 # ----------------------------------------------------------------------

@@ -17,12 +17,12 @@ from math import comb
 import numpy as np
 
 from .gf import FieldSpec
-from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_vec,
+from .matrix import (Mat, char_poly, identity, inverse, mat_add, mat_vec, place,
                      random_invertible, rref_rows, transpose)
 from .subspace import (MatSubspace, VecSubspace, full_space, projective_blocks,
                        random_subspace, trace_orthogonal)
 from .spectra import SpecPredicate, check_space
-from .structure import (LemmaVerdict, _embed_block, basis_codes, certifies_hurdle,
+from .structure import (LemmaVerdict, basis_codes, certifies_hurdle,
                         choice_solve, confinement_first_check, confinement_second_check,
                         confinement_third_check, covering_check,
                         covering_hypotheses, detect_hurdle,
@@ -45,14 +45,8 @@ def _random_mat_subspace(fs: FieldSpec, rng, rows: int, cols: int,
 def _hom_into(fs: FieldSpec, udim: int, v0: VecSubspace) -> MatSubspace:
     """Hom(U, V0) inside Hom(U, V): matrices whose columns lie in V0."""
     vdim = v0.ambient
-    gens = []
-    for j in range(udim):
-        for w in v0.basis:
-            e = [0] * (vdim * udim)
-            for i in range(vdim):
-                e[i * udim + j] = w[i]
-            gens.append(Mat(vdim, udim, e))
-    return MatSubspace.from_matrices(fs, (vdim, udim), gens)
+    return MatSubspace.from_matrices(fs, (vdim, udim), [
+        place(vdim, udim, 0, j, Mat(vdim, 1, w)) for j in range(udim) for w in v0.basis])
 
 
 def _restriction_dim(fs: FieldSpec, space: MatSubspace, v0: VecSubspace) -> int:
@@ -265,7 +259,7 @@ def confinement_first_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         n = rng.randrange(3, 5)
         phi = tuple(rng.randrange(fs.q) for _ in range(n))
         if not any(phi):
-            phi = tuple(1 if i == 0 else 0 for i in range(n))
+            phi = identity(n).row(0)
         s = tensor_span(fs, [phi], full_space(fs, n).basis)
         if rng.randrange(2):
             s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [identity(n)]))
@@ -355,9 +349,8 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         p = random_invertible(fs, rng, n)
         s = cons.conjugate_space(fs, s, p)
         pinv_t = transpose(inverse(fs, p))
-        plane = VecSubspace(fs, n, [mat_vec(fs, pinv_t, phi)
-                                    for phi in (tuple(1 if i == n - 2 else 0 for i in range(n)),
-                                                tuple(1 if i == n - 1 else 0 for i in range(n)))])
+        plane = VecSubspace(fs, n, [mat_vec(fs, pinv_t, identity(n).row(i))
+                                    for i in (n - 2, n - 1)])
         if not certifies_hurdle(fs, s, plane):
             return LemmaVerdict("hurdle-dimension", "hypothesis-violation",
                                 {"trial": t, "reason": "conjugated certificate failed"})
@@ -531,7 +524,7 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
             if rmat is None:
                 return LemmaVerdict("choice-audit", "fails",
                                     {"matrix": m.to_json(), "target": list(r), "p": p})
-            if char_poly(fs, mat_add(m, _embed_block(n, p, rmat))) != r:
+            if char_poly(fs, mat_add(m, place(n, n, 0, p, rmat))) != r:
                 return LemmaVerdict("choice-audit", "fails",
                                     {"reason": "returned block failed re-verification",
                                      "matrix": m.to_json(), "p": p})

@@ -83,6 +83,18 @@ def unit(n: int, m: int, i: int, j: int) -> Mat:
     return Mat(n, m, e)
 
 
+def place(n: int, m: int, i: int, j: int, b: Mat) -> Mat:
+    """The n x m matrix holding b with its top-left entry at (i, j), zero
+    elsewhere."""
+    if i < 0 or j < 0 or i + b.rows > n or j + b.cols > m:
+        raise ValueError("block does not fit in the target")
+    e = [0] * (n * m)
+    for r in range(b.rows):
+        start = (i + r) * m + j
+        e[start:start + b.cols] = b.row(r)
+    return Mat(n, m, e)
+
+
 def mat_add(a: Mat, b: Mat) -> Mat:
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("shape mismatch in addition")
@@ -369,9 +381,8 @@ def is_regular_hessenberg(a: Mat) -> bool:
     return all(a[j + 1, j] != 0 for j in range(n - 1))
 
 
-def random_matrix(fs: FieldSpec, rng, n: int, m: int | None = None) -> Mat:
-    m = n if m is None else m
-    return Mat(n, m, tuple(rng.randrange(fs.q) for _ in range(n * m)))
+def random_matrix(fs: FieldSpec, rng, n: int) -> Mat:
+    return Mat(n, n, tuple(rng.randrange(fs.q) for _ in range(n * n)))
 
 
 def random_invertible(fs: FieldSpec, rng, n: int) -> Mat:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .gf import FieldSpec, code_dtype
 from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_add, mat_mul,
-                     mat_vec, rank, rref_rows, tensor, trace, unit, companion)
+                     mat_vec, place, rank, rref_rows, tensor, trace, unit, companion)
 from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits, enumerate_projective,
                        full_space, line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
@@ -351,10 +351,6 @@ def is_alternator(fs: FieldSpec, t: MatSubspace, gram: Mat) -> bool:
 # ----------------------------------------------------------------------
 # choice solver
 # ----------------------------------------------------------------------
-def _embed_block(n: int, p: int, r: Mat) -> Mat:
-    return Mat(n, n, [r[i, j - p] if i < p <= j else 0 for i in range(n) for j in range(n)])
-
-
 def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
                  budget: int = DEFAULT_BUDGET) -> Mat | None:
     """Find R in Mat_{p,n-p} such that adding R as the top-right block of a
@@ -397,7 +393,7 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
         for row, piv in zip(reduced, pivots):
             solution[piv] = row[n - 1]
         rmat = Mat(p, n - p, solution)
-        if char_poly(fs, mat_add(m, _embed_block(n, p, rmat))) != r:
+        if char_poly(fs, mat_add(m, place(n, n, 0, p, rmat))) != r:
             raise AssertionError("affine choice solve failed to re-verify; solver is inconsistent")
         return rmat
 
@@ -407,7 +403,7 @@ def choice_solve(fs: FieldSpec, m: Mat, r: Poly, p: int,
         raise BudgetExceeded(total, budget)
     for idx in range(total):
         rmat = Mat(p, n - p, digits(idx, fs.q, cells))
-        cand = mat_add(m, _embed_block(n, p, rmat))
+        cand = mat_add(m, place(n, n, 0, p, rmat))
         if char_poly(fs, cand) == r:
             return rmat
     return None

@@ -18,7 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .gf import FieldSpec, code_dtype
-from .matrix import Mat, rref_rows, transpose, zero
+from .matrix import Mat, identity, rref_rows, transpose, zero
 
 Vec = tuple[int, ...]
 
@@ -171,8 +171,7 @@ def span(field: FieldSpec, ambient: int, vectors) -> VecSubspace:
 
 
 def full_space(field: FieldSpec, ambient: int) -> VecSubspace:
-    eye = [[1 if i == j else 0 for j in range(ambient)] for i in range(ambient)]
-    return VecSubspace._trusted(field, ambient, eye, range(ambient))
+    return VecSubspace._trusted(field, ambient, identity(ambient).row_lists(), range(ambient))
 
 
 def line(field: FieldSpec, v) -> VecSubspace:

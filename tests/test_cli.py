@@ -302,6 +302,18 @@ def test_out_file(tmp_path, capsys):
     assert data["checks"][0]["trk"] == 2
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for path in (tmp_path, tmp_path / "missing" / "report.json"):
+        code = main(["verify", "--construction", "nt2", "--pred", "0bar*-spec",
+                     "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and str(path) in captured.err
+        assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parser_is_built_once_and_answers_every_call_alike(capsys):
     # usage errors (exit 2), help (exit 0) and valid commands, mixed in one
     # process: every call must answer as its first call did

@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from char2spec.gf import GF2, GF4
+from char2spec.gf import GF2, GF4, GF8
 from char2spec import matrix as mx
 from char2spec import constructions as cons
+from char2spec.subspace import MatSubspace, trace_orthogonal
 from char2spec.spectra import check_space, parse_predicate
 
 
@@ -21,6 +22,24 @@ def test_base_space_dimensions(gf4):
     assert cons.alts(gf4, 3).dim == 3
     assert cons.syms(gf4, 3).dim == 6
     assert cons.ut(gf4, 4).dim == 10
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4])
+def test_sl_is_the_trace_dual_of_the_scalars(fs):
+    for n in range(1, 6):
+        s = cons.sl(fs, n)
+        assert s.dim == n * n - 1
+        assert s == trace_orthogonal(MatSubspace.from_matrices(fs, (n, n), [mx.identity(n)]))
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4])
+def test_alts_are_symmetric_with_zero_diagonal(fs):
+    for n in range(1, 7):
+        s = cons.alts(fs, n)
+        assert s.dim == comb(n, 2)
+        for b in s.basis_matrices():
+            assert mx.transpose(b) == b
+            assert all(b[i, i] == 0 for i in range(n))
 
 
 def test_joint(gf4):
@@ -71,6 +90,15 @@ def test_hurdle_template(gf4):
 def test_b2m(gf4, gf8):
     assert cons.b2m(gf4, 2).dim == 10
     assert cons.b2m(gf4, 1).dim == 3
+    # the symplectic-symmetric definition: K M is symmetric, K = k2m(m)
+    for fs in (GF2, GF4, GF8):
+        for m in (1, 2, 3):
+            k = cons.k2m(fs, m)
+            s = cons.b2m(fs, m)
+            assert s.dim == m * m + m * (m + 1)
+            for b in s.basis_matrices():
+                km = mx.mat_mul(fs, k, b)
+                assert mx.transpose(km) == km
     k = cons.k2m(gf4, 2)
     assert mx.rank(gf4, k) == 4
     assert mx.transpose(k) == k and all(k[i, i] == 0 for i in range(4))
@@ -108,10 +136,13 @@ def test_mats_p(gf4):
 def test_case_iv(gf4):
     s = cons.case_iv_n6(gf4)
     assert s.dim == 18
-    for m in (s.element_at(17), s.element_at(4 ** 9 + 5)):
+    for m in s.basis_matrices() + [s.element_at(17), s.element_at(4 ** 9 + 5)]:
+        # block upper triangular in 2 x 2 blocks
+        assert all(m[i, j] == 0 for i in range(6) for j in range(6) if i // 2 > j // 2)
         first = [[m[i, j] for j in range(2)] for i in range(2)]
         third = [[m[4 + i, 4 + j] for j in range(2)] for i in range(2)]
         assert first == third
+        assert mx.trace(m) == 0
         assert m[0, 0] ^ m[1, 1] == 0
 
 

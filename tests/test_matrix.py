@@ -28,6 +28,29 @@ def test_basic_ops(gf4):
         mx.trace(mx.zero(2, 3))
 
 
+def test_place():
+    b = mx.from_rows([[1, 2, 3], [0, 3, 1]])
+    assert mx.place(3, 5, 1, 2, b) == mx.from_rows([[0, 0, 0, 0, 0],
+                                                  [0, 0, 1, 2, 3],
+                                                  [0, 0, 0, 3, 1]])
+    assert mx.place(4, 3, 2, 0, b) == mx.from_rows([[0, 0, 0], [0, 0, 0],
+                                                  [1, 2, 3], [0, 3, 1]])
+    # a 1 x 1 block on the last row and column of a non-square target
+    assert mx.place(2, 4, 1, 3, mx.from_rows([[2]])) == mx.Mat(2, 4, [0] * 7 + [2])
+    assert mx.place(2, 2, 0, 0, mx.zero(2)) == mx.zero(2)
+    for n, m, i, j in ((2, 5, 1, 0), (3, 4, 0, 2), (3, 5, -1, 0), (3, 5, 0, -1)):
+        with pytest.raises(ValueError):
+            mx.place(n, m, i, j, b)
+    # the top-right block of the choice solver: r[i, j - p] if i < p <= j
+    rng = random.Random(3)
+    for n in range(2, 6):
+        for p in range(1, n):
+            r = mx.Mat(p, n - p, [rng.randrange(4) for _ in range(p * (n - p))])
+            old = mx.Mat(n, n, [r[i, j - p] if i < p <= j else 0
+                                for i in range(n) for j in range(n)])
+            assert mx.place(n, n, 0, p, r) == old
+
+
 def test_rref_reports_pivots(gf4):
     a = mx.from_rows([[0, 1, 2], [0, 2, 2], [0, 0, 0]])
     r, pivots = rref(gf4, a)

@@ -655,7 +655,7 @@ def test_choice_full_small_audit(gf4):
             for p in (1, 2):
                 r = st.choice_solve(gf4, m, target, p)
                 assert r is not None
-                full = mx.mat_add(m, st._embed_block(3, p, r))
+                full = mx.mat_add(m, mx.place(3, 3, 0, p, r))
                 assert mx.char_poly(gf4, full) == target
 
 
@@ -667,7 +667,7 @@ def test_choice_middle_split_and_budget(gf4):
     target = up.poly((2, 1, 0, tr, 1))
     r = st.choice_solve(gf4, m, target, 2)  # exhaustive path, 4^4 candidates
     assert r is not None
-    full = mx.mat_add(m, st._embed_block(4, 2, r))
+    full = mx.mat_add(m, mx.place(4, 4, 0, 2, r))
     assert mx.char_poly(gf4, full) == target
     big = mx.companion(up.poly((1, 0, 0, 0, 0, 1)))
     with pytest.raises(sub.BudgetExceeded):
@@ -692,14 +692,14 @@ def test_choice_outer_splits_solve_exactly_without_search(gf4):
             for p in {1, n - 1}:
                 r = st.choice_solve(gf4, m, target, p, budget=1)
                 assert r is not None and (r.rows, r.cols) == (p, n - p)
-                assert mx.char_poly(gf4, mx.mat_add(m, st._embed_block(n, p, r))) == target
+                assert mx.char_poly(gf4, mx.mat_add(m, mx.place(n, n, 0, p, r))) == target
 
 
 def test_choice_outer_split_that_fails_its_recheck_raises(gf4, monkeypatch):
     # a misplaced block breaks the affine solve's re-check, which is an
     # internal fault, not a target without a solution
-    embed = st._embed_block
-    monkeypatch.setattr(st, "_embed_block", lambda n, p, r: mx.transpose(embed(n, p, r)))
+    place = st.place
+    monkeypatch.setattr(st, "place", lambda n, m, i, j, b: mx.transpose(place(n, m, i, j, b)))
     m = mx.from_rows([[1, 2, 3], [1, 0, 1], [0, 2, 1]])
     with pytest.raises(AssertionError, match="inconsistent"):
         st.choice_solve(gf4, m, (2, 3, mx.trace(m), 1), 1)
