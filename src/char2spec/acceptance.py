@@ -2,8 +2,9 @@
 worker-count determinism comparison.
 
 Each criterion function returns a JSON-able dict with an "outcome" of
-"pass" or "fail" plus supporting detail; timings live only under the
-"timing_ms" key, which the determinism comparison strips.  The criteria
+"pass" or "fail" plus supporting detail.  The runner,
+:func:`run_acceptance`, times each criterion and puts the time under
+the "timing_ms" key, which the determinism comparison strips.  The criteria
 pin their own fields (GF(4), GF(8), GF(2)); the runner's configuration
 controls budgets, sample counts, seed and worker count.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 from .gf import GF2, GF4, GF8, FieldSpec
@@ -37,14 +38,13 @@ class AcceptanceConfig:
     workers: int = 1
 
 
-def _result(num: int, name: str, ok: bool, detail: dict, t0: float) -> dict:
+def _result(num: int, name: str, ok: bool, detail: dict) -> dict:
     return {"criterion": num, "name": name, "outcome": "pass" if ok else "fail",
-            "detail": detail, "timing_ms": round(1000 * (time.perf_counter() - t0), 3)}
+            "detail": detail}
 
 
 def criterion_1(cfg: AcceptanceConfig) -> dict:
     """Exact dimensions of every catalogue construction."""
-    t0 = time.perf_counter()
     fs = GF4
     checks = []
     for n in range(1, 7):
@@ -60,12 +60,11 @@ def criterion_1(cfg: AcceptanceConfig) -> dict:
     checks.append(("dim case_iv_n6", cons.case_iv_n6(fs).dim, 18))
     bad = [{"check": c, "got": g, "expected": e} for (c, g, e) in checks if g != e]
     return _result(1, "construction dimensions", not bad,
-                   {"checks": len(checks), "failures": bad}, t0)
+                   {"checks": len(checks), "failures": bad})
 
 
 def criterion_2(cfg: AcceptanceConfig) -> dict:
     """Exhaustive spectrum verification over GF(4)."""
-    t0 = time.perf_counter()
     fs = GF4
     jobs = [
         ("sl2", cons.sl(fs, 2), "1-spec"),
@@ -85,12 +84,11 @@ def criterion_2(cfg: AcceptanceConfig) -> dict:
         ok = ok and good
         rows.append({"space": label, "pred": pred, "mode": v.mode,
                      "checked": v.checked, "outcome": v.outcome})
-    return _result(2, "exhaustive spectrum verification", ok, {"checks": rows}, t0)
+    return _result(2, "exhaustive spectrum verification", ok, {"checks": rows})
 
 
 def criterion_3(cfg: AcceptanceConfig) -> dict:
     """Sampled spectrum verification at n = 5, 6 (>= 10^6 seeded samples)."""
-    t0 = time.perf_counter()
     fs = GF4
     jobs = [
         ("sl2vnt3", cons.sl2_joint_nt(fs, 5), "1bar*-spec"),
@@ -107,12 +105,11 @@ def criterion_3(cfg: AcceptanceConfig) -> dict:
         ok = ok and good
         rows.append({"space": label, "pred": pred, "mode": v.mode,
                      "checked": v.checked, "outcome": v.outcome})
-    return _result(3, "sampled spectrum verification", ok, {"checks": rows}, t0)
+    return _result(3, "sampled spectrum verification", ok, {"checks": rows})
 
 
 def criterion_4(cfg: AcceptanceConfig) -> dict:
     """Even characteristic polynomials on the symplectic spaces."""
-    t0 = time.perf_counter()
     jobs = [
         ("b2m1/gf4", GF4, cons.b2m(GF4, 1), cfg.budget, 0),
         ("b2m1/gf8", GF8, cons.b2m(GF8, 1), cfg.budget, 0),
@@ -129,7 +126,7 @@ def criterion_4(cfg: AcceptanceConfig) -> dict:
         ok = ok and good
         rows.append({"space": label, "mode": v.mode, "checked": v.checked,
                      "outcome": v.outcome})
-    return _result(4, "even characteristic polynomials", ok, {"checks": rows}, t0)
+    return _result(4, "even characteristic polynomials", ok, {"checks": rows})
 
 
 def _minpoly_is_t_a_tplus1_b(fs: FieldSpec, m: Mat) -> bool:
@@ -146,7 +143,6 @@ def _minpoly_is_t_a_tplus1_b(fs: FieldSpec, m: Mat) -> bool:
 def criterion_5(cfg: AcceptanceConfig) -> dict:
     """GF(2) checks: upper-triangular spaces and the minimal-polynomial
     characterization on all of Mat_3."""
-    t0 = time.perf_counter()
     fs = GF2
     rows = []
     ok = True
@@ -169,12 +165,11 @@ def criterion_5(cfg: AcceptanceConfig) -> dict:
     ok = ok and mism == 0
     rows.append({"check": "mat3/f2 minpoly characterization", "matrices": 512,
                  "mismatches": mism})
-    return _result(5, "GF(2) checks", ok, {"checks": rows}, t0)
+    return _result(5, "GF(2) checks", ok, {"checks": rows})
 
 
 def criterion_6(cfg: AcceptanceConfig) -> dict:
     """Lemma harnesses with hypothesis validation, zero conclusion failures."""
-    t0 = time.perf_counter()
     fs = GF4
     rows = []
     ok = True
@@ -184,14 +179,13 @@ def criterion_6(cfg: AcceptanceConfig) -> dict:
         ok = ok and v.holds
         rows.append({"harness": name, "outcome": v.outcome,
                      "instances": v.detail.get("instances")})
-    return _result(6, "lemma harnesses", ok, {"checks": rows}, t0)
+    return _result(6, "lemma harnesses", ok, {"checks": rows})
 
 
 def criterion_7(cfg: AcceptanceConfig) -> dict:
     """Total choice-lemma audit over all regular Hessenberg 3x3 matrices."""
-    t0 = time.perf_counter()
     v = H.choice_lemma_audit(GF4, n=3, cap=None, seed=cfg.seed)
-    return _result(7, "choice lemma total audit", v.holds, v.detail, t0)
+    return _result(7, "choice lemma total audit", v.holds, v.detail)
 
 
 def criterion_8(cfg: AcceptanceConfig) -> dict:
@@ -202,7 +196,6 @@ def criterion_8(cfg: AcceptanceConfig) -> dict:
     characteristic 2, sl_3 contains every trace-zero rank-one tensor and
     therefore certifies as a hurdle for every dual plane; see README.
     """
-    t0 = time.perf_counter()
     fs = GF4
     rng = random.Random(cfg.seed)
     rows = []
@@ -240,12 +233,11 @@ def criterion_8(cfg: AcceptanceConfig) -> dict:
         good = got_nt == n - 1 and got_full == n
         ok = ok and good
         rows.append({"check": f"trk n={n}", "trk_nt": got_nt, "trk_full": got_full})
-    return _result(8, "structure procedures", ok, {"checks": rows}, t0)
+    return _result(8, "structure procedures", ok, {"checks": rows})
 
 
 def criterion_9(cfg: AcceptanceConfig) -> dict:
     """Symmetric-times-Gram spaces and their trace-dual alternators."""
-    t0 = time.perf_counter()
     fs = GF4
     rng = random.Random(cfg.seed)
     rows = []
@@ -273,13 +265,12 @@ def criterion_9(cfg: AcceptanceConfig) -> dict:
         fs, inverse(fs, cons.k2m(fs, 2)), cons.syms(fs, 4))
     ok = ok and eq
     rows.append({"check": "b2m2 equals K^-1 * syms4 canonically", "equal": eq})
-    return _result(9, "alternator round trip", ok, {"checks": rows}, t0)
+    return _result(9, "alternator round trip", ok, {"checks": rows})
 
 
 def criterion_10(cfg: AcceptanceConfig) -> dict:
     """Third confinement instance at n = 5 plus the exhaustive 3x3 last-block
     audit."""
-    t0 = time.perf_counter()
     fs = GF4
     v3 = confinement_third_check(fs, third_confinement_template(fs, 5),
                                  budget=cfg.budget, samples=cfg.samples,
@@ -287,15 +278,11 @@ def criterion_10(cfg: AcceptanceConfig) -> dict:
     vlb = lastblock_audit(fs)
     ok = v3.holds and vlb.holds
     return _result(10, "third confinement and last-block audit", ok,
-                   {"third": v3.to_json(), "lastblock": vlb.to_json()}, t0)
+                   {"third": v3.to_json(), "lastblock": vlb.to_json()})
 
 
 CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
             criterion_6, criterion_7, criterion_8, criterion_9, criterion_10]
-
-
-def run_core(cfg: AcceptanceConfig) -> list[dict]:
-    return [c(cfg) for c in CRITERIA]
 
 
 def strip_timings(obj):
@@ -313,24 +300,22 @@ def canonical_bytes(obj) -> bytes:
 
 def criterion_11(cfg: AcceptanceConfig) -> dict:
     """Byte-identical reports (timings excluded) across 1, 4 and 8 workers."""
-    t0 = time.perf_counter()
     worker_counts = [1, 4, 8]
-    blobs = []
-    for w in worker_counts:
-        sub = AcceptanceConfig(budget=cfg.budget, samples=cfg.samples,
-                               seed=cfg.seed, workers=w)
-        blobs.append(canonical_bytes(run_core(sub)))
+    blobs = [canonical_bytes(run_acceptance(replace(cfg, workers=w), False))
+             for w in worker_counts]
     ok = all(b == blobs[0] for b in blobs)
     return _result(11, "worker-count determinism", ok,
-                   {"worker_counts": worker_counts,
-                    "identical": ok}, t0)
+                   {"worker_counts": worker_counts, "identical": ok})
 
 
-def run_acceptance(cfg: AcceptanceConfig, with_determinism: bool = True) -> dict:
-    results = run_core(cfg)
-    if with_determinism:
-        results.append(criterion_11(cfg))
-    passed = sum(1 for r in results if r["outcome"] == "pass")
-    return {"criteria": results,
-            "summary": {"total": len(results), "passed": passed,
-                        "failed": len(results) - passed}}
+def _timed(criterion, cfg: AcceptanceConfig) -> dict:
+    t0 = time.perf_counter()
+    result = criterion(cfg)
+    result["timing_ms"] = round(1000 * (time.perf_counter() - t0), 3)
+    return result
+
+
+def run_acceptance(cfg: AcceptanceConfig, with_determinism: bool = True) -> list[dict]:
+    """Every criterion's result, in order, each timed under "timing_ms"."""
+    criteria = CRITERIA + [criterion_11] if with_determinism else CRITERIA
+    return [_timed(c, cfg) for c in criteria]

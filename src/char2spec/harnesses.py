@@ -297,6 +297,14 @@ def confinement_second_harness(fs: FieldSpec, trials: int = 50, seed: int = 0,
     return LemmaVerdict("confinement-second", "holds", {"instances": trials, "seed": seed})
 
 
+def _extend(fs: FieldSpec, rng, s: MatSubspace, roof: MatSubspace) -> MatSubspace:
+    """s plus 0 to 2 random elements of roof."""
+    for _ in range(rng.randrange(0, 3)):
+        v = roof.space.combine([rng.randrange(fs.q) for _ in range(roof.dim)])
+        s = s.sum_with(MatSubspace(s.shape, VecSubspace(fs, len(v), [v])))
+    return s
+
+
 def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                       workers: int = 1) -> LemmaVerdict:
     """Random 2-spec hurdles between the template and the full twofold sl_2
@@ -306,11 +314,7 @@ def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     template = cons.hurdle_template(fs, 4)
     cert = detect_hurdle(fs, template)
     for t in range(trials):
-        s = template
-        for _ in range(rng.randrange(0, 3)):
-            coeffs = [rng.randrange(fs.q) for _ in range(big.dim)]
-            v = Mat(4, 4, big.space.combine(coeffs))
-            s = s.sum_with(MatSubspace.from_matrices(fs, (4, 4), [v]))
+        s = _extend(fs, rng, template, big)
         verdict = splitting_check(fs, s, cert, mode="2spec", budget=_BUDGET,
                                   samples=_SAMPLES, seed=seed + t, workers=workers)
         if verdict.outcome != "holds":
@@ -341,11 +345,7 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                 roof = cons.line_plus(fs, cons.joint(fs, cons.nt(fs, n - 2), cons.sl(fs, 2)))
                 bound = comb(n, 2) + 3 + (1 if n == 4 else 0)
             pred = SpecPredicate("in_field", False, 2)
-        s = template
-        for _ in range(rng.randrange(0, 3)):
-            coeffs = [rng.randrange(fs.q) for _ in range(roof.dim)]
-            v = Mat(n, n, roof.space.combine(coeffs))
-            s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [v]))
+        s = _extend(fs, rng, template, roof)
         p = random_invertible(fs, rng, n)
         s = cons.conjugate_space(fs, s, p)
         pinv_t = transpose(inverse(fs, p))
@@ -551,7 +551,7 @@ _LEMMAS = {
     "confinement-first": lambda fs, trials, seed, workers: confinement_first_harness(
         fs, trials, seed, workers=workers),
     "confinement-second": lambda fs, trials, seed, workers: confinement_second_harness(
-        fs, min(trials, 50), seed, workers=workers),
+        fs, trials, seed, workers=workers),
     "confinement-third": lambda fs, trials, seed, workers: confinement_third_harness(
         fs, seed=seed, workers=workers),
     "lastblock": lambda fs, trials, seed, workers: lastblock_audit(fs),

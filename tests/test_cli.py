@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from char2spec import acceptance, cli
 from char2spec.cli import _parser, main
 from char2spec.acceptance import canonical_bytes
 
@@ -70,6 +73,11 @@ def test_usage_errors(capsys):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "--cap: expected a positive integer" in captured.err
+    # acceptance parses --field like every command, though its criteria pin their own
+    code = main(["acceptance", "--field", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: unknown field name 'bogus'\n"
     # a construction of 0 x 0 matrices is refused by name; an inner nt0 is fine
     for argv in (["verify", "--construction", "nt0", "--pred", "1-spec"],
                  ["scan-adapted", "--construction", "full0"],
@@ -226,6 +234,14 @@ def test_lemma_subcommand(capsys):
     assert report["checks"][0]["outcome"] == "holds"
 
 
+def test_lemma_runs_the_trials_it_echoes(capsys):
+    for field in ("gf4", "gf2"):
+        code, report = run_cli(capsys, "lemma", "--field", field, "--name", "confinement-second",
+                               "--trials", "60")
+        assert code == 0 and report["config"]["trials"] == 60
+        assert report["checks"][0]["detail"]["instances"] == 60
+
+
 def test_lemma_gf2_setup_errors_and_runs(capsys):
     # over GF(2) the last-block hypothesis is vacuous: a usage error, not a failure
     code = main(["lemma", "--field", "gf2", "--name", "lastblock"])
@@ -337,3 +353,75 @@ def test_parser_is_built_once_and_answers_every_call_alike(capsys):
     for _ in range(2):
         for i in (8, 3, 0, 5, 1, 4, 7, 2, 6):
             assert call(argvs[i]) == first[i]
+
+
+# sha256 of canonical_bytes (timings stripped) of one or more reports of
+# every subcommand, with the exit code: every outcome a command can print
+_PINNED_REPORTS = [
+    (["verify", "--construction", "joint(sl2,nt2)", "--pred", "1bar*-spec"], 0,
+     "f90623d16885ca68ef4bba5a08a8e6d6a65274e02ef7780a30a0f53c7a7db7f4"),
+    (["verify", "--construction", "full2", "--pred", "1-spec"], 1,
+     "1bbf8df8bdb1b8fc212b16d29885b6057b056ce2629532f4a5241deb79f5fb63"),
+    (["scan-adapted", "--construction", "hurdle3"], 0,
+     "9814f35dd0707699724b76387151f2d7ee67206c8cc9a155660eed09ed4e4307"),
+    (["scan-adapted", "--field", "gf2^16", "--construction", "nt3", "--budget", "1000"], 0,
+     "ee65320788bd0b7fc92459580a37613be8615c66dece0aae74afde48f99b1e6a"),
+    (["detect-hurdle", "--construction", "hurdle3"], 0,
+     "a73d8d44fade9b27ea09b8954ca08efe2c79d93cc6807754558b6a68987a5885"),
+    (["detect-hurdle", "--construction", "nt3"], 0,
+     "34818bc8fe6305f4ca97337ed16c54bd47513e7ed659415c0722fbd5b48a13b2"),
+    (["trk", "--construction", "nt4"], 0,
+     "ee22966dfae733c41f5bc7d7f25347cf0dac4b812d4bee3b75b2bb2a4336651b"),
+    (["trk", "--field", "gf2^16", "--construction", "nt3", "--budget", "1000"], 0,
+     "fc31bb721ed66215033c0d5b013af158f2dd97287cc5aa570392f3bced45425a"),
+    (["choice", "--cap", "10"], 0,
+     "722fc837066413715e3d1d3682b68389251cea663d98950a7c418e0dd4ff8765"),
+    (["choice", "--matrix", "0,0,1,1", "--target", "1,1,1"], 0,
+     "47c87f20af3f4233530cf8c08d0c78f4f90d1d472c841e6e33ecd96618fc6be3"),
+    (["choice", "--matrix", "0,0,0,0,1,0,0,0,0,1,0,0,0,0,1,0", "--target", "1,1,1,0,1",
+      "--p", "2", "--budget", "10"], 0,
+     "1f5e7f82d6ba6dd9e0b900bbac963597f5107d3694152398bf71cfbc4b06fa20"),
+    (["lemma", "--name", "covering", "--trials", "10", "--seed", "3"], 0,
+     "a250bf9295888c73fc2fe55aae5fdc7302aed9e7350363a823da09e6a1170cb0"),
+    (["lemma", "--field", "gf2^16", "--name", "vanishing", "--trials", "3", "--seed", "1"], 0,
+     "86dcbc8fbdb24428167e358786f89425c543535cc7a2ce6c0201a5dd84e4d85a"),
+    (["acceptance", "--skip-determinism"], 1,
+     "1441f089e76a27499caf322bfb15d75344d4ff70ff927436ace8ec905fadbb67"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", _PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in _PINNED_REPORTS])
+def test_reports_are_pinned(capsys, argv, code, digest):
+    got, report = run_cli(capsys, *argv)
+    assert (got, hashlib.sha256(canonical_bytes(report)).hexdigest()) == (code, digest)
+
+
+def test_choice_matrix_without_a_block_is_pinned(capsys, monkeypatch):
+    # no regular Hessenberg input leaves the solve without a block (the
+    # choice lemma), so the "fails" report is reached through a stub
+    monkeypatch.setattr(cli, "choice_solve", lambda *args, **kwargs: None)
+    code, report = run_cli(capsys, "choice", "--matrix", "0,0,1,1", "--target", "1,1,1")
+    assert report["checks"] == [{"outcome": "fails", "reason": "no block achieves the target"}]
+    assert (code, hashlib.sha256(canonical_bytes(report)).hexdigest()) == (
+        1, "fbd2eb1945c233ec7641a3749382cb514b70a2a762e7d33278e6bce54a01f708")
+
+
+def test_every_subcommand_has_a_pinned_report():
+    # a new subcommand must pin its own report above
+    commands = next(a for a in _parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == {argv[0] for argv, _, _ in _PINNED_REPORTS}
+
+
+def test_acceptance_report_times_every_criterion(capsys, monkeypatch):
+    # the criteria report no timings: the runner times each one, criterion
+    # 11 (which reruns the runner at 1, 4 and 8 workers) included
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.criterion_1])
+    assert "timing_ms" not in acceptance.criterion_1(acceptance.AcceptanceConfig())
+    code, report = run_cli(capsys, "acceptance")
+    assert code == 0 and [(c["criterion"], c["outcome"]) for c in report["checks"]] == [
+        (1, "pass"), (11, "pass")]
+    assert all(c["timing_ms"] >= 0 for c in report["checks"])
+    code, report = run_cli(capsys, "acceptance", "--skip-determinism")
+    assert [c["criterion"] for c in report["checks"]] == [1]
