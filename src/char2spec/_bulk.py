@@ -36,19 +36,26 @@ Its n low coefficients go to root counting (:func:`spectrum_counts`).
 When q^n <= 2^16 they are read, as planes, into indices of tables built
 for all q^n monic polynomials (:func:`spectrum_tables`): the index is
 :func:`lane_codes` of the n k coefficient planes read as one column.
-Above that they are unpacked to codes [N, n+1] (:func:`monic_codes`)
-and counted directly.
+Above that, for k <= 7, the counts run on the coefficient planes
+(:func:`_plane_counts`).  Roots in F are the lanes' all-zero values at
+the q elements, one fixed linear map of the planes; roots in the closure
+start from deg gcd(f, f') by divsteps on planes, every lane in step.
+Squarefree lanes (gcd 1) count n and are never unpacked; only lanes with
+a repeated factor are read off the planes, with their gcd, and go on on
+code rows.  For k >= 8 the coefficients are unpacked to codes [N, n+1]
+(:func:`monic_codes`) and counted on code rows (:func:`count_roots`).
 
-Direct root counts work on code rows, all lanes in step (the tests hold
-them to the scalar :mod:`.upoly` routines).  Roots in F are, for k <= 7,
-the zeros of a Horner evaluation at all q elements (:func:`field_values`,
-which also finds the eigenvalues of :mod:`.structure`), and from k = 8 on
+Root counts on code rows run all lanes in step (the tests hold them to
+the scalar :mod:`.upoly` routines); they build the spectrum tables and
+count k >= 8.  Roots in F are, for k <= 7, the zeros of a Horner
+evaluation at all q elements (:func:`field_values`, which also finds the
+eigenvalues of :mod:`.structure`), and from k = 8 on
 deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
 Roots in the closure are deg rad f, from the characteristic-2 squarefree
 decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
 deg w + deg rad s - deg gcd(w, s), where the gcds are Bernstein-Yang
 divsteps (the same number of steps in every lane) and only lanes with
-g != 1 recurse on s.  The spectrum tables are built the same way.
+g != 1 recurse on s.
 
 Every kernel serves every field, k <= 16.  Codes are uint8 for k <= 8
 and uint16 above (:func:`.gf.code_dtype`).  The kernels build no field
@@ -69,6 +76,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the largest temporary of one matrix-vector product
 _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
+_EVAL_DEGREE = 7            # up to this k, roots in F are counted by evaluation at all q elements
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +373,8 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     the product of the factors of odd multiplicity and
     deg rad f = deg w + deg rad s - deg gcd(w, s) (von zur Gathen and
     Gerhard, Modern Computer Algebra, 14.6).  Lanes with g = 1 are
-    squarefree; the rest recurse on s, of half the degree."""
+    squarefree; the rest recurse on s, of half the degree
+    (:func:`_repeated_counts`)."""
     width = f.shape[1]
     # f' keeps the terms of odd exponent d - j; read at formal degree
     # d - 1, column j then stands for x^(d - 1 - j)
@@ -374,14 +383,21 @@ def _closure_counts(fs: FieldSpec, f: np.ndarray, df: np.ndarray) -> np.ndarray:
     out = df.astype(np.intp)
     rep = np.flatnonzero(dg > 0)
     if rep.size:
-        f, g, df, dg = f[rep], g[rep], df[rep], dg[rep]
-        w = _divide(fs, f, g)
-        s = fs.sqrt_table[g[:, ::2]]          # g = s^2 has even exponents only
-        padded = np.zeros_like(w)
-        padded[:, :s.shape[1]] = s
-        _, dws = _gcd(fs, w, padded, df - dg, dg // 2)
-        out[rep] = df - dg + _closure_counts(fs, s, dg // 2) - dws
+        out[rep] = _repeated_counts(fs, f[rep], g[rep], df[rep], dg[rep])
     return out
+
+
+def _repeated_counts(fs: FieldSpec, f: np.ndarray, g: np.ndarray, df: np.ndarray,
+                     dg: np.ndarray) -> np.ndarray:
+    """deg rad f for monic reversed rows f [N, L] of degrees df, given
+    g = gcd(f, f') as monic reversed rows of degrees dg > 0 (see
+    :func:`_closure_counts`)."""
+    w = _divide(fs, f, g)
+    s = fs.sqrt_table[g[:, ::2]]          # g = s^2 has even exponents only
+    padded = np.zeros_like(w)
+    padded[:, :s.shape[1]] = s
+    _, dws = _gcd(fs, w, padded, df - dg, dg // 2)
+    return df - dg + _closure_counts(fs, s, dg // 2) - dws
 
 
 def field_values(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
@@ -430,12 +446,15 @@ def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
 def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
     """Distinct roots of a batch of monic polynomials [N, n+1] (ascending
     codes), in F ("in_field") or in its closure ("in_closure"), zero
-    included, as uint8.  For k <= 7 roots in F are Horner counts and rows
-    go in blocks of about 2^16 / q, which bounds the Horner table (rows x q);
-    from k = 8 on, where q evaluations per row lose to k squarings, they are
-    Frobenius counts and rows go in blocks of 2^14."""
+    included, as uint8, on code rows.  Scans reach it for k >= 8 above the
+    table bound; for k <= 7 it builds the spectrum tables, and scans above
+    the bound count on planes (:func:`spectrum_counts`).  For k <= 7 roots
+    in F are Horner counts and rows go in blocks of about 2^16 / q, which
+    bounds the Horner table (rows x q); from k = 8 on, where q evaluations
+    per row lose to k squarings, they are Frobenius counts and rows go in
+    blocks of 2^14."""
     n = polys.shape[1] - 1
-    horner = fs.degree <= 7
+    horner = fs.degree <= _EVAL_DEGREE
     step = max(1024, (1 << 16) // fs.q) if horner else 1 << 14
     out = np.empty(polys.shape[0], dtype=np.uint8)
     for lo in range(0, polys.shape[0], step):
@@ -469,6 +488,97 @@ def spectrum_tables(fs: FieldSpec, n: int):
     return in_f, in_f - zero, clo, clo - zero
 
 
+# ----------------------------------------------------------------------
+# root counts on coefficient planes (k <= 7)
+# ----------------------------------------------------------------------
+@lru_cache(maxsize=None)
+def _evaluation_map(fs: FieldSpec, n: int):
+    """The values at every a in F of a monic polynomial of degree n as a
+    map of its n k low coefficient planes: the :func:`linear_map` of the
+    rows [a^i for a in F], i < n, into value planes a k + t, and the value
+    planes of the leading term, those where bit t of a^n is set."""
+    rows = [[fs.pow(a, i) for a in range(fs.q)] for i in range(n + 1)]
+    lead = np.array(rows[n])[:, None] >> np.arange(fs.degree) & 1
+    return linear_map(fs, rows[:n], fs.q), np.flatnonzero(lead)
+
+
+def _field_counts(fs: FieldSpec, coeffs: np.ndarray, count: int) -> np.ndarray:
+    """Roots in F of lanes 0 .. count-1 of coefficient planes [n, k, W]:
+    the elements at which all k value planes are zero."""
+    n, k, w = coeffs.shape
+    targets, lead = _evaluation_map(fs, n)
+    values = apply_map(coeffs.reshape(n * k, w), targets, fs.q * k)
+    values[lead] ^= _ALL_ONES
+    roots = ~np.bitwise_or.reduce(values.reshape(fs.q, k, w), axis=1)
+    return np.unpackbits(roots.view(np.uint8), axis=1, count=count,
+                         bitorder="little").sum(axis=0, dtype=np.uint8)
+
+
+def _derivative_gcd(fs: FieldSpec, coeffs: np.ndarray, count: int):
+    """gcd(f, f') of the monic polynomials of coefficient planes [n, k, W]:
+    the divsteps of :func:`_gcd` on planes, in reversed rows [n+1, k, W].
+    Each step's products are one :func:`_matvec` of (g, f) by (f_0, g_0),
+    the swap is a lane mask and delta a per-lane int array.  Returns the
+    gcd's planes, not made monic, and its degrees in lanes 0 .. count-1."""
+    n, k, w = coeffs.shape
+    net = _mul_network(fs)
+    gf = np.zeros((n + 1, 2, k, w), dtype=_PLANE)
+    g, f = gf[:, 0], gf[:, 1]
+    f[0, 0] = _ALL_ONES
+    f[1:] = coeffs[::-1]
+    g[:] = f                      # f' at formal degree n - 1, as in _closure_counts
+    g[(n - np.arange(n + 1)) & 1 == 0] = 0
+    delta = np.ones(64 * w, dtype=np.intp)
+    for _ in range(2 * n):
+        swap = np.packbits(delta > 0, bitorder="little").view(_PLANE)
+        swap &= np.bitwise_or.reduce(g[0], axis=0)
+        drop = _matvec(net, gf, gf[0, ::-1])
+        f ^= (f ^ g) & swap
+        g[:-1] = drop[1:]
+        g[-1] = 0
+        swapped = np.unpackbits(swap.view(np.uint8), bitorder="little").astype(bool)
+        delta = np.where(swapped, 1 - delta, 1 + delta)
+    return f, (delta[:count] - 1) // 2
+
+
+def _closure_plane_counts(fs: FieldSpec, coeffs: np.ndarray, count: int) -> np.ndarray:
+    """Roots in the closure of lanes 0 .. count-1 of coefficient planes
+    [n, k, W]: n where gcd(f, f') = 1; the other lanes are read off the
+    words that hold them, with their gcd, made monic, and go on to
+    :func:`_repeated_counts` on code rows."""
+    n = coeffs.shape[0]
+    g, dg = _derivative_gcd(fs, coeffs, count)
+    out = np.full(count, n, dtype=np.uint8)
+    rep = np.flatnonzero(dg > 0)
+    if rep.size:
+        words, at = np.unique(rep // 64, return_inverse=True)
+        planes = np.concatenate([coeffs[::-1], g])[..., words]
+        codes = lane_codes(planes, 64 * words.size)[64 * at + rep % 64]
+        f = np.ones((rep.size, n + 1), dtype=codes.dtype)
+        f[:, 1:] = codes[:, :n]
+        g = _mul(fs, fs.inv_table[codes[:, n:n + 1]], codes[:, n:])
+        out[rep] = _repeated_counts(fs, f, g, np.full(rep.size, n), dg[rep])
+    return out
+
+
+def _plane_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str) -> np.ndarray:
+    """Distinct roots, zero included, of lanes 0 .. count-1 of coefficient
+    planes [n, k, W], k <= 7, as uint8.  Past ``_PARTIAL_BYTES`` the lanes
+    go in blocks of words that keep the largest temporary within it: the q
+    k value planes and q unpacked root bytes of :func:`_field_counts`, or
+    the products of one divstep (see :func:`charpoly_planes`)."""
+    n, k, w = coeffs.shape
+    words = max(fs.q * (k + 9), (n + 1) * k * max(2 * k, _mul_network(fs).shape[1]))
+    step = max(1, _PARTIAL_BYTES // (_PLANE.itemsize * words))
+    if w > step:
+        return np.concatenate([
+            _plane_counts(fs, coeffs[..., lo:lo + step], min(count - 64 * lo, 64 * step), kind)
+            for lo in range(0, w, step)])
+    if kind == "in_field":
+        return _field_counts(fs, coeffs, count)
+    return _closure_plane_counts(fs, coeffs, count)
+
+
 _KIND_SLOT = {("in_field", False): 0, ("in_field", True): 1,
               ("in_closure", False): 2, ("in_closure", True): 3}
 
@@ -481,16 +591,23 @@ def spectrum_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str,
 
     Coefficient spaces of at most 2^16 polynomials read a full precomputed
     table (:func:`spectrum_tables`) at indices read off the planes as one
-    column of n k bits (:func:`lane_codes`); larger ones are unpacked to
-    codes and counted directly by :func:`count_roots`."""
+    column of n k bits (:func:`lane_codes`).  Larger ones are counted on
+    the planes for k <= 7 (:func:`_plane_counts`; the zero root from the
+    constant-coefficient planes) and, for k >= 8, unpacked to codes and
+    counted on code rows by :func:`count_roots`."""
     n, k, w = coeffs.shape
     if fs.q ** n <= _TABLE_POLYS:
         index = lane_codes(coeffs.reshape(1, n * k, w), count)[:, 0]
         return spectrum_tables(fs, n)[_KIND_SLOT[(kind, exclude_zero)]][index]
-    polys = monic_codes(coeffs, count)
-    counts = count_roots(fs, polys, kind)
+    if k > _EVAL_DEGREE:
+        polys = monic_codes(coeffs, count)
+        counts = count_roots(fs, polys, kind)
+        if exclude_zero:
+            counts -= polys[:, 0] == 0
+        return counts
+    counts = _plane_counts(fs, coeffs, count, kind)
     if exclude_zero:
-        counts -= polys[:, 0] == 0
+        counts -= ~nonzero_lanes(coeffs[0], count)
     return counts
 
 
@@ -547,19 +664,21 @@ def sample_coords(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
     a byte-aligned field of one word (8 bits and 8 to a word for q <= 256,
     uint8; 16 bits and 4 to a word above, uint16) and takes its low k bits.
     Deterministic, independent of how the index range is partitioned
-    across workers."""
+    across workers.  Each stream word is read through one little-endian
+    uint8 or uint16 view of its fields, and each coordinate is one masked
+    copy of a field column into the output."""
     idx = np.arange(lo, hi, dtype=np.uint64)
     key = int(_splitmix64(np.array([((seed & _MASK64) * 0x9E3779B97F4A7C15 + 1) & _MASK64],
                                    dtype=np.uint64))[0])
-    field = 8 if q <= 256 else 16
-    per_word = 64 // field
-    dtype = np.uint8 if field == 8 else np.uint16
+    dtype = np.dtype("<u1" if q <= 256 else "<u2")
+    per_word = 8 // dtype.itemsize
     out = np.empty((hi - lo, d), dtype=dtype)
-    mask = np.uint64(q - 1)
-    for w in range(-(-d // per_word)):
-        offset = np.uint64((key + w * 0xD1342543DE82EF95) & _MASK64)
-        with np.errstate(over="ignore"):
-            stream = _splitmix64(idx * _GOLDEN + offset)
-        for b in range(min(per_word, d - per_word * w)):
-            out[:, per_word * w + b] = ((stream >> np.uint64(field * b)) & mask).astype(dtype)
+    mask = dtype.type(q - 1)
+    with np.errstate(over="ignore"):
+        base = idx * _GOLDEN
+        for w in range(-(-d // per_word)):
+            stream = _splitmix64(base + np.uint64((key + w * 0xD1342543DE82EF95) & _MASK64))
+            fields = stream.astype(_PLANE, copy=False).view(dtype).reshape(-1, per_word)
+            for b in range(min(per_word, d - per_word * w)):
+                np.bitwise_and(fields[:, b], mask, out=out[:, per_word * w + b])
     return out

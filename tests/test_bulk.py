@@ -95,11 +95,62 @@ def _constructed(fs, n, rng, per_pattern=40):
     return out
 
 
-@pytest.mark.parametrize("fs,n", [(GF16, 5), (GF16, 6), (GF256, 3), (GF256, 4)])
+@pytest.mark.parametrize("fs,n", [(GF16, 5), (GF16, 6), (GF256, 3), (GF256, 4),
+                                  (GF2, 17), (GF8, 6), (FieldSpec(5), 4), (FieldSpec(7), 3)])
 def test_counts_match_upoly_on_repeated_factors(fs, n):
-    # q^n > 2^16: spectrum_counts counts these directly, without a table
+    # q^n > 2^16: spectrum_counts counts these without a table, on planes
+    # for k <= 7 (GF(2) takes the one-plane product) and on code rows from
+    # k = 8; random rows, mostly squarefree, sit in the same words
     assert fs.q ** n > 1 << 16
-    _assert_matches_upoly(fs, _constructed(fs, n, random.Random(100 * fs.degree + n)))
+    rng = random.Random(100 * fs.degree + n)
+    polys = _constructed(fs, n, rng)
+    polys += [_random_monic(fs, rng, n) for _ in range(40)]
+    _assert_matches_upoly(fs, rng.sample(polys, len(polys)))
+
+
+def test_squarefree_gf16_quintics_are_counted_on_planes(monkeypatch):
+    # 16^5 > 2^16, k = 4: no lane is unpacked to codes, all four slots
+    fs, n, rng = GF16, 5, random.Random(55)
+    polys = []
+    while len(polys) < 300:
+        f = _random_monic(fs, rng, n)
+        if up.deg(up.poly_gcd(fs, f, up.derivative(f))) == 0:
+            polys.append(f)
+    coeffs = _bulk.code_planes(_codes(fs, [f[:n] for f in polys]), fs.degree).reshape(n, fs.degree, -1)
+    want = np.array([root_slots(fs, f) for f in polys]).T
+
+    def unpacked(*args):
+        raise AssertionError("a squarefree lane was unpacked to codes")
+
+    for name in ("monic_codes", "count_roots", "lane_codes"):
+        monkeypatch.setattr(_bulk, name, unpacked)
+    for slot, (kind, ez) in enumerate(SLOTS):
+        assert np.array_equal(_bulk.spectrum_counts(fs, coeffs, len(polys), kind, ez), want[slot])
+
+
+@pytest.mark.parametrize("fs,n", [(GF16, 5), (FieldSpec(7), 3)], ids=["gf16-n5", "gf128-n3"])
+def test_plane_counts_match_across_lane_blocks(fs, n, monkeypatch):
+    # 700 lanes, 11 words in blocks of three; the last block holds 60 lanes
+    rng = random.Random(fs.degree)
+    polys = _constructed(fs, n, rng, per_pattern=60)[:350]
+    polys += [_random_monic(fs, rng, n) for _ in range(700 - len(polys))]
+    codes = _codes(fs, [f[:n] for f in rng.sample(polys, len(polys))])
+    coeffs = _bulk.code_planes(codes, fs.degree).reshape(n, fs.degree, -1)
+    whole = [_bulk.spectrum_counts(fs, coeffs, len(polys), kind, ez) for kind, ez in SLOTS]
+    kernel, widths = _bulk._plane_counts, []
+
+    def recorded(fs, coeffs, count, kind):
+        widths.append((coeffs.shape[-1], count))
+        return kernel(fs, coeffs, count, kind)
+
+    monkeypatch.setattr(_bulk, "_plane_counts", recorded)
+    k = fs.degree
+    per_word = max(fs.q * (k + 9), (n + 1) * k * max(2 * k, _bulk._mul_network(fs).shape[1]))
+    monkeypatch.setattr(_bulk, "_PARTIAL_BYTES", 3 * 8 * per_word)
+    for (kind, ez), want in zip(SLOTS, whole):
+        widths.clear()
+        assert np.array_equal(_bulk.spectrum_counts(fs, coeffs, len(polys), kind, ez), want)
+        assert widths == [(11, 700), (3, 192), (3, 192), (3, 192), (2, 124)]
 
 
 def _wide_field_polys(fs, n, rng, count=30):

@@ -201,7 +201,8 @@ def test_check_space_on_zero_dimensional_space(gf4):
 
 def test_gf16_sampled_check_uses_sparse_counts(gf16):
     # 16^5 monic quintics exceed the full-table threshold, so the sampled
-    # scan counts roots directly; it must still agree with the scalar path
+    # scan counts roots on the coefficient planes (k = 4 <= 7) with no
+    # table and no cache; it must still agree with the scalar path
     space = cons.sl2_joint_nt(gf16, 5)
     v = check_space(gf16, space, parse_predicate("1bar*-spec"),
                     budget=1000, samples=1500, seed=3)
@@ -262,6 +263,22 @@ def test_gf256_n8_scan_takes_the_bulk_path(monkeypatch, space, pred):
     assert v.witness_index == expect
     assert v.witness == (None if expect is None else sample_element(s, 4, expect))
     assert v.holds == (space == "nt8")
+
+
+def test_gf16_nt5_scan_takes_one_derivative_gcd_per_lane(monkeypatch, gf16):
+    # every characteristic polynomial of nt5 is x^5: every lane has a
+    # repeated factor.  gcd(f, f') runs once per lane, on the planes, and
+    # the code rows go on from its result, with gcds of degree < 5 only
+    plane_lanes, row_degrees = [], []
+    derivative_gcd, gcd = _bulk._derivative_gcd, _bulk._gcd
+    monkeypatch.setattr(_bulk, "_derivative_gcd",
+                        lambda fs, c, count: plane_lanes.append(count) or derivative_gcd(fs, c, count))
+    monkeypatch.setattr(_bulk, "_gcd", lambda fs, f, g, df, dg: row_degrees.append(int(df.max()))
+                        or gcd(fs, f, g, df, dg))
+    v = check_space(gf16, cons.nt(gf16, 5), parse_predicate("0bar*-spec"), samples=2000, seed=5)
+    assert v.holds and v.mode == "sampled" and v.checked == 2000
+    assert sum(plane_lanes) == 2000
+    assert row_degrees and max(row_degrees) < 5
 
 
 def test_f2_closure_predicate_on_all_mat3(gf2):
@@ -714,6 +731,15 @@ def test_sample_stream_unchanged_for_small_fields():
     assert _bulk.sample_coords(2, 3, 0, 0, 4).tolist() == [[0, 1, 1], [0, 1, 0], [0, 1, 0], [1, 1, 0]]
 
 
+@pytest.mark.parametrize("q,d", [(2, 3), (4, 10), (16, 25), (256, 8), (512, 6), (1 << 16, 9), (4, 0)])
+def test_sample_coords_match_the_scalar_stream(q, d):
+    # both field widths, last stream words cut short and full, no coordinates
+    lo = 1 << 33
+    got = _bulk.sample_coords(q, d, -5, lo, lo + 70)
+    assert got.shape == (70, d) and got.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert got.tolist() == [sample_coordinates(q, d, -5, i) for i in range(lo, lo + 70)]
+
+
 @pytest.mark.parametrize("k", [9, 16])
 def test_sample_coords_cover_wide_fields(k):
     q, d, count = 1 << k, 6, 20_000
@@ -877,6 +903,24 @@ def test_wide_field_scan_memory_is_bounded():
     tracemalloc.start()
     try:
         v = check_space(fs, space, pred, budget=1, samples=1 << 16, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.holds and v.checked == 1 << 16
+    assert peak <= 40 * 10 ** 6
+
+
+@pytest.mark.parametrize("pred", ["6-spec", "6bar-spec"])
+def test_plane_root_count_scan_memory_is_bounded(pred):
+    # full6 over GF(128), one chunk of 2^16 samples: 128^6 > 2^16 and
+    # k = 7, the widest field whose root counts run on planes; the q k
+    # value planes of the roots in F alone take 7 MB
+    fs = FieldSpec(7)
+    space, p = cons.full(fs, 6), parse_predicate(pred)
+    check_space(fs, space, p, budget=1, samples=64, seed=1)          # field tables built
+    tracemalloc.start()
+    try:
+        v = check_space(fs, space, p, budget=1, samples=1 << 16, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
