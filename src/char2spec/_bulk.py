@@ -36,7 +36,8 @@ Its n low coefficients go to root counting (:func:`spectrum_counts`).
 When q^n <= 2^16 they are read, as planes, into indices of tables built
 for all q^n monic polynomials (:func:`spectrum_tables`): the index is
 :func:`lane_codes` of the n k coefficient planes read as one column.
-Above that, for k <= 7, the counts run on the coefficient planes
+Above that a batch is counted by the counter that builds the tables
+(:func:`_root_counts`), for k <= 7 on the coefficient planes
 (:func:`_plane_counts`).  Roots in F are the lanes' all-zero values at
 the q elements, one fixed linear map of the planes; roots in the closure
 start from deg gcd(f, f') by divsteps on planes, every lane in step.
@@ -46,10 +47,7 @@ code rows.  For k >= 8 the coefficients are unpacked to codes [N, n+1]
 (:func:`monic_codes`) and counted on code rows (:func:`count_roots`).
 
 Root counts on code rows run all lanes in step (the tests hold them to
-the scalar :mod:`.upoly` routines); they build the spectrum tables and
-count k >= 8.  Roots in F are, for k <= 7, the zeros of a Horner
-evaluation at all q elements (:func:`field_values`, which also finds the
-eigenvalues of :mod:`.structure`), and from k = 8 on
+the scalar :mod:`.upoly` routines).  Roots in F are
 deg gcd(f, (x^q - x) mod f), with x^q mod f from k modular squarings.
 Roots in the closure are deg rad f, from the characteristic-2 squarefree
 decomposition: with g = gcd(f, f') = s^2 and w = f / g, deg rad f =
@@ -76,7 +74,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the largest temporary of one matrix-vector product
 _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
-_EVAL_DEGREE = 7            # up to this k, roots in F are counted by evaluation at all q elements
+_EVAL_DEGREE = 7            # up to this k, roots are counted on coefficient planes
 
 
 # ----------------------------------------------------------------------
@@ -446,50 +444,23 @@ def _frobenius_counts(fs: FieldSpec, polys: np.ndarray) -> np.ndarray:
 def count_roots(fs: FieldSpec, polys: np.ndarray, kind: str) -> np.ndarray:
     """Distinct roots of a batch of monic polynomials [N, n+1] (ascending
     codes), in F ("in_field") or in its closure ("in_closure"), zero
-    included, as uint8, on code rows.  Scans reach it for k >= 8 above the
-    table bound; for k <= 7 it builds the spectrum tables, and scans above
-    the bound count on planes (:func:`spectrum_counts`).  For k <= 7 roots
-    in F are Horner counts and rows go in blocks of about 2^16 / q, which
-    bounds the Horner table (rows x q); from k = 8 on, where q evaluations
-    per row lose to k squarings, they are Frobenius counts and rows go in
-    blocks of 2^14."""
+    included, as uint8, on code rows in blocks of 2^14: Frobenius counts in
+    F, the squarefree recursion of :func:`_closure_counts` in the closure.
+    Root counts reach it for k >= 8 (:func:`_root_counts`)."""
     n = polys.shape[1] - 1
-    horner = fs.degree <= _EVAL_DEGREE
-    step = max(1024, (1 << 16) // fs.q) if horner else 1 << 14
+    step = 1 << 14
     out = np.empty(polys.shape[0], dtype=np.uint8)
     for lo in range(0, polys.shape[0], step):
         block = polys[lo:lo + step]
         if kind == "in_closure":
             out[lo:lo + step] = _closure_counts(fs, block[:, ::-1], np.full(block.shape[0], n))
-        elif horner:
-            out[lo:lo + step] = np.count_nonzero(field_values(fs, block) == 0, axis=1)
         else:
             out[lo:lo + step] = _frobenius_counts(fs, block)
     return out
 
 
-@lru_cache(maxsize=None)
-def spectrum_tables(fs: FieldSpec, n: int):
-    """Distinct-root counts for every monic polynomial of degree n over fs,
-    indexed by the packed low coefficients (base q, constant term least
-    significant).  Four uint8 arrays: roots in F, nonzero roots in F,
-    roots in the closure, nonzero roots in the closure."""
-    total = fs.q ** n
-    if total > _TABLE_POLYS:
-        raise ValueError(f"a spectrum table of {total} polynomials exceeds "
-                         f"{_TABLE_POLYS}; count the batch with count_roots")
-    idx = np.arange(total)
-    polys = np.ones((total, n + 1), dtype=code_dtype(fs.degree))
-    for i in range(n):
-        polys[:, i] = idx >> (fs.degree * i) & (fs.q - 1)
-    in_f = count_roots(fs, polys, "in_field")
-    clo = count_roots(fs, polys, "in_closure")
-    zero = polys[:, 0] == 0
-    return in_f, in_f - zero, clo, clo - zero
-
-
 # ----------------------------------------------------------------------
-# root counts on coefficient planes (k <= 7)
+# root counts on coefficient planes
 # ----------------------------------------------------------------------
 @lru_cache(maxsize=None)
 def _evaluation_map(fs: FieldSpec, n: int):
@@ -579,6 +550,34 @@ def _plane_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str) -> n
     return _closure_plane_counts(fs, coeffs, count)
 
 
+def _root_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str) -> np.ndarray:
+    """Distinct roots, zero included, of lanes 0 .. count-1 of coefficient
+    planes [n, k, W], as uint8: on the planes for k <= 7
+    (:func:`_plane_counts`), unpacked to code rows above
+    (:func:`count_roots`)."""
+    if coeffs.shape[1] <= _EVAL_DEGREE:
+        return _plane_counts(fs, coeffs, count, kind)
+    return count_roots(fs, monic_codes(coeffs, count), kind)
+
+
+@lru_cache(maxsize=None)
+def spectrum_tables(fs: FieldSpec, n: int):
+    """Distinct-root counts for every monic polynomial of degree n over fs,
+    indexed by the packed low coefficients (base q, constant term least
+    significant).  Four uint8 arrays: roots in F, nonzero roots in F,
+    roots in the closure, nonzero roots in the closure, counted on the
+    :func:`index_planes` of 0 .. q^n - 1, whose n k bits are the index."""
+    total = fs.q ** n
+    if total > _TABLE_POLYS:
+        raise ValueError(f"a spectrum table of {total} polynomials exceeds "
+                         f"{_TABLE_POLYS}; count the batch with count_roots")
+    coeffs = index_planes(np.arange(-(-total // 64)), n * fs.degree).reshape(n, fs.degree, -1)
+    zero = ~nonzero_lanes(coeffs[0], total)
+    in_f = _root_counts(fs, coeffs, total, "in_field")
+    clo = _root_counts(fs, coeffs, total, "in_closure")
+    return in_f, in_f - zero, clo, clo - zero
+
+
 _KIND_SLOT = {("in_field", False): 0, ("in_field", True): 1,
               ("in_closure", False): 2, ("in_closure", True): 3}
 
@@ -591,21 +590,14 @@ def spectrum_counts(fs: FieldSpec, coeffs: np.ndarray, count: int, kind: str,
 
     Coefficient spaces of at most 2^16 polynomials read a full precomputed
     table (:func:`spectrum_tables`) at indices read off the planes as one
-    column of n k bits (:func:`lane_codes`).  Larger ones are counted on
-    the planes for k <= 7 (:func:`_plane_counts`; the zero root from the
-    constant-coefficient planes) and, for k >= 8, unpacked to codes and
-    counted on code rows by :func:`count_roots`."""
+    column of n k bits (:func:`lane_codes`).  Larger ones are counted as the
+    tables are built (:func:`_root_counts`), with the zero root, as there,
+    from the constant-coefficient planes."""
     n, k, w = coeffs.shape
     if fs.q ** n <= _TABLE_POLYS:
         index = lane_codes(coeffs.reshape(1, n * k, w), count)[:, 0]
         return spectrum_tables(fs, n)[_KIND_SLOT[(kind, exclude_zero)]][index]
-    if k > _EVAL_DEGREE:
-        polys = monic_codes(coeffs, count)
-        counts = count_roots(fs, polys, kind)
-        if exclude_zero:
-            counts -= polys[:, 0] == 0
-        return counts
-    counts = _plane_counts(fs, coeffs, count, kind)
+    counts = _root_counts(fs, coeffs, count, kind)
     if exclude_zero:
         counts -= ~nonzero_lanes(coeffs[0], count)
     return counts

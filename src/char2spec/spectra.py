@@ -122,7 +122,10 @@ def parse_predicate(text: str) -> SpecPredicate:
         t = t[:-3]
     if not t:
         raise ValueError(f"predicate {text!r} has no bound k")
-    k = int(t)
+    try:
+        k = int(t)
+    except ValueError:
+        raise ValueError(f"predicate {text!r} has a bound k that is not an integer") from None
     if k < 0:
         raise ValueError(f"predicate {text!r} has a negative bound k")
     return SpecPredicate("in_closure" if bar else "in_field", star, k)

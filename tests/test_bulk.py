@@ -191,6 +191,35 @@ def test_spectrum_tables_match_scalar_build(fs, n):
         assert table.dtype == np.uint8 and table.tolist() == ref
 
 
+# every table with k <= 7 and q^n <= 2^12, and two larger ones
+_TABLES = [(FieldSpec(k), n) for k in range(1, 8) for n in range(1, 12 // k + 1)]
+_TABLES += [(GF4, 8), (GF16, 4)]
+
+
+@pytest.mark.parametrize("fs,n", _TABLES, ids=[f"{fs.name}-n{n}" for fs, n in _TABLES])
+def test_spectrum_tables_match_code_row_counts(fs, n):
+    # the tables are counted on index planes; count_roots counts the same
+    # monic polynomials on explicit code rows, in table order
+    polys = _codes(fs, list(all_monic(fs, n)))
+    for slot, (table, want) in enumerate(zip(_bulk.spectrum_tables(fs, n),
+                                             _direct_slots(fs, polys))):
+        assert table.dtype == np.uint8 and np.array_equal(table, want), (fs, n, SLOTS[slot])
+
+
+def test_spectrum_tables_use_no_code_row_counter(monkeypatch):
+    # k <= 7: the table build runs the plane counter; only lanes with a
+    # repeated factor leave the planes, after the plane gcd
+    def code_rows(*args):
+        raise AssertionError("a k <= 7 table was counted on code rows")
+
+    for name in ("count_roots", "field_values"):
+        monkeypatch.setattr(_bulk, name, code_rows)
+    _bulk.spectrum_tables.cache_clear()
+    for fs, n in [(GF4, 8), (GF16, 4), (FieldSpec(7), 2)]:
+        tables = _bulk.spectrum_tables(fs, n)
+        assert [t.shape for t in tables] == [(fs.q ** n,)] * 4
+
+
 def test_spectrum_tables_stop_at_the_root_counts_bound():
     # 16^5 = 2^20 polynomials: spectrum_counts counts such batches directly
     with pytest.raises(ValueError, match="count_roots"):
@@ -240,7 +269,8 @@ def test_table_index_matches_packed_codes():
 
 
 def test_counts_of_an_empty_batch():
-    for fs, n in [(GF16, 5), (GF4, 3)]:         # counted directly, read from a table
+    # counted on planes, on code rows (k >= 8), read from a table
+    for fs, n in [(GF16, 5), (FieldSpec(9), 3), (GF4, 3)]:
         empty = np.zeros((n, fs.degree, 0), dtype=np.uint64)
         for kind, ez in SLOTS:
             assert _bulk.spectrum_counts(fs, empty, 0, kind, ez).shape == (0,)

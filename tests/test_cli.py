@@ -92,10 +92,14 @@ def test_usage_errors(capsys):
 
 
 def test_predicate_bounds_are_usage_errors(capsys):
-    # the bound k is written in the predicate: a negative or missing one is
-    # bad input, and there is no --k to supply it
+    # the bound k is written in the predicate: a negative, missing or
+    # non-integer one is bad input, and there is no --k to supply it
     for pred, message in (("-1-spec", "predicate '-1-spec' has a negative bound k"),
-                          ("*-spec", "predicate '*-spec' has no bound k")):
+                          ("*-spec", "predicate '*-spec' has no bound k"),
+                          ("x-spec", "predicate 'x-spec' has a bound k that is not an integer"),
+                          ("1.5-spec", "predicate '1.5-spec' has a bound k that is not an integer"),
+                          ("2barbar-spec",
+                           "predicate '2barbar-spec' has a bound k that is not an integer")):
         code = main(["verify", "--construction", "nt2", f"--pred={pred}"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

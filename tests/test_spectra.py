@@ -105,6 +105,9 @@ def test_predicate_parsing():
     for text in ("-1-spec", "-2bar*", "-1*-spec"):
         with pytest.raises(ValueError, match="has a negative bound k"):
             parse_predicate(text)
+    for text in ("x-spec", "1.5-spec", "2barbar-spec"):
+        with pytest.raises(ValueError, match="has a bound k that is not an integer"):
+            parse_predicate(text)
 
 
 def test_check_space_examples(gf4):
