@@ -60,10 +60,29 @@ and uint16 above (:func:`.gf.code_dtype`).  The kernels build no field
 table; they read those of the :class:`.gf.FieldSpec`.  A product of code
 arrays is one read of the flat q*q table for k <= 8 and, above, a read
 of the log/exp tables; inverses and square roots read tables of q codes.
+
+Memory: ``_PARTIAL_BYTES`` bounds the largest temporary of one batch,
+and every batch frees its temporaries.  glibc's malloc serves blocks
+above its mmap threshold by fresh mappings and returns the free top of a
+heap to the system past its trim threshold.  By default the mmap
+threshold starts at 128 KiB and rises to the size of each larger mapped
+block freed, the trim threshold to twice that, so the heap is still
+given back whenever a batch's freed temporaries together pass it, and a
+scan faults its temporaries' pages in again batch after batch.  At
+import this module sets (``mallopt``) the mmap threshold to
+2 x ``_PARTIAL_BYTES``, 32 MiB, the largest glibc takes on 64-bit
+systems, so that every batch temporary comes from the heap, and, only
+once that is taken, the trim threshold to 4 x ``_PARTIAL_BYTES``: the
+process keeps up to 64 MiB of freed heap for the next batch.  The order
+matters, as either setting turns off the rising thresholds, and a trim
+threshold alone would leave mmap pinned at 128 KiB.  Where there is no
+glibc ``mallopt`` (musl, macOS, Windows) or it refuses, nothing is set
+(:func:`_keep_freed_memory`).
 """
 
 from __future__ import annotations
 
+import ctypes
 from functools import lru_cache
 
 import numpy as np
@@ -75,6 +94,26 @@ _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the largest temporary of one matrix-vector product
 _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
 _EVAL_DEGREE = 7            # up to this k, roots are counted on coefficient planes
+_M_TRIM_THRESHOLD = -1      # glibc mallopt parameters (malloc.h)
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Keep the batch temporaries' freed memory in the process: glibc's
+    mmap threshold to 2 x ``_PARTIAL_BYTES`` and, if that is taken, its
+    trim threshold to 4 x ``_PARTIAL_BYTES`` (see the module docstring).
+    Does nothing, and never raises, without a ``mallopt`` that takes them."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):   # no process-wide libc handle, no mallopt
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 2 * _PARTIAL_BYTES) == 1:
+        mallopt(_M_TRIM_THRESHOLD, 4 * _PARTIAL_BYTES)
+
+
+_keep_freed_memory()
 
 
 # ----------------------------------------------------------------------

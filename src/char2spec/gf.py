@@ -18,6 +18,7 @@ the tables.  Code arrays are uint8 for k <= 8 and uint16 above
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -107,7 +108,7 @@ class FieldSpec:
             raise ValueError(f"extension degree must be in [1, {_MAX_DEGREE}], got {degree}")
         if modulus is None:
             modulus = least_irreducible_gf2(degree)
-        if _gf2_degree(modulus) != degree:
+        if modulus < 0 or _gf2_degree(modulus) != degree:   # _gf2_mod never ends on a negative code
             raise ValueError(f"modulus {modulus:#b} does not have degree {degree}")
         if not is_irreducible_gf2(modulus):
             raise ValueError(f"modulus {modulus:#b} is reducible over GF(2)")
@@ -223,6 +224,15 @@ def _cached_spec(degree: int, modulus: int | None) -> FieldSpec:
     return FieldSpec(degree, modulus)
 
 
+def _decimal(name: str, part: str, text: str) -> int:
+    """`text` as an integer written in ASCII decimal digits, with an
+    optional minus sign (int() would also take '1_6', '+4', ' 4' and
+    non-ASCII digits); ValueError naming the field text otherwise."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"field {name!r} has a {part} {text!r} that is not a decimal integer")
+    return int(text)
+
+
 def field_spec(name: str) -> FieldSpec:
     """Parse a field name: 'gf2'/'gf4'/'gf8'/'gf16' or 'gf2^k', with an
     optional explicit modulus as a decimal bit code after ':'.
@@ -233,12 +243,12 @@ def field_spec(name: str) -> FieldSpec:
     modulus = None
     if ":" in text:
         text, mod_text = text.split(":", 1)
-        modulus = int(mod_text)
+        modulus = _decimal(name, "modulus", mod_text)
     aliases = {"gf2": 1, "gf4": 2, "gf8": 3, "gf16": 4}
     if text in aliases:
         return _cached_spec(aliases[text], modulus)
     if text.startswith("gf2^"):
-        return _cached_spec(int(text[4:]), modulus)
+        return _cached_spec(_decimal(name, "degree", text[4:]), modulus)
     raise ValueError(f"unknown field name {name!r}")
 
 

@@ -41,6 +41,7 @@ smallest index, and with the projective scan that is about
 from __future__ import annotations
 
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -110,7 +111,8 @@ class SpecPredicate:
 def parse_predicate(text: str) -> SpecPredicate:
     """Parse '1-spec', '2bar-spec', '0bar*-spec', '1*-spec' (and the same
     without the '-spec' suffix).  The bound k is written in the text and
-    must be a nonnegative integer; ValueError otherwise."""
+    must be a nonnegative integer in ASCII decimal digits; ValueError
+    otherwise."""
     t = text.strip().lower()
     if t.endswith("-spec"):
         t = t[:-5]
@@ -122,10 +124,9 @@ def parse_predicate(text: str) -> SpecPredicate:
         t = t[:-3]
     if not t:
         raise ValueError(f"predicate {text!r} has no bound k")
-    try:
-        k = int(t)
-    except ValueError:
-        raise ValueError(f"predicate {text!r} has a bound k that is not an integer") from None
+    if not re.fullmatch("-?[0-9]+", t):   # int() would also take '1_0', '+2', ' 2' and non-ASCII digits
+        raise ValueError(f"predicate {text!r} has a bound k that is not an integer")
+    k = int(t)
     if k < 0:
         raise ValueError(f"predicate {text!r} has a negative bound k")
     return SpecPredicate("in_closure" if bar else "in_field", star, k)

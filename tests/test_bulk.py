@@ -1,6 +1,7 @@
 """The batch root counter of :mod:`char2spec._bulk` against the scalar
 routines of :mod:`char2spec.upoly`."""
 
+import ctypes
 import random
 import sys
 from pathlib import Path
@@ -399,3 +400,79 @@ def test_index_planes_match_code_planes_of_the_indices(offset):
     for width in range(1, 41):
         assert np.array_equal(_bulk.index_planes(words, width),
                               _bulk.code_planes(indices, width)), width
+
+
+# ----------------------------------------------------------------------
+# the memory policy: freed batch temporaries stay in the process
+# ----------------------------------------------------------------------
+def _glibc_mallopt() -> bool:
+    try:
+        libc = ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "gnu_get_libc_version")
+
+
+def _minor_faults(call, repeats: int) -> int:
+    resource = pytest.importorskip("resource")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(repeats):
+        call()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+@pytest.mark.skipif(not _glibc_mallopt(), reason="needs glibc's mallopt")
+def test_warm_batches_take_no_page_faults():
+    # with glibc's default thresholds the batches map their temporaries
+    # afresh: from about 30 to over 2000 faults over these 5 calls,
+    # depending on whether the kernel backs them with huge pages, and 700
+    # to 1800 for one sampled scan, whose pool threads allocate in arenas
+    # of their own
+    mats = np.random.default_rng(27).integers(0, 1 << 63, size=(4, 4, 3, 1024), dtype=np.uint64)
+
+    def batch():
+        _bulk.spectrum_counts(GF8, _bulk.charpoly_planes(GF8, mats), 64 * 1024, "in_field", False)
+
+    batch()
+    assert _minor_faults(batch, 5) < 20
+    from char2spec import constructions as cons
+    from char2spec.spectra import check_space, parse_predicate
+    space, pred = cons.case_iv_n6(GF4), parse_predicate("2bar-spec")
+
+    def scan():
+        verdict = check_space(GF4, space, pred, budget=1 << 10, samples=150_000, workers=2)
+        assert verdict.mode == "sampled" and verdict.checked == 150_000
+
+    scan()
+    scan()
+    assert _minor_faults(scan, 1) < 20
+
+
+class _FakeMallopt:
+    def __init__(self, result: int):
+        self.result, self.calls = result, []
+
+    def __call__(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return self.result
+
+
+def test_memory_policy_sets_trim_only_after_the_mmap_threshold(monkeypatch):
+    def libc(**functions):
+        monkeypatch.setattr(_bulk.ctypes, "CDLL", lambda name: type("Lib", (), functions)())
+
+    def no_handle(name):        # as ctypes.CDLL(None) on Windows
+        raise TypeError("LoadLibrary() argument 1 must be str, not None")
+
+    monkeypatch.setattr(_bulk.ctypes, "CDLL", no_handle)
+    _bulk._keep_freed_memory()
+    libc()                      # no mallopt, as on macOS: nothing set, no error
+    _bulk._keep_freed_memory()
+    refused = _FakeMallopt(0)
+    libc(mallopt=refused)
+    _bulk._keep_freed_memory()
+    assert refused.calls == [(-3, 2 * _bulk._PARTIAL_BYTES)]     # trim threshold left alone
+    taken = _FakeMallopt(1)
+    libc(mallopt=taken)
+    _bulk._keep_freed_memory()
+    assert taken.calls == [(-3, 32 << 20), (-1, 64 << 20)]

@@ -78,6 +78,12 @@ def test_usage_errors(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: unknown field name 'bogus'\n"
+    # field numbers are ASCII decimal digits, and a bad one is a usage error naming the text
+    for field, message in (("gf2^9:0x3", "modulus '0x3'"), ("gf2^1_6", "degree '1_6'")):
+        code = main(["verify", "--construction", "nt2", "--pred", "1-spec", "--field", field])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: field {field!r} has a {message} that is not a decimal integer\n"
     # a construction of 0 x 0 matrices is refused by name; an inner nt0 is fine
     for argv in (["verify", "--construction", "nt0", "--pred", "1-spec"],
                  ["scan-adapted", "--construction", "full0"],
@@ -99,7 +105,13 @@ def test_predicate_bounds_are_usage_errors(capsys):
                           ("x-spec", "predicate 'x-spec' has a bound k that is not an integer"),
                           ("1.5-spec", "predicate '1.5-spec' has a bound k that is not an integer"),
                           ("2barbar-spec",
-                           "predicate '2barbar-spec' has a bound k that is not an integer")):
+                           "predicate '2barbar-spec' has a bound k that is not an integer"),
+                          ("1_0-spec", "predicate '1_0-spec' has a bound k that is not an integer"),
+                          ("+2-spec", "predicate '+2-spec' has a bound k that is not an integer"),
+                          (" 2 bar-spec",
+                           "predicate ' 2 bar-spec' has a bound k that is not an integer"),
+                          ("\u0663-spec",
+                           "predicate '\u0663-spec' has a bound k that is not an integer")):
         code = main(["verify", "--construction", "nt2", f"--pred={pred}"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

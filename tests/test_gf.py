@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,17 @@ def test_field_spec_parser():
         field_spec("gf5")
     with pytest.raises(ValueError):
         field_spec("gf2^4:24")  # reducible
+    # degree and modulus are ASCII decimal digits; int() alone would take
+    # 1_6, +4, ' 4' and other scripts' digits, and refuse 0x3 with its own message
+    for name, part in (("gf2^9:0x3", "modulus '0x3'"), ("gf2^1_6", "degree '1_6'"),
+                       ("gf2^+4", "degree '+4'"), ("gf2^4: 19", "modulus ' 19'"),
+                       ("gf2^\u0664", "degree '\u0664'"), ("gf4:1_1", "modulus '1_1'")):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"field {name!r} has a {part} that is not a decimal")):
+            field_spec(name)
+    # a negative modulus is refused, not reduced by forever
+    with pytest.raises(ValueError, match="does not have degree 4"):
+        field_spec("gf2^4:-19")
 
 
 def test_frobenius_inverse_roundtrip():

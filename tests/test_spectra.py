@@ -105,7 +105,10 @@ def test_predicate_parsing():
     for text in ("-1-spec", "-2bar*", "-1*-spec"):
         with pytest.raises(ValueError, match="has a negative bound k"):
             parse_predicate(text)
-    for text in ("x-spec", "1.5-spec", "2barbar-spec"):
+    # only ASCII decimal digits: int() alone would read 1_0 as 10, +2 and
+    # ' 2 ' as 2 and an Arabic-Indic three as 3
+    for text in ("x-spec", "1.5-spec", "2barbar-spec", "1_0-spec", "+2-spec", " 2 bar-spec",
+                 "\u0663-spec", "2 -spec", "- 1-spec"):
         with pytest.raises(ValueError, match="has a bound k that is not an integer"):
             parse_predicate(text)
 
