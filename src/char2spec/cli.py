@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .gf import FieldSpec, field_spec
+from .gf import FieldSpec, field_spec, read_decimal
 from .matrix import Mat
 from .subspace import BudgetExceeded, DEFAULT_BUDGET
 from .spectra import check_space, parse_predicate
@@ -119,12 +119,13 @@ def cmd_trk(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 
 def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
-    if not args.matrix:
+    if args.matrix is None and args.target is None:
         verdict = choice_lemma_audit(fs, cap=args.cap, seed=args.seed)     # n = 3, its only size
-        check = {**verdict.to_json(), "outcome": "holds" if verdict.holds else "fails"}
-        return {"n": 3, "cap": args.cap}, [check]
+        return {"n": 3, "cap": args.cap}, [verdict.to_json()]
     if args.target is None:
         raise ValueError("--matrix needs --target (comma-separated coefficients)")
+    if args.matrix is None:
+        raise ValueError("--target needs --matrix (comma-separated row-major entries)")
     entries = _codes(fs, args.matrix, "--matrix")
     n = math.isqrt(len(entries))
     if n * n != len(entries):
@@ -141,7 +142,7 @@ def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
     """Comma-separated field elements, each a code in [0, q)."""
-    values = [int(x) for x in text.split(",")]
+    values = [read_decimal(x, f"{option}: {x!r} is not an integer") for x in text.split(",")]
     bad = [v for v in values if not 0 <= v < fs.q]
     if bad:
         raise ValueError(f"{option}: {bad[0]} is not an element of GF({fs.q})")
@@ -172,15 +173,17 @@ def cmd_acceptance(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
     return {}, checks
 
 
-def _positive_int(text: str, log2_max: int | None = None) -> int:
+def _integer(text: str, positive: bool = True, log2_max: int | None = None) -> int:
+    """The type of every integer option: read_decimal, then the bounds."""
+    bound = "" if log2_max is None else f" up to 2^{log2_max}"
+    error = f"expected {'a positive integer' if positive else 'an integer'}{bound}, got {text!r}"
     try:
-        value = int(text)
-        if value > 0 and (log2_max is None or value <= 1 << log2_max):
+        value = read_decimal(text, error)
+        if (value > 0 or not positive) and (log2_max is None or value <= 1 << log2_max):
             return value
     except ValueError:
         pass
-    bound = "" if log2_max is None else f" up to 2^{log2_max}"
-    raise argparse.ArgumentTypeError(f"expected a positive integer{bound}, got {text!r}")
+    raise argparse.ArgumentTypeError(error)
 
 
 @functools.cache
@@ -196,12 +199,12 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.add_argument("--field", default="gf4", help="gf2/gf4/gf8/gf16 or gf2^k[:modulus]")
         # a budget up to 2^62 keeps every exhaustive scan's indices within int64
-        p.add_argument("--budget", type=functools.partial(_positive_int, log2_max=62),
+        p.add_argument("--budget", type=functools.partial(_integer, log2_max=62),
                        default=DEFAULT_BUDGET,
                        help="max objects per exhaustive pass, at most 2^62 (default 2^24)")
-        p.add_argument("--samples", type=_positive_int, default=10 ** 6)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=_positive_int, default=1,
+        p.add_argument("--samples", type=_integer, default=10 ** 6)
+        p.add_argument("--seed", type=functools.partial(_integer, positive=False), default=0)
+        p.add_argument("--workers", type=_integer, default=1,
                        help="scan threads; capped at the machine's processor count")
         p.add_argument("--out", default=None, help="write the JSON report to a file")
         p.set_defaults(fn=fn)
@@ -217,15 +220,15 @@ def _parser() -> argparse.ArgumentParser:
         add(name, fn, help).add_argument("--construction", required=True)
 
     p = add("choice", cmd_choice, "choice solver audit (or one instance via --matrix)")
-    p.add_argument("--cap", type=_positive_int, default=None)
+    p.add_argument("--cap", type=_integer, default=None)
     p.add_argument("--matrix", default=None,
                    help="comma-separated row-major entries of a square matrix")
     p.add_argument("--target", default=None, help="comma-separated coefficients, degree 0 first")
-    p.add_argument("--p", type=int, default=1)
+    p.add_argument("--p", type=functools.partial(_integer, positive=False), default=1)
 
     p = add("lemma", cmd_lemma, "run a lemma harness")
     p.add_argument("--name", required=True, choices=LEMMA_NAMES)
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--trials", type=_integer, default=200)
 
     p = add("acceptance", cmd_acceptance, "run the acceptance suite")
     p.add_argument("--skip-determinism", action="store_true",

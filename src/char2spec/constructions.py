@@ -9,6 +9,7 @@ realization must have, and the test suite iterates it generically.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import comb
 
@@ -207,28 +208,44 @@ def standard_catalogue(fs: FieldSpec) -> list[CatalogueEntry]:
 
 
 def build(fs: FieldSpec, expr: str) -> MatSubspace:
-    """Construct a catalogue space from a compact expression.
+    """Construct a catalogue space from a compact expression::
 
-    Atoms carry their size as a suffix: nt3, sl2, syms4, alts3, ut4,
-    full2, hurdle4, b2m2 (suffix m, matrices of size 2m), mats_p4
-    (symmetric matrices times the standard symplectic Gram; even size),
-    case_iv_n6.  Combinators: joint(a,b,...) and line_plus(a).
+        expr  := atom | "case_iv_n6" | "joint(" expr ("," expr)* ")" | "line_plus(" expr ")"
+        atom  := name digits      (ASCII digits: the size n)
+        name  := nt | sl | syms | alts | ut | full | hurdle | zero | b2m | mats_p
+
+    b2m<m> builds matrices of size 2m; mats_p<n> (symmetric matrices
+    times the standard symplectic Gram) needs an even n.  Spaces are
+    ignored.  The whole matrix size, which bounds every atom and every
+    joint, must not pass MAX_SIZE; it is checked before anything is built.
     """
     return build_with_expected(fs, expr)[0]
+
+
+MAX_SIZE = 64   # full64 and mats_p64 already take seconds to build
 
 
 def build_with_expected(fs: FieldSpec, expr: str) -> tuple[MatSubspace, int]:
     """Construction plus the closed-form dimension its realization must have,
     computed structurally from the expression."""
-    text = expr.strip().replace(" ", "")
-    space, expected, rest = _parse_expr(fs, text)
+    size, expected, make, rest = _parse_expr(fs, expr.strip().replace(" ", ""))
     if rest:
         raise ValueError(f"trailing input in construction expression: {rest!r}")
-    if space.shape == (0, 0):
+    if size == 0:
         raise ValueError(f"construction {expr!r} builds 0 x 0 matrices")
-    return space, expected
+    if size > MAX_SIZE:
+        raise ValueError(f"construction {expr!r} builds {size} x {size} matrices, "
+                         f"past the bound of {MAX_SIZE}")
+    return make(), expected
 
 
+def _mats_p_standard(fs: FieldSpec, n: int) -> MatSubspace:
+    if n % 2:
+        raise ValueError("mats_p<n> uses the standard symplectic Gram; n must be even")
+    return mats_p(fs, n, k2m(fs, n // 2))
+
+
+# atom name -> (builder at size n, dimension at size n)
 _ATOMS = {
     "nt": (nt, lambda n: comb(n, 2)),
     "sl": (sl, lambda n: n * n - 1),
@@ -238,60 +255,37 @@ _ATOMS = {
     "full": (full, lambda n: n * n),
     "hurdle": (hurdle_template, lambda n: 3 + 2 * (n - 2)),
     "zero": (zero_space, lambda n: 0),
+    "b2m": (b2m, lambda m: m * m + m * (m + 1)),
+    "mats_p": (_mats_p_standard, lambda n: comb(n + 1, 2)),
 }
+_ATOM = re.compile(f"({'|'.join(_ATOMS)})([0-9]+)")
 
 
 def _parse_expr(fs: FieldSpec, text: str):
+    """(matrix size, expected dimension, builder, unparsed rest) of the
+    expression at the start of text; nothing is built until the builder
+    is called."""
     if text.startswith("case_iv_n6"):
-        return case_iv_n6(fs), 18, text[len("case_iv_n6"):]
+        return 6, 18, lambda: case_iv_n6(fs), text[len("case_iv_n6"):]
     for name in ("joint", "line_plus"):
         if text.startswith(name + "("):
-            rest = text[len(name) + 1:]
-            args = []
-            expects = []
-            while True:
-                space, expected, rest = _parse_expr(fs, rest)
-                args.append(space)
-                expects.append(expected)
-                if rest.startswith(","):
-                    rest = rest[1:]
-                    continue
-                if rest.startswith(")"):
-                    rest = rest[1:]
-                    break
+            rest, parts = text[len(name):], []
+            while not parts or rest.startswith(","):    # skip the "(" or the ","
+                *part, rest = _parse_expr(fs, rest[1:])
+                parts.append(part)
+            if not rest.startswith(")"):
                 raise ValueError(f"malformed construction expression near {rest!r}")
+            (sizes, expects, makes), rest = zip(*parts), rest[1:]
             if name == "joint":
-                sizes = [a.shape[0] for a in args]
-                cross = sum(sizes[i] * sizes[j]
-                            for i in range(len(sizes)) for j in range(i + 1, len(sizes)))
-                return joint(fs, *args), sum(expects) + cross, rest
-            if len(args) != 1:
+                cross = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
+                return (sum(sizes), sum(expects) + cross,
+                        lambda: joint(fs, *(make() for make in makes)), rest)
+            if len(parts) != 1:
                 raise ValueError("line_plus takes exactly one argument")
-            return line_plus(fs, args[0]), expects[0] + 1, rest
-    for name in ("mats_p", "b2m"):
-        if text.startswith(name):
-            digits = _take_digits(text[len(name):])
-            size = int(digits)
-            rest = text[len(name) + len(digits):]
-            if name == "b2m":
-                return b2m(fs, size), size * size + size * (size + 1), rest
-            if size % 2:
-                raise ValueError("mats_p<n> uses the standard symplectic Gram; n must be even")
-            return mats_p(fs, size, k2m(fs, size // 2)), comb(size + 1, 2), rest
-    for name, (fn, dim_fn) in _ATOMS.items():
-        if text.startswith(name):
-            digits = _take_digits(text[len(name):])
-            if digits:
-                n = int(digits)
-                return fn(fs, n), dim_fn(n), text[len(name) + len(digits):]
-    raise ValueError(f"unknown construction expression {text!r}")
-
-
-def _take_digits(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch.isdigit():
-            out.append(ch)
-        else:
-            break
-    return "".join(out)
+            return sizes[0], expects[0] + 1, lambda: line_plus(fs, makes[0]()), rest
+    match = _ATOM.match(text)
+    if match is None:
+        raise ValueError(f"unknown construction expression {text!r}")
+    (fn, dim_fn), n = _ATOMS[match[1]], int(match[2])
+    size = 2 * n if fn is b2m else n    # b2m<m> builds 2m x 2m matrices
+    return size, dim_fn(n), lambda: fn(fs, n), text[match.end():]

@@ -224,12 +224,12 @@ def _cached_spec(degree: int, modulus: int | None) -> FieldSpec:
     return FieldSpec(degree, modulus)
 
 
-def _decimal(name: str, part: str, text: str) -> int:
-    """`text` as an integer written in ASCII decimal digits, with an
-    optional minus sign (int() would also take '1_6', '+4', ' 4' and
-    non-ASCII digits); ValueError naming the field text otherwise."""
+def read_decimal(text: str, error: str) -> int:
+    """`text` as ASCII decimal digits with an optional leading minus sign,
+    the one rule for every number in outside text (int() alone would also
+    take '1_6', '+4', ' 4' and non-ASCII digits); ValueError(error) else."""
     if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(f"field {name!r} has a {part} {text!r} that is not a decimal integer")
+        raise ValueError(error)
     return int(text)
 
 
@@ -240,15 +240,16 @@ def field_spec(name: str) -> FieldSpec:
     Examples: 'gf4', 'gf2^4', 'gf2^4:19'.
     """
     text = name.strip().lower()
+    error = "field {!r} has a {} {!r} that is not a decimal integer".format
     modulus = None
     if ":" in text:
         text, mod_text = text.split(":", 1)
-        modulus = _decimal(name, "modulus", mod_text)
+        modulus = read_decimal(mod_text, error(name, "modulus", mod_text))
     aliases = {"gf2": 1, "gf4": 2, "gf8": 3, "gf16": 4}
     if text in aliases:
         return _cached_spec(aliases[text], modulus)
     if text.startswith("gf2^"):
-        return _cached_spec(_decimal(name, "degree", text[4:]), modulus)
+        return _cached_spec(read_decimal(text[4:], error(name, "degree", text[4:])), modulus)
     raise ValueError(f"unknown field name {name!r}")
 
 

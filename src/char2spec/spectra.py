@@ -41,13 +41,12 @@ smallest index, and with the projective scan that is about
 from __future__ import annotations
 
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec
+from .gf import FieldSpec, read_decimal
 from .matrix import Mat, char_poly, identity
 from .subspace import MatSubspace, index_chunks
 from .upoly import Poly, count_roots_in_closure, count_roots_in_field, has_root_zero, poly_str
@@ -124,9 +123,7 @@ def parse_predicate(text: str) -> SpecPredicate:
         t = t[:-3]
     if not t:
         raise ValueError(f"predicate {text!r} has no bound k")
-    if not re.fullmatch("-?[0-9]+", t):   # int() would also take '1_0', '+2', ' 2' and non-ASCII digits
-        raise ValueError(f"predicate {text!r} has a bound k that is not an integer")
-    k = int(t)
+    k = read_decimal(t, f"predicate {text!r} has a bound k that is not an integer")
     if k < 0:
         raise ValueError(f"predicate {text!r} has a negative bound k")
     return SpecPredicate("in_closure" if bar else "in_field", star, k)

@@ -152,6 +152,92 @@ def test_choice_codes_must_be_field_elements(capsys):
     assert code == 0 and json.loads(captured.out)["checks"][0]["outcome"] == "holds"
 
 
+# an argv for every integer option and code list, with the value last
+_NUMBER_OPTIONS = {
+    "--budget": ["verify", "--construction", "nt2", "--pred", "1-spec", "--budget"],
+    "--samples": ["verify", "--construction", "nt2", "--pred", "1-spec", "--samples"],
+    "--seed": ["verify", "--construction", "nt2", "--pred", "1-spec", "--seed"],
+    "--workers": ["verify", "--construction", "nt2", "--pred", "1-spec", "--workers"],
+    "--trials": ["lemma", "--name", "covering", "--trials"],
+    "--cap": ["choice", "--cap"],
+    "--p": ["choice", "--matrix", "0,0,1,1", "--target", "1,1,1", "--p"],
+    # GF(32) holds the codes int() would read from '1_6', '+1' and ' 5'
+    "--matrix": ["choice", "--field", "gf2^5", "--target", "1,1,1", "--matrix"],
+    "--target": ["choice", "--field", "gf2^5", "--matrix", "0,0,1,1", "--target"],
+}
+
+
+def _refuse_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused command ran")
+    for name in ("build_with_expected", "check_space", "run_lemma", "choice_lemma_audit",
+                 "choice_solve"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("text", ["1_6", "+1", " 5", "\u0663", "x"])
+@pytest.mark.parametrize("option", list(_NUMBER_OPTIONS))
+def test_numbers_are_ascii_decimal(capsys, monkeypatch, option, text):
+    # every number on the command line follows one rule (gf.read_decimal):
+    # int() would run '1_6' as 16, '+1' as 1 and an Arabic-Indic three as 3
+    _refuse_work(monkeypatch)
+    code = main(_NUMBER_OPTIONS[option] + [text])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert any("error:" in line and option in line for line in captured.err.splitlines()), \
+        captured.err
+
+
+def test_number_rule_keeps_legal_inputs(capsys, monkeypatch):
+    # a minus sign is allowed, and the bounds are checked after reading
+    code, report = run_cli(capsys, "verify", "--construction", "nt2", "--pred", "1-spec",
+                           "--seed", "-7")
+    assert code == 0 and report["config"]["seed"] == -7
+    assert main(["choice", "--matrix", "0,0,1,1", "--target", "1,1,1", "--p", "-1"]) == 2
+    assert capsys.readouterr().err == "error: split index out of range\n"
+    _refuse_work(monkeypatch)
+    assert main(["choice", "--field", "gf4", "--matrix", "0,0,1,1", "--target", "0,-1,0,1"]) == 2
+    assert capsys.readouterr().err == "error: --target: -1 is not an element of GF(4)\n"
+    # --target without --matrix is refused, not dropped for the audit
+    for argv in (["choice", "--target", "x,0,0"], ["choice", "--target", "1,1,1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --target needs --matrix " \
+                                          "(comma-separated row-major entries)\n"
+    assert main(["choice", "--matrix", "0,0,1,1", "--target", "x,0,0"]) == 2
+    assert capsys.readouterr().err == "error: --target: 'x' is not an integer\n"
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("nt\u0663", "unknown construction expression 'nt\u0663'"),
+    ("nt\u00b2", "unknown construction expression 'nt\u00b2'"),
+    ("b2m", "unknown construction expression 'b2m'"),
+    ("mats_p", "unknown construction expression 'mats_p'"),
+    ("nt65", "construction 'nt65' builds 65 x 65 matrices, past the bound of 64"),
+    ("b2m33", "construction 'b2m33' builds 66 x 66 matrices, past the bound of 64"),
+    ("joint(full33,full33)",
+     "construction 'joint(full33,full33)' builds 66 x 66 matrices, past the bound of 64"),
+    ("nt99999", "construction 'nt99999' builds 99999 x 99999 matrices, past the bound of 64"),
+])
+def test_construction_texts_are_refused_before_building(capsys, expr, message):
+    # sizes are ASCII digits, and the matrix size is bounded before anything is built
+    t0 = time.perf_counter()
+    code = main(["verify", "--construction", expr, "--pred", "1-spec"])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_integer_options_use_the_shared_reader():
+    # argparse's type=int (and float) would take '1_6', '+1' and non-ASCII
+    # digits: every numeric option, in every subcommand, reads through cli._integer
+    commands = next(a for a in _parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for name, sub in commands.items():
+        for action in sub._actions:
+            assert action.type not in (int, float), (name, action.option_strings)
+
+
 def test_scan_adapted(capsys):
     code, report = run_cli(capsys, "scan-adapted", "--construction", "hurdle4")
     assert code == 0

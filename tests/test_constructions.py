@@ -158,3 +158,24 @@ def test_build_parser(gf4):
     for bad in ("bogus3", "joint(sl2", "line_plus(sl2,sl2)", "mats_p3"):
         with pytest.raises(ValueError):
             cons.build(gf4, bad)
+
+
+# every atom of the construction grammar and the constructor it names
+_DIRECT = {
+    "nt": cons.nt, "sl": cons.sl, "syms": cons.syms, "alts": cons.alts, "ut": cons.ut,
+    "full": cons.full, "hurdle": cons.hurdle_template, "zero": cons.zero_space,
+    "b2m": cons.b2m, "mats_p": lambda fs, n: cons.mats_p(fs, n, cons.k2m(fs, n // 2)),
+}
+
+
+def test_direct_constructors_cover_every_atom():
+    assert set(_DIRECT) == set(cons._ATOMS)
+
+
+@pytest.mark.parametrize("name", list(_DIRECT))
+def test_atoms_build_their_constructor(gf4, name):
+    sizes = {"mats_p": (2, 4), "hurdle": (2, 3, 4, 5)}.get(name, (1, 2, 3, 4, 5))
+    for n in sizes:
+        space, expected = cons.build_with_expected(gf4, f"{name}{n}")
+        assert space == _DIRECT[name](gf4, n), f"{name}{n}"
+        assert expected == space.dim, f"{name}{n}"
