@@ -119,13 +119,20 @@ def cmd_trk(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 
 def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
-    if args.matrix is None and args.target is None:
+    """The audit takes --cap; one instance takes --matrix, --target and --p
+    (default 1).  An option of the other mode is a usage error."""
+    if args.matrix is None:
+        if args.target is not None:
+            raise ValueError("--target needs --matrix (comma-separated row-major entries)")
+        if args.p is not None:
+            raise ValueError("--p needs --matrix: the audit tries p = 1 and p = n - 1")
         verdict = choice_lemma_audit(fs, cap=args.cap, seed=args.seed)     # n = 3, its only size
         return {"n": 3, "cap": args.cap}, [verdict.to_json()]
+    if args.cap is not None:
+        raise ValueError("--cap belongs to the audit, not to one instance (--matrix)")
     if args.target is None:
         raise ValueError("--matrix needs --target (comma-separated coefficients)")
-    if args.matrix is None:
-        raise ValueError("--target needs --matrix (comma-separated row-major entries)")
+    p = 1 if args.p is None else args.p
     entries = _codes(fs, args.matrix, "--matrix")
     n = math.isqrt(len(entries))
     if n * n != len(entries):
@@ -134,10 +141,10 @@ def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
     target = poly(_codes(fs, args.target, "--target"))
 
     def run():
-        r = choice_solve(fs, m, target, args.p, budget=args.budget)
+        r = choice_solve(fs, m, target, p, budget=args.budget)
         return ({"outcome": "holds", "block": r.to_json()} if r is not None
                 else {"outcome": "fails", "reason": "no block achieves the target"})
-    return {"n": n, "p": args.p, "target": args.target}, [_budgeted(run)]
+    return {"n": n, "p": p, "target": args.target}, [_budgeted(run)]
 
 
 def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
@@ -224,7 +231,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", default=None,
                    help="comma-separated row-major entries of a square matrix")
     p.add_argument("--target", default=None, help="comma-separated coefficients, degree 0 first")
-    p.add_argument("--p", type=functools.partial(_integer, positive=False), default=1)
+    p.add_argument("--p", type=functools.partial(_integer, positive=False), default=None,
+                   help="split index of one instance (default 1)")
 
     p = add("lemma", cmd_lemma, "run a lemma harness")
     p.add_argument("--name", required=True, choices=LEMMA_NAMES)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
 
-from .gf import FieldSpec
+from .gf import FieldSpec, read_decimal
 from .matrix import Mat, identity, inverse, mat_add, mat_mul, place, rank, unit
 from .subspace import MatSubspace, VecSubspace
 
@@ -217,18 +218,26 @@ def build(fs: FieldSpec, expr: str) -> MatSubspace:
     b2m<m> builds matrices of size 2m; mats_p<n> (symmetric matrices
     times the standard symplectic Gram) needs an even n.  Spaces are
     ignored.  The whole matrix size, which bounds every atom and every
-    joint, must not pass MAX_SIZE; it is checked before anything is built.
+    joint, must not pass MAX_SIZE, and the combinators must not nest more
+    than MAX_DEPTH deep; both are checked before anything is built.
     """
     return build_with_expected(fs, expr)[0]
 
 
 MAX_SIZE = 64   # full64 and mats_p64 already take seconds to build
+MAX_DEPTH = 400     # parsing and building recurse once or twice per level
 
 
 def build_with_expected(fs: FieldSpec, expr: str) -> tuple[MatSubspace, int]:
     """Construction plus the closed-form dimension its realization must have,
     computed structurally from the expression."""
-    size, expected, make, rest = _parse_expr(fs, expr.strip().replace(" ", ""))
+    text = expr.strip().replace(" ", "")
+    # every "(" opens a combinator, so the deepest parenthesis is the nesting
+    depth = max(accumulate((c == "(") - (c == ")") for c in text), default=0)
+    if depth > MAX_DEPTH:
+        raise ValueError(f"construction {expr!r} nests {depth} levels deep, "
+                         f"past the bound of {MAX_DEPTH}")
+    size, expected, make, rest = _parse_expr(fs, text)
     if rest:
         raise ValueError(f"trailing input in construction expression: {rest!r}")
     if size == 0:
@@ -286,6 +295,8 @@ def _parse_expr(fs: FieldSpec, text: str):
     match = _ATOM.match(text)
     if match is None:
         raise ValueError(f"unknown construction expression {text!r}")
-    (fn, dim_fn), n = _ATOMS[match[1]], int(match[2])
+    (fn, dim_fn), n = _ATOMS[match[1]], read_decimal(
+        match[2], f"construction atom {match[1]!r} has a size of {len(match[2])} digits, "
+                  f"too many to read")
     size = 2 * n if fn is b2m else n    # b2m<m> builds 2m x 2m matrices
     return size, dim_fn(n), lambda: fn(fs, n), text[match.end():]

@@ -227,10 +227,14 @@ def _cached_spec(degree: int, modulus: int | None) -> FieldSpec:
 def read_decimal(text: str, error: str) -> int:
     """`text` as ASCII decimal digits with an optional leading minus sign,
     the one rule for every number in outside text (int() alone would also
-    take '1_6', '+4', ' 4' and non-ASCII digits); ValueError(error) else."""
-    if not re.fullmatch("-?[0-9]+", text):
-        raise ValueError(error)
-    return int(text)
+    take '1_6', '+4', ' 4' and non-ASCII digits); ValueError(error) else,
+    also for more digits than int() reads (sys.get_int_max_str_digits)."""
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise ValueError(error)
 
 
 def field_spec(name: str) -> FieldSpec:

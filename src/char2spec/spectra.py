@@ -48,11 +48,16 @@ import numpy as np
 
 from .gf import FieldSpec, read_decimal
 from .matrix import Mat, char_poly, identity
-from .subspace import MatSubspace, index_chunks
+from .subspace import DEFAULT_BUDGET, MatSubspace, index_chunks
 from .upoly import Poly, count_roots_in_closure, count_roots_in_field, has_root_zero, poly_str
 from . import _bulk
 
 CHUNK = 1 << 16
+
+# The one pool of scan threads, bounded by the processors: a thread starts
+# only when a range finds none idle and lives as long as the process, keeping
+# its malloc arena.  No range submits to the pool (scans do not nest).
+_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,6 @@ class SpaceVerdict:
         return out
 
 
-def pool_threads(workers: int, chunks: int) -> int:
-    """Threads that run `chunks` index ranges: no more than the requested
-    workers, the ranges or the machine's processors, and at least one."""
-    return max(1, min(workers, chunks, os.cpu_count() or 1))
-
-
 def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                 budget: int, samples: int, seed: int, workers: int, shift=None):
     """Shared scan plumbing.  Returns (mode, checked, used_seed, index,
@@ -182,10 +181,11 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     of the worker partitioning.  The positions (64-lane words of indices
     when exhaustive, sample indices otherwise) are cut into at most
     `workers` ranges and at most ceil(positions / batch), and each range
-    into batches: max(1, CHUNK // 64) words, or CHUNK samples.  The
-    witness alone is rebuilt from its index and re-checked with
-    fail_scalar(Mat) -> bool; a witness that passes it means the scan is
-    inconsistent.
+    into batches: max(1, CHUNK // 64) words, or CHUNK samples.  Two or more
+    ranges run on `_POOL`, so at most min(ranges, processors) threads run a
+    scan; one range runs in the calling thread.  The witness alone is
+    rebuilt from its index and re-checked with fail_scalar(Mat) -> bool; a
+    witness that passes it means the scan is inconsistent.
 
     Both predicates must be invariant under scaling: M fails iff c*M fails
     for every c in F*.  Exhaustive scans rely on it and are projective:
@@ -258,10 +258,8 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
         return None
 
     chunks = index_chunks(count, min(workers, -(-count // batch)))
-    threads = pool_threads(workers, len(chunks))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda c: run_range(*c), chunks))
+    if len(chunks) > 1:
+        results = list(_POOL.map(lambda c: run_range(*c), chunks))
     else:
         results = [run_range(*c) for c in chunks]
     fails = [r for r in results if r is not None]
@@ -299,7 +297,7 @@ def _space_verdict(fs: FieldSpec, predicate: str, label: str, scan) -> SpaceVerd
 
 
 def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
-                budget: int = 1 << 24, samples: int = 10 ** 6, seed: int = 0,
+                budget: int = DEFAULT_BUDGET, samples: int = 10 ** 6, seed: int = 0,
                 workers: int = 1, label: str = "") -> SpaceVerdict:
     """Verify the predicate on every (or a seeded sample of) element(s)."""
     n, m = s.shape
@@ -320,7 +318,7 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
 
 
 def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,
-                              budget: int = 1 << 24, samples: int = 10 ** 6,
+                              budget: int = DEFAULT_BUDGET, samples: int = 10 ** 6,
                               seed: int = 0, workers: int = 1,
                               label: str = "") -> SpaceVerdict:
     """Verify that every element's characteristic polynomial is even

@@ -228,6 +228,55 @@ def test_construction_texts_are_refused_before_building(capsys, expr, message):
     assert captured.err == f"error: {message}\n"
 
 
+def test_deep_nesting_is_a_usage_error(capsys):
+    # nesting is bounded before parsing, which recurses once per level
+    deep = "joint(" * 1200 + "nt1" + ")" * 1200
+    t0 = time.perf_counter()
+    code = main(["trk", "--construction", deep])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: construction {deep!r} nests 1200 levels deep, " \
+                           f"past the bound of 400\n"
+    code, report = run_cli(capsys, "trk", "--construction", "joint(" * 400 + "nt1" + ")" * 400)
+    assert code == 0 and report["checks"][0]["outcome"] == "holds"
+
+
+def test_long_digit_strings_name_their_input(capsys):
+    # past int()'s 4300-digit limit a number is refused by the reader's caller
+    digits = "1" * 5000
+    for argv, start in (
+            (["verify", "--construction", "nt2", "--pred", f"{digits}-spec"],
+             f"error: predicate '{digits}-spec' has a bound k that is not an integer"),
+            (["verify", "--construction", "nt2", "--pred", "1-spec", "--field", f"gf2^{digits}"],
+             f"error: field 'gf2^{digits}' has a degree"),
+            (["verify", "--construction", f"nt{digits}", "--pred", "1-spec"],
+             "error: construction atom 'nt' has a size of 5000 digits, too many to read"),
+            (["verify", "--construction", "nt2", "--pred", "1-spec", "--budget", digits],
+             "usage: ")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(start) and "Exceeds the limit" not in captured.err
+        assert captured.err.count("error:") == 1
+    assert "--budget: expected a positive integer up to 2^62" in captured.err
+
+
+def test_choice_refuses_the_options_of_the_other_mode(capsys, monkeypatch):
+    # --cap belongs to the audit and --p to one instance; --p 1 is refused too
+    instance = ["choice", "--matrix", "0,0,1,1", "--target", "1,1,1"]
+    code, report = run_cli(capsys, *instance)
+    assert code == 0 and report["config"]["p"] == 1 and "cap" not in report["config"]
+    _refuse_work(monkeypatch)
+    for argv, option in ((instance + ["--cap", "10"], "--cap"),
+                         (["choice", "--p", "1"], "--p"),
+                         (["choice", "--cap", "10", "--p", "2"], "--p")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {option} ") and captured.err.count("\n") == 1
+
+
 def test_integer_options_use_the_shared_reader():
     # argparse's type=int (and float) would take '1_6', '+1' and non-ASCII
     # digits: every numeric option, in every subcommand, reads through cli._integer

@@ -1,5 +1,6 @@
 import os
 import random
+import threading
 import time
 import tracemalloc
 from functools import partial
@@ -18,7 +19,7 @@ from char2spec import upoly as up
 from char2spec import constructions as cons
 from char2spec.spectra import (SpecPredicate, _element_for_index, _scan_space, check_element,
                                check_space, check_space_even_charpoly, is_even_poly,
-                               parse_predicate, pool_threads, profile)
+                               parse_predicate, profile)
 from oracles import (all_monic, charpoly_cofactor, first_failing_index, first_failing_sample,
                      is_nilpotent, projective_indices, root_slots, roots_by_evaluation,
                      sample_coordinates, sample_element)
@@ -679,16 +680,52 @@ def test_splitting_check_sampled_wide_field_holds():
     assert v.detail == {"mode": "sampled", "checked": 200, "seed": 0}
 
 
-def test_pool_threads(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert pool_threads(1, 10) == 1
-    assert pool_threads(3, 10) == 3
-    assert pool_threads(8, 10) == 4
-    assert pool_threads(10 ** 6, 10 ** 6) == 4
-    assert pool_threads(8, 2) == 2
-    assert pool_threads(8, 0) == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pool_threads(8, 10) == 1
+@pytest.fixture
+def batch_threads(monkeypatch):
+    # batches of 16 samples; the list gets the thread of every batch of the
+    # charpoly kernel.  Thread objects, not idents: a joined thread's ident
+    # can come back on the next thread started.
+    monkeypatch.setattr(spectra, "CHUNK", 16)
+    threads = []
+    kernel = _bulk.charpoly_planes
+    monkeypatch.setattr(_bulk, "charpoly_planes",
+                        lambda fs, mats: threads.append(threading.current_thread())
+                        or kernel(fs, mats))
+    return threads
+
+
+def test_scan_threads_never_outnumber_the_processors(batch_threads):
+    # a huge --workers cuts one range per batch, more ranges than processors
+    cpus = os.cpu_count() or 1
+    ranges = max(16, 2 * cpus)
+    v = check_space(GF4, cons.nt(GF4, 3), parse_predicate("1-spec"), budget=1,
+                    samples=16 * ranges, workers=10 ** 6)
+    assert v.mode == "sampled" and v.holds
+    assert len(batch_threads) == ranges
+    assert threading.main_thread() not in batch_threads
+    assert len(set(batch_threads)) <= cpus
+
+
+def test_scans_reuse_the_pool_threads(batch_threads):
+    def scan():
+        batch_threads.clear()
+        v = check_space(GF4, cons.nt(GF4, 3), parse_predicate("1-spec"), budget=1,
+                        samples=64, workers=2)
+        assert v.mode == "sampled" and v.holds and len(batch_threads) == 4
+        return set(batch_threads)
+
+    first = scan()
+    alive = set(threading.enumerate())
+    second = scan()
+    assert threading.main_thread() not in first | second
+    # the second scan starts no thread: it runs on threads the first left running
+    assert first <= alive and second <= alive
+
+
+def test_one_range_runs_in_the_calling_thread(batch_threads):
+    v = check_space(GF4, cons.nt(GF4, 3), parse_predicate("1-spec"), budget=1,
+                    samples=16, workers=8)
+    assert v.mode == "sampled" and set(batch_threads) == {threading.current_thread()}
 
 
 # ----------------------------------------------------------------------
