@@ -119,15 +119,18 @@ def cmd_trk(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 
 def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
-    """The audit takes --cap; one instance takes --matrix, --target and --p
-    (default 1).  An option of the other mode is a usage error."""
+    """The audit takes --cap (a "budget" check past the default budget of
+    matrices); one instance takes --matrix, --target and --p (default 1, at
+    most n - 1).  An option of the other mode is a usage error."""
     if args.matrix is None:
         if args.target is not None:
             raise ValueError("--target needs --matrix (comma-separated row-major entries)")
         if args.p is not None:
             raise ValueError("--p needs --matrix: the audit tries p = 1 and p = n - 1")
-        verdict = choice_lemma_audit(fs, cap=args.cap, seed=args.seed)     # n = 3, its only size
-        return {"n": 3, "cap": args.cap}, [verdict.to_json()]
+
+        def run():      # n = 3, its only size
+            return choice_lemma_audit(fs, cap=args.cap, seed=args.seed).to_json()
+        return {"n": 3, "cap": args.cap}, [_budgeted(run)]
     if args.cap is not None:
         raise ValueError("--cap belongs to the audit, not to one instance (--matrix)")
     if args.target is None:
@@ -137,6 +140,9 @@ def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
     n = math.isqrt(len(entries))
     if n * n != len(entries):
         raise ValueError(f"--matrix: {len(entries)} entries do not make a square matrix")
+    if not 1 <= p <= n - 1:
+        raise ValueError(f"--p: a split index of a {n} x {n} matrix lies in "
+                         f"1 .. n - 1 = {n - 1}, got {p}")
     m = Mat(n, n, entries)
     target = poly(_codes(fs, args.target, "--target"))
 

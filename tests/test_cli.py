@@ -129,6 +129,33 @@ def test_choice_audit_refuses_wide_fields(capsys):
         assert "the choice audit tries q^2 targets per matrix" in captured.err
 
 
+def test_choice_audit_past_the_budget_is_a_budget_verdict(capsys):
+    # more matrices than the default budget: refused before any is built,
+    # so GF(2^5) allocates nothing and GF(2^8) does not pass numpy's size limit
+    for argv in (["lemma", "--name", "choice-audit", "--field", "gf2^5"],
+                 ["lemma", "--name", "choice-audit", "--field", "gf2^8"],
+                 ["choice", "--field", "gf16"]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 0 and report["summary"] == {"failed": 0, "total": 1}, argv
+        check = report["checks"][0]
+        assert check["outcome"] == "budget", argv
+        reason = check.get("reason") or check["detail"]["reason"]
+        assert reason.endswith(f"exceeds budget {1 << 24}")
+
+
+def test_choice_p_out_of_range_names_the_option(capsys, monkeypatch):
+    _refuse_work(monkeypatch)
+    for p in ("5", "0", "-1"):
+        code = main(["choice", "--matrix", "0,0,1,1", "--target", "1,1,1", "--p", p])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: --p: a split index of a 2 x 2 matrix lies in " \
+                               f"1 .. n - 1 = 1, got {p}\n"
+    code = main(["choice", "--matrix", "0,0,0,0,1,0,0,0,0,1,0,0,0,0,1,0",
+                 "--target", "1,1,1,0,1", "--p", "4"])
+    assert code == 2 and "1 .. n - 1 = 3, got 4" in capsys.readouterr().err
+
+
 def test_choice_matrix_needs_target(capsys):
     code = main(["choice", "--matrix", "0,0,0,1,0,0,0,1,0"])
     captured = capsys.readouterr()
@@ -194,7 +221,8 @@ def test_number_rule_keeps_legal_inputs(capsys, monkeypatch):
                            "--seed", "-7")
     assert code == 0 and report["config"]["seed"] == -7
     assert main(["choice", "--matrix", "0,0,1,1", "--target", "1,1,1", "--p", "-1"]) == 2
-    assert capsys.readouterr().err == "error: split index out of range\n"
+    assert capsys.readouterr().err == \
+        "error: --p: a split index of a 2 x 2 matrix lies in 1 .. n - 1 = 1, got -1\n"
     _refuse_work(monkeypatch)
     assert main(["choice", "--field", "gf4", "--matrix", "0,0,1,1", "--target", "0,-1,0,1"]) == 2
     assert capsys.readouterr().err == "error: --target: -1 is not an element of GF(4)\n"

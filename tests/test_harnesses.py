@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -61,6 +62,76 @@ def test_choice_audit_refuses_bad_caps_and_wide_fields():
         H.choice_lemma_audit(field_spec("gf2^9"), n=3, cap=10)
 
 
+def test_choice_audit_past_the_budget_raises_before_any_work(monkeypatch):
+    # uncapped GF(16), GF(32) and GF(256) hold 16^6 15^2 ... 256^6 255^2
+    # matrices, past the 2^24 budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit built matrices past the budget")
+    monkeypatch.setattr(H, "_hessenberg_matrices", refuse)
+    for name in ("gf16", "gf2^5", "gf2^8"):
+        q = field_spec(name).q
+        with pytest.raises(sub.BudgetExceeded) as info:
+            H.choice_lemma_audit(field_spec(name))
+        assert info.value.needed == q ** 6 * (q - 1) ** 2
+        assert info.value.budget == sub.DEFAULT_BUDGET
+    # the budget bounds the matrices audited, so a cap can bring a field within it
+    with pytest.raises(sub.BudgetExceeded):
+        H.choice_lemma_audit(field_spec("gf16"), cap=sub.DEFAULT_BUDGET + 1)
+    with pytest.raises(AssertionError, match="built matrices"):
+        H.choice_lemma_audit(field_spec("gf16"), cap=sub.DEFAULT_BUDGET)
+    # GF(8) holds 8^6 7^2 = 12845056 matrices, within the budget
+    with pytest.raises(AssertionError, match="built matrices"):
+        H.choice_lemma_audit(GF8)
+
+
+def _reference_matrix(q: int, number: int) -> list[int]:
+    # the audit's numbering in Python ints: base-q digits of the six upper
+    # cells in row order, then base-(q - 1) digits, plus one, of the subdiagonal
+    entries = [0] * 9
+    for i, j in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+        number, entries[3 * i + j] = divmod(number, q)
+    for i, j in [(1, 0), (2, 1)]:
+        number, digit = divmod(number, q - 1)
+        entries[3 * i + j] = digit + 1
+    return entries
+
+
+@pytest.mark.parametrize("k,count", [(1, 64), (2, 500), (3, 1000), (5, 50), (7, 5),
+                                     (8, 1), (8, 3), (8, 1000)])
+def test_choice_audit_sampling_decodes_in_uint64(k, count):
+    # 256^6 255^2 > 2^63: at k = 8 the numbers i * (total // cap) pass int64,
+    # and a signed decode raised OverflowError for every cap
+    q = 1 << k
+    total = q ** 6 * (q - 1) ** 2
+    stride = total // count
+    for lo, hi in ((0, min(count, 64)), (count - 1, count)):
+        got = H._hessenberg_matrices(q, stride, lo, hi).reshape(hi - lo, 9).tolist()
+        assert got == [_reference_matrix(q, i * stride) for i in range(lo, hi)]
+
+
+def test_choice_audit_sees_a_broken_batch_kernel(monkeypatch):
+    # sharpness control: with every characteristic polynomial read as x^3,
+    # each matrix reaches one (c0, c1) of q^2 per split, 2 * 20 * 15 misses
+    def zeros(fs, mats):
+        return np.zeros((mats.shape[0], *mats.shape[2:]), dtype=mats.dtype)
+    monkeypatch.setattr(H._bulk, "charpoly_planes", zeros)
+    v = H.choice_lemma_audit(GF4, cap=20)
+    assert v.outcome == "fails"
+    assert (v.detail["solved"], v.detail["failures"]) == (40, 600)
+
+
+def test_choice_audit_memory_is_bounded_by_its_batches():
+    # the matrices go in batches of at most _AUDIT_PAIRS (matrix, block)
+    # pairs: a whole-range audit traced 11.1 MiB at this cap
+    tracemalloc.start()
+    try:
+        assert H.choice_lemma_audit(GF8, cap=1 << 17).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
 def test_confinement_third_harness():
     v = H.confinement_third_harness(GF4)
     assert v.holds
@@ -111,6 +182,14 @@ def test_lemma_reports_are_pinned(name):
 def test_choice_audit_report_is_pinned():
     # the audit's seed picks the spot checks, which the report only counts
     assert _digest(H.choice_lemma_audit(GF4)) == _PINNED_LEMMA_REPORTS["choice-audit"]
+
+
+def test_choice_audit_reports_are_pinned_over_gf2_and_gf8():
+    # pinned before the audit tried blocks in place of solving for targets
+    assert _digest(H.choice_lemma_audit(GF2)) == \
+        "76fa22459eb946c3d5ca1dfad4302d57e281d6b02ff15c974de93296597386cd"
+    assert _digest(H.choice_lemma_audit(GF8, cap=1000)) == \
+        "04d5bd86dd91f14ffe2755a1240e9b73e2ba1985d2568986d7f85d73a18653c7"
 
 
 def _points(fs, n):
