@@ -1,30 +1,20 @@
 """The catalogue of named spaces and their verified spectrum properties."""
 
 from char2spec import GF4, check_space, parse_predicate
-from char2spec.constructions import (b2m, case_iv_n6, joint, k2m, mul_space_left,
-                                     nt, optimal_2bar, sl, sl2_joint_nt,
-                                     standard_catalogue, syms)
+from char2spec.constructions import CATALOGUE, b2m, build, k2m, mul_space_left, syms
 from char2spec.matrix import inverse
 
-print("Catalogue dimensions (a sample):")
-for entry in standard_catalogue(GF4)[:14]:
-    print(f"  {entry.name:<22} dim {entry.space.dim:>2} (expected {entry.expected_dim})")
+print("Catalogue over GF(4): expression, built dimension (stated), claim")
+for entry in CATALOGUE:
+    print(f"  {entry.expr:<30} dim {build(GF4, entry.expr).dim:>2} ({entry.dim:>2})"
+          f"  {entry.pred or '-'}")
 
-print("\nSpectrum checks over GF(4):")
-jobs = [
-    ("sl2", sl(GF4, 2), "1-spec"),
-    ("nt4", nt(GF4, 4), "0bar*-spec"),
-    ("sl2 v nt2", sl2_joint_nt(GF4, 4), "1bar*-spec"),
-    ("sl2 v sl2", joint(GF4, sl(GF4, 2), sl(GF4, 2)), "2bar-spec"),
-    ("b2m(2)", b2m(GF4, 2), "2bar-spec"),
-    ("line + nt1 v sl2 v nt2", optimal_2bar(GF4, 5, 1), "2bar-spec"),
-    ("case_iv_n6", case_iv_n6(GF4), "2bar-spec"),
-]
-for label, space, pred in jobs:
-    v = check_space(GF4, space, parse_predicate(pred), budget=1 << 20,
-                    samples=200_000, seed=0)
-    print(f"  {label:<24} {pred:<11} dim {space.dim:>2}: "
-          f"{v.outcome} ({v.mode}, {v.checked} elements)")
+print("\nEvery claim checked over GF(4):")
+for entry in CATALOGUE:
+    if entry.pred is not None:
+        v = check_space(GF4, build(GF4, entry.expr), parse_predicate(entry.pred),
+                        budget=1 << 20, samples=20_000, seed=0)
+        print(f"  {entry.expr:<30} {entry.pred:<11} {v.outcome} ({v.mode}, {v.checked} elements)")
 
 k = k2m(GF4, 2)
 same = b2m(GF4, 2) == mul_space_left(GF4, inverse(GF4, k), syms(GF4, 4))

@@ -44,23 +44,13 @@ def _result(num: int, name: str, ok: bool, detail: dict) -> dict:
 
 
 def criterion_1(cfg: AcceptanceConfig) -> dict:
-    """Exact dimensions of every catalogue construction."""
-    fs = GF4
-    checks = []
-    for n in range(1, 7):
-        checks.append((f"dim nt{n}", cons.nt(fs, n).dim, comb(n, 2)))
-    for n in range(2, 7):
-        checks.append((f"dim sl2vnt{n - 2}", cons.sl2_joint_nt(fs, n).dim, comb(n, 2) + 2))
-    checks.append(("dim sl2vsl2", cons.joint(fs, cons.sl(fs, 2), cons.sl(fs, 2)).dim, 10))
-    checks.append(("dim b2m2", cons.b2m(fs, 2).dim, 10))
-    for n in (3, 5, 6):
-        for k in range(0, n - 1):
-            checks.append((f"dim line+nt{k}vsl2vnt{n - k - 2}",
-                           cons.optimal_2bar(fs, n, k).dim, comb(n, 2) + 3))
-    checks.append(("dim case_iv_n6", cons.case_iv_n6(fs).dim, 18))
-    bad = [{"check": c, "got": g, "expected": e} for (c, g, e) in checks if g != e]
+    """Exact dimensions of every catalogue entry that claims a predicate,
+    built over GF(4)."""
+    claimed = [e for e in cons.CATALOGUE if e.pred is not None]
+    bad = [{"check": f"dim {e.expr}", "got": got, "expected": e.dim}
+           for e in claimed if (got := cons.build(GF4, e.expr).dim) != e.dim]
     return _result(1, "construction dimensions", not bad,
-                   {"checks": len(checks), "failures": bad})
+                   {"checks": len(claimed), "failures": bad})
 
 
 def criterion_2(cfg: AcceptanceConfig) -> dict:
@@ -70,8 +60,8 @@ def criterion_2(cfg: AcceptanceConfig) -> dict:
         ("sl2", cons.sl(fs, 2), "1-spec"),
         ("sl2", cons.sl(fs, 2), "1bar-spec"),
         *((f"nt{n}", cons.nt(fs, n), "0bar*-spec") for n in range(1, 5)),
-        ("sl2vnt2", cons.sl2_joint_nt(fs, 4), "1bar*-spec"),
-        ("sl2vsl2", cons.joint(fs, cons.sl(fs, 2), cons.sl(fs, 2)), "2bar-spec"),
+        ("sl2vnt2", cons.build(fs, "joint(sl2,nt2)"), "1bar*-spec"),
+        ("sl2vsl2", cons.build(fs, "joint(sl2,sl2)"), "2bar-spec"),
         ("b2m2", cons.b2m(fs, 2), "2bar-spec"),
     ]
     rows = []
@@ -91,8 +81,8 @@ def criterion_3(cfg: AcceptanceConfig) -> dict:
     """Sampled spectrum verification at n = 5, 6 (>= 10^6 seeded samples)."""
     fs = GF4
     jobs = [
-        ("sl2vnt3", cons.sl2_joint_nt(fs, 5), "1bar*-spec"),
-        ("line+nt1vsl2vnt2", cons.optimal_2bar(fs, 5, 1), "2bar-spec"),
+        ("sl2vnt3", cons.build(fs, "joint(sl2,nt3)"), "1bar*-spec"),
+        ("line+nt1vsl2vnt2", cons.build(fs, "line_plus(joint(nt1,sl2,nt2))"), "2bar-spec"),
         ("case_iv_n6", cons.case_iv_n6(fs), "2bar-spec"),
     ]
     rows = []

@@ -26,7 +26,7 @@ import sys
 import time
 
 from . import __version__
-from .gf import FieldSpec, field_spec, read_decimal
+from .gf import FieldSpec, excerpt, field_spec, read_decimal
 from .matrix import Mat
 from .subspace import BudgetExceeded, DEFAULT_BUDGET
 from .spectra import check_space, parse_predicate
@@ -119,9 +119,9 @@ def cmd_trk(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 
 def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
-    """The audit takes --cap (a "budget" check past the default budget of
-    matrices); one instance takes --matrix, --target and --p (default 1, at
-    most n - 1).  An option of the other mode is a usage error."""
+    """The audit takes --cap (a "budget" check past --budget matrices); one
+    instance takes --matrix, --target and --p (default 1, at most n - 1).
+    An option of the other mode is a usage error."""
     if args.matrix is None:
         if args.target is not None:
             raise ValueError("--target needs --matrix (comma-separated row-major entries)")
@@ -129,7 +129,8 @@ def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
             raise ValueError("--p needs --matrix: the audit tries p = 1 and p = n - 1")
 
         def run():      # n = 3, its only size
-            return choice_lemma_audit(fs, cap=args.cap, seed=args.seed).to_json()
+            return choice_lemma_audit(fs, cap=args.cap, seed=args.seed,
+                                      budget=args.budget).to_json()
         return {"n": 3, "cap": args.cap}, [_budgeted(run)]
     if args.cap is not None:
         raise ValueError("--cap belongs to the audit, not to one instance (--matrix)")
@@ -155,10 +156,12 @@ def cmd_choice(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 
 def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
     """Comma-separated field elements, each a code in [0, q)."""
-    values = [read_decimal(x, f"{option}: {x!r} is not an integer") for x in text.split(",")]
+    values = [read_decimal(x, f"{option}: {excerpt(x)} is not an integer")
+              for x in text.split(",")]
     bad = [v for v in values if not 0 <= v < fs.q]
     if bad:
-        raise ValueError(f"{option}: {bad[0]} is not an element of GF({fs.q})")
+        raise ValueError(f"{option}: {excerpt(str(bad[0]), str)} "
+                         f"is not an element of GF({fs.q})")
     return values
 
 
@@ -189,7 +192,8 @@ def cmd_acceptance(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
 def _integer(text: str, positive: bool = True, log2_max: int | None = None) -> int:
     """The type of every integer option: read_decimal, then the bounds."""
     bound = "" if log2_max is None else f" up to 2^{log2_max}"
-    error = f"expected {'a positive integer' if positive else 'an integer'}{bound}, got {text!r}"
+    error = (f"expected {'a positive integer' if positive else 'an integer'}{bound}, "
+             f"got {excerpt(text)}")
     try:
         value = read_decimal(text, error)
         if (value > 0 or not positive) and (log2_max is None or value <= 1 << log2_max):

@@ -2,9 +2,9 @@
 
 All constructions are parameterized by an explicit field and return
 canonical :class:`~char2spec.subspace.MatSubspace` objects, so equality
-tests between differently-built spaces are exact.  The catalogue at the
-bottom is data-driven: each entry carries the closed-form dimension its
-realization must have, and the test suite iterates it generically.
+tests between differently-built spaces are exact.  The catalogue,
+`CATALOGUE`, is data with no field: `build` expressions, each with the
+closed-form dimension stated for it and the predicate it claims, if any.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 
-from .gf import FieldSpec, read_decimal
+from .gf import FieldSpec, excerpt, read_decimal
 from .matrix import Mat, identity, inverse, mat_add, mat_mul, place, rank, unit
 from .subspace import MatSubspace, VecSubspace
 
@@ -156,56 +156,46 @@ def case_iv_n6(fs: FieldSpec) -> MatSubspace:
     return _space(fs, 6, gens)
 
 
+def sl2_joint_nt(fs: FieldSpec, n: int) -> MatSubspace:
+    return joint(fs, sl(fs, 2), nt(fs, n - 2))
+
+
+def optimal_2bar(fs: FieldSpec, n: int, k: int) -> MatSubspace:
+    """F I_n + (NT_k v sl_2 v NT_{n-k-2})."""
+    return line_plus(fs, joint(fs, nt(fs, k), sl(fs, 2), nt(fs, n - k - 2)))
+
+
 # ----------------------------------------------------------------------
 # catalogue
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CatalogueEntry:
-    name: str
-    expected_dim: int
-    space: MatSubspace
+    """A `build` expression, its stated dimension and the spectrum predicate
+    it claims over every field of characteristic 2 (None: no claim)."""
+    expr: str
+    dim: int
+    pred: str | None = None
 
 
-def sl2_joint_nt(fs: FieldSpec, n: int) -> MatSubspace:
-    return joint(fs, sl(fs, 2), nt(fs, n - 2))
-
-
-def optimal_1star(fs: FieldSpec, n: int, k: int) -> MatSubspace:
-    """NT_k v sl_2 v NT_{n-k-2}."""
-    return joint(fs, nt(fs, k), sl(fs, 2), nt(fs, n - k - 2))
-
-
-def optimal_2bar(fs: FieldSpec, n: int, k: int) -> MatSubspace:
-    """F I_n + (NT_k v sl_2 v NT_{n-k-2})."""
-    return line_plus(fs, optimal_1star(fs, n, k))
-
-
-def standard_catalogue(fs: FieldSpec) -> list[CatalogueEntry]:
-    entries: list[CatalogueEntry] = []
-    for n in range(1, 7):
-        entries.append(CatalogueEntry(f"nt{n}", comb(n, 2), nt(fs, n)))
-    for n in range(2, 7):
-        entries.append(CatalogueEntry(f"joint(sl2,nt{n - 2})", comb(n, 2) + 2,
-                                      sl2_joint_nt(fs, n)))
-    entries.append(CatalogueEntry("sl2", 3, sl(fs, 2)))
-    entries.append(CatalogueEntry("sl3", 8, sl(fs, 3)))
-    entries.append(CatalogueEntry("joint(sl2,sl2)", comb(4, 2) + 4,
-                                  joint(fs, sl(fs, 2), sl(fs, 2))))
-    entries.append(CatalogueEntry("b2m1", 1 + 2, b2m(fs, 1)))
-    entries.append(CatalogueEntry("b2m2", comb(5, 2), b2m(fs, 2)))
-    for n in (3, 5, 6):
-        for k in range(0, n - 1):
-            entries.append(CatalogueEntry(f"line+nt{k}_sl2_nt{n - k - 2}",
-                                          comb(n, 2) + 3, optimal_2bar(fs, n, k)))
-    entries.append(CatalogueEntry("case_iv_n6", comb(6, 2) + 3, case_iv_n6(fs)))
-    for n in (2, 3, 4, 5):
-        entries.append(CatalogueEntry(f"hurdle{n}", 3 + 2 * (n - 2),
-                                      hurdle_template(fs, n)))
-    for n in (2, 3, 4):
-        entries.append(CatalogueEntry(f"ut{n}", comb(n + 1, 2), ut(fs, n)))
-        entries.append(CatalogueEntry(f"syms{n}", comb(n + 1, 2), syms(fs, n)))
-        entries.append(CatalogueEntry(f"alts{n}", comb(n, 2), alts(fs, n)))
-    return entries
+CATALOGUE = (
+    *(CatalogueEntry(f"nt{n}", comb(n, 2), "0bar*-spec") for n in range(1, 7)),
+    *(CatalogueEntry(f"joint(sl2,nt{n - 2})", comb(n, 2) + 2, "1bar*-spec")
+      for n in range(2, 7)),
+    CatalogueEntry("sl2", 3),
+    CatalogueEntry("sl3", 8),
+    CatalogueEntry("joint(sl2,sl2)", comb(4, 2) + 4, "2bar-spec"),
+    CatalogueEntry("b2m1", 1 + 2),
+    CatalogueEntry("b2m2", comb(5, 2), "2bar-spec"),
+    # optimal_2bar(n, k), with no nt0 block
+    *(CatalogueEntry(f"line_plus(joint(nt{k},sl2,nt{n - k - 2}))".replace("nt0,", "")
+                     .replace(",nt0", ""), comb(n, 2) + 3, "2bar-spec")
+      for n in (3, 5, 6) for k in range(0, n - 1)),
+    CatalogueEntry("case_iv_n6", comb(6, 2) + 3, "2bar-spec"),
+    *(CatalogueEntry(f"hurdle{n}", 3 + 2 * (n - 2)) for n in (2, 3, 4, 5)),
+    *(entry for n in (2, 3, 4) for entry in (CatalogueEntry(f"ut{n}", comb(n + 1, 2)),
+                                               CatalogueEntry(f"syms{n}", comb(n + 1, 2)),
+                                               CatalogueEntry(f"alts{n}", comb(n, 2)))),
+)
 
 
 def build(fs: FieldSpec, expr: str) -> MatSubspace:
@@ -235,15 +225,16 @@ def build_with_expected(fs: FieldSpec, expr: str) -> tuple[MatSubspace, int]:
     # every "(" opens a combinator, so the deepest parenthesis is the nesting
     depth = max(accumulate((c == "(") - (c == ")") for c in text), default=0)
     if depth > MAX_DEPTH:
-        raise ValueError(f"construction {expr!r} nests {depth} levels deep, "
+        raise ValueError(f"construction {excerpt(expr)} nests {depth} levels deep, "
                          f"past the bound of {MAX_DEPTH}")
     size, expected, make, rest = _parse_expr(fs, text)
     if rest:
-        raise ValueError(f"trailing input in construction expression: {rest!r}")
+        raise ValueError(f"trailing input in construction expression: {excerpt(rest)}")
     if size == 0:
-        raise ValueError(f"construction {expr!r} builds 0 x 0 matrices")
+        raise ValueError(f"construction {excerpt(expr)} builds 0 x 0 matrices")
     if size > MAX_SIZE:
-        raise ValueError(f"construction {expr!r} builds {size} x {size} matrices, "
+        side = excerpt(str(size), str)
+        raise ValueError(f"construction {excerpt(expr)} builds {side} x {side} matrices, "
                          f"past the bound of {MAX_SIZE}")
     return make(), expected
 
@@ -283,7 +274,7 @@ def _parse_expr(fs: FieldSpec, text: str):
                 *part, rest = _parse_expr(fs, rest[1:])
                 parts.append(part)
             if not rest.startswith(")"):
-                raise ValueError(f"malformed construction expression near {rest!r}")
+                raise ValueError(f"malformed construction expression near {excerpt(rest)}")
             (sizes, expects, makes), rest = zip(*parts), rest[1:]
             if name == "joint":
                 cross = (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2
@@ -294,7 +285,7 @@ def _parse_expr(fs: FieldSpec, text: str):
             return sizes[0], expects[0] + 1, lambda: line_plus(fs, makes[0]()), rest
     match = _ATOM.match(text)
     if match is None:
-        raise ValueError(f"unknown construction expression {text!r}")
+        raise ValueError(f"unknown construction expression {excerpt(text)}")
     (fn, dim_fn), n = _ATOMS[match[1]], read_decimal(
         match[2], f"construction atom {match[1]!r} has a size of {len(match[2])} digits, "
                   f"too many to read")

@@ -105,11 +105,13 @@ class FieldSpec:
 
     def __init__(self, degree: int, modulus: int | None = None):
         if not 1 <= degree <= _MAX_DEGREE:
-            raise ValueError(f"extension degree must be in [1, {_MAX_DEGREE}], got {degree}")
+            raise ValueError(f"extension degree must be in [1, {_MAX_DEGREE}], "
+                             f"got {excerpt(str(degree), str)}")
         if modulus is None:
             modulus = least_irreducible_gf2(degree)
         if modulus < 0 or _gf2_degree(modulus) != degree:   # _gf2_mod never ends on a negative code
-            raise ValueError(f"modulus {modulus:#b} does not have degree {degree}")
+            raise ValueError(f"modulus {excerpt(f'{modulus:#b}', str)} "
+                             f"does not have degree {degree}")
         if not is_irreducible_gf2(modulus):
             raise ValueError(f"modulus {modulus:#b} is reducible over GF(2)")
         self.degree = degree
@@ -224,6 +226,19 @@ def _cached_spec(degree: int, modulus: int | None) -> FieldSpec:
     return FieldSpec(degree, modulus)
 
 
+# the characters of outside text that an error message quotes
+_EXCERPT = 40
+
+
+def excerpt(text: str, show=repr) -> str:
+    """show(text) for an error message, the one way to quote outside text:
+    past _EXCERPT characters the text is cut there and its length follows,
+    so an error line stays short whatever the input."""
+    if len(text) <= _EXCERPT:
+        return show(text)
+    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
+
+
 def read_decimal(text: str, error: str) -> int:
     """`text` as ASCII decimal digits with an optional leading minus sign,
     the one rule for every number in outside text (int() alone would also
@@ -244,17 +259,18 @@ def field_spec(name: str) -> FieldSpec:
     Examples: 'gf4', 'gf2^4', 'gf2^4:19'.
     """
     text = name.strip().lower()
-    error = "field {!r} has a {} {!r} that is not a decimal integer".format
+    error = "field {} has a {} {} that is not a decimal integer".format
     modulus = None
     if ":" in text:
         text, mod_text = text.split(":", 1)
-        modulus = read_decimal(mod_text, error(name, "modulus", mod_text))
+        modulus = read_decimal(mod_text, error(excerpt(name), "modulus", excerpt(mod_text)))
     aliases = {"gf2": 1, "gf4": 2, "gf8": 3, "gf16": 4}
     if text in aliases:
         return _cached_spec(aliases[text], modulus)
     if text.startswith("gf2^"):
-        return _cached_spec(read_decimal(text[4:], error(name, "degree", text[4:])), modulus)
-    raise ValueError(f"unknown field name {name!r}")
+        return _cached_spec(read_decimal(text[4:], error(excerpt(name), "degree",
+                                                         excerpt(text[4:]))), modulus)
+    raise ValueError(f"unknown field name {excerpt(name)}")
 
 
 GF2 = _cached_spec(1, None)

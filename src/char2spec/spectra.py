@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, read_decimal
+from .gf import FieldSpec, excerpt, read_decimal
 from .matrix import Mat, char_poly, identity
 from .subspace import DEFAULT_BUDGET, MatSubspace, index_chunks
 from .upoly import Poly, count_roots_in_closure, count_roots_in_field, has_root_zero, poly_str
@@ -117,7 +117,7 @@ def parse_predicate(text: str) -> SpecPredicate:
     without the '-spec' suffix).  The bound k is written in the text and
     must be a nonnegative integer in ASCII decimal digits; ValueError
     otherwise."""
-    t = text.strip().lower()
+    t, quoted = text.strip().lower(), excerpt(text)
     if t.endswith("-spec"):
         t = t[:-5]
     star = t.endswith("*")
@@ -127,10 +127,10 @@ def parse_predicate(text: str) -> SpecPredicate:
     if bar:
         t = t[:-3]
     if not t:
-        raise ValueError(f"predicate {text!r} has no bound k")
-    k = read_decimal(t, f"predicate {text!r} has a bound k that is not an integer")
+        raise ValueError(f"predicate {quoted} has no bound k")
+    k = read_decimal(t, f"predicate {quoted} has a bound k that is not an integer")
     if k < 0:
-        raise ValueError(f"predicate {text!r} has a negative bound k")
+        raise ValueError(f"predicate {quoted} has a negative bound k")
     return SpecPredicate("in_closure" if bar else "in_field", star, k)
 
 

@@ -13,10 +13,12 @@ deliberately rather than weakening the detector.  See the README note.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from char2spec import acceptance as acc
+from char2spec import constructions as cons
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,17 @@ def test_criterion_1_construction_dimensions(cfg):
     r = _report(acc.criterion_1(cfg))
     assert r["outcome"] == "pass", r["detail"]["failures"]
     assert r["detail"]["checks"] >= 25
+
+
+def test_criterion_1_reads_the_catalogue(cfg, monkeypatch):
+    # a stated dimension one too high makes the criterion fail, naming it
+    entry = next(e for e in cons.CATALOGUE if e.expr == "line_plus(joint(nt1,sl2,nt2))")
+    monkeypatch.setattr(cons, "CATALOGUE", tuple(
+        replace(e, dim=e.dim + 1) if e is entry else e for e in cons.CATALOGUE))
+    r = acc.criterion_1(cfg)
+    assert r["outcome"] == "fail"
+    assert r["detail"] == {"checks": 25, "failures": [
+        {"check": "dim line_plus(joint(nt1,sl2,nt2))", "got": 13, "expected": 14}]}
 
 
 def test_criterion_2_exhaustive_spec_verification(cfg):

@@ -143,6 +143,15 @@ def test_choice_audit_past_the_budget_is_a_budget_verdict(capsys):
         assert reason.endswith(f"exceeds budget {1 << 24}")
 
 
+def test_choice_audit_takes_the_budget_option(capsys):
+    code, report = run_cli(capsys, "choice", "--budget", "10", "--cap", "1000")
+    assert code == 0 and report["config"]["budget"] == 10
+    check, = report["checks"]
+    assert check["outcome"] == "budget" and check["reason"].endswith("exceeds budget 10")
+    code, report = run_cli(capsys, "choice", "--budget", "10", "--cap", "10")
+    assert code == 0 and report["checks"][0]["outcome"] == "holds"
+
+
 def test_choice_p_out_of_range_names_the_option(capsys, monkeypatch):
     _refuse_work(monkeypatch)
     for p in ("5", "0", "-1"):
@@ -264,8 +273,10 @@ def test_deep_nesting_is_a_usage_error(capsys):
     assert time.perf_counter() - t0 < 1.0
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: construction {deep!r} nests 1200 levels deep, " \
-                           f"past the bound of 400\n"
+    # the error line quotes the head of the expression and its length
+    assert captured.err == f"error: construction {deep[:40]!r}... (8403 characters) " \
+                           f"nests 1200 levels deep, past the bound of 400\n"
+    assert len(captured.err.encode()) < 300
     code, report = run_cli(capsys, "trk", "--construction", "joint(" * 400 + "nt1" + ")" * 400)
     assert code == 0 and report["checks"][0]["outcome"] == "holds"
 
@@ -275,9 +286,11 @@ def test_long_digit_strings_name_their_input(capsys):
     digits = "1" * 5000
     for argv, start in (
             (["verify", "--construction", "nt2", "--pred", f"{digits}-spec"],
-             f"error: predicate '{digits}-spec' has a bound k that is not an integer"),
+             f"error: predicate '{digits[:40]}'... (5005 characters) has a bound k "
+             f"that is not an integer"),
             (["verify", "--construction", "nt2", "--pred", "1-spec", "--field", f"gf2^{digits}"],
-             f"error: field 'gf2^{digits}' has a degree"),
+             f"error: field 'gf2^{digits[:36]}'... (5004 characters) has a degree "
+             f"'{digits[:40]}'... (5000 characters)"),
             (["verify", "--construction", f"nt{digits}", "--pred", "1-spec"],
              "error: construction atom 'nt' has a size of 5000 digits, too many to read"),
             (["verify", "--construction", "nt2", "--pred", "1-spec", "--budget", digits],
@@ -287,6 +300,8 @@ def test_long_digit_strings_name_their_input(capsys):
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(start) and "Exceeds the limit" not in captured.err
         assert captured.err.count("error:") == 1
+        # outside text is cut in the message, so every line stays short
+        assert all(len(line.encode()) < 300 for line in captured.err.splitlines()), argv
     assert "--budget: expected a positive integer up to 2^62" in captured.err
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -11,9 +12,29 @@ from char2spec.spectra import check_space, parse_predicate
 
 
 @pytest.mark.parametrize("fs", [GF4, GF2])
-def test_catalogue_dimensions(fs):
-    for entry in cons.standard_catalogue(fs):
-        assert entry.space.dim == entry.expected_dim, entry.name
+def test_catalogue_entries_build_to_their_dimension(fs):
+    # every entry is a build expression, and its stated dimension is both
+    # the built one and the structural count of the expression
+    for entry in cons.CATALOGUE:
+        space, expected = cons.build_with_expected(fs, entry.expr)
+        assert space.dim == entry.dim == expected, entry.expr
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8])
+def test_catalogue_claims_hold_and_are_sharp(fs):
+    # every claim holds (exhaustive up to 2^16 elements, seeded samples
+    # past it), and the claim one bound lower fails wherever the bound is
+    # positive
+    for entry in cons.CATALOGUE:
+        if entry.pred is None:
+            continue
+        space, pred = cons.build(fs, entry.expr), parse_predicate(entry.pred)
+        v = check_space(fs, space, pred, budget=1 << 16, samples=2000, seed=0)
+        assert v.holds, (entry.expr, entry.pred)
+        if pred.k > 0:
+            lower = replace(pred, k=pred.k - 1)
+            v = check_space(fs, space, lower, budget=1 << 16, samples=2000, seed=0)
+            assert not v.holds, (entry.expr, lower.name)
 
 
 def test_base_space_dimensions(gf4):

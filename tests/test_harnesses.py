@@ -82,6 +82,12 @@ def test_choice_audit_past_the_budget_raises_before_any_work(monkeypatch):
     # GF(8) holds 8^6 7^2 = 12845056 matrices, within the budget
     with pytest.raises(AssertionError, match="built matrices"):
         H.choice_lemma_audit(GF8)
+    # a smaller budget refuses a smaller audit
+    with pytest.raises(sub.BudgetExceeded) as info:
+        H.choice_lemma_audit(GF4, cap=1000, budget=999)
+    assert (info.value.needed, info.value.budget) == (1000, 999)
+    with pytest.raises(AssertionError, match="built matrices"):
+        H.choice_lemma_audit(GF4, cap=1000, budget=1000)
 
 
 def _reference_matrix(q: int, number: int) -> list[int]:
@@ -168,6 +174,20 @@ _PINNED_LEMMA_REPORTS = {
     "hurdle-dimension": "e32350e851de815bda1683c9827bdd119ec99774a63baaef1e38a1f18664e233",
     "choice-audit": "6c82c2c09c1b8ce06175b0cbcd9080aeaf403adc6ef17c78d358f44a251d3b74",
 }
+
+
+def test_hurdle_roofs_are_within_their_bounds():
+    # each instance of the hurdle-dimension harness lies in its roof, and
+    # every roof's dimension is at most its bound: the harness cannot fail
+    dims = {}
+    for case in [(n, star, False) for n in (3, 4, 5) for star in (True, False)] + [(4, False, True)]:
+        roof, bound, _ = H.hurdle_roof(GF4, *case)
+        dims[case] = (roof.dim, bound)
+    assert dims == {(3, True, False): (5, 5), (3, False, False): (6, 6),
+                    (4, True, False): (8, 8), (4, False, False): (9, 10),
+                    (4, False, True): (10, 10),
+                    (5, True, False): (12, 12), (5, False, False): (13, 13)}
+    assert all(dim <= bound for dim, bound in dims.values())
 
 
 def _digest(verdict) -> str:
