@@ -168,7 +168,7 @@ def _codes(fs: FieldSpec, text: str, option: str) -> list[int]:
 def cmd_lemma(args, fs: FieldSpec) -> tuple[dict, list[dict]]:
     try:
         verdict = run_lemma(fs, args.name, trials=args.trials, seed=args.seed,
-                            workers=args.workers)
+                            workers=args.workers, budget=args.budget)
     except BudgetExceeded as exc:
         verdict = LemmaVerdict(args.name, "budget", {"reason": str(exc)})
     if verdict.outcome == "hypothesis-violation" and "trial" not in verdict.detail:

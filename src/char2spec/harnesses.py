@@ -373,7 +373,9 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
 
 def diagonal_zero_harness(fs: FieldSpec) -> LemmaVerdict:
     """A witness with >= 3 distinct eigenvalues must exist inside the
-    zero-diagonal space for n = 3, 4, 5."""
+    zero-diagonal space for n = 3, 4, 5 when |F| > 2."""
+    if fs.q <= 2:
+        return LemmaVerdict("diagonal-zero", "hypothesis-violation", {"reason": "needs |F| > 2"})
     found = {}
     for n in (3, 4, 5):
         w = diagonal_zero_witness(fs, n)
@@ -504,36 +506,39 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
 # ----------------------------------------------------------------------
 # registry for the CLI
 # ----------------------------------------------------------------------
-# name -> harness(fs, trials, seed, workers), in the order the CLI lists them
+# name -> harness(fs, trials, seed, workers, budget), in the order the CLI lists them
 _LEMMAS = {
-    "covering": lambda fs, trials, seed, workers: covering_harness(fs, trials, seed),
-    "vanishing": lambda fs, trials, seed, workers: vanishing_harness(fs, trials, seed),
-    "trace-ortho-1": lambda fs, trials, seed, workers: trace_ortho1_harness(fs, trials, seed),
-    "trace-ortho-2": lambda fs, trials, seed, workers: trace_ortho2_harness(fs, trials, seed),
-    "transrank": lambda fs, trials, seed, workers: transrank_harness(fs, trials, seed),
-    "splitting": lambda fs, trials, seed, workers: splitting_harness(
+    "covering": lambda fs, trials, seed, workers, budget: covering_harness(fs, trials, seed),
+    "vanishing": lambda fs, trials, seed, workers, budget: vanishing_harness(fs, trials, seed),
+    "trace-ortho-1": lambda fs, trials, seed, workers, budget: trace_ortho1_harness(
+        fs, trials, seed),
+    "trace-ortho-2": lambda fs, trials, seed, workers, budget: trace_ortho2_harness(
+        fs, trials, seed),
+    "transrank": lambda fs, trials, seed, workers, budget: transrank_harness(fs, trials, seed),
+    "splitting": lambda fs, trials, seed, workers, budget: splitting_harness(
         fs, trials, seed, workers=workers),
-    "confinement-first": lambda fs, trials, seed, workers: confinement_first_harness(
+    "confinement-first": lambda fs, trials, seed, workers, budget: confinement_first_harness(
         fs, trials, seed, workers=workers),
-    "confinement-second": lambda fs, trials, seed, workers: confinement_second_harness(
+    "confinement-second": lambda fs, trials, seed, workers, budget: confinement_second_harness(
         fs, trials, seed, workers=workers),
-    "confinement-third": lambda fs, trials, seed, workers: confinement_third_harness(
+    "confinement-third": lambda fs, trials, seed, workers, budget: confinement_third_harness(
         fs, seed=seed, workers=workers),
-    "lastblock": lambda fs, trials, seed, workers: lastblock_audit(fs),
-    "sl-rank1-span": lambda fs, trials, seed, workers: sl_rank1_harness(fs),
-    "diagonal-zero": lambda fs, trials, seed, workers: diagonal_zero_harness(fs),
-    "hurdle-dimension": lambda fs, trials, seed, workers: hurdle_dimension_harness(
+    "lastblock": lambda fs, trials, seed, workers, budget: lastblock_audit(fs),
+    "sl-rank1-span": lambda fs, trials, seed, workers, budget: sl_rank1_harness(fs),
+    "diagonal-zero": lambda fs, trials, seed, workers, budget: diagonal_zero_harness(fs),
+    "hurdle-dimension": lambda fs, trials, seed, workers, budget: hurdle_dimension_harness(
         fs, trials, seed, workers=workers),
-    "choice-audit": lambda fs, trials, seed, workers: choice_lemma_audit(fs, seed=seed),
+    "choice-audit": lambda fs, trials, seed, workers, budget: choice_lemma_audit(
+        fs, seed=seed, budget=budget),
 }
 
 LEMMA_NAMES = list(_LEMMAS)
 
 
 def run_lemma(fs: FieldSpec, name: str, trials: int = 200, seed: int = 0,
-              workers: int = 1) -> LemmaVerdict:
-    """Run one harness by name.  Raises BudgetExceeded when an instance
-    has more objects to enumerate than the default budget."""
+              workers: int = 1, budget: int = DEFAULT_BUDGET) -> LemmaVerdict:
+    """Run one harness by name.  `budget` reaches the choice audit alone; the
+    other harnesses fix their own.  Raises BudgetExceeded past a budget."""
     if name not in _LEMMAS:
         raise ValueError(f"unknown lemma harness {name!r}")
-    return _LEMMAS[name](fs, trials, seed, workers)
+    return _LEMMAS[name](fs, trials, seed, workers, budget)

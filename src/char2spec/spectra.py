@@ -143,21 +143,30 @@ def is_even_poly(f: Poly) -> bool:
     return all(c == 0 for c in f[1::2])
 
 
-@dataclass
-class SpaceVerdict:
-    predicate: str
-    label: str
+@dataclass(frozen=True)
+class Scan:
+    """What :func:`_scan_space` found: the minimal failing index and its
+    element, or None twice.  The outcome follows from the witness."""
     mode: str              # "exhaustive" | "sampled"
-    checked: int
-    seed: int | None
-    outcome: str           # "holds" | "fails"
-    witness: Mat | None = None
-    witness_profile: SpectrumProfile | None = None
-    witness_index: int | None = None
+    checked: int           # q^dim, or the sample count
+    seed: int | None       # None when exhaustive
+    witness_index: int | None
+    witness: Mat | None
 
     @property
     def holds(self) -> bool:
-        return self.outcome == "holds"
+        return self.witness is None
+
+    @property
+    def outcome(self) -> str:
+        return "holds" if self.holds else "fails"
+
+
+@dataclass(frozen=True)
+class SpaceVerdict(Scan):
+    predicate: str
+    label: str
+    witness_profile: SpectrumProfile | None
 
     def to_json(self) -> dict:
         out = {"predicate": self.predicate, "label": self.label, "mode": self.mode,
@@ -170,9 +179,9 @@ class SpaceVerdict:
 
 
 def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
-                budget: int, samples: int, seed: int, workers: int, shift=None):
-    """Shared scan plumbing.  Returns (mode, checked, used_seed, index,
-    witness): the minimal failing index and its element, or None twice.
+                budget: int, samples: int, seed: int, workers: int, shift=None) -> Scan:
+    """Shared scan plumbing.  Returns a :class:`Scan`, which names the
+    minimal failing index and its element, or None twice.
 
     fail_batch(planes [n, m, k, W], count) -> bool array over the first
     `count` lanes of a bit-sliced batch (see :mod:`._bulk`) decides every
@@ -273,8 +282,8 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
         if not fail_scalar(witness):
             raise AssertionError("witness failed to re-verify; scan is inconsistent")
     if exhaustive:
-        return "exhaustive", total, None, bad, witness
-    return "sampled", samples, seed, bad, witness
+        return Scan("exhaustive", total, None, bad, witness)
+    return Scan("sampled", samples, seed, bad, witness)
 
 
 def _element_for_index(fs: FieldSpec, s: MatSubspace, index: int,
@@ -288,12 +297,10 @@ def _element_for_index(fs: FieldSpec, s: MatSubspace, index: int,
     return Mat(n, m, s.space.combine(coords))
 
 
-def _space_verdict(fs: FieldSpec, predicate: str, label: str, scan) -> SpaceVerdict:
-    mode, checked, used_seed, index, witness = scan
-    if witness is None:
-        return SpaceVerdict(predicate, label, mode, checked, used_seed, "holds")
-    return SpaceVerdict(predicate, label, mode, checked, used_seed, "fails",
-                        witness, profile(fs, witness), index)
+def _space_verdict(fs: FieldSpec, predicate: str, label: str, scan: Scan) -> SpaceVerdict:
+    w = scan.witness
+    return SpaceVerdict(**vars(scan), predicate=predicate, label=label,
+                        witness_profile=None if w is None else profile(fs, w))
 
 
 def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,

@@ -332,7 +332,7 @@ def find_alternator(fs: FieldSpec, t: MatSubspace, budget: int = DEFAULT_BUDGET,
         return _bulk.batch_rank(fs, codes.reshape(count, udim, vdim)) == vdim
 
     return _scan_space(fs, grams, full_rank, lambda g: rank(fs, g) == vdim,
-                       budget, samples, seed, 1)[4]
+                       budget, samples, seed, 1).witness
 
 
 def is_alternator(fs: FieldSpec, t: MatSubspace, gram: Mat) -> bool:
@@ -621,14 +621,12 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         bad_b = prof.distinct_in_f > 1 if mode == "2spec" else prof.distinct_nonzero_in_f > 0
         return bad_b or (tq != 0 and (prof.distinct_in_f > 0 or not any(gb.entries)))
 
-    scan_mode, checked, used_seed, bad, w = _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
-    if w is not None:
-        return LemmaVerdict(name, "fails",
-                            {"condition": "bcd", "witness": w.to_json(),
-                             "index": bad, "mode": scan_mode})
-    return LemmaVerdict(name, "holds",
-                        {"mode": scan_mode, "checked": checked, "seed": used_seed})
+    scan = _scan_space(fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
+    if scan.holds:
+        return LemmaVerdict(name, "holds",
+                            {"mode": scan.mode, "checked": scan.checked, "seed": scan.seed})
+    return LemmaVerdict(name, "fails", {"condition": "bcd", "witness": scan.witness.to_json(),
+                                        "index": scan.witness_index, "mode": scan.mode})
 
 
 # ----------------------------------------------------------------------

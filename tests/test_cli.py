@@ -150,6 +150,12 @@ def test_choice_audit_takes_the_budget_option(capsys):
     assert check["outcome"] == "budget" and check["reason"].endswith("exceeds budget 10")
     code, report = run_cli(capsys, "choice", "--budget", "10", "--cap", "10")
     assert code == 0 and report["checks"][0]["outcome"] == "holds"
+    # the lemma command's --budget reaches the same audit (36864 GF(4) matrices)
+    code, report = run_cli(capsys, "lemma", "--name", "choice-audit", "--budget", "10")
+    assert code == 0 and report["config"]["budget"] == 10
+    check, = report["checks"]
+    assert (check["outcome"], check["detail"]) == (
+        "budget", {"reason": "enumeration of 36864 objects exceeds budget 10"})
 
 
 def test_choice_p_out_of_range_names_the_option(capsys, monkeypatch):
@@ -437,11 +443,13 @@ def test_lemma_runs_the_trials_it_echoes(capsys):
 
 
 def test_lemma_gf2_setup_errors_and_runs(capsys):
-    # over GF(2) the last-block hypothesis is vacuous: a usage error, not a failure
-    code = main(["lemma", "--field", "gf2", "--name", "lastblock"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert "error: lemma lastblock: needs |F| > 2" in captured.err
+    # over GF(2) the last-block and diagonal-zero hypotheses fail: a usage
+    # error, not a failure
+    for name in ("lastblock", "diagonal-zero"):
+        code = main(["lemma", "--field", "gf2", "--name", name])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"error: lemma {name}: needs |F| > 2" in captured.err
     # the vanishing harness draws its degree d <= |F|
     code, report = run_cli(capsys, "lemma", "--field", "gf2", "--name", "vanishing",
                            "--trials", "12", "--seed", "5")

@@ -27,6 +27,18 @@ def test_harness_holds(name, trials):
     assert v.holds, (name, v.to_json())
 
 
+def test_every_harness_holds_or_refuses_its_setup_over_gf2():
+    # a harness whose hypothesis needs |F| > 2 refuses the field before any
+    # trial; none may report a lemma failure
+    for name in H.LEMMA_NAMES:
+        v = H.run_lemma(GF2, name, 2, 0)
+        assert v.holds or (v.outcome == "hypothesis-violation" and "trial" not in v.detail), \
+            (name, v.to_json())
+    assert H.run_lemma(GF2, "diagonal-zero").to_json() == {
+        "name": "diagonal-zero", "outcome": "hypothesis-violation",
+        "detail": {"reason": "needs |F| > 2"}}
+
+
 def test_lemma_registry_order():
     assert H.LEMMA_NAMES == [
         "covering", "vanishing", "trace-ortho-1", "trace-ortho-2", "transrank", "splitting",

@@ -17,9 +17,9 @@ from char2spec import structure as st
 from char2spec import subspace as sub
 from char2spec import upoly as up
 from char2spec import constructions as cons
-from char2spec.spectra import (SpecPredicate, _element_for_index, _scan_space, check_element,
-                               check_space, check_space_even_charpoly, is_even_poly,
-                               parse_predicate, profile)
+from char2spec.spectra import (Scan, SpecPredicate, _element_for_index, _scan_space,
+                               check_element, check_space, check_space_even_charpoly,
+                               is_even_poly, parse_predicate, profile)
 from oracles import (all_monic, charpoly_cofactor, first_failing_index, first_failing_sample,
                      is_nilpotent, projective_indices, root_slots, roots_by_evaluation,
                      sample_coordinates, sample_element)
@@ -384,8 +384,8 @@ def test_word_scan_keeps_minimal_witness(workers, small_chunk):
         fail_batch, fail_scalar, batches = _line_predicate(fs, d, bad)
         expect = first_failing_index(space, fail_scalar)
         got = _scan_space(fs, space, fail_batch, fail_scalar, 1 << 24, 0, 0, workers)
-        assert got[:4] == ("exhaustive", fs.q ** d, None, expect), (fs.q, d, bad)
-        assert expect is None or got[4] == space.element_at(expect)
+        witness = None if expect is None else space.element_at(expect)
+        assert got == Scan("exhaustive", fs.q ** d, None, expect, witness), (fs.q, d, bad)
         if not bad:     # one batch per word: GF(4), d = 4 has words 0 and 1
             assert len(batches) == _bulk.projective_word_count(fs.q, d) == 2
 
@@ -577,9 +577,9 @@ def test_scan_rebuilds_and_rechecks_the_witness(gf4):
     always = lambda planes, count: np.ones(count, dtype=bool)
     # the batch verdict is re-checked on the rebuilt element with fail_scalar
     got = _scan_space(gf4, space, always, lambda m: True, 1 << 24, 0, 0, 1)
-    assert got == ("exhaustive", 4 ** 4, None, 0, mx.zero(2))
+    assert got == Scan("exhaustive", 4 ** 4, None, 0, mx.zero(2))
     got = _scan_space(gf4, space, always, lambda m: True, 8, 50, 3, 1)
-    assert got == ("sampled", 50, 3, 0, sample_element(space, 3, 0))
+    assert got == Scan("sampled", 50, 3, 0, sample_element(space, 3, 0))
     with pytest.raises(AssertionError, match="inconsistent"):
         _scan_space(gf4, space, always, lambda m: False, 1 << 24, 0, 0, 1)
     with pytest.raises(AssertionError, match="inconsistent"):
@@ -594,7 +594,7 @@ def test_fail_scalar_runs_only_on_the_witness(gf2, gf4, monkeypatch):
     def counted(fs, s, fail_batch, fail_scalar, *rest):
         calls = []
         out = engine(fs, s, fail_batch, lambda m: calls.append(1) or fail_scalar(m), *rest)
-        scans.append((out[4] is not None, len(calls)))
+        scans.append((out.witness is not None, len(calls)))
         return out
     monkeypatch.setattr(spectra, "_scan_space", counted)
     monkeypatch.setattr(st, "_scan_space", counted)
@@ -664,9 +664,9 @@ def test_splitting_check_keeps_minimal_witness(gf2, workers, small_chunk):
     v = st.splitting_check(gf2, space, cert, mode="2spec", workers=workers)
     assert workers == 1 or len(small_chunk) > 1
     expect = first_failing_index(space, _splitting_fails(gf2, cert))
-    assert v.outcome == "fails" and v.detail["condition"] == "bcd"
-    assert v.detail["index"] == expect == 16
-    assert v.detail["witness"] == space.element_at(expect).to_json()
+    assert expect == 16 and v.outcome == "fails"
+    assert v.detail == {"condition": "bcd", "witness": space.element_at(expect).to_json(),
+                        "index": expect, "mode": "exhaustive"}
 
 
 def test_splitting_check_sampled_wide_field_holds():
@@ -924,7 +924,7 @@ def test_wide_field_planes_match_scalar_path(monkeypatch, fs):
     got = []
     for call, space, is_sampled, fails, hypothesis in cases:
         v = call()
-        index = v.witness_index if hasattr(v, "witness_index") else v.detail.get("index")
+        index = v.witness_index if isinstance(v, Scan) else v.detail.get("index")
         if hypothesis is not None and _walk(space, is_sampled, hypothesis) is not None:
             expect = ("hypothesis-violation", None)
         else:
