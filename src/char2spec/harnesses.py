@@ -1,11 +1,11 @@
 """Seeded multi-instance harnesses for the lemma checkers.
 
-Each harness draws a reproducible family of instances from a seed,
-validates every hypothesis before testing the conclusion, and returns a
-:class:`~char2spec.structure.LemmaVerdict` whose detail carries instance
-counts.  Failed hypotheses regenerate the instance (the generators are
-built to satisfy them; a persistent violation is reported rather than
-silently skipped).
+Each seeded harness draws a reproducible family of instances through one
+trial loop (:func:`_trials`), validates every hypothesis before testing
+the conclusion, and returns a :class:`~char2spec.structure.LemmaVerdict`
+whose detail carries instance counts.  The generators are built to
+satisfy the hypotheses, so a violation is reported with its trial, never
+skipped.
 """
 
 from __future__ import annotations
@@ -39,6 +39,22 @@ def _random_mat_subspace(fs: FieldSpec, rng, rows: int, cols: int,
     return MatSubspace((rows, cols), random_subspace(fs, rng, rows * cols, dim))
 
 
+def _trials(name: str, trials: int, seed: int, instance, **totals: int) -> LemmaVerdict:
+    """The trial loop of every seeded harness: instance(rng, t) returns the
+    verdict on trial t.  The first that does not hold comes back tagged
+    "trial": t, which tells a failed instance from a refused setup (the CLI
+    reads it); else each total sums its key over the trials' verdicts."""
+    rng = random.Random(seed)
+    for t in range(trials):
+        verdict = instance(rng, t)
+        if not verdict.holds:
+            verdict.detail["trial"] = t
+            return verdict
+        for key in totals:
+            totals[key] += verdict.detail[key]
+    return LemmaVerdict(name, "holds", {"instances": trials, **totals, "seed": seed})
+
+
 # ----------------------------------------------------------------------
 # trace orthogonality
 # ----------------------------------------------------------------------
@@ -66,38 +82,34 @@ def _restriction_dim(fs: FieldSpec, space: MatSubspace, v0: VecSubspace) -> int:
 def trace_ortho1_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """dim(S n Hom(U,V0)) + dim(S-perp restricted to V0) = dim U * dim V0,
     both sides computed independently on random (S, V0)."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def instance(rng, t):
         udim = rng.randrange(1, 5)
         vdim = rng.randrange(1, 5)
         s = _random_mat_subspace(fs, rng, vdim, udim, rng.randrange(0, udim * vdim + 1))
         v0 = random_subspace(fs, rng, vdim, rng.randrange(0, vdim + 1))
         lhs = s.intersect(_hom_into(fs, udim, v0)).dim
         rhs = _restriction_dim(fs, trace_orthogonal(s), v0)
-        if lhs + rhs != udim * v0.dim:
-            return LemmaVerdict("trace-ortho-1", "fails",
-                                {"trial": t, "lhs": lhs, "rhs": rhs,
-                                 "expected": udim * v0.dim})
-    return LemmaVerdict("trace-ortho-1", "holds", {"instances": trials, "seed": seed})
+        expected = udim * v0.dim
+        return LemmaVerdict("trace-ortho-1", "holds" if lhs + rhs == expected else "fails",
+                            {"lhs": lhs, "rhs": rhs, "expected": expected})
+    return _trials("trace-ortho-1", trials, seed, instance)
 
 
 def trace_ortho2_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """dim{u in S : u kills U0} + dim(pi S-perp) = dim V * (dim U - dim U0)
     with an explicit quotient chart for pi; the left side comes from S (the
     kernel of restricting to U0), the right side from S-perp."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def instance(rng, t):
         udim = rng.randrange(1, 5)
         vdim = rng.randrange(1, 5)
         s = _random_mat_subspace(fs, rng, vdim, udim, rng.randrange(0, udim * vdim + 1))
         u0 = random_subspace(fs, rng, udim, rng.randrange(0, udim + 1))
         lhs = s.dim - _restriction_dim(fs, s, u0)
         rhs = quotient_space(fs, trace_orthogonal(s), u0).dim
-        if lhs + rhs != vdim * (udim - u0.dim):
-            return LemmaVerdict("trace-ortho-2", "fails",
-                                {"trial": t, "lhs": lhs, "rhs": rhs,
-                                 "expected": vdim * (udim - u0.dim)})
-    return LemmaVerdict("trace-ortho-2", "holds", {"instances": trials, "seed": seed})
+        expected = vdim * (udim - u0.dim)
+        return LemmaVerdict("trace-ortho-2", "holds" if lhs + rhs == expected else "fails",
+                            {"lhs": lhs, "rhs": rhs, "expected": expected})
+    return _trials("trace-ortho-2", trials, seed, instance)
 
 
 def transrank_sides(fs: FieldSpec, s: MatSubspace):
@@ -127,21 +139,19 @@ def transrank_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaV
     """dim(S-perp x) = n - dim(S n (V* (x) x)) for every projective x
     (:func:`transrank_sides`); a failure names the first point where the
     sides differ."""
-    rng = random.Random(seed)
-    checked = 0
-    for t in range(trials):
+    def instance(rng, t):
         n = rng.randrange(2, 5)
         s = _random_mat_subspace(fs, rng, n, n, rng.randrange(0, n * n + 1))
+        checked = 0
         for x, lhs, rhs in transrank_sides(fs, s):
             bad = np.flatnonzero(lhs != rhs)
             if bad.size:
                 i = bad[0]
-                return LemmaVerdict("transrank", "fails",
-                                    {"trial": t, "point": x[i].tolist(),
-                                     "lhs": int(lhs[i]), "rhs": int(rhs[i])})
+                return LemmaVerdict("transrank", "fails", {"point": x[i].tolist(),
+                                                           "lhs": int(lhs[i]), "rhs": int(rhs[i])})
             checked += len(x)
-    return LemmaVerdict("transrank", "holds",
-                        {"instances": trials, "points_checked": checked, "seed": seed})
+        return LemmaVerdict("transrank", "holds", {"points_checked": checked})
+    return _trials("transrank", trials, seed, instance, points_checked=0)
 
 
 # ----------------------------------------------------------------------
@@ -150,9 +160,9 @@ def transrank_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaV
 def covering_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """Random families matching the covering shape with r = |F| - 1 never
     cover the space."""
-    rng = random.Random(seed)
     r = fs.q - 1
-    for t in range(trials):
+
+    def instance(rng, t):
         n = rng.randrange(2, 5)
         family = []
         for k in range(1, n - 1):
@@ -160,12 +170,10 @@ def covering_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVe
         family += [random_subspace(fs, rng, n, n - 1) for _ in range(r + 1)]
         bad = covering_hypotheses(fs, family, r)
         if bad is not None:
-            return LemmaVerdict("covering", "hypothesis-violation",
-                                {"trial": t, "reason": bad})
-        verdict = covering_check(fs, family)
-        if not verdict.holds:
-            return LemmaVerdict("covering", "fails", {"trial": t, "n": n})
-    return LemmaVerdict("covering", "holds", {"instances": trials, "seed": seed})
+            return LemmaVerdict("covering", "hypothesis-violation", {"reason": bad})
+        return LemmaVerdict("covering", "holds" if covering_check(fs, family).holds else "fails",
+                            {"n": n})
+    return _trials("covering", trials, seed, instance)
 
 
 def _monomials(n: int, d: int) -> list[tuple[int, ...]]:
@@ -205,11 +213,9 @@ def vanishing_solutions(fs: FieldSpec, family: list[VecSubspace], monos,
 def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaVerdict:
     """Random admissible families; every homogeneous p forced to vanish off
     the union must vanish identically."""
-    rng = random.Random(seed)
-    polys_checked = 0
-    candidate_dims = 0
     points = {}     # n -> the projective points of F^n
-    for t in range(trials):
+
+    def instance(rng, t):
         n = 2 + rng.randrange(2)
         # the lemma needs d <= |F|; for n = 2 every member is a hyperplane,
         # at most |F| - d of them, and the family cannot be empty
@@ -228,17 +234,15 @@ def vanishing_harness(fs: FieldSpec, trials: int = 200, seed: int = 0) -> LemmaV
         if n not in points:
             points[n] = np.concatenate(list(projective_blocks(fs, n)))
         solutions = vanishing_solutions(fs, family, monos, points[n])
-        candidate_dims += solutions.dim
         for coeffs in solutions.basis:
-            p = {mono: c for mono, c in zip(monos, coeffs) if c}
-            verdict = vanishing_check(fs, p, d, family)
-            polys_checked += 1
-            if verdict.outcome != "holds":
-                verdict.detail["trial"] = t
+            verdict = vanishing_check(fs, {mono: c for mono, c in zip(monos, coeffs) if c},
+                                      d, family)
+            if not verdict.holds:
                 return verdict
-    return LemmaVerdict("vanishing", "holds",
-                        {"instances": trials, "polys_checked": polys_checked,
-                         "candidate_dims": candidate_dims, "seed": seed})
+        # every candidate was checked, so the two totals agree
+        return LemmaVerdict("vanishing", "holds", {"polys_checked": solutions.dim,
+                                                   "candidate_dims": solutions.dim})
+    return _trials("vanishing", trials, seed, instance, polys_checked=0, candidate_dims=0)
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +258,7 @@ def confinement_first_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                               workers: int = 1) -> LemmaVerdict:
     """Conjugated instances of phi (x) V (optionally extended by the scalar
     line), which are 2-spec by construction; the checker re-validates."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def instance(rng, t):
         n = rng.randrange(3, 5)
         phi = tuple(rng.randrange(fs.q) for _ in range(n))
         if not any(phi):
@@ -267,34 +270,26 @@ def confinement_first_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
         s = cons.conjugate_space(fs, s, p)
         # phi transforms contravariantly: phi' = phi o P^{-1}
         phi_c = mat_vec(fs, transpose(inverse(fs, p)), phi)
-        verdict = confinement_first_check(fs, s, phi_c, workers=workers)
-        if verdict.outcome != "holds":
-            verdict.detail["trial"] = t
-            return verdict
-    return LemmaVerdict("confinement-first", "holds", {"instances": trials, "seed": seed})
+        return confinement_first_check(fs, s, phi_c, workers=workers)
+    return _trials("confinement-first", trials, seed, instance)
 
 
 def confinement_second_harness(fs: FieldSpec, trials: int = 50, seed: int = 0,
                                workers: int = 1) -> LemmaVerdict:
     """Instances around the minimal generator space (optionally extended by
     the scalar line), over random bases."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def instance(rng, t):
         n = rng.randrange(3, 5)
         p = random_invertible(fs, rng, n)
         basis_rows = [p.row(i) for i in range(n)]
+        # G is not inside H: row 0 of p lies outside the span of the others
         h = VecSubspace(fs, n, basis_rows[1:])
         g = VecSubspace(fs, n, basis_rows[:n - 2])
-        if h.contains_space(g):
-            continue
         s = second_confinement_generators(fs, h, g)
         if rng.randrange(2):
             s = s.sum_with(MatSubspace.from_matrices(fs, (n, n), [identity(n)]))
-        verdict = confinement_second_check(fs, s, h, g, workers=workers)
-        if verdict.outcome != "holds":
-            verdict.detail["trial"] = t
-            return verdict
-    return LemmaVerdict("confinement-second", "holds", {"instances": trials, "seed": seed})
+        return confinement_second_check(fs, s, h, g, workers=workers)
+    return _trials("confinement-second", trials, seed, instance)
 
 
 def _extend(fs: FieldSpec, rng, s: MatSubspace, roof: MatSubspace) -> MatSubspace:
@@ -309,18 +304,15 @@ def splitting_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                       workers: int = 1) -> LemmaVerdict:
     """Random 2-spec hurdles between the template and the full twofold sl_2
     joint (n = 4); all four splitting conclusions must hold."""
-    rng = random.Random(seed)
     big = cons.joint(fs, cons.sl(fs, 2), cons.sl(fs, 2))
     template = cons.hurdle_template(fs, 4)
     cert = detect_hurdle(fs, template)
-    for t in range(trials):
-        s = _extend(fs, rng, template, big)
-        verdict = splitting_check(fs, s, cert, mode="2spec", budget=_BUDGET,
-                                  samples=_SAMPLES, seed=seed + t, workers=workers)
-        if verdict.outcome != "holds":
-            verdict.detail["trial"] = t
-            return verdict
-    return LemmaVerdict("splitting", "holds", {"instances": trials, "seed": seed})
+
+    def instance(rng, t):
+        return splitting_check(fs, _extend(fs, rng, template, big), cert, mode="2spec",
+                               budget=_BUDGET, samples=_SAMPLES, seed=seed + t,
+                               workers=workers)
+    return _trials("splitting", trials, seed, instance)
 
 
 def hurdle_roof(fs: FieldSpec, n: int, star: bool, twofold: bool):
@@ -344,8 +336,7 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
     dimension is at most its bound (`hurdle_roof`, checked by the tests),
     so "fails" is unreachable, and "holds" shows that the generator works,
     not that the lemma holds."""
-    rng = random.Random(seed)
-    for t in range(trials):
+    def instance(rng, t):
         n = rng.randrange(3, 6)
         star = rng.randrange(2) == 0
         template = cons.hurdle_template(fs, n)
@@ -359,16 +350,15 @@ def hurdle_dimension_harness(fs: FieldSpec, trials: int = 200, seed: int = 0,
                                     for i in (n - 2, n - 1)])
         if not certifies_hurdle(fs, s, plane):
             return LemmaVerdict("hurdle-dimension", "hypothesis-violation",
-                                {"trial": t, "reason": "conjugated certificate failed"})
+                                {"reason": "conjugated certificate failed"})
         pv = check_space(fs, s, pred, budget=_BUDGET, samples=_SAMPLES,
                          seed=seed + t, workers=workers)
         if not pv.holds:
             return LemmaVerdict("hurdle-dimension", "hypothesis-violation",
-                                {"trial": t, "reason": f"instance is not {pred.name}"})
-        if s.dim > bound:
-            return LemmaVerdict("hurdle-dimension", "fails",
-                                {"trial": t, "dim": s.dim, "bound": bound, "n": n})
-    return LemmaVerdict("hurdle-dimension", "holds", {"instances": trials, "seed": seed})
+                                {"reason": f"instance is not {pred.name}"})
+        return LemmaVerdict("hurdle-dimension", "holds" if s.dim <= bound else "fails",
+                            {"dim": s.dim, "bound": bound, "n": n})
+    return _trials("hurdle-dimension", trials, seed, instance)
 
 
 def diagonal_zero_harness(fs: FieldSpec) -> LemmaVerdict:
@@ -389,7 +379,14 @@ def diagonal_zero_harness(fs: FieldSpec) -> LemmaVerdict:
 
 
 def sl_rank1_harness(fs: FieldSpec) -> LemmaVerdict:
+    """sl_n is spanned by its rank-one tensors, n = 2 .. 4: a "budget"
+    verdict past DEFAULT_BUDGET tensors in all (GF(16) and up)."""
     n_max = 4
+    q = fs.q    # (q^n - 1)(q^(n-1) - 1)/(q - 1) tensors for each n
+    total = sum((q ** n - 1) * (q ** (n - 1) - 1) // (q - 1) for n in range(2, n_max + 1))
+    if total > DEFAULT_BUDGET:
+        return LemmaVerdict("sl-rank1-span", "budget",
+                            {"reason": str(BudgetExceeded(total, DEFAULT_BUDGET))})
     for n in range(2, n_max + 1):
         if sl_rank1_span(fs, n) != cons.sl(fs, n):
             return LemmaVerdict("sl-rank1-span", "fails", {"n": n})
@@ -506,30 +503,22 @@ def choice_lemma_audit(fs: FieldSpec, n: int = 3, cap: int | None = None,
 # ----------------------------------------------------------------------
 # registry for the CLI
 # ----------------------------------------------------------------------
-# name -> harness(fs, trials, seed, workers, budget), in the order the CLI lists them
+# name -> (harness, the run options it reads), in the order the CLI lists them
 _LEMMAS = {
-    "covering": lambda fs, trials, seed, workers, budget: covering_harness(fs, trials, seed),
-    "vanishing": lambda fs, trials, seed, workers, budget: vanishing_harness(fs, trials, seed),
-    "trace-ortho-1": lambda fs, trials, seed, workers, budget: trace_ortho1_harness(
-        fs, trials, seed),
-    "trace-ortho-2": lambda fs, trials, seed, workers, budget: trace_ortho2_harness(
-        fs, trials, seed),
-    "transrank": lambda fs, trials, seed, workers, budget: transrank_harness(fs, trials, seed),
-    "splitting": lambda fs, trials, seed, workers, budget: splitting_harness(
-        fs, trials, seed, workers=workers),
-    "confinement-first": lambda fs, trials, seed, workers, budget: confinement_first_harness(
-        fs, trials, seed, workers=workers),
-    "confinement-second": lambda fs, trials, seed, workers, budget: confinement_second_harness(
-        fs, trials, seed, workers=workers),
-    "confinement-third": lambda fs, trials, seed, workers, budget: confinement_third_harness(
-        fs, seed=seed, workers=workers),
-    "lastblock": lambda fs, trials, seed, workers, budget: lastblock_audit(fs),
-    "sl-rank1-span": lambda fs, trials, seed, workers, budget: sl_rank1_harness(fs),
-    "diagonal-zero": lambda fs, trials, seed, workers, budget: diagonal_zero_harness(fs),
-    "hurdle-dimension": lambda fs, trials, seed, workers, budget: hurdle_dimension_harness(
-        fs, trials, seed, workers=workers),
-    "choice-audit": lambda fs, trials, seed, workers, budget: choice_lemma_audit(
-        fs, seed=seed, budget=budget),
+    "covering": (covering_harness, ("trials", "seed")),
+    "vanishing": (vanishing_harness, ("trials", "seed")),
+    "trace-ortho-1": (trace_ortho1_harness, ("trials", "seed")),
+    "trace-ortho-2": (trace_ortho2_harness, ("trials", "seed")),
+    "transrank": (transrank_harness, ("trials", "seed")),
+    "splitting": (splitting_harness, ("trials", "seed", "workers")),
+    "confinement-first": (confinement_first_harness, ("trials", "seed", "workers")),
+    "confinement-second": (confinement_second_harness, ("trials", "seed", "workers")),
+    "confinement-third": (confinement_third_harness, ("seed", "workers")),
+    "lastblock": (lastblock_audit, ()),
+    "sl-rank1-span": (sl_rank1_harness, ()),
+    "diagonal-zero": (diagonal_zero_harness, ()),
+    "hurdle-dimension": (hurdle_dimension_harness, ("trials", "seed", "workers")),
+    "choice-audit": (choice_lemma_audit, ("seed", "budget")),
 }
 
 LEMMA_NAMES = list(_LEMMAS)
@@ -537,8 +526,11 @@ LEMMA_NAMES = list(_LEMMAS)
 
 def run_lemma(fs: FieldSpec, name: str, trials: int = 200, seed: int = 0,
               workers: int = 1, budget: int = DEFAULT_BUDGET) -> LemmaVerdict:
-    """Run one harness by name.  `budget` reaches the choice audit alone; the
+    """Run one harness by name, passing it by keyword only the run options
+    it reads (`_LEMMAS`): `budget` reaches the choice audit alone, and the
     other harnesses fix their own.  Raises BudgetExceeded past a budget."""
     if name not in _LEMMAS:
         raise ValueError(f"unknown lemma harness {name!r}")
-    return _LEMMAS[name](fs, trials, seed, workers, budget)
+    harness, reads = _LEMMAS[name]
+    options = {"trials": trials, "seed": seed, "workers": workers, "budget": budget}
+    return harness(fs, **{key: options[key] for key in reads})

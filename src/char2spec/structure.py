@@ -33,7 +33,7 @@ from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_
 from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits, enumerate_projective,
                        full_space, line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
-from .spectra import SpecPredicate, check_space, profile, _scan_space
+from .spectra import SpecPredicate, check_element, check_space, profile, _scan_space
 from .upoly import Poly, poly, poly_add
 from . import _bulk
 
@@ -775,8 +775,10 @@ def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     2-eigenvalue hypothesis or satisfies the row/column conclusion, with
     the sums through the batch kernels about 2^16 at a time; its oracle is
     the one-matrix checker `lastblock_check` of `tests/oracles.py`.  The
-    hypothesis is vacuous over GF(2); over DEFAULT_BUDGET sums (GF(16) and
-    up) is a "budget" verdict."""
+    scalar path re-checks up to 16 evenly spaced claimed violations and
+    every block of a failing matrix, and a kernel it contradicts raises
+    AssertionError.  The hypothesis is vacuous over GF(2); over
+    DEFAULT_BUDGET sums (GF(16) and up) is a "budget" verdict."""
     from .constructions import sl
     name = "lastblock-audit"
     if fs.q <= 2:
@@ -790,17 +792,26 @@ def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     blocks[:, [0, 1, 3, 4]] = [b.entries for b in sl(fs, 2).enumerate_elements()]
     a = np.array([m.entries for m in mats], dtype=np.uint8)
     violated = np.zeros(len(mats), dtype=bool)
+    flagged = np.zeros(len(mats), dtype=np.int64)     # the first block flagged
     step = max(1, (1 << 16) // len(blocks))
     for lo in range(0, len(mats), step):
         sums = (a[lo:lo + step, None] ^ blocks).reshape(-1, 9)
         planes = _bulk.code_planes(sums, fs.degree).reshape(3, 3, fs.degree, -1)
         counts = _bulk.spectrum_counts(fs, _bulk.charpoly_planes(fs, planes), len(sums),
                                        "in_field", False)
-        violated[lo:lo + step] = (counts.reshape(-1, len(blocks)) > 2).any(axis=1)
+        over = counts.reshape(-1, len(blocks)) > 2
+        violated[lo:lo + step], flagged[lo:lo + step] = over.any(axis=1), over.argmax(axis=1)
+    claimed = np.flatnonzero(violated)
+    for i in claimed[np.linspace(0, len(claimed) - 1, min(16, len(claimed)), dtype=int)]:
+        if check_element(fs, mat_add(mats[i], Mat(3, 3, blocks[flagged[i]].tolist())), _TWO_SPEC):
+            raise AssertionError(f"the batch kernel flags a 2-spec sum of {mats[i].to_json()}")
     # the conclusion fails when both the last column and the last row are nonzero
     bad = np.flatnonzero(~violated & a[:, [2, 5, 8]].any(axis=1) & a[:, 6:].any(axis=1))
     if bad.size:
-        return LemmaVerdict(name, "fails", {"matrix": mats[bad[0]].to_json()})
+        m = mats[bad[0]]
+        if not all(check_element(fs, mat_add(m, Mat(3, 3, b.tolist())), _TWO_SPEC) for b in blocks):
+            raise AssertionError(f"the batch kernel misses a violation of {m.to_json()}")
+        return LemmaVerdict(name, "fails", {"matrix": m.to_json()})
     return LemmaVerdict(name, "holds",
                         {"instances": len(mats), "conclusion_holds": int(np.sum(~violated)),
                          "hypothesis_violations": int(np.sum(violated))})

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from char2spec.gf import GF2, GF4, GF8, FieldSpec, field_spec
+from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, field_spec
 from char2spec import harnesses as H
 from char2spec import structure as S
 from char2spec import subspace as sub
@@ -148,6 +148,62 @@ def test_choice_audit_memory_is_bounded_by_its_batches():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20, peak
+
+
+# the seeded harnesses and the totals their holds detail carries
+SEEDED_TOTALS = {
+    "trace_ortho1_harness": (), "trace_ortho2_harness": (),
+    "transrank_harness": ("points_checked",), "covering_harness": (),
+    "vanishing_harness": ("polys_checked", "candidate_dims"),
+    "confinement_first_harness": (), "confinement_second_harness": (),
+    "splitting_harness": (), "hurdle_dimension_harness": ()}
+_TRIAL_LOOP = H._trials
+
+
+def _spy_on_trials(monkeypatch, fail_at=None):
+    """Run the harnesses' trials through the one loop, recording each
+    trial's verdict; the check of trial fail_at returns a failing probe."""
+    seen = []
+
+    def spied(name, trials, seed, instance, **totals):
+        def checked(rng, t):
+            verdict = instance(rng, t)
+            if t == fail_at:
+                verdict = S.LemmaVerdict("probe", "fails", {"probe": t})
+            seen.append(verdict)
+            return verdict
+        return _TRIAL_LOOP(name, trials, seed, checked, **totals)
+
+    monkeypatch.setattr(H, "_trials", spied)
+    return seen
+
+
+@pytest.mark.parametrize("harness,totals", SEEDED_TOTALS.items())
+def test_the_trial_loop_tags_the_first_failure_and_sums_the_totals(monkeypatch, harness,
+                                                                   totals):
+    seen = _spy_on_trials(monkeypatch, fail_at=2)
+    v = getattr(H, harness)(GF4, 6, 3)
+    assert v.to_json() == {"name": "probe", "outcome": "fails",
+                           "detail": {"probe": 2, "trial": 2}}
+    assert len(seen) == 3
+    seen = _spy_on_trials(monkeypatch)
+    v = getattr(H, harness)(GF4, 3, 3)
+    assert len(seen) == 3 and all(verdict.holds for verdict in seen)
+    assert v.detail == {"instances": 3, "seed": 3,
+                        **{key: sum(verdict.detail[key] for verdict in seen) for key in totals}}
+
+
+def test_sl_rank1_span_past_the_budget_reports_budget(monkeypatch):
+    # 63 + 4599 + 298935 tensors over GF(8) are within 2^24; GF(16) has
+    # 17960925 and reports "budget" before building any
+    def refuse(fs, n):
+        raise AssertionError("the harness built tensors past the budget")
+    monkeypatch.setattr(H, "sl_rank1_span", refuse)
+    assert H.run_lemma(GF16, "sl-rank1-span").to_json() == {
+        "name": "sl-rank1-span", "outcome": "budget",
+        "detail": {"reason": "enumeration of 17960925 objects exceeds budget 16777216"}}
+    with pytest.raises(AssertionError, match="built tensors"):
+        H.sl_rank1_harness(GF8)
 
 
 def test_confinement_third_harness():

@@ -41,6 +41,18 @@ def test_every_workload_warms_and_builds_its_ops(perfbench_modules, tmp_path):
         assert ops and all(callable(op.call) and callable(op.observe) for op in ops), name
 
 
+def test_every_harness_the_benchmark_names_resolves_and_holds(perfbench_modules):
+    # the workloads and the tracer name harnesses as strings: a renamed one
+    # would show only as failed ops or as per-layer metrics that vanish
+    workloads, tracing = perfbench_modules
+    from char2spec import harnesses
+    names = set(workloads.HARNESS_TRIALS) | set(tracing.HARNESS_FUNCTIONS)
+    assert sorted(name for name in names if not hasattr(harnesses, name)) == []
+    for name in workloads.HARNESS_TRIALS:
+        v = getattr(harnesses, name)(GF4, 1, 0)
+        assert v.holds and v.detail["instances"] == 1, (name, v.to_json())
+
+
 def test_tracer_installs_and_uninstalls(perfbench_modules):
     _, tracing = perfbench_modules
     from char2spec import _bulk

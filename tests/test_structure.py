@@ -1069,6 +1069,18 @@ def test_lastblock_audit_over_gf8_and_its_gates(gf2, gf4):
         "detail": {"reason": "enumeration of 285143040 objects exceeds budget 16777216"}}
 
 
+@pytest.mark.parametrize("count,error", [(3, "flags a 2-spec sum"), (0, "misses a violation")])
+def test_lastblock_audit_sees_a_broken_batch_kernel(monkeypatch, count, error):
+    # sharpness control: a kernel that counts 3 roots for every sum claims
+    # that all 315 matrices break the hypothesis, so "holds" would check no
+    # conclusion; one that counts 0 would fail [1,0,1,0,0,0,1,0,1] unverified
+    def constant(fs, coeffs, lanes, kind, exclude_zero):
+        return np.full(lanes, count, dtype=np.uint8)
+    monkeypatch.setattr(_bulk, "spectrum_counts", constant)
+    with pytest.raises(AssertionError, match=error):
+        st.lastblock_audit(GF4)
+
+
 def test_diagonal_zero_witness(gf4):
     for n in (3, 4, 5):
         w = st.diagonal_zero_witness(gf4, n)
