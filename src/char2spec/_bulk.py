@@ -8,10 +8,14 @@ planes have shape [..., k, W] with W = ceil(N / 64).  Lanes past N in the
 last word are never read.  Codes go to planes through :func:`code_planes`
 (a multiply gathers one bit of eight bytes) and come back through
 :func:`lane_codes` (an 8 x 8 bit transpose), the one reader of codes off
-planes.  An exhaustive scan needs no codes:
-the planes of the indices 64 w .. 64 w + 63 are fixed lane patterns for
-bits 0-5 and whole words of ones or zeros above (:func:`index_planes`),
-and the scan visits whole words of indices (:func:`projective_words`).
+planes.  Scans need no codes.  In an exhaustive scan the planes of the
+indices 64 w .. 64 w + 63 are fixed lane patterns for bits 0-5 and
+whole words of ones or zeros above (:func:`index_planes`), and the scan
+visits whole words of indices (:func:`projective_words`).
+A sampled scan takes the planes of its coordinates straight off the
+SplitMix64 stream words (:func:`sample_planes`): the same multiply
+gathers one bit of the eight bytes of a stream word, and the same
+transpose turns eight lanes of those bytes into plane bytes.
 
 Addition is XOR of planes.  Multiplication is a fixed AND/XOR network
 derived from the modulus: all k^2 partial products a_i & b_j in one
@@ -170,6 +174,19 @@ def index_planes(words: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
+def _transpose8(x: np.ndarray) -> None:
+    """Transpose in place the 8 x 8 bit matrix of every uint64 of x, byte i
+    its row i: the three swap steps of ``transpose8`` (Warren, Hacker's
+    Delight, 7-3)."""
+    for shift, mask in _TRANSPOSE8:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+
+
 def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
     """Planes [c, b, W] -> [count, c] codes of lanes 0 .. count-1 (b <= 16),
     in the dtype of :func:`code_dtype`: column j's bit t is plane (j, t).
@@ -186,13 +203,7 @@ def lane_codes(planes: np.ndarray, count: int) -> np.ndarray:
     rows[:, :b] = planes
     grid = rows.view(np.uint8).reshape(c, groups, 8, 8 * w).transpose(0, 1, 3, 2)
     x = np.ascontiguousarray(grid).view(_PLANE)[..., 0]             # [c, groups, 8 W]
-    for shift, mask in _TRANSPOSE8:
-        t = x >> shift
-        t ^= x
-        t &= mask
-        x ^= t
-        t <<= shift
-        x ^= t
+    _transpose8(x)
     out = x.view(np.uint8)[..., :count]                             # [c, groups, count]
     codes = out[:, 0].astype(code_dtype(b), copy=False)
     if groups == 2:
@@ -679,37 +690,88 @@ def projective_words(q: int, d: int, lo: int, hi: int) -> np.ndarray:
 
 
 _MASK64 = (1 << 64) - 1
+_STREAM_STEP = 0xD1342543DE82EF95   # between the keys of a sample's stream words
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on uint64 words z: the
+    generator's word from state x is _mix64(x + golden)."""
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = x + _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        np.right_shift(z, np.uint64(30), out=t)
+        z ^= t
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        np.right_shift(z, np.uint64(27), out=t)
+        z ^= t
+        z *= np.uint64(0x94D049BB133111EB)
+        np.right_shift(z, np.uint64(31), out=t)
+        z ^= t
+    return z
+
+
+@lru_cache(maxsize=64)
+def _stream_offsets(seed: int, words: int) -> np.ndarray:
+    """Per-word offsets of the stream of a seed: stream word w of sample i
+    is _mix64(i golden + offsets[w]), offsets[w] = key + w step + golden
+    and key = _mix64(seed golden + 1 + golden), all mod 2^64."""
+    golden = int(_GOLDEN)
+    key = int(_mix64(np.array([((seed & _MASK64) * golden + 1 + golden) & _MASK64],
+                              dtype=np.uint64))[0])
+    offsets = np.array([(key + w * _STREAM_STEP + golden) & _MASK64 for w in range(words)],
+                       dtype=np.uint64)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def sample_planes(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Counter-based sampling: the planes [d k, W] (k = log2 q) of the d
+    coordinates of samples lo .. hi-1, coordinate c's bit t at plane
+    c k + t.  Sample i draws its coordinates from SplitMix64 stream words
+    keyed by (seed, i) (Steele, Lea and Flood, OOPSLA 2014).  Each
+    coordinate owns a byte-aligned field of one word (f = 1 byte and
+    per = 8 fields to a word for q <= 256, f = 2 bytes and per = 4 above)
+    and takes its low k bits.  Deterministic, independent of how the index
+    range is partitioned across workers.
+
+    The planes come straight off the stream words, with no codes between.
+    The words of whole 64-lane groups of samples are drawn in place, one
+    row per stream word (lanes past hi are never read).  For each bit
+    b < min(k, 8), the mask and multiply of :func:`code_planes` gather
+    bit b of the eight bytes of a word into one byte, and eight lanes'
+    bytes make a uint64 whose byte l is lane l.  The 8 x 8 bit transpose
+    of :func:`lane_codes` turns it so that byte j holds bit b of byte j of
+    those eight lanes, and one gather takes plane (c, t) from bit t % 8 of
+    byte f (c % per) + t // 8 of stream word c // per."""
+    k = q.bit_length() - 1
+    f = 1 if q <= 256 else 2
+    per = 8 // f
+    words = -(-d // per)
+    bits = min(k, 8)
+    lanes = 64 * -(-(hi - lo) // 64)
+    z = np.empty((words, lanes), dtype=_PLANE)
+    with np.errstate(over="ignore"):
+        base = np.arange(lo, lo + lanes, dtype=np.uint64)
+        base *= _GOLDEN
+        np.add(base, _stream_offsets(seed, words)[:, None], out=z)
+        del base
+        _mix64(z)
+        gathered = np.empty((words, bits, lanes), dtype=np.uint8)
+        t = np.empty_like(z)
+        for b in range(bits):
+            np.bitwise_and(z, _BYTE_LSB << np.uint64(b), out=t)
+            t *= _GATHER >> np.uint64(b)             # bit 8 i + b to bit 56 + i
+            gathered[:, b] = t.view(np.uint8)[..., 7::8]
+    del z, t
+    _transpose8(gathered.view(_PLANE))               # [words, bits, lanes / 8]
+    col, bit = np.divmod(np.arange(d * k), k)
+    by_byte = gathered.reshape(words * bits, lanes // 8, 8).transpose(0, 2, 1)
+    return by_byte[col // per * bits + bit % 8, f * (col % per) + bit // 8].view(_PLANE)
 
 
 def sample_coords(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
-    """Counter-based sampling: sample index i yields d uniform coordinates
-    from SplitMix64 stream words keyed by (seed, i).  Each coordinate owns
-    a byte-aligned field of one word (8 bits and 8 to a word for q <= 256,
-    uint8; 16 bits and 4 to a word above, uint16) and takes its low k bits.
-    Deterministic, independent of how the index range is partitioned
-    across workers.  Each stream word is read through one little-endian
-    uint8 or uint16 view of its fields, and each coordinate is one masked
-    copy of a field column into the output."""
-    idx = np.arange(lo, hi, dtype=np.uint64)
-    key = int(_splitmix64(np.array([((seed & _MASK64) * 0x9E3779B97F4A7C15 + 1) & _MASK64],
-                                   dtype=np.uint64))[0])
-    dtype = np.dtype("<u1" if q <= 256 else "<u2")
-    per_word = 8 // dtype.itemsize
-    out = np.empty((hi - lo, d), dtype=dtype)
-    mask = dtype.type(q - 1)
-    with np.errstate(over="ignore"):
-        base = idx * _GOLDEN
-        for w in range(-(-d // per_word)):
-            stream = _splitmix64(base + np.uint64((key + w * 0xD1342543DE82EF95) & _MASK64))
-            fields = stream.astype(_PLANE, copy=False).view(dtype).reshape(-1, per_word)
-            for b in range(min(per_word, d - per_word * w)):
-                np.bitwise_and(fields[:, b], mask, out=out[:, per_word * w + b])
-    return out
+    """The coordinates [hi - lo, d] of samples lo .. hi-1, read off the
+    planes of :func:`sample_planes` by :func:`lane_codes`: uint8 for
+    q <= 256, uint16 above.  Scans read the planes; this reads one
+    sample's coordinates back for its witness."""
+    planes = sample_planes(q, d, seed, lo, hi)
+    return lane_codes(planes.reshape(d, q.bit_length() - 1, planes.shape[-1]), hi - lo)

@@ -257,7 +257,7 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
                 coords = _bulk.index_planes(words, scan_dim * k)
                 lanes = min(64 * words.size, q ** scan_dim)
             else:   # sample indices are the positions themselves
-                coords = _bulk.code_planes(_bulk.sample_coords(q, d, seed, clo, chi), k)
+                coords = _bulk.sample_planes(q, d, seed, clo, chi)
                 lanes = chi - clo
             ents = _bulk.apply_map(coords, to_entries, n * m * k)
             hits = np.flatnonzero(fail_batch(ents.reshape(n, m, k, -1), lanes))

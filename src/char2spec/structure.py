@@ -761,13 +761,20 @@ def confinement_third_check(fs: FieldSpec, s: MatSubspace,
     return LemmaVerdict(name, "holds", {"spec_mode": pv.mode, "checked": pv.checked})
 
 
-def rank_one_trace_zero(fs: FieldSpec, n: int):
-    """All rank-1 trace-0 matrices, each exactly once, in deterministic order:
-    projective y, projective phi with phi(y) = 0, scalar c in F*."""
+def traceless_pairs(fs: FieldSpec, n: int):
+    """(phi, y) for every projective y and every projective phi with
+    phi(y) = 0, in deterministic order."""
     for y in enumerate_projective(fs, n):
         for phi in projective_points_of(line(fs, y).annihilator()):
-            for c in range(1, fs.q):
-                yield tensor(fs, tuple(fs.mul(c, t) for t in phi), y)
+            yield phi, y
+
+
+def rank_one_trace_zero(fs: FieldSpec, n: int):
+    """All rank-1 trace-0 matrices, each exactly once, in deterministic order:
+    c phi (x) y for each pair of :func:`traceless_pairs` and scalar c in F*."""
+    for phi, y in traceless_pairs(fs, n):
+        for c in range(1, fs.q):
+            yield tensor(fs, tuple(fs.mul(c, t) for t in phi), y)
 
 
 def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
@@ -833,5 +840,21 @@ def diagonal_zero_witness(fs: FieldSpec, n: int) -> Mat | None:
 
 
 def sl_rank1_span(fs: FieldSpec, n: int) -> MatSubspace:
-    """Span of all trace-zero rank-1 tensors; equals sl_n."""
-    return MatSubspace.from_matrices(fs, (n, n), rank_one_trace_zero(fs, n))
+    """Span of all trace-zero rank-1 tensors; equals sl_n.
+
+    It is the span of phi (x) y over the pairs of :func:`traceless_pairs`,
+    as c phi (x) y is a multiple.  phi (x) y has trace phi(y), checked once
+    for every pair: when all are zero the span lies in sl_n, so the tensors
+    are reduced in order only until their span reaches dimension n^2 - 1;
+    otherwise until it reaches n^2 or the pairs run out.  Either way the
+    span returned is exact."""
+    pairs = list(traceless_pairs(fs, n))
+    top = n * n - all(dot(fs, phi, y) == 0 for phi, y in pairs)
+    span = VecSubspace(fs, n * n, [])
+    for phi, y in pairs:
+        if span.dim == top:
+            break
+        t = tensor(fs, phi, y).entries
+        if not span.member(t):
+            span = VecSubspace(fs, n * n, span.basis + (t,))
+    return MatSubspace((n, n), span)

@@ -206,6 +206,35 @@ def test_sl_rank1_span_past_the_budget_reports_budget(monkeypatch):
         H.sl_rank1_harness(GF8)
 
 
+def test_sl_rank1_span_reduces_past_sl_for_a_late_trace_one_generator(monkeypatch):
+    # the span stops at dimension n^2 - 1 only when every generator has
+    # trace 0: one last pair with phi(y) = 1 must still take it past sl_n
+    pairs = S.traceless_pairs
+
+    def with_a_late_trace_one(fs, n):
+        yield from pairs(fs, n)
+        e0 = (1,) + (0,) * (n - 1)
+        yield e0, e0
+    monkeypatch.setattr(S, "traceless_pairs", with_a_late_trace_one)
+    assert S.sl_rank1_span(GF4, 3).dim == 9
+    assert H.sl_rank1_harness(GF4).to_json() == {
+        "name": "sl-rank1-span", "outcome": "fails", "detail": {"n": 2}}
+
+
+@pytest.mark.parametrize("harness", ["trace_ortho1_harness", "trace_ortho2_harness"])
+def test_trace_ortho_harnesses_see_a_short_trace_orthogonal(monkeypatch, harness):
+    # S-perp short of one basis matrix whenever it is nonzero: the right
+    # side falls short and some trial must fail
+    def short(s):
+        perp = sub.trace_orthogonal(s)
+        space = perp.space
+        return sub.MatSubspace(perp.shape, sub.VecSubspace(space.field, space.ambient,
+                                                           space.basis[1:]))
+    monkeypatch.setattr(H, "trace_orthogonal", short)
+    v = getattr(H, harness)(GF4, 200, 0)
+    assert v.outcome == "fails" and "trial" in v.detail, v.to_json()
+
+
 def test_confinement_third_harness():
     v = H.confinement_third_harness(GF4)
     assert v.holds

@@ -126,3 +126,28 @@ def test_every_library_name_the_benchmark_reads_resolves():
     missing = sorted(f"{module}.{name}" for module, name in reads
                      if not hasattr(importlib.import_module(module), name))
     assert missing == []
+
+
+# names the tracer holds as strings that name nothing today: it skips them
+# silently, so this set may only shrink (the benchmark's next change empties it)
+_STALE_TRACER_NAMES = {"_bulk.batch_charpoly", "_bulk.elements_from_coords",
+                       "_bulk.exhaustive_coords", "_bulk.root_counts",
+                       "subspace.enumerate_grassmannian", "upoly.is_monic",
+                       "upoly.poly_eval"}
+
+
+def test_the_tracer_names_no_new_missing_function(perfbench_modules):
+    _, tracing = perfbench_modules
+    names = {f"{module}.{name}" for module, skipped in tracing.SKIP.items() for name in skipped}
+    names |= {f"{module}.{cls}.{meth}" for module, cls, meth in tracing.METHODS}
+    names |= set(tracing.GENERATORS) | set(tracing.COUNTERS)
+    missing = set()
+    for name in names:
+        module, *path = name.split(".")
+        module = "_bulk" if module == "bulk" else module    # metric names drop the underscore
+        obj = importlib.import_module(f"char2spec.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.add(".".join([module, *path]))
+    assert missing <= _STALE_TRACER_NAMES

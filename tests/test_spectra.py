@@ -246,7 +246,7 @@ def test_gf16_sampled_verdicts_are_pinned(gf16):
     n, k = 5, gf16.degree
     for name, hists in _PINNED_HISTOGRAMS.items():
         space = spaces[name]
-        coords = _bulk.code_planes(_bulk.sample_coords(gf16.q, space.dim, 11, 0, 20000), k)
+        coords = _bulk.sample_planes(gf16.q, space.dim, 11, 0, 20000)
         ents = _bulk.apply_map(coords, _bulk.linear_map(gf16, space.space.basis, n * n), n * n * k)
         coeffs = _bulk.charpoly_planes(gf16, ents.reshape(n, n, k, -1))
         for (kind, ez), want in zip([("in_field", False), ("in_field", True),
@@ -731,13 +731,13 @@ def test_one_range_runs_in_the_calling_thread(batch_threads):
 # ----------------------------------------------------------------------
 # bit-sliced element generation and sampling
 # ----------------------------------------------------------------------
-def _plane_elements(fs, space, coords, width):
-    """Entries of the elements built on planes from coordinate codes
-    [N, c] (`width` bits each), decoded by plain bit reading."""
+def _plane_elements(fs, space, coords, count):
+    """Entries of the elements built on planes from the coordinate planes
+    [dim k, W] of `count` lanes, decoded by plain bit reading."""
     k, length = fs.degree, space.space.ambient
     to_entries = _bulk.linear_map(fs, space.space.basis, length)
-    planes = _bulk.apply_map(_bulk.code_planes(coords, width), to_entries, length * k)
-    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=coords.shape[0],
+    planes = _bulk.apply_map(coords, to_entries, length * k)
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, count=count,
                          bitorder="little").reshape(length, k, -1).astype(int)
     codes = sum(bits[:, b] << b for b in range(k)).T
     return [tuple(int(x) for x in row) for row in codes]
@@ -749,16 +749,16 @@ def test_plane_elements_match_element_at(fs, shape, dim):
     width = dim * fs.degree
     # every index, in batches cut at and across the 64-lane word
     for lo, hi in [(0, 1), (0, 64), (1, 66), (60, fs.q ** dim)]:
-        idx = np.arange(lo, hi, dtype=np.int64)[:, None]
-        assert _plane_elements(fs, space, idx, width) == [
+        idx = _bulk.code_planes(np.arange(lo, hi, dtype=np.int64)[:, None], width)
+        assert _plane_elements(fs, space, idx, hi - lo) == [
             space.element_at(i).entries for i in range(lo, hi)]
     # every projective rank
     ranks = np.array(projective_indices(fs.q, dim))
-    assert _plane_elements(fs, space, ranks[:, None], width) == [
+    assert _plane_elements(fs, space, _bulk.code_planes(ranks[:, None], width), ranks.size) == [
         space.element_at(int(i)).entries for i in ranks]
-    # sampled coordinates
-    coords = _bulk.sample_coords(fs.q, dim, 17, 0, 130)
-    assert _plane_elements(fs, space, coords, fs.degree) == [
+    # sampled coordinates, as the scan draws them
+    coords = _bulk.sample_planes(fs.q, dim, 17, 0, 130)
+    assert _plane_elements(fs, space, coords, 130) == [
         _element_for_index(fs, space, i, False, 17).entries for i in range(130)]
     assert _element_for_index(fs, space, 129, False, 17) == sample_element(space, 17, 129)
 
@@ -781,6 +781,41 @@ def test_sample_coords_match_the_scalar_stream(q, d):
     got = _bulk.sample_coords(q, d, -5, lo, lo + 70)
     assert got.shape == (70, d) and got.dtype == (np.uint8 if q <= 256 else np.uint16)
     assert got.tolist() == [sample_coordinates(q, d, -5, i) for i in range(lo, lo + 70)]
+
+
+@pytest.mark.parametrize("d", [0, 8, 9, 25, 36])
+@pytest.mark.parametrize("q", [2, 4, 16, 256, 1 << 9, 1 << 16])
+def test_sample_planes_match_the_scalar_stream(q, d):
+    # both field widths, stream words cut short and full; ranges that start
+    # inside a 64-lane word (75000 is where the second range of a
+    # two-worker 150000-sample scan starts), partial and whole last words
+    k = q.bit_length() - 1
+    for lo in (75_000, (1 << 33) + 5):
+        for count in (1, 63, 65, 20_000):
+            planes = _bulk.sample_planes(q, d, 9, lo, lo + count)
+            assert planes.shape == (d * k, -(-count // 64)) and planes.dtype == np.uint64
+            codes = _bulk.lane_codes(planes.reshape(d, k, planes.shape[-1]), count)
+            # every lane, or every 97th and the whole last word
+            lanes = range(count) if count < 100 else [*range(0, count - 64, 97),
+                                                      *range(count - 64, count)]
+            assert [codes[i].tolist() for i in lanes] == [
+                sample_coordinates(q, d, 9, lo + i) for i in lanes], (lo, count)
+
+
+def test_sample_planes_peak_is_the_stream_words_and_one_temporary():
+    # [words, lanes] stream words, one uint64 temporary as large, a byte per
+    # gathered bit, the planes out; the byte columns of the codes path
+    # (49.5 MiB here) are never built
+    q, d, count = 1 << 16, 36, 1 << 16
+    words, bits = 9, 8
+    _bulk.sample_planes(q, d, 3, 0, 64)     # the stream offsets of seed 3 are cached
+    tracemalloc.start()
+    try:
+        planes = _bulk.sample_planes(q, d, 3, 75_000, 75_000 + count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= words * count * (8 + 8 + bits) + planes.nbytes + (1 << 16)
 
 
 @pytest.mark.parametrize("k", [9, 16])
