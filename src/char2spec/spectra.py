@@ -303,6 +303,18 @@ def _space_verdict(fs: FieldSpec, predicate: str, label: str, scan: Scan) -> Spa
                         witness_profile=None if w is None else profile(fs, w))
 
 
+def _spec_failure(fs: FieldSpec, pred: SpecPredicate):
+    """The predicate's failure test on whole elements: the pair (fail_batch,
+    fail_scalar) of :func:`_scan_space`, by batch root counts on planes."""
+    def fail_batch(planes, count):
+        coeffs = _bulk.charpoly_planes(fs, planes)
+        return _bulk.spectrum_counts(fs, coeffs, count, pred.kind, pred.exclude_zero) > pred.k
+
+    def fail_scalar(mat: Mat) -> bool:
+        return not check_element(fs, mat, pred)
+    return fail_batch, fail_scalar
+
+
 def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
                 budget: int = DEFAULT_BUDGET, samples: int = 10 ** 6, seed: int = 0,
                 workers: int = 1, label: str = "") -> SpaceVerdict:
@@ -310,18 +322,10 @@ def check_space(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate,
     n, m = s.shape
     if n != m:
         raise ValueError("spectrum predicates need square matrices")
-
-    def fail_batch(planes, count):
-        coeffs = _bulk.charpoly_planes(fs, planes)
-        return _bulk.spectrum_counts(fs, coeffs, count, pred.kind, pred.exclude_zero) > pred.k
-
-    def fail_scalar(mat: Mat) -> bool:
-        return not check_element(fs, mat, pred)
-
     # the `*` forms are not invariant under M -> M + cI
     shift = None if pred.exclude_zero else identity(n).entries
     return _space_verdict(fs, pred.name, label, _scan_space(
-        fs, s, fail_batch, fail_scalar, budget, samples, seed, workers, shift))
+        fs, s, *_spec_failure(fs, pred), budget, samples, seed, workers, shift))
 
 
 def check_space_even_charpoly(fs: FieldSpec, s: MatSubspace,

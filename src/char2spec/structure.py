@@ -5,18 +5,19 @@ adapted/weakly-adapted vector scans, hurdle detection (the first
 certifying plane of the dual 2-Grassmannian), transitive rank,
 alternator solving, the constructive choice solver for regular
 Hessenberg matrices, and single-instance checkers for the covering,
-vanishing, splitting and confinement lemmas.  Every checker validates
-its hypotheses before testing the conclusion; a violated hypothesis
-yields a distinct "hypothesis-violation" verdict rather than a lemma
-failure, and budget overflows surface as "budget", never as
-"none"/"fails".  In the three confinement checkers `budget` bounds only
-the spectrum pass, which samples past it; their adapted scans cannot
-sample, so they take up to DEFAULT_BUDGET points and report "budget"
-past them.  Adapted scans and hurdle detection run in trace-dual
-form, from S-perp: adapted scans on whole batches of points
-(:mod:`._bulk` code kernels), hurdle detection by refining the common
-left eigenspaces of a basis of S-perp, without walking the planes.
-Transitive rank ranks its points in batches after a short scalar head.
+vanishing, splitting and confinement lemmas.  In every checker a
+violated hypothesis outranks a failed conclusion with a distinct
+"hypothesis-violation" verdict (the splitting checker scans both at
+once, and the hypothesis alone only when that scan fails), and budget
+overflows surface as "budget", never as "none"/"fails".  In the three
+confinement checkers `budget` bounds only the spectrum pass, which
+samples past it; their adapted scans cannot sample, so they take up to
+DEFAULT_BUDGET points and report "budget" past them.  Adapted scans and
+hurdle detection run in trace-dual form, from S-perp: adapted scans on
+whole batches of points (:mod:`._bulk` code kernels), hurdle detection
+by refining the common left eigenspaces of a basis of S-perp, without
+walking the planes.  Transitive rank ranks its points in batches after a
+short scalar head.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .matrix import (Mat, char_poly, dot, from_rows, is_regular_hessenberg, mat_
 from .subspace import (BudgetExceeded, MatSubspace, VecSubspace, digits, enumerate_projective,
                        full_space, line, projective_blocks, projective_points_of,
                        trace_orthogonal, DEFAULT_BUDGET)
-from .spectra import SpecPredicate, check_element, check_space, profile, _scan_space
+from .spectra import SpecPredicate, check_space, profile, _scan_space, _spec_failure
 from .upoly import Poly, poly, poly_add
 from . import _bulk
 
@@ -533,9 +534,8 @@ def _spec_hypothesis(fs: FieldSpec, s: MatSubspace, pred: SpecPredicate, name: s
     pv = check_space(fs, s, pred, budget=budget, samples=samples, seed=seed, workers=workers)
     if pv.holds:
         return pv, None
-    return pv, LemmaVerdict(name, "hypothesis-violation",
-                            {"reason": f"space is not {pred.name}",
-                             "witness": pv.witness.to_json()})
+    return pv, LemmaVerdict(name, "hypothesis-violation", {"reason": f"space is not {pred.name}",
+                                                           "witness": pv.witness.to_json()})
 
 
 # ----------------------------------------------------------------------
@@ -560,27 +560,27 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
                     mode: str = "2spec", budget: int = DEFAULT_BUDGET,
                     samples: int = 10 ** 5, seed: int = 0,
                     workers: int = 1) -> LemmaVerdict:
-    """For a hurdle with invariant codimension-2 subspace G, check that every
-    element (a) leaves G invariant, (b) induces on G an endomorphism with
-    no nonzero eigenvalue in F (1*-spec mode) / at most one eigenvalue in
-    F (2-spec mode), (c) induces on G an endomorphism with no eigenvalue
-    in F when the induced quotient trace is nonzero, and (d) induces a
-    trace-zero quotient map whenever the G-block vanishes."""
+    """For a 2-spec (2spec mode) / 1*-spec (1star mode) hurdle with invariant
+    codimension-2 subspace G, check that every element (a) leaves G
+    invariant, (b) induces on G an endomorphism with at most one eigenvalue
+    in F / no nonzero eigenvalue in F, and (c) induces one with no eigenvalue
+    in F when the induced quotient trace is nonzero.  So the quotient trace
+    is 0 where the G-block is 0, whose eigenvalue 0 is in F (dim G >= 1).
+
+    (a) is linear and checked on the basis; then one scan fails an element
+    on the hypothesis, (b) or (c).  Only a failure runs the hypothesis scan,
+    over the same elements: a violation outranks (a), which outranks "bcd",
+    whose witness, the first scan's, is then the first (b)-(c) failure."""
     if mode not in ("2spec", "1star"):
         raise ValueError("mode must be '2spec' or '1star'")
     name = f"splitting-{mode}"
     n, nm = s.shape
     if n != nm or n < 3:
         return LemmaVerdict(name, "hypothesis-violation", {"reason": "needs square matrices, n >= 3"})
-
     if not certifies_hurdle(fs, s, cert.plane):
         return LemmaVerdict(name, "hypothesis-violation",
                             {"reason": "certificate tensors are not all inside the space"})
     pred = SpecPredicate("in_field", mode == "1star", 2 if mode == "2spec" else 1)
-    _, violation = _spec_hypothesis(fs, s, pred, name, budget, samples, seed, workers)
-    if violation:
-        return violation
-
     g = cert.kernel
     gdim = g.dim
 
@@ -590,43 +590,40 @@ def splitting_check(fs: FieldSpec, s: MatSubspace, cert: HurdleCertificate,
         return [cols[j][g.pivots[i]] for i in range(gdim) for j in range(gdim)]
 
     # (a) invariance of G is linear: checking the basis suffices
-    for b in s.basis_matrices():
-        for grow in g.basis:
-            if not g.member(mat_vec(fs, b, grow)):
-                return LemmaVerdict(name, "fails",
-                                    {"condition": "a", "witness": b.to_json()})
+    failed = next((LemmaVerdict(name, "fails", {"condition": "a", "witness": b.to_json()})
+                   for b in s.basis_matrices()
+                   if not all(g.member(mat_vec(fs, b, grow)) for grow in g.basis)), None)
+    if failed is None:
+        # the block and the trace are linear in u: fixed maps of the entries
+        k = fs.degree
+        map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
+        map_q = _bulk.linear_map(
+            fs, _linear_map(fs, n, lambda u: [quotient_trace(fs, cert.plane, u)]), 1)
+        spec_batch, spec_scalar = _spec_failure(fs, pred)
 
-    # the block and the trace are linear in u: on planes they are fixed maps
-    # of the entries
-    k = fs.degree
-    map_g = _bulk.linear_map(fs, _linear_map(fs, n, g_block), gdim * gdim)
-    map_q = _bulk.linear_map(
-        fs, _linear_map(fs, n, lambda u: [quotient_trace(fs, cert.plane, u)]), 1)
+        def fail_batch(planes, count):
+            flat = planes.reshape(-1, planes.shape[-1])
+            gb = _bulk.apply_map(flat, map_g, gdim * gdim * k).reshape(gdim, gdim, k, -1)
+            coeffs = _bulk.charpoly_planes(fs, gb)
+            counts_f = _bulk.spectrum_counts(fs, coeffs, count, "in_field", False)
+            bad_b = (counts_f > 1 if mode == "2spec"
+                     else _bulk.spectrum_counts(fs, coeffs, count, "in_field", True) > 0)
+            tr_q = _bulk.nonzero_lanes(_bulk.apply_map(flat, map_q, k), count)
+            return spec_batch(planes, count) | bad_b | (tr_q & (counts_f > 0))
 
-    def fail_batch(planes, count):
-        flat = planes.reshape(-1, planes.shape[-1])
-        gb = _bulk.apply_map(flat, map_g, gdim * gdim * k).reshape(gdim, gdim, k, -1)
-        coeffs = _bulk.charpoly_planes(fs, gb)
-        counts_f = _bulk.spectrum_counts(fs, coeffs, count, "in_field", False)
-        bad_b = (counts_f > 1 if mode == "2spec"
-                 else _bulk.spectrum_counts(fs, coeffs, count, "in_field", True) > 0)
-        tr_q = _bulk.nonzero_lanes(_bulk.apply_map(flat, map_q, k), count)
-        g_zero = ~_bulk.nonzero_lanes(gb, count)
-        return bad_b | (tr_q & (counts_f > 0)) | (g_zero & tr_q)
+        def fail_scalar(u: Mat) -> bool:
+            prof = profile(fs, Mat(gdim, gdim, g_block(u)))
+            bad_b = prof.distinct_in_f > 1 if mode == "2spec" else prof.distinct_nonzero_in_f > 0
+            return (spec_scalar(u) or bad_b
+                    or (quotient_trace(fs, cert.plane, u) != 0 and prof.distinct_in_f > 0))
 
-    def fail_scalar(u: Mat) -> bool:
-        gb = Mat(gdim, gdim, g_block(u))
-        prof = profile(fs, gb)
-        tq = quotient_trace(fs, cert.plane, u)
-        bad_b = prof.distinct_in_f > 1 if mode == "2spec" else prof.distinct_nonzero_in_f > 0
-        return bad_b or (tq != 0 and (prof.distinct_in_f > 0 or not any(gb.entries)))
-
-    scan = _scan_space(fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
-    if scan.holds:
-        return LemmaVerdict(name, "holds",
-                            {"mode": scan.mode, "checked": scan.checked, "seed": scan.seed})
-    return LemmaVerdict(name, "fails", {"condition": "bcd", "witness": scan.witness.to_json(),
-                                        "index": scan.witness_index, "mode": scan.mode})
+        scan = _scan_space(fs, s, fail_batch, fail_scalar, budget, samples, seed, workers)
+        if scan.holds:
+            return LemmaVerdict(name, "holds",
+                                {"mode": scan.mode, "checked": scan.checked, "seed": scan.seed})
+        failed = LemmaVerdict(name, "fails", {"condition": "bcd", "witness": scan.witness.to_json(),
+                                              "index": scan.witness_index, "mode": scan.mode})
+    return _spec_hypothesis(fs, s, pred, name, budget, samples, seed, workers)[1] or failed
 
 
 # ----------------------------------------------------------------------
@@ -800,23 +797,22 @@ def lastblock_audit(fs: FieldSpec) -> LemmaVerdict:
     a = np.array([m.entries for m in mats], dtype=np.uint8)
     violated = np.zeros(len(mats), dtype=bool)
     flagged = np.zeros(len(mats), dtype=np.int64)     # the first block flagged
+    fail_batch, fail_scalar = _spec_failure(fs, _TWO_SPEC)
     step = max(1, (1 << 16) // len(blocks))
     for lo in range(0, len(mats), step):
         sums = (a[lo:lo + step, None] ^ blocks).reshape(-1, 9)
         planes = _bulk.code_planes(sums, fs.degree).reshape(3, 3, fs.degree, -1)
-        counts = _bulk.spectrum_counts(fs, _bulk.charpoly_planes(fs, planes), len(sums),
-                                       "in_field", False)
-        over = counts.reshape(-1, len(blocks)) > 2
+        over = fail_batch(planes, len(sums)).reshape(-1, len(blocks))
         violated[lo:lo + step], flagged[lo:lo + step] = over.any(axis=1), over.argmax(axis=1)
     claimed = np.flatnonzero(violated)
     for i in claimed[np.linspace(0, len(claimed) - 1, min(16, len(claimed)), dtype=int)]:
-        if check_element(fs, mat_add(mats[i], Mat(3, 3, blocks[flagged[i]].tolist())), _TWO_SPEC):
+        if not fail_scalar(mat_add(mats[i], Mat(3, 3, blocks[flagged[i]].tolist()))):
             raise AssertionError(f"the batch kernel flags a 2-spec sum of {mats[i].to_json()}")
     # the conclusion fails when both the last column and the last row are nonzero
     bad = np.flatnonzero(~violated & a[:, [2, 5, 8]].any(axis=1) & a[:, 6:].any(axis=1))
     if bad.size:
         m = mats[bad[0]]
-        if not all(check_element(fs, mat_add(m, Mat(3, 3, b.tolist())), _TWO_SPEC) for b in blocks):
+        if any(fail_scalar(mat_add(m, Mat(3, 3, b.tolist()))) for b in blocks):
             raise AssertionError(f"the batch kernel misses a violation of {m.to_json()}")
         return LemmaVerdict(name, "fails", {"matrix": m.to_json()})
     return LemmaVerdict(name, "holds",

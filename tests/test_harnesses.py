@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from char2spec.gf import GF2, GF4, GF8, GF16, FieldSpec, field_spec
+from char2spec import constructions as cons
 from char2spec import harnesses as H
+from char2spec import matrix as mx
 from char2spec import structure as S
 from char2spec import subspace as sub
 from char2spec.structure import eval_monomial_map
@@ -225,14 +227,49 @@ def test_sl_rank1_span_reduces_past_sl_for_a_late_trace_one_generator(monkeypatc
 def test_trace_ortho_harnesses_see_a_short_trace_orthogonal(monkeypatch, harness):
     # S-perp short of one basis matrix whenever it is nonzero: the right
     # side falls short and some trial must fail
-    def short(s):
-        perp = sub.trace_orthogonal(s)
-        space = perp.space
-        return sub.MatSubspace(perp.shape, sub.VecSubspace(space.field, space.ambient,
-                                                           space.basis[1:]))
-    monkeypatch.setattr(H, "trace_orthogonal", short)
+    monkeypatch.setattr(H, "trace_orthogonal", lambda s: _short_perp(s, slice(1, None)))
     v = getattr(H, harness)(GF4, 200, 0)
     assert v.outcome == "fails" and "trial" in v.detail, v.to_json()
+
+
+def _short_perp(s, keep):
+    """S-perp spanned by the basis matrices that the slice `keep` picks."""
+    perp = sub.trace_orthogonal(s)
+    space = perp.space
+    return sub.MatSubspace(perp.shape, sub.VecSubspace(space.field, space.ambient,
+                                                       space.basis[keep]))
+
+
+def test_transrank_harness_sees_a_short_trace_orthogonal(monkeypatch):
+    # S-perp short of its last basis matrix whenever it is nonzero: the
+    # left side dim(S-perp x) falls short at the first trial
+    monkeypatch.setattr(H, "trace_orthogonal", lambda s: _short_perp(s, slice(-1)))
+    assert H.transrank_harness(GF4, 200, 0).to_json() == {
+        "name": "transrank", "outcome": "fails",
+        "detail": {"point": [1, 0, 1], "lhs": 2, "rhs": 3, "trial": 0}}
+
+
+@pytest.mark.parametrize("fs", [GF4, GF8], ids=["gf4", "gf8"])
+def test_splitting_harness_sees_a_roof_past_the_hypothesis(monkeypatch, fs):
+    # joint(full2, full2) keeps G invariant, like the harness's roof
+    # sl2 v sl2, but is not 2-spec: its elements break the hypothesis
+    extend, roof = H._extend, cons.joint(fs, cons.full(fs, 2), cons.full(fs, 2))
+    monkeypatch.setattr(H, "_extend", lambda fs, rng, s, _: extend(fs, rng, s, roof))
+    v = H.splitting_harness(fs, 200, 0)
+    assert v.outcome == "hypothesis-violation" and v.detail["trial"] == 0, v.to_json()
+
+
+def test_confinement_first_harness_sees_a_space_past_the_hypothesis(monkeypatch):
+    # phi (x) V plus one random matrix: the space is no longer 2-spec
+    check, rng = H.confinement_first_check, random.Random(0)
+
+    def spoiled(fs, s, phi, **options):
+        n = s.shape[0]
+        extra = sub.MatSubspace.from_matrices(fs, (n, n), [mx.random_matrix(fs, rng, n)])
+        return check(fs, s.sum_with(extra), phi, **options)
+    monkeypatch.setattr(H, "confinement_first_check", spoiled)
+    v = H.confinement_first_harness(GF4, 200, 0)
+    assert v.outcome == "hypothesis-violation" and v.detail["trial"] == 0, v.to_json()
 
 
 def test_confinement_third_harness():

@@ -587,7 +587,10 @@ def test_scan_rebuilds_and_rechecks_the_witness(gf4):
 
 
 def test_fail_scalar_runs_only_on_the_witness(gf2, gf4, monkeypatch):
-    # planes decide every element; fail_scalar re-checks the witness alone
+    # planes decide every element; fail_scalar re-checks the witness alone.
+    # Each run lists its scans in order as (found a witness, fail_scalar
+    # calls): a failing splitting check scans its hypothesis with (b)-(c),
+    # then the hypothesis alone; a holding one makes the first scan only
     scans = []
     engine = spectra._scan_space
 
@@ -602,27 +605,27 @@ def test_fail_scalar_runs_only_on_the_witness(gf2, gf4, monkeypatch):
     cert = st.detect_hurdle(gf2, h4)
     plus = h4.sum_with(sub.MatSubspace.from_matrices(gf2, (4, 4), [mx.unit(4, 4, 3, 3)]))
     scalar3 = sub.MatSubspace.from_matrices(gf4, (3, 3), [mx.identity(3)])
-    runs = [  # (scan, whether its last scan finds a witness)
-        (lambda: check_space(gf4, cons.full(gf4, 3), parse_predicate("1-spec")), True),
-        (lambda: check_space(gf4, cons.nt(gf4, 3), parse_predicate("0bar*-spec")), False),
+    found, clean = (True, 1), (False, 0)
+    runs = [
+        (lambda: check_space(gf4, cons.full(gf4, 3), parse_predicate("1-spec")), [found]),
+        (lambda: check_space(gf4, cons.nt(gf4, 3), parse_predicate("0bar*-spec")), [clean]),
         (lambda: check_space(gf4, cons.full(gf4, 3), parse_predicate("1-spec"),
-                             budget=1, samples=100), True),
+                             budget=1, samples=100), [found]),
         (lambda: check_space(gf4, cons.nt(gf4, 3), parse_predicate("0bar*-spec"),
-                             budget=1, samples=100), False),
-        (lambda: check_space_even_charpoly(gf4, cons.full(gf4, 2)), True),
-        (lambda: check_space_even_charpoly(gf4, cons.nt(gf4, 2)), False),
-        (lambda: st.splitting_check(gf2, plus, cert), True),
-        (lambda: st.splitting_check(gf2, h4, cert), False),
-        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3)), True),
-        (lambda: st.find_alternator(gf4, scalar3), False),
-        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3), budget=1, samples=100), True),
-        (lambda: st.find_alternator(gf4, scalar3, budget=1, samples=100), False),
+                             budget=1, samples=100), [clean]),
+        (lambda: check_space_even_charpoly(gf4, cons.full(gf4, 2)), [found]),
+        (lambda: check_space_even_charpoly(gf4, cons.nt(gf4, 2)), [clean]),
+        (lambda: st.splitting_check(gf2, plus, cert), [found, clean]),
+        (lambda: st.splitting_check(gf2, h4, cert), [clean]),
+        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3)), [found]),
+        (lambda: st.find_alternator(gf4, scalar3), [clean]),
+        (lambda: st.find_alternator(gf4, cons.alts(gf4, 3), budget=1, samples=100), [found]),
+        (lambda: st.find_alternator(gf4, scalar3, budget=1, samples=100), [clean]),
     ]
-    for run, found in runs:
+    for run, want in runs:
         scans.clear()
         run()
-        assert scans and scans[-1][0] == found
-        assert all(calls == int(witness) for witness, calls in scans)
+        assert scans == want
 
 
 @pytest.mark.parametrize("samples", [0, -5])

@@ -891,9 +891,10 @@ def test_quotient_trace_matches_the_quotient_block(fs):
 
 
 def _failed_conditions(fs, cert, mode, u):
-    """The conditions among (b), (c) and (d) of splitting_check that u
-    fails: the G-block read at the RREF pivots of G, the quotient trace
-    from the 2 x 2 block of oracles.quotient_block."""
+    """The conditions among (b) and (c) of splitting_check, and (d) (a zero
+    G-block gives a zero quotient trace, which (c) implies), that u fails:
+    the G-block read at the RREF pivots of G, the quotient trace from the
+    2 x 2 block of oracles.quotient_block."""
     g = cert.kernel
     cols = [mx.mat_vec(fs, u, row) for row in g.basis]
     block = mx.Mat(g.dim, g.dim, [cols[j][g.pivots[i]] for i in range(g.dim) for j in range(g.dim)])
@@ -937,6 +938,98 @@ def test_splitting_verdict_decided_by_one_condition(gf2, mode, extra, seed, plan
     assert v.detail["index"] == index == first_failing_index(
         space, lambda u: bool(_failed_conditions(gf2, cert, mode, u)))
     assert _failed_conditions(gf2, cert, mode, mx.mat_from_json(v.detail["witness"])) == failed
+
+
+@pytest.mark.parametrize("fs, n", [(GF2, 3), (GF2, 4), (GF4, 3)], ids=["gf2-3", "gf2-4", "gf4-3"])
+def test_condition_d_is_covered_by_c(fs, n):
+    # (d): a zero G-block gives a zero quotient trace.  dim G = n - 2 >= 1,
+    # so a zero G-block has the eigenvalue 0 in F, and every operator that
+    # keeps G invariant and fails (d) fails (c) too; splitting_check
+    # checks (b)-(c) alone
+    cert = st.HurdleCertificate(sub.random_subspace(fs, random.Random(n), n, 2))
+    failed = [_failed_conditions(fs, cert, "2spec", u)
+              for u in _stabilizer(fs, cert.kernel).enumerate_elements()]
+    assert any("d" in f for f in failed)
+    assert all("c" in f for f in failed if "d" in f)
+
+
+def _ranked_hurdle(fs, seed):
+    """hurdle_template(4) plus one or two seeded elements of
+    joint(full2, full2), which keep G = span(e0, e1) invariant."""
+    roof = cons.joint(fs, cons.full(fs, 2), cons.full(fs, 2))
+    rng = random.Random(seed)
+    extra = [mx.Mat(4, 4, roof.space.combine([rng.randrange(fs.q) for _ in range(roof.dim)]))
+             for _ in range(rng.randrange(1, 3))]
+    return cons.hurdle_template(fs, 4).sum_with(sub.MatSubspace.from_matrices(fs, (4, 4), extra))
+
+
+def _hypothesis_of(mode):
+    return spectra.parse_predicate("2-spec" if mode == "2spec" else "1*-spec")
+
+
+@pytest.mark.parametrize("mode, seed, first_bc, first_violation", [
+    ("2spec", 4, 1, 1026), ("2spec", 6, 1, 1025), ("2spec", 8, 1, 1026),
+    ("1star", 4, 1, 1026), ("1star", 1, None, 1025)])
+def test_splitting_hypothesis_outranks_an_earlier_conclusion_failure(
+        gf4, monkeypatch, mode, seed, first_bc, first_violation):
+    # over GF(4), an element that fails (b)-(c) comes before the first that
+    # breaks the spectrum hypothesis; the verdict is the hypothesis
+    # violation, with the witness of the hypothesis scan
+    space = _ranked_hurdle(gf4, seed)
+    cert = st.detect_hurdle(gf4, cons.hurdle_template(gf4, 4))
+    pred = _hypothesis_of(mode)
+    assert first_failing_index(
+        space, lambda u: not spectra.check_element(gf4, u, pred)) == first_violation
+    v = st.splitting_check(gf4, space, cert, mode=mode)
+    assert v.to_json() == _violation(f"splitting-{mode}", pred.name,
+                                     space.element_at(first_violation).to_json())
+    if first_bc is not None:
+        assert first_failing_index(
+            space, lambda u: bool(_failed_conditions(gf4, cert, mode, u))) == first_bc
+    else:
+        # (b)-(c) hold on every element: the hypothesis term alone fails the
+        # first scan, and without it the check holds
+        never = (lambda planes, count: np.zeros(count, dtype=bool), lambda m: False)
+        monkeypatch.setattr(st, "_spec_failure", lambda fs, pred: never)
+        assert st.splitting_check(gf4, space, cert, mode=mode).holds
+
+
+@pytest.mark.parametrize("mode", ["2spec", "1star"])
+def test_splitting_condition_a_ranks_below_the_hypothesis(gf2, gf4, mode):
+    # E_20 moves G = span(e0, e1), so (a) fails.  Over GF(2) both spectrum
+    # hypotheses hold on every matrix and (a) decides; over GF(4) the space
+    # breaks the hypothesis too, which outranks (a)
+    def moved(fs, space):
+        return space.sum_with(sub.MatSubspace.from_matrices(fs, (4, 4), [mx.unit(4, 4, 2, 0)]))
+    space = moved(gf2, cons.hurdle_template(gf2, 4))
+    cert = st.detect_hurdle(gf2, cons.hurdle_template(gf2, 4))
+    g = cert.kernel
+    first = next(b for b in space.basis_matrices()
+                 if not all(g.member(mx.mat_vec(gf2, b, y)) for y in g.basis))
+    assert st.splitting_check(gf2, space, cert, mode=mode).to_json() == {
+        "name": f"splitting-{mode}", "outcome": "fails",
+        "detail": {"condition": "a", "witness": first.to_json()}}
+    space = moved(gf4, _ranked_hurdle(gf4, 4))
+    pred = _hypothesis_of(mode)
+    first = first_failing_index(space, lambda u: not spectra.check_element(gf4, u, pred))
+    cert = st.detect_hurdle(gf4, cons.hurdle_template(gf4, 4))
+    assert st.splitting_check(gf4, space, cert, mode=mode).to_json() == _violation(
+        f"splitting-{mode}", pred.name, space.element_at(first).to_json())
+
+
+@pytest.mark.parametrize("sampled", [{}, {"budget": 1, "samples": 300, "seed": 3}],
+                         ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("mode", ["2spec", "1star"])
+def test_holding_splitting_check_scans_once(gf4, monkeypatch, mode, sampled):
+    # the spectrum hypothesis and (b)-(c) share one scan
+    scans, engine = [], spectra._scan_space
+    counted = lambda *args: scans.append(1) or engine(*args)
+    monkeypatch.setattr(spectra, "_scan_space", counted)
+    monkeypatch.setattr(st, "_scan_space", counted)
+    h4 = cons.hurdle_template(gf4, 4)
+    v = st.splitting_check(gf4, h4, st.detect_hurdle(gf4, h4), mode=mode, **sampled)
+    assert v.holds and v.detail["mode"] == ("sampled" if sampled else "exhaustive")
+    assert len(scans) == 1
 
 
 # the hypothesis-violation verdicts of the spec-hypothesis scans, pinned
