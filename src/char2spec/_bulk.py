@@ -36,6 +36,15 @@ input planes into output planes (:func:`linear_map`, :func:`apply_map`).
 The characteristic polynomial kernel is the division-free Berkowitz
 recurrence of the scalar path in :mod:`.matrix`, run on planes; tests
 cross-check it against both scalar algorithms on every shape in use.
+It first splits each batch at its block-triangular cuts: a cut i is
+taken when the OR of every plane and word of every entry (r, c) with
+r >= i > c is zero, so that every lane's matrix is block upper
+triangular there and det(xI + M) is exactly the product of its diagonal
+blocks' determinants.  The recurrence then runs on each diagonal block
+(a 1 x 1 block is its own entry) and the monic factors are multiplied on
+planes.  The OR reads the unread lanes past a batch's count too, so they
+can only keep a cut from being taken, never change a read lane; a batch
+without cuts runs the recurrence on the whole matrix.
 Its n low coefficients go to root counting (:func:`spectrum_counts`).
 When q^n <= 2^16 they are read, as planes, into indices of tables built
 for all q^n monic polynomials (:func:`spectrum_tables`): the index is
@@ -97,6 +106,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _PLANE = np.dtype("<u8")
 _PARTIAL_BYTES = 1 << 24    # bound on the largest temporary of one matrix-vector product
 _TABLE_POLYS = 1 << 16      # bound on the monic polynomials of one spectrum table
+_STREAM_WORDS = 1 << 16     # bound on the stream words of one sampling temporary
 _EVAL_DEGREE = 7            # up to this k, roots are counted on coefficient planes
 _M_TRIM_THRESHOLD = -1      # glibc mallopt parameters (malloc.h)
 _M_MMAP_THRESHOLD = -3
@@ -250,23 +260,59 @@ def _matvec(net: np.ndarray, a: np.ndarray, v: np.ndarray) -> np.ndarray:
     broadcast AND and are XORed over the c columns into rows 0 .. k-1 of
     a [r, k + 1, k, W] array whose row k stays zero.  One gather through
     the network, [r, k, G, W], and one XOR along G give the product
-    planes.  Over GF(2) a product is the AND alone."""
-    r, _, k, w = a.shape
+    planes.  Over GF(2) a product is the AND alone.  With one column
+    (c = 1: the first step of every recurrence, and products with the
+    polynomial of a 1 x 1 block) the AND writes the rows directly, with
+    no XOR."""
+    r, c, k, w = a.shape
     if k == 1:
-        return np.bitwise_xor.reduce(a & v, axis=1)
+        return a[:, 0] & v[0] if c == 1 else np.bitwise_xor.reduce(a & v, axis=1)
     acc = np.zeros((r, k + 1, k, w), dtype=_PLANE)
-    np.bitwise_xor.reduce(a[:, :, :, None] & v[:, None], axis=1, out=acc[:, :k])
+    if c == 1:
+        np.bitwise_and(a[:, 0, :, None], v[0, None], out=acc[:, :k])
+    else:
+        np.bitwise_xor.reduce(a[:, :, :, None] & v[:, None], axis=1, out=acc[:, :k])
     return np.bitwise_xor.reduce(acc.reshape(r, (k + 1) * k, w).take(net, axis=1), axis=2)
 
 
 @lru_cache(maxsize=None)
-def _conv_table(m: int) -> np.ndarray:
-    """[m-1, m-1] indices into rows 0 .. m-1 of c (c_1 .. c_{m-1}, then a
-    zero row) of the lower-triangular Toeplitz matrix T[i, s] = c_(i-s+1),
-    zero above the diagonal: the convolution sum_{j+s=i+1} c_j col_s is
-    row i of T col."""
-    i, s = np.ogrid[:m - 1, :m - 1]
-    return np.where(s <= i, i - s, m - 1)
+def _toeplitz_table(rows: int, cols: int, width: int) -> np.ndarray:
+    """[rows, cols] indices into a_0 .. a_(width-1), then a zero row (index
+    width), of the lower-triangular Toeplitz matrix T[i, j] = a_(i-j), zero
+    where i - j is out of range: row i of T b is sum_j a_(i-j) b_j, the
+    coefficient of x^i in the product of a and b.  The Berkowitz
+    convolution and the product of monic factors gather it."""
+    i, j = np.ogrid[:rows, :cols]
+    return np.where((i >= j) & (i - j < width), i - j, width)
+
+
+def _monic_product(net: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Low coefficients [da+db, k, W] of (x^da + a)(x^db + b), from the low
+    coefficients a [da, k, W] and b [db, k, W], ascending:
+    x^da b + x^db a + a b, the last one :func:`_matvec`."""
+    da, db = a.shape[0], b.shape[0]
+    out = np.zeros((da + db,) + a.shape[1:], dtype=_PLANE)
+    out[da:] = b
+    out[db:] ^= a
+    padded = np.concatenate([a, np.zeros_like(a[:1])])
+    out[:-1] ^= _matvec(net, padded[_toeplitz_table(da + db - 1, db, da)], b)
+    return out
+
+
+def _block_cuts(mats: np.ndarray) -> list[int]:
+    """0, the cuts i (0 < i < n) below which every lane of the batch
+    [n, n, k, W] is zero (no entry (r, c) with r >= i > c has a set bit
+    in any plane or word), and n: the diagonal blocks of the finest
+    coordinate flag that every lane's matrix keeps.  One OR over the
+    planes and words of every entry, then a walk over the n x n results."""
+    n = mats.shape[0]
+    nonzero = np.bitwise_or.reduce(mats, axis=(2, 3)).tolist()
+    cuts, reach = [0], 0        # reach: the lowest row set below the diagonal left of i
+    for i in range(1, n):
+        reach = max([reach] + [r for r in range(i, n) if nonzero[r][i - 1]])
+        if reach < i:
+            cuts.append(i)
+    return cuts + [n]
 
 
 def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
@@ -275,13 +321,26 @@ def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     mats: [n, n, k, W] planes.  Returns the n low coefficients, ascending,
     as [n, k, W] planes (the polynomial is monic of degree n).
 
+    A batch whose lanes are all zero below a cut i (no entry (r, c) with
+    r >= i > c set in any plane of any word) is block upper triangular in
+    every lane, so det(xI + M) is exactly the product of the diagonal
+    blocks' determinants (:func:`_block_cuts`).  Each block of size one
+    contributes x + a_ii, larger ones run the Berkowitz recurrence
+    (:func:`_berkowitz`), and the monic factors are multiplied on planes
+    (:func:`_monic_product`).  The test ORs every word, the unread lanes
+    past the batch's count in its last word too: a set bit there can only
+    block a cut, and a cut taken holds in every lane, read or not.  A
+    batch with no cut runs the recurrence on the whole matrix.
+
     Every temporary grows with W.  The largest are those of
     :func:`_matvec`: the partial products, [n, n-1, k, k, W] words, or
     the gathered [n, k, G, W] where the network is wider, G > (n-1) k
     (n = 2, or k = 16 at n = 3).  Past ``_PARTIAL_BYTES`` the lanes go in
     blocks of words that keep the larger of the two within it (k = 16 and
     2^16 lanes: 63 MB of partial products in one block for n = 6); k <= 8
-    with 2^16 lanes and n <= 6 takes one block."""
+    with 2^16 lanes and n <= 6 takes one block.  Diagonal blocks and the
+    products of their polynomials run smaller matrix-vector products,
+    within the same bound."""
     n, _, k, w = mats.shape
     net = _mul_network(fs)
     words = n * k * max((n - 1) * k, net.shape[1])
@@ -289,6 +348,18 @@ def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
     if w > step:
         return np.concatenate([charpoly_planes(fs, mats[..., lo:lo + step])
                                for lo in range(0, w, step)], axis=-1)
+    cuts = _block_cuts(mats)
+    coeffs = _berkowitz(net, mats[:cuts[1], :cuts[1]])
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        coeffs = _monic_product(net, coeffs, _berkowitz(net, mats[lo:hi, lo:hi]))
+    return coeffs
+
+
+def _berkowitz(net: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The n low coefficients [n, k, W], ascending, of the characteristic
+    polynomials of the plane batch mats [n, n, k, W], by the division-free
+    Berkowitz recurrence; for n = 1, the planes of the one entry."""
+    n, _, k, w = mats.shape
     # c holds the coefficients c_1 .. c_{m-1} of the leading principal
     # (m-1) x (m-1) block, by descending degree (c_0 = 1 is implicit),
     # then the zero row that pads the convolution table; col has one row
@@ -306,7 +377,7 @@ def charpoly_planes(fs: FieldSpec, mats: np.ndarray) -> np.ndarray:
                 v, col[t] = prod[:m - 1], prod[m - 1]
             else:
                 col[t] = _matvec(net, block[m - 1:], v)[0]
-        conv = _matvec(net, c[_conv_table(m)], col[:m - 1])
+        conv = _matvec(net, c[_toeplitz_table(m - 1, m - 1, m - 1)], col[:m - 1])
         col[:m - 1] ^= c[:m - 1]
         col[1:m] ^= conv
         c = col
@@ -735,7 +806,11 @@ def sample_planes(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
 
     The planes come straight off the stream words, with no codes between.
     The words of whole 64-lane groups of samples are drawn in place, one
-    row per stream word (lanes past hi are never read).  For each bit
+    row per stream word (lanes past hi are never read), in blocks of at
+    most ``_STREAM_WORDS`` words (one row at 2^16 lanes), so that no
+    temporary here passes 512 KiB: with the three rows of a GF(4) sample
+    of dimension 18 in one 1.5 MiB block, a scan thread's malloc arena
+    sometimes had to grow, and fault pages in, during a warm scan.  For each bit
     b < min(k, 8), the mask and multiply of :func:`code_planes` gather
     bit b of the eight bytes of a word into one byte, and eight lanes'
     bytes make a uint64 whose byte l is lane l.  The 8 x 8 bit transpose
@@ -748,20 +823,23 @@ def sample_planes(q: int, d: int, seed: int, lo: int, hi: int) -> np.ndarray:
     words = -(-d // per)
     bits = min(k, 8)
     lanes = 64 * -(-(hi - lo) // 64)
-    z = np.empty((words, lanes), dtype=_PLANE)
-    with np.errstate(over="ignore"):
-        base = np.arange(lo, lo + lanes, dtype=np.uint64)
-        base *= _GOLDEN
-        np.add(base, _stream_offsets(seed, words)[:, None], out=z)
-        del base
-        _mix64(z)
-        gathered = np.empty((words, bits, lanes), dtype=np.uint8)
-        t = np.empty_like(z)
-        for b in range(bits):
-            np.bitwise_and(z, _BYTE_LSB << np.uint64(b), out=t)
-            t *= _GATHER >> np.uint64(b)             # bit 8 i + b to bit 56 + i
-            gathered[:, b] = t.view(np.uint8)[..., 7::8]
-    del z, t
+    rows = max(1, _STREAM_WORDS // lanes)
+    offsets = _stream_offsets(seed, words)[:, None]
+    gathered = np.empty((words, bits, lanes), dtype=np.uint8)
+    for w in range(0, words, rows):
+        z = np.empty((min(rows, words - w), lanes), dtype=_PLANE)
+        with np.errstate(over="ignore"):
+            base = np.arange(lo, lo + lanes, dtype=np.uint64)
+            base *= _GOLDEN
+            np.add(base, offsets[w:w + rows], out=z)
+            del base
+            _mix64(z)
+            t = np.empty_like(z)
+            for b in range(bits):
+                np.bitwise_and(z, _BYTE_LSB << np.uint64(b), out=t)
+                t *= _GATHER >> np.uint64(b)         # bit 8 i + b to bit 56 + i
+                gathered[w:w + rows, b] = t.view(np.uint8)[..., 7::8]
+        del z, t
     _transpose8(gathered.view(_PLANE))               # [words, bits, lanes / 8]
     col, bit = np.divmod(np.arange(d * k), k)
     by_byte = gathered.reshape(words * bits, lanes // 8, 8).transpose(0, 2, 1)

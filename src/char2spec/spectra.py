@@ -54,10 +54,13 @@ from . import _bulk
 
 CHUNK = 1 << 16
 
-# The one pool of scan threads, bounded by the processors: a thread starts
-# only when a range finds none idle and lives as long as the process, keeping
-# its malloc arena.  No range submits to the pool (scans do not nest).
-_POOL = ThreadPoolExecutor(max_workers=os.cpu_count() or 1)
+# The scan threads, one per processor: range i of a scan runs on thread
+# i mod processors, which starts on its first range and lives as long as the
+# process, keeping its malloc arena.  A thread never takes another range's
+# place, so every scan of r ranges runs on the same min(r, processors)
+# threads however the interpreter lock is handed over.  No range submits to
+# a scan thread (scans do not nest).
+_POOL = tuple(ThreadPoolExecutor(max_workers=1) for _ in range(os.cpu_count() or 1))
 
 
 @dataclass(frozen=True)
@@ -191,8 +194,9 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
     when exhaustive, sample indices otherwise) are cut into at most
     `workers` ranges and at most ceil(positions / batch), and each range
     into batches: max(1, CHUNK // 64) words, or CHUNK samples.  Two or more
-    ranges run on `_POOL`, so at most min(ranges, processors) threads run a
-    scan; one range runs in the calling thread.  The witness alone is
+    ranges run on `_POOL`, range i on thread i mod processors, so at most
+    min(ranges, processors) threads run a scan; one range runs in the
+    calling thread.  The witness alone is
     rebuilt from its index and re-checked with fail_scalar(Mat) -> bool; a
     witness that passes it means the scan is inconsistent.
 
@@ -268,7 +272,8 @@ def _scan_space(fs: FieldSpec, s: MatSubspace, fail_batch, fail_scalar,
 
     chunks = index_chunks(count, min(workers, -(-count // batch)))
     if len(chunks) > 1:
-        results = list(_POOL.map(lambda c: run_range(*c), chunks))
+        futures = [_POOL[i % len(_POOL)].submit(run_range, *c) for i, c in enumerate(chunks)]
+        results = [f.result() for f in futures]
     else:
         results = [run_range(*c) for c in chunks]
     fails = [r for r in results if r is not None]

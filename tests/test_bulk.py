@@ -331,6 +331,55 @@ def test_charpolys_match_across_lane_blocks(fs, n, monkeypatch):
         assert tuple(int(c) for c in got[i]) == mx.char_poly_hessenberg(fs, m), i
 
 
+def _compositions(n: int) -> list[list[int]]:
+    """The cuts 0 < i < n of every composition of n into diagonal blocks."""
+    return [[i for i in range(1, n) if mask >> (i - 1) & 1] for mask in range(1 << (n - 1))]
+
+
+def _charpolys(fs, planes, count) -> list[tuple]:
+    return list(map(tuple, _bulk.monic_codes(_bulk.charpoly_planes(fs, planes), count).tolist()))
+
+
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8, GF16, FieldSpec(9)], ids=field_id)
+def test_charpolys_split_at_block_cuts(fs):
+    # every composition of n <= 6 into diagonal blocks, filled at random on
+    # and above the blocks and zero below, in 1, 1, 2 and 5 words; each lane
+    # against both scalar algorithms.  The unread lanes of the last word,
+    # set at random below the cuts too, may only block a cut.  A spoiler,
+    # one entry just below a cut set in its top plane in the last read lane
+    # of the last word, must keep that cut from being taken.
+    k = fs.degree
+    rng = np.random.default_rng(fs.modulus)
+    for n in range(1, 7):
+        for cuts in _compositions(n):
+            block = np.searchsorted(cuts, np.arange(n), side="right")
+            codes = rng.integers(0, fs.q, size=(300, n, n)).astype(code_dtype(k))
+            codes[:, block[:, None] > block] = 0
+            mats = [mx.Mat(n, n, c) for c in codes.reshape(300, n * n).tolist()]
+            want = [mx.char_poly_hessenberg(fs, m) for m in mats]
+            assert want == [mx.char_poly_berkowitz(fs, m) for m in mats], (n, cuts)
+            for count in (1, 63, 65, 300):
+                planes = _bulk.code_planes(codes[:count].reshape(count, n * n), k)
+                planes = planes.reshape(n, n, k, -1)
+                assert set(cuts) <= set(_bulk._block_cuts(planes)), (n, cuts, count)
+                assert _charpolys(fs, planes, count) == want[:count], (n, cuts, count)
+                unread = planes.copy()
+                garbage = rng.integers(0, 1 << 64, size=(n, n, k), dtype=np.uint64)
+                unread[..., -1] |= garbage & ~np.uint64((1 << count % 64) - 1)
+                assert _charpolys(fs, unread, count) == want[:count], (n, cuts, count)
+                lane = count - 1
+                for i in cuts:
+                    spoiled = planes.copy()
+                    spoiled[i, i - 1, k - 1, lane // 64] |= np.uint64(1 << lane % 64)
+                    assert i not in _bulk._block_cuts(spoiled), (n, cuts, count, i)
+                    m = codes[lane].copy()
+                    m[i, i - 1] = 1 << (k - 1)
+                    m = mx.Mat(n, n, m.ravel().tolist())
+                    expect = want[:lane] + [mx.char_poly_hessenberg(fs, m)]
+                    assert expect[-1] == mx.char_poly_berkowitz(fs, m)
+                    assert _charpolys(fs, spoiled, count) == expect, (n, cuts, count, i)
+
+
 # ----------------------------------------------------------------------
 # code-array products and batched rank
 # ----------------------------------------------------------------------

@@ -572,6 +572,30 @@ def test_scans_that_visit_every_coset(workers, small_chunk):
             assert expect is None or v.witness == sample_element(space, 11, expect)
 
 
+@pytest.mark.parametrize("fs", [GF2, GF4, GF8], ids=["gf2", "gf4", "gf8"])
+def test_scans_across_block_cuts_match_the_scalar_walk(fs, small_chunk):
+    # nt4 and ut4 split at every cut; E32, E10 and E30 each cross some of
+    # them, so a batch splits only where all its lanes leave that coordinate
+    # at 0.  nt4 + E32 and nt4 + E10 fail 0bar*-spec and 1-spec only through
+    # the crossing entry: a cut taken across it hides the failure, and a
+    # scan re-verifies only the witness it reports.  One word or 16 samples
+    # per batch; exhaustive where the scalar walk covers q^dim <= 2^14
+    # elements (GF(8) walks nt3 + E21 in test_projective_scan_keeps_minimal_witness)
+    ut4_e30 = cons.ut(fs, 4).sum_with(sub.MatSubspace.from_matrices(fs, (4, 4), [mx.unit(4, 4, 3, 0)]))
+    spaces = {"nt4": cons.nt(fs, 4), "nt4+E32": _nt_plus(fs, 4, 3, 2),
+              "nt4+E10": _nt_plus(fs, 4, 1, 0), "ut4": cons.ut(fs, 4), "ut4+E30": ut4_e30}
+    for name, space in spaces.items():
+        for pred in ("0bar*-spec", "1-spec", "even"):
+            fails = _oracle_fails(fs, pred)
+            if fs.q ** space.dim <= 1 << 14:
+                v = _check(fs, space, pred)
+                expect = first_failing_index(space, fails)
+                assert (v.mode, v.witness_index) == ("exhaustive", expect), (name, pred)
+            v = _check(fs, space, pred, budget=8, samples=300, seed=5)
+            expect = first_failing_sample(space, 5, 300, fails)
+            assert (v.mode, v.witness_index) == ("sampled", expect), (name, pred)
+
+
 def test_scan_rebuilds_and_rechecks_the_witness(gf4):
     space = cons.full(gf4, 2)
     always = lambda planes, count: np.ones(count, dtype=bool)
@@ -723,6 +747,36 @@ def test_scans_reuse_the_pool_threads(batch_threads):
     assert threading.main_thread() not in first | second
     # the second scan starts no thread: it runs on threads the first left running
     assert first <= alive and second <= alive
+
+
+def test_each_range_keeps_its_scan_thread(monkeypatch):
+    # range i runs on scan thread i mod processors in every scan: a thread
+    # that is free early never takes a range of another
+    monkeypatch.setattr(spectra, "CHUNK", 16)
+    cpus = os.cpu_count() or 1
+    ranges = 2 * cpus
+    seen = {}
+    planes = _bulk.sample_planes
+
+    def record(q, d, seed, lo, hi):
+        seen[lo // 16] = threading.current_thread()
+        return planes(q, d, seed, lo, hi)
+
+    monkeypatch.setattr(_bulk, "sample_planes", record)
+
+    def scan():
+        seen.clear()
+        v = check_space(GF4, cons.nt(GF4, 3), parse_predicate("1-spec"), budget=1,
+                        samples=16 * ranges, workers=ranges)
+        assert v.mode == "sampled" and v.holds and sorted(seen) == list(range(ranges))
+        return [seen[i] for i in range(ranges)]
+
+    first = scan()
+    assert threading.main_thread() not in first
+    for i in range(ranges):
+        for j in range(ranges):
+            assert (first[i] is first[j]) == (i % cpus == j % cpus), (i, j)
+    assert scan() == first
 
 
 def test_one_range_runs_in_the_calling_thread(batch_threads):
